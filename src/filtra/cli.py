@@ -52,7 +52,7 @@ def _report(command, config, results, ok, started):
 
 
 def _emit(report, out_path):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if out_path:
         with open(out_path, "w") as fh:

@@ -6,8 +6,19 @@ may grow without bound, ``ModMat`` is a square matrix over Z/p^r with entries
 normalized into [0, p^r), and ``PslClass`` is the sign-normalized class
 {M, -M} of a determinant-one ``ModMat``.
 
-Determinants are computed by cofactor expansion up to 4x4 and by fraction-free
-(Bareiss) elimination above that, so they are exact for any entry size.
+Validation happens where a matrix enters: the public constructors and
+``parse_matrix`` check that the entries form a nonempty square of exact
+integers.  Products, negations and inverses of validated matrices are square
+integer tuples by construction, so they are built by a private constructor
+that skips that scan (``ModMat`` results are still reduced into [0, m)).
+The determinant-one and unit checks of ``inverse`` and ``psl_class`` stay.
+
+Products, determinants and adjugates use closed forms for n = 2, the size
+every congruence computation runs at; larger matrices take the generic
+loops.  Determinants above 2x2 are computed by cofactor expansion up to 4x4
+and by fraction-free (Bareiss) elimination above that, so they are exact
+for any entry size.  The flat 4-tuple helpers ``_flat_mul``/``_flat_inv``
+serve the finite quotient tables, which store 2x2 elements as (a, b, c, d).
 
 Matrix literals use the text form ``"1,3;0,1"``: rows joined by ';', entries
 by ','.
@@ -85,10 +96,34 @@ def _check_square(rows):
 
 
 def _mat_mul(a, b, n):
+    if n == 2:
+        (a00, a01), (a10, a11) = a
+        (b00, b01), (b10, b11) = b
+        return (
+            (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
+        )
+    return _mat_mul_n(a, b, n)
+
+
+def _mat_mul_n(a, b, n):
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def _flat_mul(x, y, m):
+    """Product of two 2x2 matrices stored flat as (a, b, c, d), mod m."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m)
+
+
+def _flat_inv(x, m):
+    """Inverse of a flat 2x2 matrix of determinant 1 mod m (its adjugate)."""
+    a, b, c, d = x
+    return (d % m, -b % m, -c % m, a % m)
 
 
 def _det_cofactor(rows):
@@ -130,12 +165,26 @@ def _det_bareiss(rows):
 
 
 def _det(rows):
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    return _det_n(rows)
+
+
+def _det_n(rows):
     if len(rows) <= 4:
         return _det_cofactor([tuple(r) for r in rows])
     return _det_bareiss(rows)
 
 
 def _adjugate(rows):
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return ((d, -b), (-c, a))
+    return _adjugate_n(rows)
+
+
+def _adjugate_n(rows):
     n = len(rows)
     if n == 1:
         return ((1,),)
@@ -179,21 +228,22 @@ class IntMat:
     def __mul__(self, other: "IntMat") -> "IntMat":
         if not isinstance(other, IntMat):
             return NotImplemented
-        if other.n != self.n:
-            raise DimensionMismatch("cannot multiply %dx%d by %dx%d" % (self.n, self.n, other.n, other.n))
-        return IntMat(_mat_mul(self.entries, other.entries, self.n))
+        a, b = self.entries, other.entries
+        n = len(a)
+        if len(b) != n:
+            raise DimensionMismatch("cannot multiply %dx%d by %dx%d" % (n, n, len(b), len(b)))
+        return _int_mat(_mat_mul(a, b, n))
 
     def __neg__(self) -> "IntMat":
-        return IntMat(tuple(tuple(-e for e in row) for row in self.entries))
+        return _int_mat(_negate(self.entries))
 
     def inverse(self) -> "IntMat":
-        d = self.det()
-        if d not in (1, -1):
-            raise NonInvertible("determinant %d is not a unit in Z" % d)
-        adj = _adjugate(self.entries)
+        d = _det(self.entries)
         if d == 1:
-            return IntMat(adj)
-        return IntMat(tuple(tuple(-e for e in row) for row in adj))
+            return _int_mat(_adjugate(self.entries))
+        if d == -1:
+            return _int_mat(_negate(_adjugate(self.entries)))
+        raise NonInvertible("determinant %d is not a unit in Z" % d)
 
     def __pow__(self, k: int) -> "IntMat":
         if k < 0:
@@ -249,20 +299,20 @@ class ModMat:
         if not isinstance(other, ModMat):
             return NotImplemented
         self._check_compatible(other)
-        return ModMat(_mat_mul(self.entries, other.entries, self.n), self.modulus)
+        return _mod_mat(_mat_mul(self.entries, other.entries, self.n), self.modulus)
 
     def __neg__(self) -> "ModMat":
-        return ModMat(tuple(tuple(-e for e in row) for row in self.entries), self.modulus)
+        return _mod_mat(_negate(self.entries), self.modulus)
 
     def inverse(self) -> "ModMat":
         m = self.modulus.m
-        d = self.det()
+        d = _det(self.entries) % m
         try:
             dinv = pow(d, -1, m)
         except ValueError:
             raise NonInvertible("determinant %d is not a unit mod %d" % (d, m)) from None
         adj = _adjugate(self.entries)
-        return ModMat(tuple(tuple(dinv * e for e in row) for row in adj), self.modulus)
+        return _mod_mat(tuple(tuple(dinv * e for e in row) for row in adj), self.modulus)
 
     def __pow__(self, k: int) -> "ModMat":
         if k < 0:
@@ -276,12 +326,34 @@ class ModMat:
             k >>= 1
         return result
 
-    def lift_int(self) -> IntMat:
-        """The integer matrix with the canonical entries in [0, m)."""
-        return IntMat(self.entries)
-
     def __str__(self):
         return format_matrix(self)
+
+
+# Arithmetic results skip the constructors' validation: a product, negation
+# or adjugate of validated matrices is already a square tuple of ints.
+
+def _negate(rows):
+    return tuple(tuple(-e for e in row) for row in rows)
+
+
+def _int_mat(rows) -> IntMat:
+    out = object.__new__(IntMat)
+    object.__setattr__(out, "entries", rows)
+    return out
+
+
+def _mod_mat(rows, modulus: Modulus) -> ModMat:
+    m = modulus.m
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        rows = ((a % m, b % m), (c % m, d % m))
+    else:
+        rows = tuple(tuple(e % m for e in row) for row in rows)
+    out = object.__new__(ModMat)
+    object.__setattr__(out, "entries", rows)
+    object.__setattr__(out, "modulus", modulus)
+    return out
 
 
 def reduce_mod(a: IntMat, modulus: Modulus) -> ModMat:
@@ -289,14 +361,10 @@ def reduce_mod(a: IntMat, modulus: Modulus) -> ModMat:
     return ModMat(a.entries, modulus)
 
 
-def mat_mul(a, b):
-    """Exact product of two matrices of the same kind (and modulus)."""
-    return a * b
-
-
-def mat_inv(a):
-    """Exact inverse of a unit-determinant matrix of either kind."""
-    return a.inverse()
+def _sign_normal(a):
+    """The lexicographically smaller (row-major) of a and -a."""
+    neg = -a
+    return a if a.entries <= neg.entries else neg
 
 
 @dataclass(frozen=True)
@@ -330,9 +398,7 @@ def psl_class(a: ModMat) -> PslClass:
     """Sign-normalize a determinant-one ModMat into its PSL class."""
     if a.det() != 1:
         raise MatrixError("psl_class requires det = 1 mod %d, got %d" % (a.modulus.m, a.det()))
-    neg = -a
-    rep = a if a.entries <= neg.entries else neg
-    return PslClass(rep)
+    return PslClass(_sign_normal(a))
 
 
 def format_matrix(a) -> str:

@@ -25,7 +25,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .exactmat import IntMat, Modulus, ModMat, PslClass, is_prime
+from .exactmat import IntMat, Modulus, ModMat, PslClass, _flat_inv, _flat_mul, is_prime
 
 #: Level value meaning "deeper than the truncation cap".
 TOP = float("inf")
@@ -152,18 +152,6 @@ def congruence_basis(p: int, q: int) -> dict:
 
 
 # --- finite quotients -------------------------------------------------------
-
-def _flat_mul(x, y, m):
-    a, b, c, d = x
-    e, f, g, h = y
-    return ((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m)
-
-
-def _flat_inv(x, m):
-    # valid because every element here has determinant 1 mod m
-    a, b, c, d = x
-    return (d % m, -b % m, -c % m, a % m)
-
 
 _FLAT_ID = (1, 0, 0, 1)
 

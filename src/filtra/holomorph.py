@@ -21,6 +21,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from .exactmat import _sign_normal
 from .freegroup import Word
 
 
@@ -181,10 +182,7 @@ class MatrixConjugation(ActionSpec):
         return f * x * f.inverse()
 
     def pi_norm(self, x):
-        if not self.psl_pi:
-            return x
-        neg = -x
-        return x if x.entries <= neg.entries else neg
+        return _sign_normal(x) if self.psl_pi else x
 
 
 class FreeGroupAction(ActionSpec):

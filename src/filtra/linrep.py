@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .exactmat import IntMat, Modulus, ModMat
+from .exactmat import IntMat, Modulus, ModMat, reduce_mod
 
 
 class LinRepError(ValueError):
@@ -219,7 +219,7 @@ def ball_injectivity(p: int, base_exp: int, target_exp: int, radius: int = 3,
     from .filtration import congruence_basis
 
     modulus = Modulus(p, target_exp)
-    gens = [reduce_to(m, modulus) for m in congruence_basis(p, base_exp).values()]
+    gens = [reduce_mod(m, modulus) for m in congruence_basis(p, base_exp).values()]
     gens += [g.inverse() for g in gens]
     ball = {ModMat.identity(2, modulus)}
     frontier = list(ball)
@@ -250,7 +250,3 @@ def ball_injectivity(p: int, base_exp: int, target_exp: int, radius: int = 3,
         "collisions": collisions,
         "ok": collisions == 0,
     }
-
-
-def reduce_to(m: IntMat, modulus: Modulus) -> ModMat:
-    return ModMat(m.entries, modulus)

@@ -31,16 +31,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .exactmat import IntMat, format_matrix, parse_matrix
-from .filtration import (
-    TOP,
-    FiltrationSpec,
-    congruence_basis,
-    kernel_enumerate,
-    level_of,
-    _flat_inv,
-    _flat_mul,
-)
+from .exactmat import IntMat, _flat_inv, _flat_mul, format_matrix, parse_matrix
+from .filtration import TOP, FiltrationSpec, congruence_basis, kernel_enumerate, level_of
 from .freegroup import Word, format_word, lcs_depth2, parse_word, poison_action
 from .holomorph import (
     FreeGroupAction,

@@ -138,3 +138,13 @@ def test_rep_ball_command(capsys):
         capsys, "rep-ball", "-p", "3", "--base", "1", "--target", "3", "--radius", "2", "--seed", "1"
     )
     assert code == 0 and report["ok"]
+
+
+def test_emit_rejects_non_finite_floats(tmp_path, capsys):
+    from filtra.cli import _emit
+
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        _emit({"results": {"level": float("inf")}}, str(out))
+    assert capsys.readouterr().out == ""
+    assert not out.exists()

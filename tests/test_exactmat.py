@@ -16,6 +16,7 @@ from filtra.exactmat import (
     psl_class,
     reduce_mod,
 )
+from filtra.exactmat import _adjugate, _adjugate_n, _det, _det_bareiss, _det_n, _mat_mul, _mat_mul_n
 
 M9 = Modulus(3, 2)
 M27 = Modulus(3, 3)
@@ -73,6 +74,8 @@ def test_mul_identity_and_examples():
     c1 = mmat(M9, (4, 3), (-3, -2))
     a1m = mmat(M9, (1, 3), (0, 1))
     assert b1 * c1 * a1m.inverse() == mmat(M9, (4, 0), (0, 7))
+    assert a1m * a1m == mmat(M9, (1, 6), (0, 1))
+    assert a1m * a1m * a1m == ModMat.identity(2, M9)
 
 
 def test_mul_dimension_and_modulus_errors():
@@ -90,6 +93,10 @@ def test_inverse_examples():
     inv = am.inverse()
     assert inv == mmat(M9, (1, 6), (0, 1))
     assert am * inv == ModMat.identity(2, M9)
+    assert inv * am == ModMat.identity(2, M9)
+    # a determinant -1 integer matrix is a unit too
+    flip = imat((0, 1), (1, 0))
+    assert flip.inverse() == flip
     with pytest.raises(NonInvertible):
         imat((2, 0), (0, 2)).inverse()
     with pytest.raises(NonInvertible):
@@ -184,17 +191,6 @@ def test_pow_and_neg():
     assert -mmat(M9, (1, 0), (0, 1)) == mmat(M9, (8, 0), (0, 8))
 
 
-def test_function_aliases():
-    from filtra.exactmat import mat_inv, mat_mul
-
-    a = imat((1, 3), (0, 1))
-    assert mat_mul(a, a) == a * a
-    assert mat_inv(a) == a.inverse()
-    am = mmat(M9, (1, 3), (0, 1))
-    assert mat_mul(am, am) == am * am
-    assert mat_inv(am) == am.inverse()
-
-
 def test_parse_format_roundtrip():
     text = "1,3;0,1"
     assert format_matrix(parse_matrix(text)) == text
@@ -204,3 +200,86 @@ def test_parse_format_roundtrip():
         parse_matrix("1,x;0,1")
     with pytest.raises(DimensionMismatch):
         parse_matrix("1,2,3;4,5,6")
+
+
+# -- differential test: n = 2 closed forms against the generic n x n paths ---
+
+def _sl2_word(rng, length):
+    out = ((1, 0), (0, 1))
+    for _ in range(length):
+        c = rng.randint(-50, 50)
+        step = ((1, c), (0, 1)) if rng.random() < 0.5 else ((1, 0), (c, 1))
+        out = _mat_mul_n(out, step, 2)
+    return out
+
+
+def _assert_validated(x):
+    # an arithmetic result must equal its fully validated re-construction
+    if isinstance(x, IntMat):
+        assert IntMat(x.entries) == x
+    else:
+        m = x.modulus.m
+        assert all(0 <= e < m for row in x.entries for e in row)
+        assert ModMat(x.entries, x.modulus) == x
+    assert type(x.entries) is tuple and all(type(row) is tuple for row in x.entries)
+
+
+def test_closed_forms_match_generic_2x2():
+    rng = random.Random("closed-forms")
+    moduli = [None] + [Modulus(p, r) for p in (2, 3, 5) for r in range(1, 5)]
+    for k in range(200):
+        modulus = moduli[k % len(moduli)]
+        a, b = _sl2_word(rng, rng.randint(0, 8)), _sl2_word(rng, rng.randint(0, 8))
+        if rng.random() < 0.25:
+            a = _mat_mul_n(a, ((0, 1), (1, 0)), 2)   # det -1
+        assert _mat_mul(a, b, 2) == _mat_mul_n(a, b, 2)
+        assert _det(a) == _det_n(a) == _det_bareiss(a)
+        assert _adjugate(a) == _adjugate_n(a)
+        if modulus is None:
+            x, y = IntMat(a), IntMat(b)
+            expected_inv = IntMat(_adjugate_n(a)) if _det_n(a) == 1 else -IntMat(_adjugate_n(a))
+            expected_prod = IntMat(_mat_mul_n(a, b, 2))
+        else:
+            x, y = ModMat(a, modulus), ModMat(b, modulus)
+            dinv = pow(_det_n(a), -1, modulus.m)
+            expected_inv = ModMat(tuple(tuple(dinv * e for e in row) for row in _adjugate_n(a)), modulus)
+            expected_prod = ModMat(_mat_mul_n(a, b, 2), modulus)
+        assert x.det() == (_det_n(a) if modulus is None else _det_n(a) % modulus.m)
+        results = [x * y, x.inverse(), -x, x ** 3, x ** -2]
+        assert results[0] == expected_prod
+        assert results[1] == expected_inv
+        assert x * results[1] == (IntMat.identity(2) if modulus is None else ModMat.identity(2, modulus))
+        for z in results:
+            _assert_validated(z)
+
+
+def test_generic_path_results_validated():
+    rng = random.Random("generic-nxn")
+    for modulus in (None, Modulus(2, 2), Modulus(3, 2)):
+        for _ in range(20):
+            rows = tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3))
+            x = IntMat(rows) if modulus is None else ModMat(rows, modulus)
+            _assert_validated(x * x)
+            _assert_validated(-x)
+        unit = IntMat(((1, 2, 0), (0, 1, 0), (3, 0, 1)))
+        if modulus is None:
+            u, one = unit, IntMat.identity(3)
+        else:
+            u, one = reduce_mod(unit, modulus), ModMat.identity(3, modulus)
+        _assert_validated(u.inverse())
+        assert u * u.inverse() == one
+
+
+def test_fast_paths_keep_their_errors():
+    with pytest.raises(DimensionMismatch):
+        IntMat.identity(2) * IntMat.identity(3)
+    with pytest.raises(DimensionMismatch):
+        ModMat.identity(3, M9) * ModMat.identity(2, M9)
+    with pytest.raises(ModulusMismatch):
+        mmat(M9, (1, 3), (0, 1)) * mmat(M27, (1, 3), (0, 1))
+    with pytest.raises(NonInvertible):
+        imat((2, 1), (1, 2)).inverse()
+    with pytest.raises(NonInvertible):
+        mmat(Modulus(5, 2), (5, 1), (0, 5)).inverse()
+    with pytest.raises(NonInvertible):
+        (imat((1, 0), (0, 1)) * imat((2, 0), (0, 1))).inverse()
