@@ -107,6 +107,8 @@ def _cmd_rep(args, started):
     modulus = Modulus(*_factor_prime_power(args.mod)) if args.mod else None
     gamma = parse_matrix(args.gamma, modulus)
     y = parse_matrix(args.y, modulus)
+    if gamma.n != args.n:
+        raise CliUsageError("--n %d does not match the %dx%d gamma" % (args.n, gamma.n, gamma.n))
     mat = rho(DeltaElem(gamma, y))
     print(str(mat))
     results = {"rho": str(mat), "n_squared": mat.n}

@@ -12,6 +12,9 @@ the finite quotient between two levels by complete enumeration, and
 ``check_p_congruence`` verifies the finite p-group and bounded-generation
 conditions for every pair of levels up to a depth cap.
 
+A level is an int in [-1, cap + 1]: -1 outside the level-0 group, cap + 1
+for anything deeper than the truncation cap can distinguish.
+
 Minimal generator counts use the Burnside basis theorem: for a finite
 p-group G, d(G) = log_p |G / Phi(G)| with Phi(G) generated by p-th powers
 and commutators.  Phi is computed by explicit closure, which is fine at the
@@ -20,15 +23,15 @@ enumeration sizes guarded here.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import os
 import random
 from dataclasses import dataclass
 
 from .exactmat import IntMat, Modulus, ModMat, PslClass, _flat_inv, _flat_mul, is_prime
-
-#: Level value meaning "deeper than the truncation cap".
-TOP = float("inf")
+from .holomorph import random_element
 
 DEFAULT_ENUM_GUARD = 10 ** 7
 
@@ -103,9 +106,9 @@ def _valuation_to_identity(entries, n, p, cap, allow_sign):
 def level_of(x, spec: FiltrationSpec):
     """Largest level j <= depth_cap with x in the level-j subgroup.
 
-    Returns -1 when x is not even in the level-0 group and TOP when x is
-    congruent to (+-)I one exponent beyond the cap, i.e. deeper than the
-    truncation can distinguish.
+    Returns -1 when x is not even in the level-0 group and depth_cap + 1
+    when x is congruent to (+-)I one exponent beyond the cap, i.e. deeper
+    than the truncation can distinguish.
     """
     cap_exp = spec.r0 + spec.depth_cap + 1
     if isinstance(x, IntMat):
@@ -126,17 +129,12 @@ def level_of(x, spec: FiltrationSpec):
     else:
         raise TypeError("level_of expects IntMat, ModMat, or PslClass, got %r" % type(x))
     v = _valuation_to_identity(entries, 2, spec.p, cap_exp, spec.allow_sign)
-    if v >= cap_exp:
-        return TOP
-    if v >= spec.r0:
-        return v - spec.r0
-    return -1
+    return v - spec.r0 if v >= spec.r0 else -1
 
 
-def exact_congruence_exponent(x: IntMat, p: int, allow_sign: bool, bail: int = 64):
-    """Untruncated congruence exponent of an integer matrix; TOP past bail."""
-    v = _valuation_to_identity(x.entries, x.n, p, bail, allow_sign)
-    return TOP if v >= bail else v
+def exact_congruence_exponent(x: IntMat, p: int, allow_sign: bool, bail: int = 64) -> int:
+    """Congruence exponent of an integer matrix, saturated at bail."""
+    return _valuation_to_identity(x.entries, x.n, p, bail, allow_sign)
 
 
 def congruence_basis(p: int, q: int) -> dict:
@@ -404,15 +402,13 @@ def _plog(n, p):
     return k
 
 
-_table_cache: dict = {}
-
-
 def kernel_enumerate(p: int, i: int, j: int, family: str = "pgamma") -> QuotientTable:
     """Enumerate the quotient between congruence levels p^i and p^j.
 
     Lists every M = I + p^i N (N over Z/p^{j-i}) with det = 1 mod p^j; for
     the pgamma family the result is normalized across central scalar
-    classes.  Guarded by p^{4(j-i)} <= FILTRA_MAX_ENUM (default 10^7).
+    classes.  Guarded by p^{4(j-i)} <= FILTRA_MAX_ENUM (default 10^7), also
+    for tables already in the cache.
     """
     if family not in FAMILIES:
         raise ValueError("family must be one of %s" % (FAMILIES,))
@@ -424,9 +420,11 @@ def kernel_enumerate(p: int, i: int, j: int, family: str = "pgamma") -> Quotient
     limit = enum_guard_limit()
     if work > limit:
         raise GuardError("enumeration size p^{4(j-i)} = %d exceeds guard %d" % (work, limit))
-    key = (p, i, j, family)
-    if key in _table_cache:
-        return _table_cache[key]
+    return _enumerate(p, i, j, family)
+
+
+@functools.lru_cache(maxsize=64)
+def _enumerate(p, i, j, family):
     span = p ** (j - i)
     pi_, pj = p ** i, p ** j
     scalars = _scalar_subgroup(p, i, j) if family == "pgamma" else (1,)
@@ -443,14 +441,12 @@ def kernel_enumerate(p: int, i: int, j: int, family: str = "pgamma") -> Quotient
         canon = {min(tuple((lam * e) % m for e in flat) for lam in scalars) for flat in raw}
     else:
         canon = set(raw)
-    table = QuotientTable(p, i, j, family, canon, scalars)
-    _table_cache[key] = table
-    return table
+    return QuotientTable(p, i, j, family, canon, scalars)
 
 
-def minimal_generators(table: QuotientTable) -> int:
-    """Minimal number of generators of a finite p-group quotient."""
-    return table.minimal_generators()
+def clear_table_cache() -> None:
+    """Forget every quotient table ``kernel_enumerate`` has computed."""
+    _enumerate.cache_clear()
 
 
 def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
@@ -460,8 +456,8 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
     For every 0 <= i < j <= j_max the quotient between levels i and j must
     be a finite p-group with d <= bound_e; additionally a seeded sample of
     generator words is checked for consistency between the truncated
-    level_of and the exact congruence exponent (no finite-depth element may
-    report TOP).
+    level_of and the exact congruence exponent (no element shallower than
+    the cap may report cap + 1).
     """
     pairs = []
     ok = True
@@ -482,21 +478,12 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
     gens += [m.inverse() for m in gens]
     truncation_failures = []
     for _ in range(sample_count):
-        w = IntMat.identity(2)
-        for _ in range(rng.randint(1, 6)):
-            w = w * rng.choice(gens)
+        w = random_element(gens, operator.mul, IntMat.identity(2), rng, 6)
         exact = exact_congruence_exponent(w, spec.p, spec.allow_sign)
         reported = level_of(w, spec)
-        if exact is TOP:
-            expected = TOP
-        elif exact >= spec.r0 + spec.depth_cap + 1:
-            expected = TOP
-        elif exact >= spec.r0:
-            expected = exact - spec.r0
-        else:
-            expected = -1
+        expected = -1 if exact < spec.r0 else min(exact - spec.r0, spec.depth_cap + 1)
         if reported != expected:
-            truncation_failures.append({"matrix": str(w), "reported": _level_json(reported), "exact": _level_json(exact)})
+            truncation_failures.append({"matrix": str(w), "reported": reported, "exact": exact})
     ok = ok and not truncation_failures
     return {
         "family": spec.family,
@@ -508,7 +495,3 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
         "truncation_check": {"samples": sample_count, "failures": truncation_failures},
         "ok": ok,
     }
-
-
-def _level_json(level):
-    return "top" if level is TOP else level

@@ -177,10 +177,6 @@ class EndoSpec:
         return IntMat(tuple(tuple(cols[j][i] for j in range(self.rank)) for i in range(self.rank)))
 
 
-def endo_apply(e: EndoSpec, w: Word) -> Word:
-    return e.apply(w)
-
-
 def verify_automorphism(e: EndoSpec, e_inv: EndoSpec) -> bool:
     """True iff e and e_inv compose to the identity on every generator."""
     if e.rank != e_inv.rank:
@@ -263,9 +259,7 @@ def example_shift_inverses(n: int):
     return x_inv, y_inv
 
 
-def default_names(rank: int, with_b: bool = False):
-    if with_b:
-        return ["a%d" % i for i in range(1, rank)] + ["b"]
+def default_names(rank: int):
     return ["a%d" % i for i in range(1, rank + 1)]
 
 

@@ -21,10 +21,12 @@ determinant exactly 1 in Z/p^T.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
 from .exactmat import Modulus, ModMat
+from .holomorph import random_element
 
 
 class GradedError(ValueError):
@@ -165,15 +167,11 @@ def power_map(c: GradedClass) -> GradedClass:
 
 def random_kernel_element(p: int, level: int, t_exp: int, rng: random.Random) -> ModMat:
     """A random determinant-one matrix mod p^t_exp congruent to I mod p^level,
-    built as a word in the canonical lifts at that level."""
+    built as a word of length 1..4 in the canonical lifts at that level."""
     names = ["A", "B"] if p == 2 else ["A", "B", "D"]
-    out = ModMat.identity(2, Modulus(p, t_exp))
-    for _ in range(rng.randint(1, 4)):
-        g = lift(basis_class(p, level, rng.choice(names)), t_exp)
-        if rng.random() < 0.5:
-            g = g.inverse()
-        out = out * g
-    return out
+    lifts = [lift(basis_class(p, level, name), t_exp) for name in names]
+    alphabet = lifts + [g.inverse() for g in lifts]
+    return random_element(alphabet, operator.mul, ModMat.identity(2, Modulus(p, t_exp)), rng, 4)
 
 
 def _relation_cells(p, q_max):

@@ -32,9 +32,6 @@ class BackendMismatch(ValueError):
 class ActionSpec(ABC):
     """Group operations for Gamma and pi plus the action apply(f, x)."""
 
-    gamma_kind = "abstract"
-    pi_kind = "abstract"
-
     @abstractmethod
     def gamma_mul(self, f, g): ...
 
@@ -149,9 +146,6 @@ class MatrixConjugation(ActionSpec):
     ``trivial`` the action is the identity (direct product).
     """
 
-    gamma_kind = "matrix"
-    pi_kind = "matrix"
-
     def __init__(self, gamma_identity, pi_identity, psl_pi=False, trivial=False):
         self._gid = gamma_identity
         self._pid = pi_identity
@@ -190,9 +184,6 @@ class FreeGroupAction(ActionSpec):
     generators; Gamma elements are rank-``gamma_rank`` words, pi elements
     rank-``pi_rank`` words."""
 
-    gamma_kind = "word"
-    pi_kind = "word"
-
     def __init__(self, gamma_rank, pi_rank, generator_pairs):
         # generator_pairs[i] = (endo, endo_inverse) for Gamma generator i+1
         self.gamma_rank = gamma_rank
@@ -230,14 +221,12 @@ class FreeGroupAction(ActionSpec):
         return out
 
 
-def random_element(gens, mul, inv, identity, rng, radius):
-    """A word of length 1..radius in gens and their inverses."""
+def random_element(alphabet, mul, identity, rng, radius):
+    """A word of length 1..radius in ``alphabet`` (generators and their
+    inverses), multiplied out.  The package's one seeded word sampler."""
     out = identity
     for _ in range(rng.randint(1, radius)):
-        g = rng.choice(gens)
-        if rng.random() < 0.5:
-            g = inv(g)
-        out = mul(out, g)
+        out = mul(out, rng.choice(alphabet))
     return out
 
 
@@ -259,12 +248,14 @@ def verify_holomorph_identities(act, gamma_gens, pi_gens, count, seed, radius=4)
         "inclusion_hom",
     ]
     failures = {name: 0 for name in names}
+    gamma_alphabet = list(gamma_gens) + [act.gamma_inv(g) for g in gamma_gens]
+    pi_alphabet = list(pi_gens) + [act.pi_inv(x) for x in pi_gens]
 
     def g_sample():
-        return random_element(gamma_gens, act.gamma_mul, act.gamma_inv, act.gamma_id(), rng, radius)
+        return random_element(gamma_alphabet, act.gamma_mul, act.gamma_id(), rng, radius)
 
     def p_sample():
-        return random_element(pi_gens, act.pi_mul, act.pi_inv, act.pi_id(), rng, radius)
+        return random_element(pi_alphabet, act.pi_mul, act.pi_id(), rng, radius)
 
     for _ in range(count):
         f, g = g_sample(), g_sample()

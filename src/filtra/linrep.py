@@ -29,7 +29,8 @@ class LinRepError(ValueError):
 
 @dataclass(frozen=True)
 class DeltaElem:
-    """A pair (gamma, y); gamma is a chosen representative of its scalar class."""
+    """A pair (gamma, y) of determinant-one matrices; gamma is a chosen
+    representative of its scalar class."""
 
     gamma: object
     y: object
@@ -41,6 +42,8 @@ class DeltaElem:
             raise LinRepError("components must share a dimension")
         if isinstance(self.gamma, ModMat) and self.gamma.modulus != self.y.modulus:
             raise LinRepError("components must share a modulus")
+        if self.gamma.det() != 1 or self.y.det() != 1:
+            raise LinRepError("components must have determinant 1")
 
     @property
     def n(self) -> int:
@@ -128,7 +131,11 @@ def delta_eq_mod_center(u: DeltaElem, v: DeltaElem, scalars) -> bool:
 
 
 def random_sl(n: int, modulus: Modulus | None, rng: random.Random, length: int = 8):
-    """A pseudo-random determinant-one matrix: a word in transvections."""
+    """A pseudo-random determinant-one matrix: a word in transvections.
+
+    Not a ``holomorph.random_element`` word: each factor draws a position
+    and a coefficient, not a letter, and these draws fix the
+    ``kernel_probes.hits`` that ``verify_faithful`` reports."""
     out = IntMat.identity(n) if modulus is None else ModMat.identity(n, modulus)
     bound = 3 if modulus is None else modulus.m - 1
     for _ in range(length):
@@ -210,11 +217,12 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) ->
 
 def ball_injectivity(p: int, base_exp: int, target_exp: int, radius: int = 3,
                      pair_cap: int = 4000, seed=0) -> dict:
-    """Injectivity of rho on pairs drawn from the ball of words in the
-    level-p^base generators, reduced mod p^target.
+    """Injectivity of rho modulo the scalar center on pairs drawn from the
+    ball of words in the level-p^base generators, reduced mod p^target.
 
-    The subgroup generated contains no nontrivial scalar matrix, so rho is
-    injective on (gamma, y) pairs from it; this verifies that on the ball.
+    A collision is two pairs with the same rho that differ modulo the
+    center; pairs differing by a central scalar on gamma do not count, since
+    the ball may hold nontrivial scalars (-I mod 8 at p = 2, radius 3).
     """
     from .filtration import congruence_basis
 
@@ -237,13 +245,15 @@ def ball_injectivity(p: int, base_exp: int, target_exp: int, radius: int = 3,
     pairs = [(g, y) for g in ball for y in ball]
     if len(pairs) > pair_cap:
         pairs = rng.sample(pairs, pair_cap)
+    scalars = center_scalars(2, modulus)
     seen = {}
     collisions = 0
     for g, y in pairs:
-        key = rho(DeltaElem(g, y)).entries
-        if key in seen and seen[key] != (g, y):
+        u = DeltaElem(g, y)
+        key = rho(u).entries
+        if key in seen and not delta_eq_mod_center(seen[key], u, scalars):
             collisions += 1
-        seen[key] = (g, y)
+        seen[key] = u
     return {
         "ball_size": len(ball),
         "pairs": len(pairs),

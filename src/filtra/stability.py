@@ -4,9 +4,10 @@ An ``ExtensionSpec`` packages a classified action together with level
 functions and per-level generator lists for both sides.  The checks sample
 words in the level generators and verify the quantified conditions on each
 sample, always measuring levels with ``level_of``-style functions rather
-than trusting the nominal sampling level; required output levels are
-saturated at one past the truncation cap, which is the strongest statement
-a truncated filtration can certify.
+than trusting the nominal sampling level.  A level is an int in
+[-1, cap + 1], where cap + 1 means deeper than the truncation; required
+output levels saturate at cap + 1, which is the strongest statement a
+truncated filtration can certify.
 
 Every failure is recorded as a serialized counterexample (element texts,
 required and observed levels) that ``replay_failure`` re-verifies from
@@ -32,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 
 from .exactmat import IntMat, _flat_inv, _flat_mul, format_matrix, parse_matrix
-from .filtration import TOP, FiltrationSpec, congruence_basis, kernel_enumerate, level_of
+from .filtration import FiltrationSpec, congruence_basis, kernel_enumerate, level_of
 from .freegroup import Word, format_word, lcs_depth2, parse_word, poison_action
 from .holomorph import (
     FreeGroupAction,
@@ -40,19 +41,12 @@ from .holomorph import (
     SemiElem,
     comm_via_mul,
     conj_via_mul,
+    random_element,
     semi_comm,
     semi_conj,
     semi_eq,
     semi_mul,
 )
-
-
-def level_to_json(level):
-    return "top" if level is TOP else level
-
-
-def level_from_json(value):
-    return TOP if value == "top" else value
 
 
 @dataclass
@@ -100,7 +94,6 @@ class ExtensionSpec:
     gamma_parse: object = None
     pi_parse: object = None
     quotient_tables: object = None   # (r, s) -> (gamma QuotientTable, pi QuotientTable)
-    constructive_meta: dict = field(default_factory=dict)
 
 
 def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4,
@@ -142,7 +135,6 @@ def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4,
         gamma_parse=parse_matrix,
         pi_parse=parse_matrix,
         quotient_tables=tables,
-        constructive_meta={"p": p, "r0": r0, "s0": s0},
     )
 
 
@@ -160,18 +152,12 @@ def poison_extension(radius: int = 6) -> ExtensionSpec:
 
     def gamma_level(w: Word):
         # levels: F_0 = F_1 = whole group, F_2 = commutator subgroup,
-        # top = third lower central subgroup and deeper
-        depth = lcs_depth2(w)
-        if w.is_identity() or depth >= 3:
-            return TOP
-        return depth
+        # 3 = cap + 1 = third lower central subgroup and deeper
+        return lcs_depth2(w)
 
     def pi_level(w: Word):
-        # L_0 = F_3, L_1 = commutator subgroup, top = class >= 3
-        depth = lcs_depth2(w)
-        if w.is_identity() or depth >= 3:
-            return TOP
-        return depth - 1
+        # L_0 = F_3, L_1 = commutator subgroup, 2 = cap + 1 = class >= 3
+        return lcs_depth2(w) - 1
 
     phi1 = Word.generator(2, 1)
     phi2 = Word.generator(2, 2)
@@ -229,10 +215,7 @@ def sample_level(ext: ExtensionSpec, side: str, level: int, count: int, rng) -> 
     alphabet = list(gens) + [inv(g) for g in gens]
     out = [ident]
     while len(out) < count:
-        w = ident
-        for _ in range(rng.randint(1, ext.radius)):
-            w = mul(w, rng.choice(alphabet))
-        out.append(w)
+        out.append(random_element(alphabet, mul, ident, rng, ext.radius))
     for w in out:
         if measure(w) < level:
             raise RuntimeError("sampler produced an element below its level")  # pragma: no cover
@@ -391,23 +374,11 @@ _ELEMENT_SIDES = {"f": "gamma", "g": "gamma", "x": "pi", "y": "pi"}
 
 
 def _record_failure(report, ext, kind, cell, elems, detail):
-    entry = {"kind": kind, "cell": list(cell), "elements": {}, "detail": _jsonify(detail)}
+    entry = {"kind": kind, "cell": list(cell), "elements": {}, "detail": detail}
     for key, value in elems.items():
         text = ext.gamma_text(value) if _ELEMENT_SIDES[key] == "gamma" else ext.pi_text(value)
         entry["elements"][key] = text
     report.failures.append(entry)
-
-
-def _jsonify(value):
-    if value is TOP:
-        return "top"
-    if isinstance(value, float):
-        return "top" if value == TOP else value
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
 
 
 def replay_failure(ext: ExtensionSpec, failure: dict) -> bool:

@@ -42,7 +42,7 @@ def _criterion(num, desc, passed):
 
 
 def test_criterion_01_kernel_quotient_structure():
-    filtration._table_cache.clear()
+    filtration.clear_table_cache()
     ok = True
     for p, order, exponent, d in ((3, 27, 3, 3), (2, 4, 2, 2)):
         for q in (1, 2, 3):

@@ -148,3 +148,43 @@ def test_emit_rejects_non_finite_floats(tmp_path, capsys):
         _emit({"results": {"level": float("inf")}}, str(out))
     assert capsys.readouterr().out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "--n", "2", "--mod", "9", "--gamma", "2,0;0,1", "--y", "1,0;0,1"],
+    ["rep", "--n", "3", "--mod", "9", "--gamma", "1,3;0,1", "--y", "1,0;3,1"],
+])
+def test_rep_rejects_non_sl_and_size_mismatch(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error" in captured.err
+
+
+def test_rep_ball_p2_has_no_false_collisions(capsys):
+    code, _, report = run_cli(
+        capsys, "rep-ball", "-p", "2", "--base", "1", "--target", "3", "--radius", "3", "--seed", "1"
+    )
+    assert code == 0 and report["results"]["collisions"] == 0
+
+
+def _benchmark_workloads():
+    import importlib.util
+    import pathlib
+    import sys
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_benchmark_commands_run(capsys):
+    # every command of the benchmark, with its sample counts capped, still
+    # parses and exits as the benchmark expects
+    for name, commands in _benchmark_workloads().items():
+        for command in commands:
+            argv = command.argv(1, count_cap=5)
+            assert main(argv) == command.expect_code, (name, argv)
+            capsys.readouterr()

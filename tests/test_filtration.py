@@ -4,14 +4,12 @@ import pytest
 
 from filtra.exactmat import IntMat, Modulus, ModMat, parse_matrix, psl_class
 from filtra.filtration import (
-    TOP,
     FiltrationSpec,
     GuardError,
     check_p_congruence,
     congruence_basis,
     kernel_enumerate,
     level_of,
-    minimal_generators,
 )
 
 PG3 = FiltrationSpec("pgamma", 3, 1, 3)
@@ -27,11 +25,15 @@ def test_spec_validation():
         FiltrationSpec("gamma", 3, 0)
 
 
+def _is_saturated(level, spec):
+    return type(level) is int and level == spec.depth_cap + 1
+
+
 def test_level_of_examples():
-    assert level_of(IntMat.identity(2), PG3) is TOP
+    assert _is_saturated(level_of(IntMat.identity(2), PG3), PG3)
     assert level_of(parse_matrix("1,3;0,1"), PG3) == 0
     assert level_of(parse_matrix("1,9;0,1"), PG3) == 1
-    assert level_of(parse_matrix("-1,0;0,-1"), PG3) is TOP
+    assert _is_saturated(level_of(parse_matrix("-1,0;0,-1"), PG3), PG3)
     assert level_of(parse_matrix("-1,0;0,-1"), G3) == -1
     assert level_of(parse_matrix("1,1;0,1"), PG3) == -1
     # negated deep element: sign class only in the pgamma family
@@ -43,7 +45,7 @@ def test_level_of_examples():
 def test_level_of_modular_inputs():
     deep = Modulus(3, PG3.r0 + PG3.depth_cap + 1)
     assert level_of(ModMat(((1, 9), (0, 1)), deep), PG3) == 1
-    assert level_of(psl_class(ModMat(((-1, 0), (0, -1)), deep)), PG3) is TOP
+    assert _is_saturated(level_of(psl_class(ModMat(((-1, 0), (0, -1)), deep)), PG3), PG3)
     with pytest.raises(GuardError):
         level_of(ModMat.identity(2, Modulus(3, 2)), PG3)
     with pytest.raises(ValueError):
@@ -57,18 +59,18 @@ def test_level_of_modular_inputs():
 def test_kernel_enumerate_odd_prime():
     t = kernel_enumerate(3, 1, 2, "pgamma")
     assert t.order == 27 and t.exponent() == 3 and t.is_elementary_abelian()
-    assert minimal_generators(t) == 3
+    assert t.minimal_generators() == 3
     tg = kernel_enumerate(3, 1, 2, "gamma")
-    assert tg.order == 27 and minimal_generators(tg) == 3
+    assert tg.order == 27 and tg.minimal_generators() == 3
 
 
 def test_kernel_enumerate_p2():
     for q in (1, 2, 3):
         t = kernel_enumerate(2, q, q + 1, "pgamma")
-        assert t.order == 4 and t.exponent() == 2 and minimal_generators(t) == 2
+        assert t.order == 4 and t.exponent() == 2 and t.minimal_generators() == 2
     # without the scalar identification the kernel keeps its third direction
     tg = kernel_enumerate(2, 2, 3, "gamma")
-    assert tg.order == 8 and minimal_generators(tg) == 3
+    assert tg.order == 8 and tg.minimal_generators() == 3
 
 
 def test_kernel_orders_match_formula():
@@ -89,7 +91,7 @@ def test_kernel_enumerate_single_layer_structure():
     for p, rank in ((3, 3), (5, 3), (2, 2)):
         t = kernel_enumerate(p, 1, 2, "pgamma")
         assert t.is_elementary_abelian()
-        assert minimal_generators(t) == rank
+        assert t.minimal_generators() == rank
 
 
 def test_generating_set_sizes():
@@ -116,6 +118,10 @@ def test_guard_env_override(monkeypatch):
     monkeypatch.setenv("FILTRA_MAX_ENUM", str(10 ** 8))
     t = kernel_enumerate(3, 2, 3)
     assert t.order == 27
+    # the guard also refuses a table that is already cached
+    monkeypatch.setenv("FILTRA_MAX_ENUM", "10")
+    with pytest.raises(GuardError):
+        kernel_enumerate(3, 2, 3)
 
 
 def test_subgroup_and_normality_invariants():
@@ -161,7 +167,7 @@ def test_minimal_generators_trivial_group():
 
     table = QuotientTable(3, 1, 2, "gamma", [(1, 0, 0, 1)], (1,))
     assert table.order == 1
-    assert minimal_generators(table) == 0
+    assert table.minimal_generators() == 0
     assert table.generating_set() == []
 
 
@@ -174,3 +180,13 @@ def test_quotient_table_identity_and_membership():
     mats = t.matrices()
     assert len(mats) == t.order
     assert all(m.det() == 1 for m in mats)
+
+
+def test_table_cache_returns_one_table_until_cleared():
+    from filtra.filtration import clear_table_cache
+
+    t = kernel_enumerate(3, 1, 2, "gamma")
+    assert kernel_enumerate(3, 1, 2, "gamma") is t
+    clear_table_cache()
+    fresh = kernel_enumerate(3, 1, 2, "gamma")
+    assert fresh is not t and fresh.elements == t.elements

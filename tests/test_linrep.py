@@ -167,3 +167,13 @@ def test_ball_injectivity_small():
     report = ball_injectivity(3, 1, 3, radius=2, pair_cap=2000, seed=3)
     assert report["ok"] and report["collisions"] == 0
     assert report["ball_size"] > 10
+
+
+def test_delta_rejects_non_sl_components():
+    with pytest.raises(LinRepError):
+        DeltaElem(ModMat(((2, 0), (0, 1)), M9), I2)
+    with pytest.raises(LinRepError):
+        DeltaElem(I2, ModMat(((1, 1), (0, 4)), M9))
+    with pytest.raises(LinRepError):
+        DeltaElem(IntMat(((-1, 0), (0, 1))), IntMat.identity(2))
+    assert DeltaElem(ModMat(((8, 0), (0, 8)), M9), I2).gamma.det() == 1

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from filtra.exactmat import IntMat, parse_matrix
-from filtra.filtration import TOP
 from filtra.stability import (
     check_G_lie_like,
     check_twist_equivalence,
@@ -154,9 +153,25 @@ def test_product_filtration_cap_guard(cong):
         product_filtration_check(cong, 2, 2, 5, seed=0)
 
 
-def test_top_levels_saturate(cong):
+def test_top_levels_saturate(cong, poison):
     ident = IntMat.identity(2)
-    assert cong.gamma_level(ident) is TOP
     deep = parse_matrix("1,%d;0,1" % 3 ** 9)
-    assert cong.gamma_level(deep) is TOP
-    assert cong.pi_level(deep) is TOP
+    for level, cap in ((cong.gamma_level(ident), cong.gamma_cap),
+                       (cong.gamma_level(deep), cong.gamma_cap),
+                       (cong.pi_level(deep), cong.pi_cap),
+                       (poison.gamma_level(poison.act.gamma_id()), poison.gamma_cap),
+                       (poison.pi_level(poison.act.pi_id()), poison.pi_cap)):
+        assert type(level) is int and level == cap + 1
+
+
+def test_poison_sampler_stream_pinned():
+    # The poison report's failure texts depend on the exact draw order of
+    # the word sampler; these values pin that stream.
+    (stable, lemma), _ = run_poison_suite(count=200, seed=1)
+    assert stable.samples == 600 and len(stable.failures) == 103
+    assert {f["kind"] for f in stable.failures} == {"stable_condition2"}
+    first = stable.failures[0]
+    assert first["cell"] == [0, 0]
+    assert first["elements"] == {"f": "1", "x": "a2 a2 a3 a1^-1", "g": "phi2 phi1", "y": "1"}
+    assert first["detail"] == {"required": 1, "observed": 0}
+    assert lemma.samples == 600 and not lemma.failures
