@@ -27,9 +27,9 @@ from .freegroup import (
     verify_automorphism,
 )
 from .graded import GradedClass, bracket, verify_relation_table
-from .holomorph import FreeGroupAction, MatrixConjugation, verify_holomorph_identities
+from .holomorph import FreeGroupAction, verify_holomorph_identities
 from .linrep import DeltaElem, ball_injectivity, rho, verify_faithful
-from .stability import run_congruence_suite, run_poison_suite
+from .stability import congruence_extension, run_congruence_suite, run_poison_suite
 
 SCHEMA_VERSION = 1
 
@@ -137,11 +137,9 @@ def _factor_prime_power(m):
 
 def _cmd_holomorph(args, started):
     if args.backend == "congruence":
-        from .filtration import congruence_basis
-
-        act = MatrixConjugation(IntMat.identity(2), IntMat.identity(2), psl_pi=True)
-        gens = list(congruence_basis(args.p, 1).values())
-        result = verify_holomorph_identities(act, gens, gens, args.count, args.seed)
+        ext = congruence_extension(args.p)
+        gens = ext.gamma_gens(0)
+        result = verify_holomorph_identities(ext.act, gens, gens, args.count, args.seed)
     else:
         act = FreeGroupAction(2, 3, poison_action())
         gamma_gens = [Word.generator(2, 1), Word.generator(2, 2)]

@@ -17,8 +17,15 @@ Products, determinants and adjugates use closed forms for n = 2, the size
 every congruence computation runs at; larger matrices take the generic
 loops.  Determinants above 2x2 are computed by cofactor expansion up to 4x4
 and by fraction-free (Bareiss) elimination above that, so they are exact
-for any entry size.  The flat 4-tuple helpers ``_flat_mul``/``_flat_inv``
-serve the finite quotient tables, which store 2x2 elements as (a, b, c, d).
+for any entry size.
+
+The congruence computations carry 2x2 matrices flat, as (a, b, c, d)
+tuples: ``_flat_mul``/``_flat_inv`` work mod m for the finite quotient
+tables, and ``_flat_mul_z``/``_flat_inv_z`` over Z for SL(2, Z) itself (the
+inverse refuses a determinant other than 1).
+``_sign_normal`` and ``format_matrix`` accept the flat form too, and
+``_parse_flat_sl2`` reads a literal into it, refusing anything but a 2x2
+matrix of determinant 1.
 
 Matrix literals use the text form ``"1,3;0,1"``: rows joined by ';', entries
 by ','.
@@ -124,6 +131,31 @@ def _flat_inv(x, m):
     """Inverse of a flat 2x2 matrix of determinant 1 mod m (its adjugate)."""
     a, b, c, d = x
     return (d % m, -b % m, -c % m, a % m)
+
+
+_FLAT_ID = (1, 0, 0, 1)
+
+
+def _flat_mul_z(x, y):
+    """Product of two flat 2x2 matrices over Z."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _flat_inv_z(x):
+    """Inverse of a flat element of SL(2, Z); any other determinant raises."""
+    a, b, c, d = x
+    det = a * d - b * c
+    if det != 1:
+        raise NonInvertible("expected determinant 1, got %d" % det)
+    return (d, -b, -c, a)
+
+
+def _flat(a) -> tuple:
+    """The flat form (a, b, c, d) of a 2x2 matrix."""
+    (a00, a01), (a10, a11) = a.entries
+    return (a00, a01, a10, a11)
 
 
 def _det_cofactor(rows):
@@ -362,7 +394,12 @@ def reduce_mod(a: IntMat, modulus: Modulus) -> ModMat:
 
 
 def _sign_normal(a):
-    """The lexicographically smaller (row-major) of a and -a."""
+    """The lexicographically smaller (row-major) of a and -a; ``a`` is a
+    matrix or a flat 2x2 tuple."""
+    if type(a) is tuple:
+        a0, a1, a2, a3 = a
+        neg = (-a0, -a1, -a2, -a3)
+        return a if a <= neg else neg
     neg = -a
     return a if a.entries <= neg.entries else neg
 
@@ -402,7 +439,10 @@ def psl_class(a: ModMat) -> PslClass:
 
 
 def format_matrix(a) -> str:
-    """Row-major text form: rows joined by ';', entries by ','."""
+    """Row-major text form: rows joined by ';', entries by ','.  A flat
+    2x2 tuple (a, b, c, d) prints as ``"a,b;c,d"``."""
+    if type(a) is tuple:
+        return "%d,%d;%d,%d" % a
     return ";".join(",".join(str(e) for e in row) for row in a.entries)
 
 
@@ -418,3 +458,14 @@ def parse_matrix(text: str, modulus: Modulus | None = None):
     if modulus is None:
         return IntMat(rows)
     return ModMat(rows, modulus)
+
+
+def _parse_flat_sl2(text: str) -> tuple:
+    """Parse a matrix literal into the flat form of an element of SL(2, Z)."""
+    a = parse_matrix(text)
+    if a.n != 2:
+        raise DimensionMismatch("expected a 2x2 matrix, got %dx%d" % (a.n, a.n))
+    det = _det(a.entries)
+    if det != 1:
+        raise MatrixError("expected determinant 1, got %d" % det)
+    return _flat(a)

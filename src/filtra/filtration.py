@@ -12,6 +12,13 @@ the finite quotient between two levels by complete enumeration, and
 ``check_p_congruence`` verifies the finite p-group and bounded-generation
 conditions for every pair of levels up to a depth cap.
 
+Elements of SL(2, Z) may come as ``IntMat`` values or as flat (a, b, c, d)
+tuples, the form the samplers use (``flat_congruence_basis`` gives the
+generators that way).  Depth is a valuation: M = +-I mod p^e exactly when
+p^e divides the gcd of the entries of M -+ I, so ``level_of`` and
+``exact_congruence_exponent`` (flat tuples only) take one gcd per sign and
+count its factors of p up to the cap.
+
 A level is an int in [-1, cap + 1]: -1 outside the level-0 group, cap + 1
 for anything deeper than the truncation cap can distinguish.
 
@@ -25,12 +32,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
+import math
 import os
 import random
 from dataclasses import dataclass
 
-from .exactmat import IntMat, Modulus, ModMat, PslClass, _flat_inv, _flat_mul, is_prime
+from .exactmat import (
+    IntMat, Modulus, ModMat, PslClass, _FLAT_ID, _flat, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z,
+    format_matrix, is_prime,
+)
 from .holomorph import random_element
 
 DEFAULT_ENUM_GUARD = 10 ** 7
@@ -80,61 +90,72 @@ class FiltrationSpec:
         return self.r0 + level
 
 
-def _valuation_to_identity(entries, n, p, cap, allow_sign):
-    """Largest e <= cap with M = (+-)I mod p^e, as a truncated valuation."""
+def _valuation_to_identity(g, corner, p, cap, allow_sign):
+    """Largest e <= cap with M = (+-)I mod p^e, as a truncated valuation.
+
+    ``corner`` is M's top-left entry and ``g`` the gcd of the entries of
+    M - corner*I.  Then M = sI mod p^e exactly when p^e divides
+    gcd(g, corner - s), so each sign costs one gcd; a zero gcd is divisible
+    by every power of p and gives cap.
+    """
     best = 0
-    signs = (1, -1) if allow_sign else (1,)
-    for sign in signs:
-        diffs = [entries[i][j] - (sign if i == j else 0) for i in range(n) for j in range(n)]
-        v = cap
-        for d in diffs:
-            if d == 0:
-                continue
-            dv = 0
-            while dv < v and d % p == 0:
-                d //= p
-                dv += 1
-            v = min(v, dv)
-            if v == 0:
-                break
-        best = max(best, v)
-        if best == cap:
-            break
+    for sign in ((1, -1) if allow_sign else (1,)):
+        h = math.gcd(g, corner - sign)
+        v = 0
+        while v < cap and h % p == 0:
+            h //= p
+            v += 1
+        if v > best:
+            best = v
     return best
 
 
 def level_of(x, spec: FiltrationSpec):
     """Largest level j <= depth_cap with x in the level-j subgroup.
 
-    Returns -1 when x is not even in the level-0 group and depth_cap + 1
-    when x is congruent to (+-)I one exponent beyond the cap, i.e. deeper
-    than the truncation can distinguish.
+    ``x`` is an element of SL(2, Z), as a flat (a, b, c, d) tuple or an
+    IntMat, or of SL(2, Z/p^r), as a ModMat or (for the pgamma family only)
+    a PslClass.  Returns -1 when x is not even in the level-0 group and
+    depth_cap + 1 when x is congruent to (+-)I one exponent beyond the cap,
+    i.e. deeper than the truncation can distinguish.
     """
     cap_exp = spec.r0 + spec.depth_cap + 1
-    if isinstance(x, IntMat):
+    if type(x) is tuple:
+        a, b, c, d = x
+        det = a * d - b * c
+    elif isinstance(x, IntMat):
         if x.n != 2:
             raise ValueError("expected a 2x2 matrix, got %dx%d" % (x.n, x.n))
-        if x.det() != 1:
-            raise ValueError("expected determinant 1, got %d" % x.det())
-        entries = x.entries
+        a, b, c, d = _flat(x)
+        det = a * d - b * c
     elif isinstance(x, (ModMat, PslClass)):
-        mat = x.rep if isinstance(x, PslClass) else x
-        if mat.modulus.p != spec.p:
-            raise ValueError("modulus prime %d does not match filtration prime %d" % (mat.modulus.p, spec.p))
-        if mat.modulus.r < cap_exp:
+        if isinstance(x, PslClass):
+            if not spec.allow_sign:
+                raise ValueError("a sign class {M, -M} has no level in the gamma family")
+            x = x.rep
+        modulus = x.modulus
+        if modulus.p != spec.p:
+            raise ValueError("modulus prime %d does not match filtration prime %d" % (modulus.p, spec.p))
+        if modulus.r < cap_exp:
             raise GuardError(
-                "modulus %s too shallow to resolve levels up to cap %d" % (mat.modulus, spec.depth_cap)
+                "modulus %s too shallow to resolve levels up to cap %d" % (modulus, spec.depth_cap)
             )
-        entries = mat.entries
+        if x.n != 2:
+            raise ValueError("expected a 2x2 matrix, got %dx%d" % (x.n, x.n))
+        a, b, c, d = _flat(x)
+        det = (a * d - b * c) % modulus.m
     else:
-        raise TypeError("level_of expects IntMat, ModMat, or PslClass, got %r" % type(x))
-    v = _valuation_to_identity(entries, 2, spec.p, cap_exp, spec.allow_sign)
+        raise TypeError("level_of expects a flat 2x2 tuple, IntMat, ModMat, or PslClass, got %r" % type(x))
+    if det != 1:
+        raise ValueError("expected determinant 1, got %d" % det)
+    v = _valuation_to_identity(math.gcd(b, c, d - a), a, spec.p, cap_exp, spec.allow_sign)
     return v - spec.r0 if v >= spec.r0 else -1
 
 
-def exact_congruence_exponent(x: IntMat, p: int, allow_sign: bool, bail: int = 64) -> int:
-    """Congruence exponent of an integer matrix, saturated at bail."""
-    return _valuation_to_identity(x.entries, x.n, p, bail, allow_sign)
+def exact_congruence_exponent(x: tuple, p: int, allow_sign: bool, bail: int = 64) -> int:
+    """Congruence exponent of a flat 2x2 integer matrix, saturated at bail."""
+    a, b, c, d = x
+    return _valuation_to_identity(math.gcd(b, c, d - a), a, p, bail, allow_sign)
 
 
 def congruence_basis(p: int, q: int) -> dict:
@@ -149,10 +170,13 @@ def congruence_basis(p: int, q: int) -> dict:
     }
 
 
+def flat_congruence_basis(p: int, q: int) -> list:
+    """``congruence_basis(p, q)`` as flat (a, b, c, d) tuples, in the order
+    A, B, C."""
+    return [_flat(m) for m in congruence_basis(p, q).values()]
+
+
 # --- finite quotients -------------------------------------------------------
-
-_FLAT_ID = (1, 0, 0, 1)
-
 
 def _scalar_subgroup(p, i, j):
     """Scalars lam = 1 + p^i mu with lam^2 = 1 mod p^j (the central scalars
@@ -473,17 +497,17 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
             pairs.append(entry)
 
     rng = random.Random("pcongruence:%d:%s:%d" % (spec.p, spec.family, seed))
-    basis = [congruence_basis(spec.p, spec.exponent(lv)) for lv in range(spec.depth_cap + 1)]
-    gens = [m for lv in basis for m in lv.values()]
-    gens += [m.inverse() for m in gens]
+    gens = [m for lv in range(spec.depth_cap + 1)
+            for m in flat_congruence_basis(spec.p, spec.exponent(lv))]
+    gens += [_flat_inv_z(m) for m in gens]
     truncation_failures = []
     for _ in range(sample_count):
-        w = random_element(gens, operator.mul, IntMat.identity(2), rng, 6)
+        w = random_element(gens, _flat_mul_z, _FLAT_ID, rng, 6)
         exact = exact_congruence_exponent(w, spec.p, spec.allow_sign)
         reported = level_of(w, spec)
         expected = -1 if exact < spec.r0 else min(exact - spec.r0, spec.depth_cap + 1)
         if reported != expected:
-            truncation_failures.append({"matrix": str(w), "reported": reported, "exact": exact})
+            truncation_failures.append({"matrix": format_matrix(w), "reported": reported, "exact": exact})
     ok = ok and not truncation_failures
     return {
         "family": spec.family,

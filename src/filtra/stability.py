@@ -19,7 +19,11 @@ Two extensions ship here:
 
 - ``congruence_extension``: the determinant-one congruence chain at
   exponents s0, s0+1, ... acting by conjugation on the sign-class chain at
-  exponents r0, r0+1, ...; every check passes (and is expected to).
+  exponents r0, r0+1, ...; every check passes (and is expected to).  Its
+  elements are flat (a, b, c, d) tuples over Z, multiplied and inverted by
+  the closed-form kernel of ``exactmat``; their text form is the matrix
+  literal ``"a,b;c,d"``, and parsing it back refuses anything but a 2x2
+  matrix of determinant 1.
 - ``poison_extension``: the rank-2 group of automorphisms of F_3 fixing
   a_1, a_2 and multiplying a_3 by a_1 or a_2, with lower-central-series
   levels truncated at class 2 on F_3.  Its action is nontrivial on
@@ -32,8 +36,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .exactmat import IntMat, _flat_inv, _flat_mul, format_matrix, parse_matrix
-from .filtration import FiltrationSpec, congruence_basis, kernel_enumerate, level_of
+from .exactmat import _FLAT_ID, _flat_inv, _flat_mul, _parse_flat_sl2, format_matrix
+from .filtration import FiltrationSpec, flat_congruence_basis, kernel_enumerate, level_of
 from .freegroup import Word, format_word, lcs_depth2, parse_word, poison_action
 from .holomorph import (
     FreeGroupAction,
@@ -102,15 +106,13 @@ def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4,
     exponent-(r0+j) chain, with generator triples at every level."""
     gamma_spec = FiltrationSpec("gamma", p, s0, cap)
     pi_spec = FiltrationSpec("pgamma", p, r0, cap)
-    act = MatrixConjugation(IntMat.identity(2), IntMat.identity(2), psl_pi=True)
+    act = MatrixConjugation(_FLAT_ID, _FLAT_ID, psl_pi=True)
 
     def gamma_gens(level):
-        basis = congruence_basis(p, s0 + level)
-        return [basis["A"], basis["B"], basis["C"]]
+        return flat_congruence_basis(p, s0 + level)
 
     def pi_gens(level):
-        basis = congruence_basis(p, r0 + level)
-        return [basis["A"], basis["B"], basis["C"]]
+        return flat_congruence_basis(p, r0 + level)
 
     def tables(r, s):
         if s < 1:
@@ -132,8 +134,8 @@ def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4,
         radius=radius,
         gamma_text=format_matrix,
         pi_text=format_matrix,
-        gamma_parse=parse_matrix,
-        pi_parse=parse_matrix,
+        gamma_parse=_parse_flat_sl2,
+        pi_parse=_parse_flat_sl2,
         quotient_tables=tables,
     )
 

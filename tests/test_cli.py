@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -81,6 +82,19 @@ def test_holomorph_identities_command(capsys):
         capsys, "holomorph-identities", "--backend", "free", "--count", "50", "--seed", "4"
     )
     assert code == 0 and report["ok"]
+
+
+def test_congruence_holomorph_report_pinned(capsys):
+    # sha256 of the report without timings and version, taken with the
+    # IntMat backend; the flat SL2(Z) backend must reproduce it.
+    code, _, report = run_cli(capsys, "holomorph-identities", "--backend", "congruence",
+                              "-p", "3", "--count", "50", "--seed", "7")
+    assert code == 0
+    report.pop("timings")
+    report.pop("version")
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
+        "873c50a7023ef664b048ce1cd661dc0c4df878e9a7d43fbd890ffcd76babf6d0"
+    )
 
 
 def test_freegroup_fixtures_command(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from filtra.exactmat import IntMat, Modulus, ModMat, parse_matrix, psl_class
+from filtra.exactmat import IntMat, Modulus, ModMat, PslClass, parse_matrix, psl_class
 from filtra.filtration import (
     FiltrationSpec,
     GuardError,
@@ -54,6 +54,26 @@ def test_level_of_modular_inputs():
         level_of(IntMat.identity(3), PG3)
     with pytest.raises(ValueError):
         level_of(parse_matrix("2,0;0,2"), PG3)
+
+
+def test_level_of_rejects_sign_class_in_gamma_family():
+    # {M, -M} has no gamma level: -I is in the pgamma chain but not in Gamma(3)
+    deep = Modulus(3, 6)
+    minus_i = psl_class(ModMat(((-1, 0), (0, -1)), deep))
+    assert _is_saturated(level_of(minus_i, PG3), PG3)
+    with pytest.raises(ValueError):
+        level_of(minus_i, G3)
+
+
+def test_level_of_checks_modular_determinant():
+    deep = Modulus(3, 6)
+    with pytest.raises(ValueError):
+        level_of(ModMat(((28, 0), (0, 1)), deep), PG3)
+    with pytest.raises(ValueError):
+        level_of(PslClass(ModMat(((28, 0), (0, 1)), deep)), PG3)
+    with pytest.raises(ValueError):
+        level_of((28, 0, 0, 1), PG3)
+    assert level_of(ModMat(((28, 0), (0, 703)), deep), PG3) == 2   # 28 * 703 = 1 mod 729
 
 
 def test_kernel_enumerate_odd_prime():

@@ -1,7 +1,10 @@
+import pytest
+
 from filtra.exactmat import IntMat, Modulus, ModMat
 from filtra.filtration import congruence_basis
 from filtra.freegroup import Word, poison_action
 from filtra.holomorph import (
+    BackendMismatch,
     FreeGroupAction,
     MatrixConjugation,
     SemiElem,
@@ -125,3 +128,12 @@ def test_action_axioms_both_backends():
             x = random_element(palpha, act.pi_mul, act.pi_id(), rng, 4)
             assert act.pi_eq(act.apply(act.gamma_id(), x), x)
             assert act.pi_eq(act.apply(act.gamma_mul(f, g), x), act.apply(f, act.apply(g, x)))
+
+
+def test_matrix_backend_needs_one_element_type():
+    with pytest.raises(BackendMismatch):
+        MatrixConjugation((1, 0, 0, 1), IntMat.identity(2))
+    flat = MatrixConjugation((1, 0, 0, 1), (1, 0, 0, 1), psl_pi=True)
+    x = (1, 3, 0, 1)
+    assert flat.pi_eq(flat.apply((0, -1, 1, 0), x), (1, 0, -3, 1))
+    assert flat.pi_eq(x, (-1, -3, 0, -1))

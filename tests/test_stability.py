@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from filtra.exactmat import IntMat, parse_matrix
+from filtra.exactmat import IntMat, MatrixError, parse_matrix
 from filtra.stability import (
     check_G_lie_like,
     check_twist_equivalence,
@@ -33,8 +35,8 @@ def poison():
 def test_sample_level_contract(cong):
     rng = random.Random(0)
     sample = sample_level(cong, "pi", 0, 1, rng)
-    assert sample[0] == IntMat.identity(2)
-    assert cong.pi_gens(1)[0] == parse_matrix("1,9;0,1")
+    assert sample[0] == cong.act.pi_id()
+    assert cong.pi_gens(1)[0] == cong.pi_parse("1,9;0,1")
     for level in (0, 1, 2):
         for side in ("gamma", "pi"):
             measure = cong.gamma_level if side == "gamma" else cong.pi_level
@@ -42,7 +44,7 @@ def test_sample_level_contract(cong):
                 assert measure(el) >= level
     xs = sample_level(cong, "pi", 1, 20, random.Random(7))
     for a, b in zip(xs, reversed(xs)):
-        assert cong.pi_level(a * b) >= 1
+        assert cong.pi_level(cong.act.pi_mul(a, b)) >= 1
 
 
 def test_sample_level_errors(cong, poison):
@@ -175,3 +177,45 @@ def test_poison_sampler_stream_pinned():
     assert first["elements"] == {"f": "1", "x": "a2 a2 a3 a1^-1", "g": "phi2 phi1", "y": "1"}
     assert first["detail"] == {"required": 1, "observed": 0}
     assert lemma.samples == 600 and not lemma.failures
+
+
+def test_congruence_suite_payload_pinned():
+    # sha256 of the suite's report payload, taken with the IntMat backend;
+    # the flat SL2(Z) backend must reproduce it byte for byte.
+    reports, ok = run_congruence_suite(3, 1, 1, 2, 2, count=40, seed=12)
+    payload = json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
+    assert ok
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "8d076b003f381dfc1e30a9bab284388b9aaed2ae62c307e06ffc63b706f46b7a"
+    )
+
+
+def test_replay_round_trips_flat_texts(cong):
+    rng = random.Random("round-trip")
+    fs = sample_level(cong, "gamma", 0, 30, rng)
+    xs = sample_level(cong, "pi", 0, 30, rng)
+    gs = sample_level(cong, "gamma", 1, 30, rng)
+    ys = sample_level(cong, "pi", 1, 30, rng)
+    for f, x, g, y in zip(fs, xs, gs, ys):
+        elems = {"f": f, "x": x, "g": g, "y": y}
+        texts = {key: (cong.gamma_text if key in ("f", "g") else cong.pi_text)(el) for key, el in elems.items()}
+        for key, text in texts.items():
+            parse = cong.gamma_parse if key in ("f", "g") else cong.pi_parse
+            assert parse(text) == elems[key]
+            assert text == str(parse_matrix(text))
+        for kind in ("stable_condition1", "stable_condition2", "product_normality",
+                     "stably_lie_like_mixed", "g_lie_like_commutator"):
+            # every condition holds on the congruence extension
+            assert not replay_failure(cong, {"kind": kind, "cell": [0, 1], "elements": texts})
+
+
+@pytest.mark.parametrize("text", ["1,0,0;0,1,0;0,0,1", "2,0;0,1", "1,1;1,1", "1,3;0"])
+def test_flat_parse_rejects_non_sl2_texts(cong, text):
+    with pytest.raises(MatrixError):
+        cong.gamma_parse(text)
+    with pytest.raises(MatrixError):
+        cong.pi_parse(text)
+    fake = {"kind": "stable_condition2", "cell": [0, 1],
+            "elements": {"g": "1,9;0,1", "x": text, "y": "1,9;0,1"}}
+    with pytest.raises(MatrixError):
+        replay_failure(cong, fake)
