@@ -11,7 +11,7 @@ Validation happens where a matrix enters: the public constructors and
 integers.  Products, negations and inverses of validated matrices are square
 integer tuples by construction, so they are built by a private constructor
 that skips that scan (``ModMat`` results are still reduced into [0, m)).
-The determinant-one and unit checks of ``inverse`` and ``psl_class`` stay.
+The determinant-one and unit checks of ``inverse`` and ``PslClass`` stay.
 
 Products, determinants and adjugates use closed forms for n = 2, the size
 every congruence computation runs at; larger matrices take the generic
@@ -407,13 +407,20 @@ def _sign_normal(a):
 @dataclass(frozen=True)
 class PslClass:
     """The class {M, -M} of a determinant-one ModMat, stored by its
-    lexicographically smaller (row-major) representative."""
+    lexicographically smaller (row-major) representative.  Either sign may
+    be passed in; any other determinant raises MatrixError."""
 
     rep: ModMat
 
+    def __post_init__(self):
+        det = self.rep.det()
+        if det != 1:
+            raise MatrixError("a PSL class requires det = 1 mod %d, got %d" % (self.rep.modulus.m, det))
+        object.__setattr__(self, "rep", _sign_normal(self.rep))
+
     @staticmethod
     def identity(n: int, modulus: Modulus) -> "PslClass":
-        return psl_class(ModMat.identity(n, modulus))
+        return PslClass(ModMat.identity(n, modulus))
 
     @property
     def modulus(self) -> Modulus:
@@ -422,10 +429,10 @@ class PslClass:
     def __mul__(self, other: "PslClass") -> "PslClass":
         if not isinstance(other, PslClass):
             return NotImplemented
-        return psl_class(self.rep * other.rep)
+        return PslClass(self.rep * other.rep)
 
     def inverse(self) -> "PslClass":
-        return psl_class(self.rep.inverse())
+        return PslClass(self.rep.inverse())
 
     def __str__(self):
         return format_matrix(self.rep)
@@ -433,9 +440,7 @@ class PslClass:
 
 def psl_class(a: ModMat) -> PslClass:
     """Sign-normalize a determinant-one ModMat into its PSL class."""
-    if a.det() != 1:
-        raise MatrixError("psl_class requires det = 1 mod %d, got %d" % (a.modulus.m, a.det()))
-    return PslClass(_sign_normal(a))
+    return PslClass(a)
 
 
 def format_matrix(a) -> str:

@@ -22,16 +22,24 @@ count its factors of p up to the cap.
 A level is an int in [-1, cap + 1]: -1 outside the level-0 group, cap + 1
 for anything deeper than the truncation cap can distinguish.
 
+The quotient between levels p^i and p^j (i >= 1) is enumerated on its
+determinant-one locus: a = 1 + p^i n is a unit mod p^j, so d = (1 + bc) a^-1
+is forced and the table is exactly the p^{3(j-i)} triples (a, b, c).  The
+enumeration guard counts those triples.
+
 Minimal generator counts use the Burnside basis theorem: for a finite
 p-group G, d(G) = log_p |G / Phi(G)| with Phi(G) generated by p-th powers
 and commutators.  Phi is computed by explicit closure, which is fine at the
-enumeration sizes guarded here.
+enumeration sizes guarded here.  Each table does that work once: one
+incremental greedy generator search (every pick grows the subgroup found so
+far instead of closing it again from the identity), one derived subgroup
+and coset map shared by ``minimal_generators`` and ``generating_set``, and
+element orders memoised across the table by order(x) = p * order(x^p).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import random
@@ -191,9 +199,14 @@ class QuotientTable:
     """The finite quotient between congruence levels p^i and p^j.
 
     Elements are canonical flat 2x2 tuples mod p^j of matrices I + p^i N
-    with determinant 1 mod p^j; for the pgamma family each element is
-    additionally normalized across the central scalar classes, which
-    identifies the sign ambiguity of the quotient.
+    with determinant 1 mod p^j; when there are central scalars besides 1
+    (the pgamma family at p = 2) the constructor normalizes each element
+    across their classes, which identifies the sign ambiguity of the
+    quotient.
+
+    The group invariants are computed once per table and kept: the
+    exponent, the greedy generators, the abelianization data behind d(G),
+    and d(G) itself.
     """
 
     def __init__(self, p, i, j, family, elements, scalars):
@@ -202,38 +215,47 @@ class QuotientTable:
         self.j = j
         self.family = family
         self.modulus = Modulus(p, j)
+        self.m = self.modulus.m
         self.scalars = scalars
+        self._one_scalar = len(scalars) == 1
+        if not self._one_scalar:
+            elements = {self.canon(e) for e in elements}
         self.elements = tuple(sorted(elements))
         self._members = frozenset(self.elements)
         self.identity = self.canon(_FLAT_ID)
         self._d = None
         self._exponent = None
+        self._gens = None
+        self._abelian_quotient = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def canon(self, flat):
-        if len(self.scalars) == 1:
+        if self._one_scalar:
             return flat
-        m = self.modulus.m
+        m = self.m
         return min(tuple((lam * e) % m for e in flat) for lam in self.scalars)
 
     def mul(self, x, y):
-        return self.canon(_flat_mul(x, y, self.modulus.m))
+        if self._one_scalar:
+            return _flat_mul(x, y, self.m)
+        return self.canon(_flat_mul(x, y, self.m))
 
     def inv(self, x):
-        return self.canon(_flat_inv(x, self.modulus.m))
+        return self.canon(_flat_inv(x, self.m))
 
     def power(self, x, k):
-        out = self.identity
-        base = x
+        # square and multiply, without multiplying by the identity
+        out = None
         while k:
             if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = self.canon(x) if out is None else self.mul(out, x)
             k >>= 1
-        return out
+            if k:
+                x = self.mul(x, x)
+        return self.identity if out is None else out
 
     def __contains__(self, flat):
         return self.canon(flat) in self._members
@@ -253,8 +275,24 @@ class QuotientTable:
         return k
 
     def exponent(self) -> int:
+        """The largest element order.  Orders are p-powers, so an element
+        x != 1 has order p * order(x^p): one p-th power per element, with
+        the orders shared across the whole table."""
         if self._exponent is None:
-            self._exponent = max(self.element_order(x) for x in self.elements)
+            p, bound = self.p, self.order
+            orders = {self.identity: 1}
+            for x in self.elements:
+                chain = []
+                while x not in orders:
+                    chain.append(x)
+                    if p ** len(chain) > bound:
+                        raise NotPGroup("element order is not a p-power")
+                    x = self.power(x, p)
+                k = orders[x]
+                for y in reversed(chain):
+                    k *= p
+                    orders[y] = k
+            self._exponent = max(orders.values())
         return self._exponent
 
     def is_p_group(self) -> bool:
@@ -274,51 +312,79 @@ class QuotientTable:
 
     # -- subgroup machinery (desk scale: plain closures over element sets) --
 
-    def _closure(self, gens):
-        gens = [self.canon(g) for g in gens]
-        seen = {self.identity}
-        frontier = [self.identity]
+    def _adjoin(self, sub, x, gens):
+        """Grow ``sub``, the subgroup generated by ``gens`` without its last
+        entry x, in place into <sub, x>.
+
+        The coset sub*x is new; expanding only the new elements by every
+        generator then closes the set under right multiplication, which in
+        a finite group is the generated subgroup.
+        """
+        mul = self.mul
+        frontier = [mul(h, x) for h in sub]
+        sub.update(frontier)
         while frontier:
-            x = frontier.pop()
+            y = frontier.pop()
             for g in gens:
-                y = self.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
+                z = mul(y, g)
+                if z not in sub:
+                    sub.add(z)
+                    frontier.append(z)
+
+    def _closure(self, gens):
+        sub = {self.identity}
+        used = []
+        for g in gens:
+            g = self.canon(g)
+            if g not in sub:
+                used.append(g)
+                self._adjoin(sub, g, used)
+        return sub
 
     def greedy_generators(self):
-        gens = []
-        have = {self.identity}
-        for x in self.elements:
-            if x not in have:
-                gens.append(x)
-                have = self._closure(gens)
-                if len(have) == self.order:
+        """The first elements (in sorted order) outside the subgroup the
+        earlier ones generate, until they generate the table; each pick
+        grows that subgroup incrementally.  Computed once per table."""
+        if self._gens is None:
+            gens = []
+            sub = {self.identity}
+            for x in self.elements:
+                if len(sub) == self.order:
                     break
-        return gens
+                if x not in sub:
+                    gens.append(x)
+                    self._adjoin(sub, x, gens)
+            self._gens = tuple(gens)
+        return list(self._gens)
 
     def _commutator_subgroup(self, gens):
-        ngens = {
-            self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
-            for a in gens
-            for b in gens
-        }
-        ngens.discard(self.identity)
-        sub = self._closure(ngens) if ngens else {self.identity}
-        # normal closure: stabilize under conjugation by the group generators
-        while True:
-            extra = set()
-            for g in gens:
-                ginv = self.inv(g)
-                for x in sub:
-                    y = self.mul(self.mul(g, x), ginv)
-                    if y not in sub:
-                        extra.add(y)
-            if not extra:
-                return sub
-            ngens |= extra
-            sub = self._closure(ngens)
+        """[G, G] for G = <gens>: the normal closure of the commutators of
+        the generators.  A subgroup is normal once the conjugates of its own
+        generators by every generator of G lie in it, so only those are
+        tested."""
+        mul, inv = self.mul, self.inv
+        pending = [mul(mul(a, b), mul(inv(a), inv(b))) for a in gens for b in gens]
+        sub = {self.identity}
+        used = []
+        while pending:
+            s = pending.pop()
+            if s in sub:
+                continue
+            used.append(s)
+            self._adjoin(sub, s, used)
+            pending.extend(mul(mul(g, s), inv(g)) for g in gens)
+        return sub
+
+    def _abelianization(self):
+        """(coset map G -> G/[G, G], sorted coset representatives, sorted
+        representatives of the p-th powers), computed once per table."""
+        if self._abelian_quotient is None:
+            coset = self._coset_map(self._commutator_subgroup(self.greedy_generators()))
+            reps = sorted(set(coset.values()))
+            # p-th powers in the abelianization form a subgroup
+            ppowers = sorted({coset[self.power(r, self.p)] for r in reps})
+            self._abelian_quotient = (coset, reps, ppowers)
+        return self._abelian_quotient
 
     def minimal_generators(self) -> int:
         """d(G) = log_p |G / Phi(G)| via the elementary abelian quotient."""
@@ -328,17 +394,11 @@ class QuotientTable:
             raise NotPGroup("order %d is not a power of %d" % (self.order, self.p))
         if self.order == 1:
             self._d = 0
-            return 0
-        if self.is_elementary_abelian():
+        elif self.is_elementary_abelian():
             self._d = _plog(self.order, self.p)
-            return self._d
-        gens = self.greedy_generators()
-        derived = self._commutator_subgroup(gens)
-        coset = self._coset_map(derived)
-        reps = sorted(set(coset.values()))
-        # p-th powers in the abelianization form a subgroup
-        ppowers = {coset[self.power(r, self.p)] for r in reps}
-        self._d = _plog(len(reps) // len(ppowers), self.p)
+        else:
+            _, reps, ppowers = self._abelianization()
+            self._d = _plog(len(reps) // len(ppowers), self.p)
         return self._d
 
     def _coset_map(self, subgroup):
@@ -360,15 +420,11 @@ class QuotientTable:
         d = self.minimal_generators()
         if d == 0:
             return []
-        gens = self.greedy_generators()
-        derived = self._commutator_subgroup(gens)
-        coset = self._coset_map(derived)
-        reps = sorted(set(coset.values()))
+        coset, reps, ppowers = self._abelianization()
 
         def amul(r1, r2):
             return coset[self.mul(r1, r2)]
 
-        ppowers = sorted({coset[self.power(r, self.p)] for r in reps})
         vmap = {}
         for r in reps:
             if r in vmap:
@@ -429,10 +485,13 @@ def _plog(n, p):
 def kernel_enumerate(p: int, i: int, j: int, family: str = "pgamma") -> QuotientTable:
     """Enumerate the quotient between congruence levels p^i and p^j.
 
-    Lists every M = I + p^i N (N over Z/p^{j-i}) with det = 1 mod p^j; for
-    the pgamma family the result is normalized across central scalar
-    classes.  Guarded by p^{4(j-i)} <= FILTRA_MAX_ENUM (default 10^7), also
-    for tables already in the cache.
+    Lists every M = I + p^i N (N over Z/p^{j-i}) with det = 1 mod p^j.  The
+    corner a = 1 + p^i n is a unit mod p^j, so the determinant fixes
+    d = (1 + bc) a^-1: the quotient is exactly the p^{3(j-i)} triples
+    (a, b, c), and no candidate is filtered.  For the pgamma family the
+    result is normalized across central scalar classes.  Guarded by
+    p^{3(j-i)} <= FILTRA_MAX_ENUM (default 10^7), also for tables already
+    in the cache.
     """
     if family not in FAMILIES:
         raise ValueError("family must be one of %s" % (FAMILIES,))
@@ -440,32 +499,21 @@ def kernel_enumerate(p: int, i: int, j: int, family: str = "pgamma") -> Quotient
         raise ValueError("need 1 <= i < j, got i=%d j=%d" % (i, j))
     if not is_prime(p):
         raise ValueError("p must be prime, got %r" % (p,))
-    work = p ** (4 * (j - i))
+    work = p ** (3 * (j - i))
     limit = enum_guard_limit()
     if work > limit:
-        raise GuardError("enumeration size p^{4(j-i)} = %d exceeds guard %d" % (work, limit))
+        raise GuardError("enumeration size p^{3(j-i)} = %d exceeds guard %d" % (work, limit))
     return _enumerate(p, i, j, family)
 
 
 @functools.lru_cache(maxsize=64)
 def _enumerate(p, i, j, family):
-    span = p ** (j - i)
     pi_, pj = p ** i, p ** j
     scalars = _scalar_subgroup(p, i, j) if family == "pgamma" else (1,)
-    raw = []
-    for n00, n01, n10, n11 in itertools.product(range(span), repeat=4):
-        a = (1 + pi_ * n00) % pj
-        b = (pi_ * n01) % pj
-        c = (pi_ * n10) % pj
-        d = (1 + pi_ * n11) % pj
-        if (a * d - b * c) % pj == 1:
-            raw.append((a, b, c, d))
-    if len(scalars) > 1:
-        m = pj
-        canon = {min(tuple((lam * e) % m for e in flat) for lam in scalars) for flat in raw}
-    else:
-        canon = set(raw)
-    return QuotientTable(p, i, j, family, canon, scalars)
+    units = [(a, pow(a, -1, pj)) for a in range(1, pj, pi_)]
+    offdiag = range(0, pj, pi_)
+    raw = [(a, b, c, (1 + b * c) * ainv % pj) for a, ainv in units for b in offdiag for c in offdiag]
+    return QuotientTable(p, i, j, family, raw, scalars)
 
 
 def clear_table_cache() -> None:

@@ -506,10 +506,10 @@ def _generator_bound(ext, r, s, limit):
         "pi_order": pi_table.order,
     }
     total = gamma_table.order * pi_table.order
-    if total > limit or gamma_table.modulus.m < pi_table.modulus.m:
+    if total > limit or gamma_table.m < pi_table.m:
         out["constructive"] = None
         return out
-    mp = pi_table.modulus.m
+    mp = pi_table.m
     gens = [(u, pi_table.identity) for u in gamma_table.generating_set()]
     gens += [(gamma_table.identity, v) for v in pi_table.generating_set()]
 

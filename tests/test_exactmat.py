@@ -11,6 +11,7 @@ from filtra.exactmat import (
     Modulus,
     ModulusMismatch,
     NonInvertible,
+    PslClass,
     format_matrix,
     parse_matrix,
     psl_class,
@@ -151,6 +152,19 @@ def test_psl_examples():
     assert len(seen) == 6
     with pytest.raises(MatrixError):
         psl_class(mmat(M9, (2, 0), (0, 2)))
+
+
+def test_psl_class_constructor_normalises_and_checks():
+    deep = Modulus(3, 6)
+    minus_i = mmat(deep, (-1, 0), (0, -1))
+    # either sign builds the same class, hashed alike
+    assert PslClass(minus_i) == psl_class(minus_i) == PslClass(ModMat.identity(2, deep))
+    assert hash(PslClass(minus_i)) == hash(PslClass.identity(2, deep))
+    assert PslClass(minus_i).rep == ModMat.identity(2, deep)
+    m = mmat(M9, (8, 6), (0, 8))
+    assert PslClass(m) == PslClass(-m) and PslClass(m).rep == -m
+    with pytest.raises(MatrixError):
+        PslClass(mmat(deep, (28, 0), (0, 1)))
 
 
 def test_psl_product_well_defined():

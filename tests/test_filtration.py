@@ -144,6 +144,15 @@ def test_guard_env_override(monkeypatch):
         kernel_enumerate(3, 2, 3)
 
 
+def test_guard_counts_determinant_one_triples(monkeypatch):
+    # the work is p^{3(j-i)} triples (a, b, c): 27 for (3, 2, 3)
+    monkeypatch.setenv("FILTRA_MAX_ENUM", "27")
+    assert kernel_enumerate(3, 2, 3).order == 27
+    monkeypatch.setenv("FILTRA_MAX_ENUM", "26")
+    with pytest.raises(GuardError):
+        kernel_enumerate(3, 2, 3)
+
+
 def test_subgroup_and_normality_invariants():
     rng = random.Random("invariants")
     gens = []

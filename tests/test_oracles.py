@@ -5,13 +5,18 @@ closures from generating sets, p-power order climbing, canonical lifts) and
 recompute the same quantities by exhaustive enumeration over all pairs.
 """
 
+import hashlib
+import itertools
 import random
 
 import pytest
 
 from filtra.exactmat import IntMat, Modulus, ModMat, NonInvertible, _FLAT_ID, _flat, _flat_inv_z
 from filtra.filtration import (
+    FAMILIES,
     FiltrationSpec,
+    NotPGroup,
+    QuotientTable,
     congruence_basis,
     exact_congruence_exponent,
     kernel_enumerate,
@@ -74,6 +79,114 @@ def test_exponent_matches_bruteforce():
     for p, i, j, family in ((3, 1, 2, "pgamma"), (3, 1, 3, "gamma"), (2, 1, 3, "pgamma")):
         table = kernel_enumerate(p, i, j, family)
         assert table.exponent() == brute_exponent(table)
+
+
+def brute_enumerate(p, i, j, family):
+    """Every I + p^i N with N over Z/p^{j-i}, kept when det = 1 mod p^j,
+    then normalized over the scalars lam = 1 mod p^i with lam^2 = 1."""
+    pi_, pj = p ** i, p ** j
+    scalars = [lam for lam in range(1, pj, pi_) if lam * lam % pj == 1] if family == "pgamma" else [1]
+    out = set()
+    for n00, b, c, n11 in itertools.product(range(0, pj, pi_), repeat=4):
+        a, d = 1 + n00, 1 + n11
+        if (a * d - b * c) % pj == 1:
+            out.add(min(tuple(lam * e % pj for e in (a, b, c, d)) for lam in scalars))
+    return out
+
+
+def test_enumeration_matches_determinant_filter():
+    checked = 0
+    for family in FAMILIES:
+        for p in (2, 3, 5, 7):
+            for i in (1, 2, 3):
+                for j in range(i + 1, i + 5):
+                    if p ** (4 * (j - i)) > 10 ** 5:
+                        continue
+                    table = kernel_enumerate(p, i, j, family)
+                    assert len(set(table.elements)) == table.order
+                    assert set(table.elements) == brute_enumerate(p, i, j, family)
+                    checked += 1
+    assert checked == 48
+
+
+# every table of both families with at most 4096 elements at i = 1, 2
+SMALL_TABLES = [(p, i, j, family) for family in FAMILIES for p in (2, 3, 5, 7) for i in (1, 2)
+                for j in range(i + 1, i + 5) if p ** (3 * (j - i)) <= 4096]
+
+
+def _bfs_closure(table, gens):
+    seen = {table.identity}
+    frontier = [table.identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = table.mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def scratch_greedy_generators(table):
+    """The greedy search re-closing the picked elements from the identity
+    after every pick."""
+    gens = []
+    have = {table.identity}
+    for x in table.elements:
+        if x not in have:
+            gens.append(x)
+            have = _bfs_closure(table, gens)
+            if len(have) == table.order:
+                break
+    return gens
+
+
+def test_memoised_exponent_matches_element_orders():
+    for case in SMALL_TABLES:
+        t = kernel_enumerate(*case)
+        fresh = QuotientTable(t.p, t.i, t.j, t.family, t.elements, t.scalars)
+        assert fresh.exponent() == max(fresh.element_order(x) for x in fresh.elements)
+    # -I mod 9 has order 2, which no chain of cubes reaches
+    odd = QuotientTable(3, 1, 2, "gamma", [(1, 0, 0, 1), (8, 0, 0, 8)], (1,))
+    with pytest.raises(NotPGroup):
+        odd.exponent()
+
+
+def test_incremental_greedy_generators_match_scratch_closures():
+    for case in SMALL_TABLES:
+        t = kernel_enumerate(*case)
+        gens = t.greedy_generators()
+        assert gens == scratch_greedy_generators(t)
+        assert len(t._closure(gens)) == len(_bfs_closure(t, gens)) == t.order
+        # the cached list is handed out as a copy
+        gens.append(t.identity)
+        assert t.greedy_generators() == scratch_greedy_generators(t)
+
+
+def test_derived_subgroup_matches_commutators_with_generators():
+    # [G, G] is generated by the [x, g] with x in G and g a generator: that
+    # subgroup is normal, since [x, g]^y = [xy, g][y, g]^-1, and every
+    # generator is central modulo it.  At (2, 1, 5, pgamma) the commutators
+    # of the generators alone generate a subgroup of order 4 out of 16.
+    for case in SMALL_TABLES:
+        t = kernel_enumerate(*case)
+        gens = t.greedy_generators()
+        comms = {t.mul(t.mul(x, g), t.mul(t.inv(x), t.inv(g))) for x in t.elements for g in gens}
+        assert t._commutator_subgroup(gens) == _bfs_closure(t, sorted(comms))
+
+
+def test_generating_sets_unchanged():
+    rows = []
+    for case in SMALL_TABLES:
+        t = kernel_enumerate(*case)
+        d, gens = t.minimal_generators(), t.generating_set()
+        assert len(gens) == d and len(_bfs_closure(t, gens)) == t.order
+        if t.order <= 128:
+            assert d == brute_frattini_rank(t)
+        rows.append((case, d, gens))
+    # value taken before the generator search became incremental
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "092b1b0844b4305a07fd3f165e70d8481297791a61be35e87a0a13108ea85db2"
 
 
 def test_bracket_by_exhaustive_coset_pairing():
