@@ -15,9 +15,9 @@ The determinant-one and unit checks of ``inverse`` and ``PslClass`` stay.
 
 Products, determinants and adjugates use closed forms for n = 2, the size
 every congruence computation runs at; larger matrices take the generic
-loops.  Determinants above 2x2 are computed by cofactor expansion up to 4x4
-and by fraction-free (Bareiss) elimination above that, so they are exact
-for any entry size.
+loops (the product transposes its right factor once).  Determinants above
+2x2 are computed by cofactor expansion up to 4x4 and by fraction-free
+(Bareiss) elimination above that, so they are exact for any entry size.
 
 The congruence computations carry 2x2 matrices flat, as (a, b, c, d)
 tuples: ``_flat_mul``/``_flat_inv`` work mod m for the finite quotient
@@ -34,6 +34,7 @@ by ','.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 
 class MatrixError(ValueError):
@@ -114,10 +115,8 @@ def _mat_mul(a, b, n):
 
 
 def _mat_mul_n(a, b, n):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _flat_mul(x, y, m):

@@ -1,9 +1,13 @@
 """Reduced words in free groups and endomorphisms given on generators.
 
 Words are stored as tuples of signed generator indices (+i for the i-th
-generator, -i for its inverse) and are always freely reduced.  Endomorphisms
-are given by the images of the generators; automorphisms are certified by an
-explicit inverse witness, never by a decision procedure.
+generator, -i for its inverse) and are always freely reduced.  The public
+``Word`` constructor checks every letter and reduces; products, inverses and
+substitution images of checked words are built by a private constructor
+that skips the letter scan (a product cancels only at the junction of its
+two reduced factors), but keeps the rank check and the ``WORD_CAP`` check.
+Endomorphisms are given by the images of the generators; automorphisms are
+certified by an explicit inverse witness, never by a decision procedure.
 
 The module also ships the fixture data used elsewhere in the package: the
 basis-conjugating generators of McCool's subgroup of Aut(F_n), the rank-2
@@ -14,6 +18,7 @@ the shift/conjugation action on F_{n+1} (generators a_1..a_n, b).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
 from .exactmat import IntMat
 
@@ -68,10 +73,17 @@ class Word:
             return NotImplemented
         if other.rank != self.rank:
             raise RankMismatch("ranks differ: %d vs %d" % (self.rank, other.rank))
-        return Word(self.rank, self.letters + other.letters)
+        a, b = self.letters, other.letters
+        if len(a) + len(b) > WORD_CAP:
+            raise WordLengthError("word length %d exceeds cap %d" % (len(a) + len(b), WORD_CAP))
+        k = 0
+        top = min(len(a), len(b))
+        while k < top and a[-1 - k] == -b[k]:
+            k += 1
+        return _word(self.rank, a[:len(a) - k] + b[k:] if k else a + b)
 
     def inverse(self) -> "Word":
-        return Word(self.rank, tuple(-a for a in reversed(self.letters)))
+        return _word(self.rank, tuple(map(neg, reversed(self.letters))))
 
     def __pow__(self, k: int) -> "Word":
         if k < 0:
@@ -89,6 +101,14 @@ class Word:
 
     def __str__(self):
         return format_word(self)
+
+
+def _word(rank: int, letters: tuple) -> Word:
+    """A Word from letters already known to be in range and freely reduced."""
+    out = object.__new__(Word)
+    object.__setattr__(out, "rank", rank)
+    object.__setattr__(out, "letters", letters)
+    return out
 
 
 def exponent_vector(w: Word) -> tuple:
@@ -146,6 +166,12 @@ class EndoSpec:
         for im in self.images:
             if not isinstance(im, Word) or im.rank != self.rank:
                 raise RankMismatch("images must be rank-%d words" % self.rank)
+        # the image of each signed letter, so apply only looks letters up
+        subst = {}
+        for i, im in enumerate(self.images, 1):
+            subst[i] = im.letters
+            subst[-i] = tuple(map(neg, reversed(im.letters)))
+        object.__setattr__(self, "_subst", subst)
 
     @staticmethod
     def identity(rank: int) -> "EndoSpec":
@@ -154,16 +180,13 @@ class EndoSpec:
     def apply(self, w: Word) -> Word:
         if w.rank != self.rank:
             raise RankMismatch("ranks differ: %d vs %d" % (self.rank, w.rank))
+        subst = self._subst
         letters = []
         for a in w.letters:
-            im = self.images[abs(a) - 1]
-            if a > 0:
-                letters.extend(im.letters)
-            else:
-                letters.extend(-b for b in reversed(im.letters))
+            letters += subst[a]
             if len(letters) > WORD_CAP:
                 raise WordLengthError("substitution exceeded the %d-letter cap" % WORD_CAP)
-        return Word(self.rank, tuple(letters))
+        return _word(self.rank, _reduce(letters))
 
     def compose(self, other: "EndoSpec") -> "EndoSpec":
         """self after other: (self.compose(other))(w) = self(other(w))."""

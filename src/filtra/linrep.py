@@ -11,7 +11,9 @@ The outer component is a representative of its class modulo scalar
 matrices; over A = Z/m the scalars lambda with lambda^n = 1 form the center
 of SL(n, A) and faithfulness holds modulo that center (its order is
 reported).  The matrix-unit basis is ordered row-major (E_00, E_01, ...),
-which pins every rho matrix bit-exactly.
+which pins every rho matrix bit-exactly: with vec(M)[k*n + l] = M[k][l],
+vec(A M B) = (A kron B^T) vec(M), so rho(gamma, y) is the Kronecker product
+(gamma y) kron (gamma^-1)^T, built from one product and one inverse.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .exactmat import IntMat, Modulus, ModMat, reduce_mod
+from .exactmat import IntMat, Modulus, ModMat, _int_mat, _mod_mat, reduce_mod
 
 
 class LinRepError(ValueError):
@@ -64,42 +66,25 @@ def delta_mul(u: DeltaElem, v: DeltaElem) -> DeltaElem:
     return DeltaElem(u.gamma * v.gamma, beta_inv * u.y * v.gamma * v.y)
 
 
-def delta_inv(u: DeltaElem) -> DeltaElem:
-    """(alpha, x)^-1 = (alpha^-1, alpha x^-1 alpha^-1)."""
-    ainv = u.gamma.inverse()
-    return DeltaElem(ainv, u.gamma * u.y.inverse() * ainv)
-
-
 def act(u: DeltaElem, m) -> object:
     """The left action (gamma, y)(M) = gamma (y M) gamma^-1."""
     return u.gamma * (u.y * m) * u.gamma.inverse()
-
-
-def matrix_unit(n: int, k: int, l: int, modulus: Modulus | None = None):
-    rows = tuple(tuple(1 if (i, j) == (k, l) else 0 for j in range(n)) for i in range(n))
-    if modulus is None:
-        return IntMat(rows)
-    return ModMat(rows, modulus)
 
 
 def rho(u: DeltaElem):
     """The n^2 x n^2 matrix of M -> gamma (y M) gamma^-1 on matrix units.
 
     Column k*n + l holds the image of E_kl flattened row-major, so
-    rho(u) @ vec(M) = vec(u(M)) and rho(u v) = rho(u) rho(v).
+    rho(u) @ vec(M) = vec(u(M)) and rho(u v) = rho(u) rho(v).  In closed
+    form rho(u) = (gamma y) kron (gamma^-1)^T: entry [i*n + j][k*n + l] is
+    (gamma y)[i][k] * (gamma^-1)[l][j].
     """
-    n = u.n
-    modulus = u.gamma.modulus if isinstance(u.gamma, ModMat) else None
-    cols = []
-    ginv = u.gamma.inverse()
-    for k in range(n):
-        for l in range(n):
-            image = u.gamma * (u.y * matrix_unit(n, k, l, modulus)) * ginv
-            cols.append([image.entries[i][j] for i in range(n) for j in range(n)])
-    rows = tuple(tuple(cols[c][r] for c in range(n * n)) for r in range(n * n))
-    if modulus is None:
-        return IntMat(rows)
-    return ModMat(rows, modulus)
+    a = (u.gamma * u.y).entries
+    b_cols = tuple(zip(*u.gamma.inverse().entries))
+    rows = tuple(tuple(x * y for x in a_row for y in b_col) for a_row in a for b_col in b_cols)
+    if isinstance(u.gamma, ModMat):
+        return _mod_mat(rows, u.gamma.modulus)
+    return _int_mat(rows)
 
 
 def is_scalar(mat) -> bool:
@@ -135,8 +120,10 @@ def random_sl(n: int, modulus: Modulus | None, rng: random.Random, length: int =
 
     Not a ``holomorph.random_element`` word: each factor draws a position
     and a coefficient, not a letter, and these draws fix the
-    ``kernel_probes.hits`` that ``verify_faithful`` reports."""
-    out = IntMat.identity(n) if modulus is None else ModMat.identity(n, modulus)
+    ``kernel_probes.hits`` that ``verify_faithful`` reports.  Each factor
+    I + c E_ij is applied as the column operation column j += c column i;
+    the draws are the same as for the explicit product of transvections."""
+    cols = [[1 if a == b else 0 for a in range(n)] for b in range(n)]
     bound = 3 if modulus is None else modulus.m - 1
     for _ in range(length):
         i = rng.randrange(n)
@@ -144,20 +131,9 @@ def random_sl(n: int, modulus: Modulus | None, rng: random.Random, length: int =
         if i == j:
             continue
         c = rng.randint(1, max(bound, 1))
-        rows = tuple(
-            tuple((1 if a == b else 0) + (c if (a, b) == (i, j) else 0) for b in range(n))
-            for a in range(n)
-        )
-        t = IntMat(rows) if modulus is None else ModMat(rows, modulus)
-        out = out * t
-    return out
-
-
-def verify_action(u: DeltaElem, v: DeltaElem, mats) -> dict:
-    """Check (u v)(M) = u(v(M)) pointwise on the given test matrices."""
-    uv = delta_mul(u, v)
-    failures = sum(1 for m in mats if act(uv, m) != act(u, act(v, m)))
-    return {"samples": len(mats), "failures": failures, "ok": failures == 0}
+        cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
+    rows = tuple(zip(*cols))
+    return _int_mat(rows) if modulus is None else _mod_mat(rows, modulus)
 
 
 def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) -> dict:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -95,6 +96,42 @@ def test_congruence_holomorph_report_pinned(capsys):
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
         "873c50a7023ef664b048ce1cd661dc0c4df878e9a7d43fbd890ffcd76babf6d0"
     )
+
+
+def _pinned_digest(report):
+    report.pop("timings")
+    report.pop("version")
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["rep", "--n", "3", "--mod", "4", "--gamma", "1,1,0;0,1,0;0,0,1", "--y", "1,0,0;1,1,0;0,0,1",
+      "--samples", "100", "--seed", "1"],
+     "e7dc47b6b62e05f04a8d48fc2f37b722b117b8937fa46a3ad6ad0cf5ae2bf2c3"),
+    (["rep", "--n", "2", "--mod", "27", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--samples", "100", "--seed", "1"],
+     "fdc35c25a189cfc3d5ffb892f6f6712d930ecf825643b303ad9f27b83f65d0a2"),
+    (["rep-ball", "-p", "3", "--base", "1", "--target", "3", "--radius", "3", "--seed", "1"],
+     "d3bbd26c3e26eb6f6b74d54897005cff4b7f994dd26fb0d155ab44b031a61fa5"),
+])
+def test_rep_reports_pinned(capsys, args, digest):
+    # sha256 of the report without timings and version, taken with rho
+    # built from matrix units and random_sl from transvection products
+    code, _, report = run_cli(capsys, *args)
+    assert code == 0
+    assert _pinned_digest(report) == digest
+
+
+def test_rep_n4_is_cheap(capsys):
+    started = time.perf_counter()
+    code, _, report = run_cli(capsys, "rep", "--n", "4", "--mod", "5",
+                              "--gamma", "1,1,0,0;0,1,0,0;0,0,1,0;0,0,0,1",
+                              "--y", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,1,1", "--samples", "100", "--seed", "1")
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert report["results"]["faithfulness"]["hom_failures"] == 0
+    assert report["results"]["faithfulness"]["kernel_probes"] == {"center_order": 4, "hits": 4, "violations": 0}
+    assert _pinned_digest(report) == "9e3d9b983108256b732ed0300e5b5a9ac5752e2f359a5804ea9af25634d7e445"
+    assert elapsed < 1.0
 
 
 def test_freegroup_fixtures_command(capsys):

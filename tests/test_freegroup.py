@@ -7,6 +7,7 @@ from filtra.exactmat import IntMat
 from filtra.freegroup import (
     EndoSpec,
     RankMismatch,
+    WORD_CAP,
     Word,
     WordLengthError,
     example_shift_action,
@@ -159,6 +160,15 @@ def test_word_cap():
     with pytest.raises(WordLengthError):
         for _ in range(25):
             word = e.apply(word)
+
+
+def test_word_product_cap():
+    half = Word(1, (1,) * (WORD_CAP // 2))
+    assert len(half * half) == WORD_CAP
+    with pytest.raises(WordLengthError):
+        half * half * w(1, 1)
+    with pytest.raises(WordLengthError):
+        w(1, 1) * (half * half)
 
 
 def test_parse_format():

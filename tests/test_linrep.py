@@ -11,13 +11,10 @@ from filtra.linrep import (
     center_scalars,
     delta_eq_mod_center,
     delta_identity,
-    delta_inv,
     delta_mul,
     is_scalar,
-    matrix_unit,
     random_sl,
     rho,
-    verify_action,
     verify_faithful,
 )
 
@@ -25,6 +22,24 @@ M9 = Modulus(3, 2)
 A1 = ModMat(((1, 3), (0, 1)), M9)
 B1 = ModMat(((1, 0), (3, 1)), M9)
 I2 = ModMat.identity(2, M9)
+
+
+def matrix_unit(n, k, l, modulus):
+    rows = tuple(tuple(1 if (i, j) == (k, l) else 0 for j in range(n)) for i in range(n))
+    return ModMat(rows, modulus)
+
+
+def delta_inv(u):
+    """(alpha, x)^-1 = (alpha^-1, alpha x^-1 alpha^-1)."""
+    ainv = u.gamma.inverse()
+    return DeltaElem(ainv, u.gamma * u.y.inverse() * ainv)
+
+
+def verify_action(u, v, mats):
+    """Check (u v)(M) = u(v(M)) pointwise on the given test matrices."""
+    uv = delta_mul(u, v)
+    failures = sum(1 for m in mats if act(uv, m) != act(u, act(v, m)))
+    return {"samples": len(mats), "failures": failures, "ok": failures == 0}
 
 
 def test_delta_mul_examples():

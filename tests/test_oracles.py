@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from filtra.exactmat import IntMat, Modulus, ModMat, NonInvertible, _FLAT_ID, _flat, _flat_inv_z
+from filtra.exactmat import IntMat, Modulus, ModMat, NonInvertible, _FLAT_ID, _flat, _flat_inv_z, _mat_mul_n
 from filtra.filtration import (
     FAMILIES,
     FiltrationSpec,
@@ -22,8 +22,10 @@ from filtra.filtration import (
     kernel_enumerate,
     level_of,
 )
+from filtra.freegroup import EndoSpec, Word, mccool_generator, poison_action
 from filtra.graded import GradedClass, basis_class, class_add, class_of, zero_class
 from filtra.holomorph import MatrixConjugation
+from filtra.linrep import DeltaElem, random_sl, rho
 
 
 def brute_frattini_rank(table):
@@ -302,3 +304,110 @@ def test_gcd_valuation_matches_bruteforce():
         for allow_sign in (False, True):
             want = brute_congruence_exponent(rows, p, cap, allow_sign)
             assert exact_congruence_exponent(_flat(IntMat(rows)), p, allow_sign, bail=cap) == want
+
+
+def matrix_unit(n, k, l, modulus):
+    rows = tuple(tuple(1 if (i, j) == (k, l) else 0 for j in range(n)) for i in range(n))
+    return IntMat(rows) if modulus is None else ModMat(rows, modulus)
+
+
+def rho_by_matrix_units(u):
+    """rho(u) column by column: column k*n + l is gamma (y E_kl) gamma^-1
+    flattened row-major, with 2n^2 generic products."""
+    n = u.n
+    modulus = u.gamma.modulus if isinstance(u.gamma, ModMat) else None
+    ginv = u.gamma.inverse()
+    cols = []
+    for k in range(n):
+        for l in range(n):
+            image = u.gamma * (u.y * matrix_unit(n, k, l, modulus)) * ginv
+            cols.append([image.entries[i][j] for i in range(n) for j in range(n)])
+    rows = tuple(tuple(cols[c][r] for c in range(n * n)) for r in range(n * n))
+    return IntMat(rows) if modulus is None else ModMat(rows, modulus)
+
+
+def random_sl_by_transvections(n, modulus, rng, length=8):
+    """The product of explicit transvection matrices, with random_sl's draws."""
+    out = IntMat.identity(n) if modulus is None else ModMat.identity(n, modulus)
+    bound = 3 if modulus is None else modulus.m - 1
+    for _ in range(length):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.randint(1, max(bound, 1))
+        rows = tuple(
+            tuple((1 if a == b else 0) + (c if (a, b) == (i, j) else 0) for b in range(n))
+            for a in range(n)
+        )
+        out = out * (IntMat(rows) if modulus is None else ModMat(rows, modulus))
+    return out
+
+
+REP_RINGS = ((2, Modulus(3, 2)), (2, Modulus(3, 3)), (3, Modulus(2, 2)), (3, None), (4, Modulus(5, 1)))
+
+
+def test_kronecker_rho_matches_matrix_units():
+    for n, modulus in REP_RINGS:
+        rng = random.Random("kron:%s:%s" % (n, modulus))
+        for _ in range(300):
+            u = DeltaElem(random_sl(n, modulus, rng), random_sl(n, modulus, rng))
+            assert rho(u) == rho_by_matrix_units(u)
+
+
+def test_column_op_random_sl_matches_transvection_product():
+    for n, modulus in REP_RINGS + ((2, None), (4, None)):
+        for length in (1, 8, 20):
+            fast = random.Random("sl:%s:%s" % (n, length))
+            slow = random.Random("sl:%s:%s" % (n, length))
+            for _ in range(100):
+                assert random_sl(n, modulus, fast, length) == random_sl_by_transvections(n, modulus, slow, length)
+                assert fast.getstate() == slow.getstate()
+
+
+def mat_mul_by_loops(a, b, n):
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] += a[i][k] * b[k][j]
+    return tuple(tuple(row) for row in out)
+
+
+def test_mat_mul_n_matches_triple_loop():
+    rng = random.Random("mat-mul-n")
+    for n in (3, 4, 5):
+        for modulus in (None, Modulus(2, 3), Modulus(3, 2), Modulus(5, 1)):
+            for _ in range(60):
+                bound = 10 ** 12 if modulus is None else modulus.m - 1
+                low = -bound if modulus is None else 0
+                a, b = (tuple(tuple(rng.randint(low, bound) for _ in range(n)) for _ in range(n))
+                        for _ in range(2))
+                want = mat_mul_by_loops(a, b, n)
+                assert _mat_mul_n(a, b, n) == want
+                if modulus is None:
+                    assert (IntMat(a) * IntMat(b)).entries == want
+                else:
+                    assert (ModMat(a, modulus) * ModMat(b, modulus)).entries == ModMat(want, modulus).entries
+
+
+def _random_word(rng, rank):
+    return Word(rank, tuple(rng.choice((1, -1)) * rng.randint(1, rank) for _ in range(rng.randint(0, 12))))
+
+
+def test_fast_word_operations_match_constructor():
+    rng = random.Random("fast-words")
+    endos = [mccool_generator(3, 1, 2), mccool_generator(3, 3, 1), poison_action()[0][0], poison_action()[1][1]]
+    for _ in range(2000):
+        u, v = _random_word(rng, 3), _random_word(rng, 3)
+        if rng.random() < 0.5:
+            # force cancellation at the junction, possibly of all of u
+            v = Word(3, tuple(-a for a in reversed(u.letters[rng.randint(0, len(u)):])) + v.letters)
+        assert (u * v).letters == Word(3, u.letters + v.letters).letters
+        assert u.inverse().letters == Word(3, tuple(-a for a in reversed(u.letters))).letters
+        e = rng.choice(endos + [EndoSpec(3, tuple(_random_word(rng, 3) for _ in range(3)))])
+        spelled = []
+        for a in u.letters:
+            im = e.images[abs(a) - 1].letters
+            spelled.extend(im if a > 0 else [-b for b in reversed(im)])
+        assert e.apply(u).letters == Word(3, tuple(spelled)).letters
