@@ -2,28 +2,30 @@
 
 All types here are immutable values with exact integer entries; nothing in
 this module ever rounds.  ``IntMat`` is a square matrix over Z whose entries
-may grow without bound, ``ModMat`` is a square matrix over Z/p^r with entries
-normalized into [0, p^r), and ``PslClass`` is the sign-normalized class
-{M, -M} of a determinant-one ``ModMat``.
+may grow without bound, and ``ModMat`` is a square matrix over Z/p^r with
+entries normalized into [0, p^r); both serve the n x n representation and
+the integral congruence generators.
 
 Validation happens where a matrix enters: the public constructors and
 ``parse_matrix`` check that the entries form a nonempty square of exact
 integers.  Products, negations and inverses of validated matrices are square
 integer tuples by construction, so they are built by a private constructor
 that skips that scan (``ModMat`` results are still reduced into [0, m)).
-The determinant-one and unit checks of ``inverse`` and ``PslClass`` stay.
+The determinant and unit checks of ``inverse`` stay.
 
-Products, determinants and adjugates use closed forms for n = 2, the size
-every congruence computation runs at; larger matrices take the generic
-loops (the product transposes its right factor once).  Determinants above
-2x2 are computed by cofactor expansion up to 4x4 and by fraction-free
-(Bareiss) elimination above that, so they are exact for any entry size.
+Products, determinants and adjugates use closed forms for n = 2 (the
+representation on 2x2 rings and the integral congruence generators); larger
+matrices take the generic loops (the product transposes its right factor
+once).  Determinants above 2x2 are computed by cofactor expansion up to 4x4
+and by fraction-free (Bareiss) elimination above that, so they are exact
+for any entry size.
 
-The congruence computations carry 2x2 matrices flat, as (a, b, c, d)
-tuples: ``_flat_mul``/``_flat_inv`` work mod m for the finite quotient
-tables, and ``_flat_mul_z``/``_flat_inv_z`` over Z for SL(2, Z) itself (the
-inverse refuses a determinant other than 1).
-``_sign_normal`` and ``format_matrix`` accept the flat form too, and
+Every 2x2 computation (levels, the congruence extension, the quotient
+tables and the graded layers) carries its matrices flat, as (a, b, c, d)
+tuples: ``_flat_mul``/``_flat_inv``/``_flat_pow`` work mod m, and
+``_flat_mul_z``/``_flat_inv_z`` over Z for SL(2, Z) itself (the inverse
+refuses a determinant other than 1).  ``_sign_normal`` picks the sign
+representative of a flat tuple, ``format_matrix`` prints it, and
 ``_parse_flat_sl2`` reads a literal into it, refusing anything but a 2x2
 matrix of determinant 1.
 
@@ -70,6 +72,13 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def check_prime(p: int, error: type) -> None:
+    """Raise ``error`` unless p is a prime below 2^20, the rule for every
+    prime a modulus or a graded layer is built on."""
+    if p >= _PRIME_BOUND or not is_prime(p):
+        raise error("p must be a prime below 2^20, got %r" % (p,))
+
+
 @dataclass(frozen=True)
 class Modulus:
     """A prime-power modulus p^r with p prime and r >= 1."""
@@ -78,8 +87,7 @@ class Modulus:
     r: int
 
     def __post_init__(self):
-        if self.p >= _PRIME_BOUND or not is_prime(self.p):
-            raise ValueError("p must be a prime below 2^20, got %r" % (self.p,))
+        check_prime(self.p, ValueError)
         if self.r < 1:
             raise ValueError("exponent must be >= 1, got %r" % (self.r,))
         object.__setattr__(self, "_m", self.p ** self.r)
@@ -133,6 +141,19 @@ def _flat_inv(x, m):
 
 
 _FLAT_ID = (1, 0, 0, 1)
+
+
+def _flat_pow(x, k, m):
+    """x^k mod m for a flat 2x2 matrix and k >= 0, by square and multiply
+    (without multiplying by the identity)."""
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else _flat_mul(out, x, m)
+        k >>= 1
+        if k:
+            x = _flat_mul(x, x, m)
+    return _FLAT_ID if out is None else out
 
 
 def _flat_mul_z(x, y):
@@ -276,18 +297,6 @@ class IntMat:
             return _int_mat(_negate(_adjugate(self.entries)))
         raise NonInvertible("determinant %d is not a unit in Z" % d)
 
-    def __pow__(self, k: int) -> "IntMat":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = IntMat.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __str__(self):
         return format_matrix(self)
 
@@ -345,18 +354,6 @@ class ModMat:
         adj = _adjugate(self.entries)
         return _mod_mat(tuple(tuple(dinv * e for e in row) for row in adj), self.modulus)
 
-    def __pow__(self, k: int) -> "ModMat":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = ModMat.identity(self.n, self.modulus)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __str__(self):
         return format_matrix(self)
 
@@ -392,54 +389,11 @@ def reduce_mod(a: IntMat, modulus: Modulus) -> ModMat:
     return ModMat(a.entries, modulus)
 
 
-def _sign_normal(a):
-    """The lexicographically smaller (row-major) of a and -a; ``a`` is a
-    matrix or a flat 2x2 tuple."""
-    if type(a) is tuple:
-        a0, a1, a2, a3 = a
-        neg = (-a0, -a1, -a2, -a3)
-        return a if a <= neg else neg
-    neg = -a
-    return a if a.entries <= neg.entries else neg
-
-
-@dataclass(frozen=True)
-class PslClass:
-    """The class {M, -M} of a determinant-one ModMat, stored by its
-    lexicographically smaller (row-major) representative.  Either sign may
-    be passed in; any other determinant raises MatrixError."""
-
-    rep: ModMat
-
-    def __post_init__(self):
-        det = self.rep.det()
-        if det != 1:
-            raise MatrixError("a PSL class requires det = 1 mod %d, got %d" % (self.rep.modulus.m, det))
-        object.__setattr__(self, "rep", _sign_normal(self.rep))
-
-    @staticmethod
-    def identity(n: int, modulus: Modulus) -> "PslClass":
-        return PslClass(ModMat.identity(n, modulus))
-
-    @property
-    def modulus(self) -> Modulus:
-        return self.rep.modulus
-
-    def __mul__(self, other: "PslClass") -> "PslClass":
-        if not isinstance(other, PslClass):
-            return NotImplemented
-        return PslClass(self.rep * other.rep)
-
-    def inverse(self) -> "PslClass":
-        return PslClass(self.rep.inverse())
-
-    def __str__(self):
-        return format_matrix(self.rep)
-
-
-def psl_class(a: ModMat) -> PslClass:
-    """Sign-normalize a determinant-one ModMat into its PSL class."""
-    return PslClass(a)
+def _sign_normal(x):
+    """The lexicographically smaller of a flat 2x2 tuple and its negation."""
+    a, b, c, d = x
+    neg = (-a, -b, -c, -d)
+    return x if x <= neg else neg
 
 
 def format_matrix(a) -> str:

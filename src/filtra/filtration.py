@@ -12,11 +12,11 @@ the finite quotient between two levels by complete enumeration, and
 ``check_p_congruence`` verifies the finite p-group and bounded-generation
 conditions for every pair of levels up to a depth cap.
 
-Elements of SL(2, Z) may come as ``IntMat`` values or as flat (a, b, c, d)
-tuples, the form the samplers use (``flat_congruence_basis`` gives the
-generators that way).  Depth is a valuation: M = +-I mod p^e exactly when
-p^e divides the gcd of the entries of M -+ I, so ``level_of`` and
-``exact_congruence_exponent`` (flat tuples only) take one gcd per sign and
+Elements of SL(2, Z) are flat (a, b, c, d) tuples, the form the samplers
+use (``flat_congruence_basis`` gives the generators that way); quotient
+table elements are flat tuples mod p^j.  Depth is a valuation: M = +-I
+mod p^e exactly when p^e divides the gcd of the entries of M -+ I, so
+``level_of`` and ``exact_congruence_exponent`` take one gcd per sign and
 count its factors of p up to the cap.
 
 A level is an int in [-1, cap + 1]: -1 outside the level-0 group, cap + 1
@@ -46,8 +46,8 @@ import random
 from dataclasses import dataclass
 
 from .exactmat import (
-    IntMat, Modulus, ModMat, PslClass, _FLAT_ID, _flat, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z,
-    format_matrix, is_prime,
+    IntMat, _FLAT_ID, _flat, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z, _flat_pow, format_matrix,
+    is_prime,
 )
 from .holomorph import random_element
 
@@ -118,45 +118,23 @@ def _valuation_to_identity(g, corner, p, cap, allow_sign):
     return best
 
 
-def level_of(x, spec: FiltrationSpec):
+def level_of(x: tuple, spec: FiltrationSpec):
     """Largest level j <= depth_cap with x in the level-j subgroup.
 
-    ``x`` is an element of SL(2, Z), as a flat (a, b, c, d) tuple or an
-    IntMat, or of SL(2, Z/p^r), as a ModMat or (for the pgamma family only)
-    a PslClass.  Returns -1 when x is not even in the level-0 group and
-    depth_cap + 1 when x is congruent to (+-)I one exponent beyond the cap,
-    i.e. deeper than the truncation can distinguish.
+    ``x`` is an element of SL(2, Z) as a flat (a, b, c, d) tuple; any other
+    type raises TypeError and a determinant other than 1 ValueError.
+    Returns -1 when x is not even in the level-0 group and depth_cap + 1
+    when x is congruent to (+-)I one exponent beyond the cap, i.e. deeper
+    than the truncation can distinguish.
     """
-    cap_exp = spec.r0 + spec.depth_cap + 1
-    if type(x) is tuple:
-        a, b, c, d = x
-        det = a * d - b * c
-    elif isinstance(x, IntMat):
-        if x.n != 2:
-            raise ValueError("expected a 2x2 matrix, got %dx%d" % (x.n, x.n))
-        a, b, c, d = _flat(x)
-        det = a * d - b * c
-    elif isinstance(x, (ModMat, PslClass)):
-        if isinstance(x, PslClass):
-            if not spec.allow_sign:
-                raise ValueError("a sign class {M, -M} has no level in the gamma family")
-            x = x.rep
-        modulus = x.modulus
-        if modulus.p != spec.p:
-            raise ValueError("modulus prime %d does not match filtration prime %d" % (modulus.p, spec.p))
-        if modulus.r < cap_exp:
-            raise GuardError(
-                "modulus %s too shallow to resolve levels up to cap %d" % (modulus, spec.depth_cap)
-            )
-        if x.n != 2:
-            raise ValueError("expected a 2x2 matrix, got %dx%d" % (x.n, x.n))
-        a, b, c, d = _flat(x)
-        det = (a * d - b * c) % modulus.m
-    else:
-        raise TypeError("level_of expects a flat 2x2 tuple, IntMat, ModMat, or PslClass, got %r" % type(x))
+    if type(x) is not tuple:
+        raise TypeError("level_of expects a flat 2x2 tuple (a, b, c, d), got %r" % type(x))
+    a, b, c, d = x
+    det = a * d - b * c
     if det != 1:
         raise ValueError("expected determinant 1, got %d" % det)
-    v = _valuation_to_identity(math.gcd(b, c, d - a), a, spec.p, cap_exp, spec.allow_sign)
+    v = _valuation_to_identity(math.gcd(b, c, d - a), a, spec.p, spec.r0 + spec.depth_cap + 1,
+                               spec.allow_sign)
     return v - spec.r0 if v >= spec.r0 else -1
 
 
@@ -214,8 +192,7 @@ class QuotientTable:
         self.i = i
         self.j = j
         self.family = family
-        self.modulus = Modulus(p, j)
-        self.m = self.modulus.m
+        self.m = p ** j
         self.scalars = scalars
         self._one_scalar = len(scalars) == 1
         if not self._one_scalar:
@@ -247,32 +224,11 @@ class QuotientTable:
         return self.canon(_flat_inv(x, self.m))
 
     def power(self, x, k):
-        # square and multiply, without multiplying by the identity
-        out = None
-        while k:
-            if k & 1:
-                out = self.canon(x) if out is None else self.mul(out, x)
-            k >>= 1
-            if k:
-                x = self.mul(x, x)
-        return self.identity if out is None else out
+        # canon is a class function: the scalars are central with square 1
+        return self.canon(_flat_pow(x, k, self.m))
 
     def __contains__(self, flat):
         return self.canon(flat) in self._members
-
-    def matrices(self):
-        return [ModMat((e[:2], e[2:]), self.modulus) for e in self.elements]
-
-    def element_order(self, x):
-        # orders are p-powers, so climb by repeated p-th powers
-        k = 1
-        y = x
-        while y != self.identity:
-            y = self.power(y, self.p)
-            k *= self.p
-            if k > self.order:
-                raise NotPGroup("element order is not a p-power")
-        return k
 
     def exponent(self) -> int:
         """The largest element order.  Orders are p-powers, so an element

@@ -16,17 +16,16 @@ The bracket is induced by the group commutator after lifting classes one
 level up; the p-th power map sends level q to level q+1.  ``lift`` uses the
 unipotent basis matrices for the off-diagonal directions and
 diag(u, u^{-1}) with u = 1 + p^q for the diagonal direction, which has
-determinant exactly 1 in Z/p^T.
+determinant exactly 1 in Z/p^T.  Lifts and kernel elements are flat
+(a, b, c, d) tuples mod p^T, multiplied with the closed-form kernel of
+``exactmat``.
 """
 
 from __future__ import annotations
 
-import operator
-import random
 from dataclasses import dataclass
 
-from .exactmat import Modulus, ModMat
-from .holomorph import random_element
+from .exactmat import _flat_inv, _flat_mul, _flat_pow, check_prime
 
 
 class GradedError(ValueError):
@@ -37,7 +36,8 @@ class GradedError(ValueError):
 class GradedClass:
     """A class in the level-q layer, as coordinates mod p.
 
-    coords is (a, b, d) for odd p and (a, b) for p = 2.
+    p is a prime below 2^20 (``exactmat.check_prime``, the rule for every
+    modulus); coords is (a, b, d) for odd p and (a, b) for p = 2.
     """
 
     p: int
@@ -45,15 +45,13 @@ class GradedClass:
     coords: tuple
 
     def __post_init__(self):
+        check_prime(self.p, GradedError)
         want = 2 if self.p == 2 else 3
         if self.q < 1:
             raise GradedError("level must be >= 1, got %d" % self.q)
         if len(self.coords) != want:
             raise GradedError("expected %d coordinates for p=%d" % (want, self.p))
         object.__setattr__(self, "coords", tuple(c % self.p for c in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def __str__(self):
         return ",".join(str(c) for c in self.coords)
@@ -88,27 +86,26 @@ def class_smul(k: int, c: GradedClass) -> GradedClass:
     return GradedClass(c.p, c.q, tuple(k * a for a in c.coords))
 
 
-def class_of(m: ModMat, q: int) -> GradedClass:
-    """Coordinates of a kernel element: m must be a determinant-one matrix
+def _offset(x, p, pq):
+    """N mod p for x = I + pq N, or None when x is not I mod pq."""
+    diffs = (x[0] - 1, x[1], x[2], x[3] - 1)
+    if all(v % pq == 0 for v in diffs):
+        return tuple((v // pq) % p for v in diffs)
+    return None
+
+
+def class_of(x: tuple, p: int, q: int) -> GradedClass:
+    """Coordinates of a kernel element: x is a flat determinant-one matrix
     mod p^{q+1} congruent to (+-)I mod p^q."""
-    mod = m.modulus
-    p = mod.p
-    if mod.r != q + 1:
-        raise GradedError("expected a matrix mod %d^%d, got modulus %s" % (p, q + 1, mod))
-    if m.det() != 1:
-        raise GradedError("expected det = 1 mod %d, got %d" % (mod.m, m.det()))
+    m = p ** (q + 1)
+    a, b, c, d = x
+    det = (a * d - b * c) % m
+    if det != 1:
+        raise GradedError("expected det = 1 mod %d, got %d" % (m, det))
     pq = p ** q
-    mm = mod.m
-
-    def offset(mat):
-        diffs = [mat.entries[i][j] - (1 if i == j else 0) for i in range(2) for j in range(2)]
-        if all(d % pq == 0 for d in diffs):
-            return tuple((d // pq) % p for d in diffs)
-        return None
-
-    n = offset(m)
+    n = _offset(x, p, pq)
     if n is None:
-        n = offset(-m)
+        n = _offset((-a, -b, -c, -d), p, pq)
     if n is None:
         raise GradedError("matrix is not congruent to +-I mod %d^%d" % (p, q))
     n00, n01, n10, n11 = n
@@ -119,35 +116,32 @@ def class_of(m: ModMat, q: int) -> GradedClass:
     return GradedClass(p, q, (n01, n10, n00))
 
 
-def lift(c: GradedClass, t_exp: int) -> ModMat:
-    """A determinant-one representative of c mod p^t_exp (t_exp >= q + 1)."""
+def lift(c: GradedClass, t_exp: int) -> tuple:
+    """A flat determinant-one representative of c mod p^t_exp
+    (t_exp >= q + 1)."""
     p, q = c.p, c.q
     if t_exp < q + 1:
         raise GradedError("target exponent %d too small for level %d" % (t_exp, q))
-    mod = Modulus(p, t_exp)
-    m = mod.m
+    m = p ** t_exp
     pq = p ** q
     if p == 2:
         a, b = c.coords
         d = 0
     else:
         a, b, d = c.coords
-    out = ModMat(((1, a * pq), (0, 1)), mod) * ModMat(((1, 0), (b * pq, 1)), mod)
+    out = _flat_mul((1, a * pq, 0, 1), (1, 0, b * pq, 1), m)
     if d:
-        u = (1 + pq) % m
-        uinv = pow(u, -1, m)
-        out = out * (ModMat(((u, 0), (0, uinv)), mod) ** d)
+        u = 1 + pq
+        out = _flat_mul(out, (pow(u, d, m), 0, 0, pow(u, -d, m)), m)
     return out
 
 
-def bracket_from_lifts(m1: ModMat, m2: ModMat, q: int, s: int) -> GradedClass:
-    """Class of the group commutator of two lifts, read at level q + s."""
-    if m1.modulus != m2.modulus:
-        raise GradedError("lifts live at different moduli")
-    if m1.modulus.r != q + s + 1:
-        raise GradedError("lifts must be taken mod p^%d" % (q + s + 1))
-    comm = m1 * m2 * m1.inverse() * m2.inverse()
-    return class_of(comm, q + s)
+def bracket_from_lifts(x1: tuple, x2: tuple, p: int, q: int, s: int) -> GradedClass:
+    """Class of the group commutator of two flat lifts mod p^{q+s+1}, read
+    at level q + s."""
+    m = p ** (q + s + 1)
+    comm = _flat_mul(_flat_mul(x1, x2, m), _flat_mul(_flat_inv(x1, m), _flat_inv(x2, m), m), m)
+    return class_of(comm, p, q + s)
 
 
 def bracket(c1: GradedClass, c2: GradedClass) -> GradedClass:
@@ -155,23 +149,13 @@ def bracket(c1: GradedClass, c2: GradedClass) -> GradedClass:
     if c1.p != c2.p:
         raise GradedError("classes live at different primes")
     t = c1.q + c2.q + 1
-    return bracket_from_lifts(lift(c1, t), lift(c2, t), c1.q, c2.q)
+    return bracket_from_lifts(lift(c1, t), lift(c2, t), c1.p, c1.q, c2.q)
 
 
 def power_map(c: GradedClass) -> GradedClass:
     """The p-th power map from level q to level q + 1."""
     t = c.q + 2
-    m = lift(c, t) ** c.p
-    return class_of(m, c.q + 1)
-
-
-def random_kernel_element(p: int, level: int, t_exp: int, rng: random.Random) -> ModMat:
-    """A random determinant-one matrix mod p^t_exp congruent to I mod p^level,
-    built as a word of length 1..4 in the canonical lifts at that level."""
-    names = ["A", "B"] if p == 2 else ["A", "B", "D"]
-    lifts = [lift(basis_class(p, level, name), t_exp) for name in names]
-    alphabet = lifts + [g.inverse() for g in lifts]
-    return random_element(alphabet, operator.mul, ModMat.identity(2, Modulus(p, t_exp)), rng, 4)
+    return class_of(_flat_pow(lift(c, t), c.p, c.p ** t), c.p, c.q + 1)
 
 
 def _relation_cells(p, q_max):

@@ -7,10 +7,10 @@ phi: Gamma -> Aut(pi); elements are pairs (f, x) multiplied by
 
 mirroring the product rule of the universal split extension of Aut(pi) by
 pi.  ``ActionSpec`` bundles the group operations on both sides together with
-``apply(f, x) = phi(f)(x)``; two backends ship here, conjugation inside a
-matrix group and word substitution under free-group automorphisms.  The
-matrix backend runs on ``IntMat``/``ModMat`` values or, for SL(2, Z), on
-flat (a, b, c, d) tuples with the closed-form kernel of ``exactmat``.
+``apply(f, x) = phi(f)(x)``; two backends ship here, conjugation inside
+SL(2, Z) and word substitution under free-group automorphisms.  The matrix
+backend runs on flat (a, b, c, d) tuples with the closed-form kernel of
+``exactmat`` and compares the pi side up to sign.
 
 Closed forms for inverse, conjugation, and commutator are provided and can
 be cross-checked against first-principles products (see
@@ -19,12 +19,11 @@ be cross-checked against first-principles products (see
 
 from __future__ import annotations
 
-import operator
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .exactmat import _flat_inv_z, _flat_mul_z, _sign_normal
+from .exactmat import _FLAT_ID, _flat_inv_z, _flat_mul_z, _sign_normal
 from .freegroup import Word
 
 
@@ -142,52 +141,33 @@ def comm_via_mul(a: SemiElem, b: SemiElem, act: ActionSpec) -> SemiElem:
 
 
 class MatrixConjugation(ActionSpec):
-    """A matrix group acting by conjugation on a normal matrix subgroup.
-
-    Elements are IntMat or ModMat values, or flat (a, b, c, d) tuples over
-    Z; the arithmetic is picked once, from the type of the identities.  With
-    ``psl_pi`` the pi side is compared up to sign (classes in the sign
-    quotient); with ``trivial`` the action is the identity (direct product).
-    """
-
-    def __init__(self, gamma_identity, pi_identity, psl_pi=False, trivial=False):
-        if type(gamma_identity) is not type(pi_identity):
-            raise BackendMismatch("Gamma and pi identities differ in type")
-        self._gid = gamma_identity
-        self._pid = pi_identity
-        self.psl_pi = psl_pi
-        self.trivial = trivial
-        if type(gamma_identity) is tuple:
-            self._mul, self._inv = _flat_mul_z, _flat_inv_z
-        else:
-            self._mul, self._inv = operator.mul, operator.methodcaller("inverse")
+    """SL(2, Z) acting by conjugation on itself, with the pi side compared
+    up to sign (classes in the sign quotient).  Elements are flat
+    (a, b, c, d) tuples over Z."""
 
     def gamma_mul(self, f, g):
-        return self._mul(f, g)
+        return _flat_mul_z(f, g)
 
     def gamma_inv(self, f):
-        return self._inv(f)
+        return _flat_inv_z(f)
 
     def gamma_id(self):
-        return self._gid
+        return _FLAT_ID
 
     def pi_mul(self, x, y):
-        return self._mul(x, y)
+        return _flat_mul_z(x, y)
 
     def pi_inv(self, x):
-        return self._inv(x)
+        return _flat_inv_z(x)
 
     def pi_id(self):
-        return self._pid
+        return _FLAT_ID
 
     def apply(self, f, x):
-        if self.trivial:
-            return x
-        mul = self._mul
-        return mul(mul(f, x), self._inv(f))
+        return _flat_mul_z(_flat_mul_z(f, x), _flat_inv_z(f))
 
     def pi_norm(self, x):
-        return _sign_normal(x) if self.psl_pi else x
+        return _sign_normal(x)
 
 
 class FreeGroupAction(ActionSpec):

@@ -154,11 +154,11 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) ->
     for _ in range(sample_count):
         u = DeltaElem(random_sl(n, modulus, rng), random_sl(n, modulus, rng))
         v = DeltaElem(random_sl(n, modulus, rng), random_sl(n, modulus, rng))
-        ru, rv = rho(u), rho(v)
-        if rho(delta_mul(u, v)) != ru * rv:
+        ru, rv, uv = rho(u), rho(v), delta_mul(u, v)
+        if rho(uv) != ru * rv:
             hom_failures += 1
         m = random_sl(n, modulus, rng)
-        if act(delta_mul(u, v), m) != act(u, act(v, m)):
+        if act(uv, m) != act(u, act(v, m)):
             left_action_failures += 1
         if ru == ident:
             kernel_hits += 1

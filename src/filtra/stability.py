@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .exactmat import _FLAT_ID, _flat_inv, _flat_mul, _parse_flat_sl2, format_matrix
+from .exactmat import _flat_inv, _flat_mul, _parse_flat_sl2, format_matrix
 from .filtration import FiltrationSpec, flat_congruence_basis, kernel_enumerate, level_of
 from .freegroup import Word, format_word, lcs_depth2, parse_word, poison_action
 from .holomorph import (
@@ -106,7 +106,7 @@ def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4,
     exponent-(r0+j) chain, with generator triples at every level."""
     gamma_spec = FiltrationSpec("gamma", p, s0, cap)
     pi_spec = FiltrationSpec("pgamma", p, r0, cap)
-    act = MatrixConjugation(_FLAT_ID, _FLAT_ID, psl_pi=True)
+    act = MatrixConjugation()
 
     def gamma_gens(level):
         return flat_congruence_basis(p, s0 + level)

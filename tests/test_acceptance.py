@@ -10,8 +10,8 @@ import time
 
 import filtra.filtration as filtration
 from filtra.cli import main as cli_main
-from filtra.exactmat import IntMat, Modulus, ModMat
-from filtra.filtration import FiltrationSpec, check_p_congruence, congruence_basis, kernel_enumerate
+from filtra.exactmat import IntMat, Modulus, _flat_inv, _flat_mul
+from filtra.filtration import FiltrationSpec, check_p_congruence, flat_congruence_basis, kernel_enumerate
 from filtra.freegroup import (
     Word,
     example_shift_action,
@@ -28,12 +28,12 @@ from filtra.graded import (
     bracket_from_lifts,
     class_of,
     lift,
-    random_kernel_element,
     verify_relation_table,
 )
 from filtra.holomorph import FreeGroupAction, MatrixConjugation, verify_holomorph_identities
 from filtra.linrep import verify_faithful
 from filtra.stability import poison_extension, replay_failure, run_congruence_suite
+from test_graded import random_kernel_element
 
 
 def _criterion(num, desc, passed):
@@ -61,17 +61,17 @@ def test_criterion_02_layer_coordinates():
     ok = True
     for p in (3, 5):
         for q in (1, 2, 3, 4):
-            t = p ** q
-            mod = Modulus(p, q + 1)
-            a = ModMat(((1, t), (0, 1)), mod)
-            b = ModMat(((1, 0), (t, 1)), mod)
-            c = ModMat(((1 + t, t), (-t, 1 - t)), mod)
-            d = ModMat(((1 + t, 0), (0, 1 - t)), mod)
-            ok = ok and class_of(a, q) == basis_class(p, q, "A")
-            ok = ok and class_of(b, q) == basis_class(p, q, "B")
-            ok = ok and class_of(d, q) == basis_class(p, q, "D")
-            ok = ok and class_of(c, q) == GradedClass(p, q, (1, -1, 1))
-            ok = ok and class_of(b * c * a.inverse(), q) == class_of(d, q)
+            t, m = p ** q, p ** (q + 1)
+            a = (1, t, 0, 1)
+            b = (1, 0, t, 1)
+            c = (1 + t, t, -t, 1 - t)
+            d = (1 + t, 0, 0, 1 - t)
+            ok = ok and class_of(a, p, q) == basis_class(p, q, "A")
+            ok = ok and class_of(b, p, q) == basis_class(p, q, "B")
+            ok = ok and class_of(d, p, q) == basis_class(p, q, "D")
+            ok = ok and class_of(c, p, q) == GradedClass(p, q, (1, -1, 1))
+            bca = _flat_mul(_flat_mul(b, c, m), _flat_inv(a, m), m)
+            ok = ok and class_of(bca, p, q) == class_of(d, p, q)
     _criterion(2, "layer coordinates of the four standard matrices, p in {3,5}", ok)
 
 
@@ -97,15 +97,15 @@ def test_criterion_04_bracket_well_defined():
                 c1 = GradedClass(p, q, tuple(rng.randrange(p) for _ in range(3)))
                 c2 = GradedClass(p, s, tuple(rng.randrange(p) for _ in range(3)))
                 t = q + s + 1
-                l1 = lift(c1, t) * random_kernel_element(p, q + 1, t, rng)
-                l2 = lift(c2, t) * random_kernel_element(p, s + 1, t, rng)
-                ok = ok and bracket_from_lifts(l1, l2, q, s) == bracket(c1, c2)
+                l1 = _flat_mul(lift(c1, t), random_kernel_element(p, q + 1, t, rng), p ** t)
+                l2 = _flat_mul(lift(c2, t), random_kernel_element(p, s + 1, t, rng), p ** t)
+                ok = ok and bracket_from_lifts(l1, l2, p, q, s) == bracket(c1, c2)
     _criterion(4, "bracket unchanged under 200 lift perturbations per cell", ok)
 
 
 def test_criterion_05_holomorph_identities():
-    act = MatrixConjugation(IntMat.identity(2), IntMat.identity(2), psl_pi=True)
-    gens = list(congruence_basis(3, 1).values())
+    act = MatrixConjugation()
+    gens = flat_congruence_basis(3, 1)
     ok = verify_holomorph_identities(act, gens, gens, 1000, seed=42)["ok"]
     act2 = FreeGroupAction(2, 3, poison_action())
     gamma_gens = [Word.generator(2, 1), Word.generator(2, 2)]

@@ -121,6 +121,38 @@ def test_rep_reports_pinned(capsys, args, digest):
     assert _pinned_digest(report) == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["graded", "verify", "-p", "2", "--qmax", "5"],
+     "24b45d2c04b116b5fc470d7d7c35538f271a7bb03f6a879c0e62f5b57a969b22"),
+    (["graded", "verify", "-p", "3", "--qmax", "5"],
+     "38ab99991e7239dba025a1528818758417decd80b964ab4bb2459b5d00ae25bd"),
+    (["graded", "verify", "-p", "5", "--qmax", "5"],
+     "48247854cea054279fee1650f4e54d4b9c97528ed28d5e62a688dea77b41baa4"),
+    (["graded", "bracket", "-p", "3", "-q", "1", "-s", "2", "--c1", "1,2,0", "--c2", "0,1,1"],
+     "3bf3d14b83828fbe3b882b78bad61cb110840a1677409b4c289709bdb4df4c0e"),
+    (["graded", "bracket", "-p", "5", "-q", "2", "-s", "1", "--c1", "1,2,3", "--c2", "4,1,1"],
+     "909b507dd97e30ba6d50de8746feb3a4e37f5a188ebd67dfae7fe9e995e08f44"),
+])
+def test_graded_reports_pinned(capsys, args, digest):
+    # sha256 of the report without timings and version, taken with the
+    # graded layer maps computed on ModMat
+    code, _, report = run_cli(capsys, *args)
+    assert code == 0
+    assert _pinned_digest(report) == digest
+
+
+@pytest.mark.parametrize("p", ["0", "1", "4", "-3", "1048583"])
+@pytest.mark.parametrize("command", [
+    ["graded", "bracket", "-q", "1", "-s", "1", "--c1", "1,0,0", "--c2", "0,1,0"],
+    ["graded", "verify", "--qmax", "3"],
+])
+def test_graded_rejects_bad_primes(capsys, command, p):
+    assert main(command + ["-p", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err and "Traceback" not in captured.err
+
+
 def test_rep_n4_is_cheap(capsys):
     started = time.perf_counter()
     code, _, report = run_cli(capsys, "rep", "--n", "4", "--mod", "5",

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from filtra.exactmat import IntMat, Modulus, ModMat, PslClass, parse_matrix, psl_class
+from filtra.exactmat import IntMat, Modulus, ModMat, _FLAT_ID, _flat_inv_z, _flat_mul_z, _parse_flat_sl2
 from filtra.filtration import (
     FiltrationSpec,
     GuardError,
     check_p_congruence,
-    congruence_basis,
+    flat_congruence_basis,
     kernel_enumerate,
     level_of,
 )
@@ -30,50 +30,44 @@ def _is_saturated(level, spec):
 
 
 def test_level_of_examples():
-    assert _is_saturated(level_of(IntMat.identity(2), PG3), PG3)
-    assert level_of(parse_matrix("1,3;0,1"), PG3) == 0
-    assert level_of(parse_matrix("1,9;0,1"), PG3) == 1
-    assert _is_saturated(level_of(parse_matrix("-1,0;0,-1"), PG3), PG3)
-    assert level_of(parse_matrix("-1,0;0,-1"), G3) == -1
-    assert level_of(parse_matrix("1,1;0,1"), PG3) == -1
+    flat = _parse_flat_sl2
+    assert _is_saturated(level_of(_FLAT_ID, PG3), PG3)
+    assert level_of(flat("1,3;0,1"), PG3) == 0
+    assert level_of(flat("1,9;0,1"), PG3) == 1
+    assert _is_saturated(level_of(flat("-1,0;0,-1"), PG3), PG3)
+    assert level_of(flat("-1,0;0,-1"), G3) == -1
+    assert level_of(flat("1,1;0,1"), PG3) == -1
     # negated deep element: sign class only in the pgamma family
-    m = parse_matrix("-1,-9;0,-1")
+    m = flat("-1,-9;0,-1")
     assert level_of(m, PG3) == 1
     assert level_of(m, G3) == -1
 
 
 def test_level_of_modular_inputs():
+    # only flat SL2(Z) tuples have a level; matrix objects are refused
     deep = Modulus(3, PG3.r0 + PG3.depth_cap + 1)
-    assert level_of(ModMat(((1, 9), (0, 1)), deep), PG3) == 1
-    assert _is_saturated(level_of(psl_class(ModMat(((-1, 0), (0, -1)), deep)), PG3), PG3)
-    with pytest.raises(GuardError):
-        level_of(ModMat.identity(2, Modulus(3, 2)), PG3)
+    for x in (ModMat(((1, 9), (0, 1)), deep), IntMat.identity(2), IntMat.identity(3), [1, 0, 0, 1]):
+        with pytest.raises(TypeError):
+            level_of(x, PG3)
     with pytest.raises(ValueError):
-        level_of(ModMat.identity(2, Modulus(5, 6)), PG3)
-    with pytest.raises(ValueError):
-        level_of(IntMat.identity(3), PG3)
-    with pytest.raises(ValueError):
-        level_of(parse_matrix("2,0;0,2"), PG3)
+        level_of((2, 0, 0, 2), PG3)
 
 
 def test_level_of_rejects_sign_class_in_gamma_family():
-    # {M, -M} has no gamma level: -I is in the pgamma chain but not in Gamma(3)
-    deep = Modulus(3, 6)
-    minus_i = psl_class(ModMat(((-1, 0), (0, -1)), deep))
+    # -I is in the pgamma chain at every depth but not in Gamma(3)
+    minus_i = (-1, 0, 0, -1)
     assert _is_saturated(level_of(minus_i, PG3), PG3)
-    with pytest.raises(ValueError):
-        level_of(minus_i, G3)
+    assert level_of(minus_i, G3) == -1
+    assert level_of((-1, -27, 0, -1), G3) == -1
 
 
 def test_level_of_checks_modular_determinant():
-    deep = Modulus(3, 6)
-    with pytest.raises(ValueError):
-        level_of(ModMat(((28, 0), (0, 1)), deep), PG3)
-    with pytest.raises(ValueError):
-        level_of(PslClass(ModMat(((28, 0), (0, 1)), deep)), PG3)
+    # det 28 = 1 mod 27 is still not det 1: levels live in SL2(Z)
     with pytest.raises(ValueError):
         level_of((28, 0, 0, 1), PG3)
-    assert level_of(ModMat(((28, 0), (0, 703)), deep), PG3) == 2   # 28 * 703 = 1 mod 729
+    with pytest.raises(ValueError):
+        level_of((28, 0, 0, 703), PG3)
+    assert level_of((28, 27, -27, -26), PG3) == 2   # 28 * -26 + 27 * 27 = 1
 
 
 def test_kernel_enumerate_odd_prime():
@@ -155,28 +149,27 @@ def test_guard_counts_determinant_one_triples(monkeypatch):
 
 def test_subgroup_and_normality_invariants():
     rng = random.Random("invariants")
+    mul = _flat_mul_z
     gens = []
     for level in range(3):
-        gens.extend(congruence_basis(3, 1 + level).values())
-    gens += [g.inverse() for g in gens]
-    ambient = [
-        parse_matrix("1,0;0,-1"),
-        parse_matrix("0,1;-1,0"),
-        parse_matrix("1,1;0,1"),
-    ]
+        gens.extend(flat_congruence_basis(3, 1 + level))
+    gens += [_flat_inv_z(g) for g in gens]
+    ambient = [_parse_flat_sl2("0,1;-1,0"), _parse_flat_sl2("1,1;0,1")]
     for _ in range(200):
-        x = IntMat.identity(2)
-        y = IntMat.identity(2)
+        x = _FLAT_ID
+        y = _FLAT_ID
         for _ in range(rng.randint(1, 5)):
-            x = x * rng.choice(gens)
-            y = y * rng.choice(gens)
+            x = mul(x, rng.choice(gens))
+            y = mul(y, rng.choice(gens))
         lx, ly = level_of(x, PG3), level_of(y, PG3)
-        assert level_of(x * y, PG3) >= min(lx, ly)
-        g = IntMat.identity(2)
+        assert level_of(mul(x, y), PG3) >= min(lx, ly)
+        g = _FLAT_ID
         for _ in range(rng.randint(1, 3)):
-            g = g * rng.choice(ambient)
-        conj = g * x * g.inverse()
+            g = mul(g, rng.choice(ambient))
+        conj = mul(mul(g, x), _flat_inv_z(g))
         assert level_of(conj, PG3) == lx
+        # conjugation by diag(1, -1), its own inverse, keeps the level too
+        assert level_of(mul(mul((1, 0, 0, -1), x), (1, 0, 0, -1)), PG3) == lx
 
 
 def test_check_p_congruence_bound():
@@ -206,9 +199,8 @@ def test_quotient_table_identity_and_membership():
     x = t.elements[1]
     assert t.mul(x, t.inv(x)) == t.identity
     assert t.power(x, t.exponent()) == t.identity
-    mats = t.matrices()
-    assert len(mats) == t.order
-    assert all(m.det() == 1 for m in mats)
+    assert len(t.elements) == t.order
+    assert all((a * d - b * c) % t.m == 1 for a, b, c, d in t.elements)
 
 
 def test_table_cache_returns_one_table_until_cleared():

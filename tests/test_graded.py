@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from filtra.exactmat import Modulus, ModMat
+from filtra.exactmat import _FLAT_ID, _flat_inv, _flat_mul
 from filtra.graded import (
     GradedClass,
     GradedError,
@@ -15,74 +15,100 @@ from filtra.graded import (
     class_smul,
     lift,
     power_map,
-    random_kernel_element,
     verify_relation_table,
     zero_class,
 )
+from filtra.holomorph import random_element
+
+
+def random_kernel_element(p, level, t_exp, rng):
+    """A random flat determinant-one matrix mod p^t_exp congruent to I mod
+    p^level: a word of length 1..4 in the canonical lifts at that level."""
+    m = p ** t_exp
+    names = ["A", "B"] if p == 2 else ["A", "B", "D"]
+    lifts = [lift(basis_class(p, level, name), t_exp) for name in names]
+    alphabet = lifts + [_flat_inv(g, m) for g in lifts]
+    return random_element(alphabet, lambda x, y: _flat_mul(x, y, m), _FLAT_ID, rng, 4)
 
 
 def basis_matrices(p, q):
+    """The four standard level-q matrices, flat mod p^{q+1}."""
     t = p ** q
-    m = Modulus(p, q + 1)
+    m = p ** (q + 1)
     return {
-        "A": ModMat(((1, t), (0, 1)), m),
-        "B": ModMat(((1, 0), (t, 1)), m),
-        "C": ModMat(((1 + t, t), (-t, 1 - t)), m),
-        "D": ModMat(((1 + t, 0), (0, 1 - t)), m),
+        "A": (1, t, 0, 1),
+        "B": (1, 0, t, 1),
+        "C": ((1 + t) % m, t, -t % m, (1 - t) % m),
+        "D": ((1 + t) % m, 0, 0, (1 - t) % m),
     }
+
+
+def _neg(x):
+    return tuple(-e for e in x)
 
 
 def test_class_of_basis_and_mixed():
     for p in (3, 5):
         for q in (1, 2, 3, 4):
+            m = p ** (q + 1)
             mats = basis_matrices(p, q)
-            assert class_of(mats["A"], q) == basis_class(p, q, "A")
-            assert class_of(mats["B"], q) == basis_class(p, q, "B")
-            assert class_of(mats["D"], q) == basis_class(p, q, "D")
-            assert class_of(mats["C"], q) == GradedClass(p, q, (1, -1, 1))
-            prod = mats["B"] * mats["C"] * mats["A"].inverse()
-            assert class_of(prod, q) == class_of(mats["D"], q)
+            assert class_of(mats["A"], p, q) == basis_class(p, q, "A")
+            assert class_of(mats["B"], p, q) == basis_class(p, q, "B")
+            assert class_of(mats["D"], p, q) == basis_class(p, q, "D")
+            assert class_of(mats["C"], p, q) == GradedClass(p, q, (1, -1, 1))
+            prod = _flat_mul(_flat_mul(mats["B"], mats["C"], m), _flat_inv(mats["A"], m), m)
+            assert class_of(prod, p, q) == class_of(mats["D"], p, q)
 
 
 def test_class_of_sign_normalization():
     for p, q in ((3, 1), (3, 2), (2, 1), (2, 2), (2, 3)):
         mats = basis_matrices(p, q)
         for name in ("A", "B"):
-            assert class_of(-mats[name], q) == class_of(mats[name], q)
+            assert class_of(_neg(mats[name]), p, q) == class_of(mats[name], p, q)
 
 
 def test_class_of_additive():
     rng = random.Random("additive")
     for p, q in ((3, 1), (3, 2), (5, 1), (2, 2)):
+        m = p ** (q + 1)
         for _ in range(40):
             m1 = random_kernel_element(p, q, q + 1, rng)
             m2 = random_kernel_element(p, q, q + 1, rng)
-            assert class_of(m1 * m2, q) == class_add(class_of(m1, q), class_of(m2, q))
+            assert class_of(_flat_mul(m1, m2, m), p, q) == class_add(class_of(m1, p, q), class_of(m2, p, q))
 
 
 def test_class_of_errors():
     mats = basis_matrices(3, 1)
     with pytest.raises(GradedError):
-        class_of(mats["A"], 2)          # wrong modulus exponent for the level
-    bad = ModMat(((1, 1), (0, 1)), Modulus(3, 2))
+        class_of(mats["A"], 3, 2)       # not in the kernel one level deeper
     with pytest.raises(GradedError):
-        class_of(bad, 1)                # not in the kernel
+        class_of((1, 1, 0, 1), 3, 1)    # not in the kernel
+    with pytest.raises(GradedError):
+        class_of((2, 0, 0, 1), 3, 1)    # determinant 2 mod 9
     with pytest.raises(GradedError):
         GradedClass(3, 0, (0, 0, 0))
     with pytest.raises(GradedError):
         GradedClass(2, 1, (0, 0, 0))
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -3, 1048583])
+def test_graded_class_rejects_bad_primes(p):
+    # the rule of exactmat.Modulus: a prime below 2^20
+    with pytest.raises(GradedError, match="prime below 2"):
+        GradedClass(p, 1, (1, 0, 0))
+
+
 def test_lift_examples():
-    assert lift(zero_class(3, 1), 2) == ModMat.identity(2, Modulus(3, 2))
-    assert lift(basis_class(3, 1, "A"), 4) == ModMat(((1, 3), (0, 1)), Modulus(3, 4))
-    assert lift(GradedClass(3, 1, (0, 0, 1)), 3) == ModMat(((4, 0), (0, 7)), Modulus(3, 3))
+    assert lift(zero_class(3, 1), 2) == _FLAT_ID
+    assert lift(basis_class(3, 1, "A"), 4) == (1, 3, 0, 1)
+    assert lift(GradedClass(3, 1, (0, 0, 1)), 3) == (4, 0, 0, 7)
     for p, q in ((3, 1), (3, 2), (5, 1), (2, 1), (2, 3)):
+        m = p ** (q + 1)
         for coords in ([(1, 0)] if p == 2 else [(1, 0, 0), (2, 1, 2), (0, 1, 1)]):
             c = GradedClass(p, q, tuple(coords))
-            m = lift(c, q + 1)
-            assert m.det() == 1
-            assert class_of(m, q) == c
+            a, b, cc, d = x = lift(c, q + 1)
+            assert (a * d - b * cc) % m == 1 and all(0 <= e < m for e in x)
+            assert class_of(x, p, q) == c
 
 
 def test_bracket_relation_examples():
@@ -114,9 +140,9 @@ def test_bracket_lift_independent():
             c2 = GradedClass(p, s, tuple(rng.randrange(p) for _ in range(3)))
             expected = bracket(c1, c2)
             t = q + s + 1
-            l1 = lift(c1, t) * random_kernel_element(p, q + 1, t, rng)
-            l2 = lift(c2, t) * random_kernel_element(p, s + 1, t, rng)
-            assert bracket_from_lifts(l1, l2, q, s) == expected
+            l1 = _flat_mul(lift(c1, t), random_kernel_element(p, q + 1, t, rng), p ** t)
+            l2 = _flat_mul(lift(c2, t), random_kernel_element(p, s + 1, t, rng), p ** t)
+            assert bracket_from_lifts(l1, l2, p, q, s) == expected
 
 
 def test_antisymmetry():

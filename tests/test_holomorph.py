@@ -1,10 +1,9 @@
 import pytest
 
-from filtra.exactmat import IntMat, Modulus, ModMat
-from filtra.filtration import congruence_basis
+from filtra.exactmat import _FLAT_ID, _flat_inv_z, _flat_mul_z
+from filtra.filtration import flat_congruence_basis
 from filtra.freegroup import Word, poison_action
 from filtra.holomorph import (
-    BackendMismatch,
     FreeGroupAction,
     MatrixConjugation,
     SemiElem,
@@ -19,18 +18,38 @@ from filtra.holomorph import (
     verify_holomorph_identities,
 )
 
-M9 = Modulus(3, 2)
-A1 = ModMat(((1, 3), (0, 1)), M9)
-B1 = ModMat(((1, 0), (3, 1)), M9)
-I2 = ModMat.identity(2, M9)
-ACT = MatrixConjugation(I2, I2)
-TRIV = MatrixConjugation(I2, I2, trivial=True)
+class TrivialConjugation(MatrixConjugation):
+    def apply(self, f, x):
+        return x
+
+
+A1 = (1, 3, 0, 1)
+B1 = (1, 0, 3, 1)
+I2 = _FLAT_ID
+ACT = MatrixConjugation()
+TRIV = TrivialConjugation()
+
+
+def mul(*xs):
+    out = I2
+    for x in xs:
+        out = _flat_mul_z(out, x)
+    return out
+
+
+inv = _flat_inv_z
+
+
+def neg(x):
+    return tuple(-e for e in x)
 
 
 def test_trivial_action_is_direct_product():
     a, b = SemiElem(A1, B1), SemiElem(B1, A1)
     prod = semi_mul(a, b, TRIV)
-    assert prod.f == A1 * B1 and prod.x == B1 * A1
+    assert prod.f == mul(A1, B1) and prod.x == mul(B1, A1)
+    c, d = SemiElem(I2, A1), SemiElem(B1, I2)
+    assert semi_mul(c, d, TRIV).x == A1 != semi_mul(c, d, ACT).x
 
 
 def test_identity_element():
@@ -42,18 +61,18 @@ def test_identity_element():
 def test_semi_mul_conjugation_example():
     # (A1, B1) * (A1, B1) = (A1^2, A1^-1 B1 A1 * B1), evaluated exactly
     prod = semi_mul(SemiElem(A1, B1), SemiElem(A1, B1), ACT)
-    assert prod.f == A1 * A1
-    assert prod.x == A1.inverse() * B1 * A1 * B1
+    assert prod.f == mul(A1, A1)
+    assert prod.x == mul(inv(A1), B1, A1, B1)
 
 
 def test_semi_inv_examples():
-    assert semi_inv(SemiElem(I2, B1), ACT) == SemiElem(I2, B1.inverse())
-    assert semi_inv(SemiElem(A1, I2), ACT) == SemiElem(A1.inverse(), I2)
+    assert semi_inv(SemiElem(I2, B1), ACT) == SemiElem(I2, inv(B1))
+    assert semi_inv(SemiElem(A1, I2), ACT) == SemiElem(inv(A1), I2)
     a = SemiElem(A1, B1)
-    inv = semi_inv(a, ACT)
-    assert inv == SemiElem(A1.inverse(), A1 * B1.inverse() * A1.inverse())
-    assert semi_eq(semi_mul(a, inv, ACT), semi_id(ACT), ACT)
-    assert semi_eq(semi_mul(inv, a, ACT), semi_id(ACT), ACT)
+    ainv = semi_inv(a, ACT)
+    assert ainv == SemiElem(inv(A1), mul(A1, inv(B1), inv(A1)))
+    assert semi_eq(semi_mul(a, ainv, ACT), semi_id(ACT), ACT)
+    assert semi_eq(semi_mul(ainv, a, ACT), semi_id(ACT), ACT)
 
 
 def test_semi_conj_examples():
@@ -62,8 +81,8 @@ def test_semi_conj_examples():
     assert semi_eq(semi_conj(semi_id(ACT), b, ACT), b, ACT)
     assert semi_eq(semi_conj(a, semi_id(ACT), ACT), semi_id(ACT), ACT)
     # conjugating the pi part by (f, 1) twists by f; by (f, 1)^-1 twists by f^-1
-    assert semi_conj(a, b, ACT) == SemiElem(I2, A1 * B1 * A1.inverse())
-    assert semi_conj(semi_inv(a, ACT), b, ACT) == SemiElem(I2, A1.inverse() * B1 * A1)
+    assert semi_conj(a, b, ACT) == SemiElem(I2, mul(A1, B1, inv(A1)))
+    assert semi_conj(semi_inv(a, ACT), b, ACT) == SemiElem(I2, mul(inv(A1), B1, A1))
     assert semi_eq(semi_conj(a, b, ACT), conj_via_mul(a, b, ACT), ACT)
 
 
@@ -76,9 +95,8 @@ def test_semi_comm_examples():
 
 
 def test_identities_congruence_backend():
-    act = MatrixConjugation(IntMat.identity(2), IntMat.identity(2), psl_pi=True)
-    gens = list(congruence_basis(3, 1).values())
-    report = verify_holomorph_identities(act, gens, gens, 200, seed=11)
+    gens = flat_congruence_basis(3, 1)
+    report = verify_holomorph_identities(ACT, gens, gens, 200, seed=11)
     assert report["ok"], report
 
 
@@ -99,11 +117,10 @@ def test_free_action_application_order():
 
 
 def test_psl_normalization_in_equality():
-    act = MatrixConjugation(I2, I2, psl_pi=True)
+    # pi is compared up to sign, Gamma exactly
     x = SemiElem(A1, B1)
-    y = SemiElem(A1, -B1)
-    assert semi_eq(x, y, act)
-    assert not semi_eq(x, y, ACT)
+    assert semi_eq(x, SemiElem(A1, neg(B1)), ACT)
+    assert not semi_eq(x, SemiElem(neg(A1), B1), ACT)
 
 
 def test_action_axioms_both_backends():
@@ -112,9 +129,8 @@ def test_action_axioms_both_backends():
     from filtra.holomorph import random_element
 
     backends = []
-    gens = list(congruence_basis(3, 1).values())
-    int_act = MatrixConjugation(IntMat.identity(2), IntMat.identity(2), psl_pi=True)
-    backends.append((int_act, gens, gens))
+    gens = flat_congruence_basis(3, 1)
+    backends.append((ACT, gens, gens))
     free = FreeGroupAction(2, 3, poison_action())
     backends.append((free, [Word.generator(2, 1), Word.generator(2, 2)],
                      [Word.generator(3, i) for i in (1, 2, 3)]))
@@ -131,9 +147,10 @@ def test_action_axioms_both_backends():
 
 
 def test_matrix_backend_needs_one_element_type():
-    with pytest.raises(BackendMismatch):
-        MatrixConjugation((1, 0, 0, 1), IntMat.identity(2))
-    flat = MatrixConjugation((1, 0, 0, 1), (1, 0, 0, 1), psl_pi=True)
+    # the flat SL2(Z) kernel is the only backend: nothing to choose
+    with pytest.raises(TypeError):
+        MatrixConjugation(I2, I2)
+    flat = MatrixConjugation()
     x = (1, 3, 0, 1)
     assert flat.pi_eq(flat.apply((0, -1, 1, 0), x), (1, 0, -3, 1))
     assert flat.pi_eq(x, (-1, -3, 0, -1))

@@ -11,7 +11,9 @@ import random
 
 import pytest
 
-from filtra.exactmat import IntMat, Modulus, ModMat, NonInvertible, _FLAT_ID, _flat, _flat_inv_z, _mat_mul_n
+from filtra.exactmat import (
+    IntMat, Modulus, ModMat, NonInvertible, _flat, _flat_inv, _flat_inv_z, _flat_mul, _mat_mul_n,
+)
 from filtra.filtration import (
     FAMILIES,
     FiltrationSpec,
@@ -23,9 +25,13 @@ from filtra.filtration import (
     level_of,
 )
 from filtra.freegroup import EndoSpec, Word, mccool_generator, poison_action
-from filtra.graded import GradedClass, basis_class, class_add, class_of, zero_class
+from filtra.graded import (
+    GradedClass, GradedError, basis_class, bracket, bracket_from_lifts, class_add, class_of, lift, power_map,
+    zero_class,
+)
 from filtra.holomorph import MatrixConjugation
 from filtra.linrep import DeltaElem, random_sl, rho
+from test_graded import _neg, random_kernel_element
 
 
 def brute_frattini_rank(table):
@@ -143,11 +149,24 @@ def scratch_greedy_generators(table):
     return gens
 
 
+def element_order(table, x):
+    """The order of x, climbing by repeated p-th powers (orders are
+    p-powers), one element at a time."""
+    k = 1
+    y = x
+    while y != table.identity:
+        y = table.power(y, table.p)
+        k *= table.p
+        if k > table.order:
+            raise NotPGroup("element order is not a p-power")
+    return k
+
+
 def test_memoised_exponent_matches_element_orders():
     for case in SMALL_TABLES:
         t = kernel_enumerate(*case)
         fresh = QuotientTable(t.p, t.i, t.j, t.family, t.elements, t.scalars)
-        assert fresh.exponent() == max(fresh.element_order(x) for x in fresh.elements)
+        assert fresh.exponent() == max(element_order(fresh, x) for x in fresh.elements)
     # -I mod 9 has order 2, which no chain of cubes reaches
     odd = QuotientTable(3, 1, 2, "gamma", [(1, 0, 0, 1), (8, 0, 0, 8)], (1,))
     with pytest.raises(NotPGroup):
@@ -197,17 +216,10 @@ def test_bracket_by_exhaustive_coset_pairing():
     # the full cosets of A_1 and B_1 over the level-2 kernel.
     p = 3
     table = kernel_enumerate(p, 1, 3, "gamma")
-    mod = Modulus(p, 3)
 
     def coset_of(cls):
-        members = []
-        for e in table.elements:
-            m = ModMat((e[:2], e[2:]), mod)
-            # class at level 1 needs the reduction mod p^2
-            red = ModMat(m.entries, Modulus(p, 2))
-            if class_of(red, 1) == cls:
-                members.append(m)
-        return members
+        # class at level 1 reads the element mod p^2
+        return [e for e in table.elements if class_of(e, p, 1) == cls]
 
     a_reps = coset_of(basis_class(p, 1, "A"))
     b_reps = coset_of(basis_class(p, 1, "B"))
@@ -215,8 +227,8 @@ def test_bracket_by_exhaustive_coset_pairing():
     want = basis_class(p, 2, "D")
     for u in a_reps:
         for v in b_reps:
-            comm = u * v * u.inverse() * v.inverse()
-            assert class_of(comm, 2) == want
+            comm = table.mul(table.mul(u, v), table.mul(table.inv(u), table.inv(v)))
+            assert class_of(comm, p, 2) == want
 
 
 def test_layer_addition_by_exhaustive_table():
@@ -224,20 +236,125 @@ def test_layer_addition_by_exhaustive_table():
     # additive over the entire enumerated kernel
     for p in (3, 2):
         table = kernel_enumerate(p, 2, 3, "pgamma")
-        mod = Modulus(p, 3)
         seen = {}
         for e in table.elements:
-            cls = class_of(ModMat((e[:2], e[2:]), mod), 2)
+            cls = class_of(e, p, 2)
             assert cls.coords not in seen
             seen[cls.coords] = e
         assert len(seen) == table.order
         assert zero_class(p, 2).coords in seen
         for c1, e1 in seen.items():
             for c2, e2 in seen.items():
-                prod = table.mul(e1, e2)
-                got = class_of(ModMat((prod[:2], prod[2:]), mod), 2)
+                got = class_of(table.mul(e1, e2), p, 2)
                 want = class_add(GradedClass(p, 2, c1), GradedClass(p, 2, c2))
                 assert got == want
+
+
+# -- reference: the graded layer maps computed with ModMat arithmetic --------
+
+def _ref_pow(m, k):
+    out = ModMat.identity(2, m.modulus)
+    for _ in range(k):
+        out = out * m
+    return out
+
+
+def ref_class_of(m, q):
+    mod = m.modulus
+    p = mod.p
+    if mod.r != q + 1:
+        raise GradedError("expected a matrix mod %d^%d, got modulus %s" % (p, q + 1, mod))
+    if m.det() != 1:
+        raise GradedError("expected det = 1 mod %d, got %d" % (mod.m, m.det()))
+    pq = p ** q
+
+    def offset(mat):
+        diffs = [mat.entries[i][j] - (1 if i == j else 0) for i in range(2) for j in range(2)]
+        if all(d % pq == 0 for d in diffs):
+            return tuple((d // pq) % p for d in diffs)
+        return None
+
+    n = offset(m)
+    if n is None:
+        n = offset(-m)
+    if n is None:
+        raise GradedError("matrix is not congruent to +-I mod %d^%d" % (p, q))
+    n00, n01, n10, n11 = n
+    if p == 2:
+        return GradedClass(p, q, (n01, n10))
+    return GradedClass(p, q, (n01, n10, n00))
+
+
+def ref_lift(c, t_exp):
+    p, q = c.p, c.q
+    mod = Modulus(p, t_exp)
+    pq = p ** q
+    a, b, d = (c.coords + (0,)) if p == 2 else c.coords
+    out = ModMat(((1, a * pq), (0, 1)), mod) * ModMat(((1, 0), (b * pq, 1)), mod)
+    if d:
+        u = (1 + pq) % mod.m
+        out = out * _ref_pow(ModMat(((u, 0), (0, pow(u, -1, mod.m))), mod), d)
+    return out
+
+
+def ref_bracket_from_lifts(m1, m2, q, s):
+    return ref_class_of(m1 * m2 * m1.inverse() * m2.inverse(), q + s)
+
+
+def ref_power_map(c):
+    return ref_class_of(_ref_pow(ref_lift(c, c.q + 2), c.p), c.q + 1)
+
+
+def _as_modmat(x, p, r):
+    return ModMat((x[:2], x[2:]), Modulus(p, r))
+
+
+def _all_classes(p, q):
+    return [GradedClass(p, q, v) for v in itertools.product(range(p), repeat=2 if p == 2 else 3)]
+
+
+def test_flat_graded_matches_modmat_graded_on_every_class():
+    for p in (2, 3, 5):
+        for q in (1, 2, 3):
+            classes = _all_classes(p, q)
+            for c in classes:
+                for t in (q + 1, q + 2):
+                    x = lift(c, t)
+                    assert _as_modmat(x, p, t) == ref_lift(c, t)
+                # both signs of every lift, read at level q
+                x = lift(c, q + 1)
+                for y in (x, _neg(x)):
+                    assert class_of(y, p, q) == ref_class_of(_as_modmat(y, p, q + 1), q) == c
+                assert power_map(c) == ref_power_map(c)
+            for s in range(1, 4 - q):
+                t = q + s + 1
+                # every class on both sides; each c1 meets every p-th c2
+                others = _all_classes(p, s)
+                for i, c1 in enumerate(classes):
+                    for c2 in others[i % p::p]:
+                        x1, x2 = lift(c1, t), lift(c2, t)
+                        want = ref_bracket_from_lifts(_as_modmat(x1, p, t), _as_modmat(x2, p, t), q, s)
+                        assert bracket(c1, c2) == bracket_from_lifts(_neg(x1), x2, p, q, s) == want
+
+
+def test_flat_graded_matches_modmat_graded_on_perturbed_lifts():
+    rng = random.Random("graded-oracle")
+    p = 3
+    for q, s in [(q, s) for q in range(1, 4) for s in range(1, 4) if q + s <= 4]:
+        t = q + s + 1
+        m = p ** t
+        for _ in range(200):
+            c1 = GradedClass(p, q, tuple(rng.randrange(p) for _ in range(3)))
+            c2 = GradedClass(p, s, tuple(rng.randrange(p) for _ in range(3)))
+            x1 = _flat_mul(lift(c1, t), random_kernel_element(p, q + 1, t, rng), m)
+            x2 = _flat_mul(lift(c2, t), random_kernel_element(p, s + 1, t, rng), m)
+            if rng.random() < 0.5:
+                x1 = _neg(x1)
+            want = ref_bracket_from_lifts(_as_modmat(x1, p, t), _as_modmat(x2, p, t), q, s)
+            assert bracket_from_lifts(x1, x2, p, q, s) == want == bracket(c1, c2)
+            comm = _flat_mul(_flat_mul(x1, x2, m), _flat_mul(_flat_inv(x1, m), _flat_inv(x2, m), m), m)
+            assert class_of(comm, p, q + s) == want
+            assert class_of(x1, p, q) == ref_class_of(_as_modmat(x1, p, q + 1), q) == c1
 
 
 def brute_congruence_exponent(rows, p, cap, allow_sign):
@@ -267,23 +384,21 @@ def _sl2_words(rng, p):
 
 def test_flat_backend_matches_intmat_backend():
     rng = random.Random("flat-backend")
-    flat_act = MatrixConjugation(_FLAT_ID, _FLAT_ID, psl_pi=True)
-    int_act = MatrixConjugation(IntMat.identity(2), IntMat.identity(2), psl_pi=True)
+    flat_act = MatrixConjugation()
     for k in range(500):
         p = (2, 3, 5)[k % 3]
         u, v = _sl2_words(rng, p), _sl2_words(rng, p)
         fu, fv = _flat(u), _flat(v)
-        assert flat_act.gamma_mul(fu, fv) == flat_act.pi_mul(fu, fv) == _flat(int_act.gamma_mul(u, v))
-        assert flat_act.gamma_inv(fu) == flat_act.pi_inv(fu) == _flat(int_act.gamma_inv(u))
-        assert flat_act.apply(fu, fv) == _flat(int_act.apply(u, v))
-        assert flat_act.pi_norm(fv) == _flat(int_act.pi_norm(v))
+        assert flat_act.gamma_mul(fu, fv) == flat_act.pi_mul(fu, fv) == _flat(u * v)
+        assert flat_act.gamma_inv(fu) == flat_act.pi_inv(fu) == _flat(u.inverse())
+        assert flat_act.apply(fu, fv) == _flat(u * v * u.inverse())
+        assert flat_act.pi_norm(fv) == _flat(min(v, -v, key=lambda a: a.entries))
         for family in ("gamma", "pgamma"):
             spec = FiltrationSpec(family, p, 1, 3)
             cap_exp = spec.r0 + spec.depth_cap + 1
             e = brute_congruence_exponent(v.entries, p, cap_exp, spec.allow_sign)
             want = e - spec.r0 if e >= spec.r0 else -1
-            assert level_of(fv, spec) == level_of(v, spec) == want
-            assert level_of(ModMat(v.entries, Modulus(p, cap_exp)), spec) == want
+            assert level_of(fv, spec) == want
     with pytest.raises(NonInvertible):
         _flat_inv_z((2, 0, 0, 1))
     with pytest.raises(NonInvertible):

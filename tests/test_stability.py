@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from filtra.exactmat import IntMat, MatrixError, parse_matrix
+from filtra.exactmat import MatrixError, parse_matrix
 from filtra.stability import (
     check_G_lie_like,
     check_twist_equivalence,
@@ -125,18 +125,16 @@ def test_congruence_suite_small():
 
 
 def test_trivial_action_always_stable():
-    from filtra.exactmat import IntMat
-    from filtra.filtration import FiltrationSpec, congruence_basis, level_of
-    from filtra.holomorph import MatrixConjugation
+    from filtra.filtration import FiltrationSpec, flat_congruence_basis, level_of
     from filtra.stability import ExtensionSpec
+    from test_holomorph import TrivialConjugation
 
     gamma_spec = FiltrationSpec("gamma", 3, 1, 2)
     pi_spec = FiltrationSpec("pgamma", 3, 1, 2)
-    act = MatrixConjugation(IntMat.identity(2), IntMat.identity(2), psl_pi=True, trivial=True)
-    gens = lambda base: (lambda level: list(congruence_basis(3, base + level).values()))
+    gens = lambda base: (lambda level: flat_congruence_basis(3, base + level))
     ext = ExtensionSpec(
         name="trivial",
-        act=act,
+        act=TrivialConjugation(),
         gamma_level=lambda f: level_of(f, gamma_spec),
         pi_level=lambda x: level_of(x, pi_spec),
         gamma_gens=gens(1),
@@ -156,8 +154,8 @@ def test_product_filtration_cap_guard(cong):
 
 
 def test_top_levels_saturate(cong, poison):
-    ident = IntMat.identity(2)
-    deep = parse_matrix("1,%d;0,1" % 3 ** 9)
+    ident = cong.act.gamma_id()
+    deep = cong.gamma_parse("1,%d;0,1" % 3 ** 9)
     for level, cap in ((cong.gamma_level(ident), cong.gamma_cap),
                        (cong.gamma_level(deep), cong.gamma_cap),
                        (cong.pi_level(deep), cong.pi_cap),
