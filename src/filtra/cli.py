@@ -69,9 +69,12 @@ def _cmd_quotient(args, started):
 def _cmd_pcongruence(args, started):
     spec = FiltrationSpec(args.family, args.p, args.r0, args.jmax)
     result = check_p_congruence(spec, args.jmax, args.e, seed=args.seed)
+    stats = result.pop("stats")
     config = {"family": args.family, "p": args.p, "r0": args.r0,
               "jmax": args.jmax, "e": args.e, "seed": args.seed}
-    return (0 if result["ok"] else 1), _report("pcongruence", config, result, result["ok"], started)
+    report = _report("pcongruence", config, result, result["ok"], started)
+    report["timings"]["stats"] = stats
+    return (0 if result["ok"] else 1), report
 
 
 def _cmd_stability(args, started):

@@ -7,10 +7,12 @@ p^{r0}, p^{r0+1}, ... of either family:
   integral matrix group), and
 - ``pgamma``: sign classes, i.e. matrices congruent to +-I mod p^e.
 
-``level_of`` measures how deep an element sits, ``kernel_enumerate`` builds
-the finite quotient between two levels by complete enumeration, and
-``check_p_congruence`` verifies the finite p-group and bounded-generation
-conditions for every pair of levels up to a depth cap.
+``level_of`` measures how deep an element sits, ``tower_invariants``
+certifies the order, exponent and d(G) of the finite quotient between two
+levels from the graded tower, ``kernel_enumerate`` builds that quotient by
+complete enumeration, and ``check_p_congruence`` verifies the finite p-group
+and bounded-generation conditions for every pair of levels up to a depth
+cap.
 
 Elements of SL(2, Z) are flat (a, b, c, d) tuples, the form the samplers
 use (``flat_congruence_basis`` gives the generators that way); quotient
@@ -21,6 +23,13 @@ count its factors of p up to the cap.
 
 A level is an int in [-1, cap + 1]: -1 outside the level-0 group, cap + 1
 for anything deeper than the truncation cap can distinguish.
+
+The tower certificate reads each layer Gamma(p^q)/Gamma(p^{q+1}) as F_p^3
+through the coordinates of x = I + p^q N and follows the p^{q-i}-th powers of
+three basis lifts down the layers, so it costs O(j - i) flat products mod
+p^j at any depth.  It covers the gamma family at every p and the pgamma
+family at odd p, where the two quotients coincide; the pgamma quotient at
+p = 2 identifies central scalar classes and is enumerated.
 
 The quotient between levels p^i and p^j (i >= 1) is enumerated on its
 determinant-one locus: a = 1 + p^i n is a unit mod p^j, so d = (1 + bc) a^-1
@@ -46,8 +55,8 @@ import random
 from dataclasses import dataclass
 
 from .exactmat import (
-    IntMat, _FLAT_ID, _flat, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z, _flat_pow, format_matrix,
-    is_prime,
+    IntMat, _FLAT_ID, _det_cofactor, _flat, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z, _flat_pow,
+    format_matrix, is_prime,
 )
 from .holomorph import random_element
 
@@ -438,6 +447,20 @@ def _plog(n, p):
     return k
 
 
+def _check_quotient(p, i, j, family):
+    if family not in FAMILIES:
+        raise ValueError("family must be one of %s" % (FAMILIES,))
+    if not (1 <= i < j):
+        raise ValueError("need 1 <= i < j, got i=%d j=%d" % (i, j))
+    if not is_prime(p):
+        raise ValueError("p must be prime, got %r" % (p,))
+
+
+def _enumeration_size(p, i, j):
+    """The determinant-one triples ``kernel_enumerate`` lists, p^{3(j-i)}."""
+    return p ** (3 * (j - i))
+
+
 def kernel_enumerate(p: int, i: int, j: int, family: str = "pgamma") -> QuotientTable:
     """Enumerate the quotient between congruence levels p^i and p^j.
 
@@ -448,14 +471,15 @@ def kernel_enumerate(p: int, i: int, j: int, family: str = "pgamma") -> Quotient
     result is normalized across central scalar classes.  Guarded by
     p^{3(j-i)} <= FILTRA_MAX_ENUM (default 10^7), also for tables already
     in the cache.
+
+    Tables answer what the tower certificate does not: the ``quotient``
+    command, the pairs ``tower_invariants`` refuses (the pgamma family at
+    p = 2), and the constructive generator check of the stability suite's
+    small cells.  They are also the oracle the certificate is tested
+    against.
     """
-    if family not in FAMILIES:
-        raise ValueError("family must be one of %s" % (FAMILIES,))
-    if not (1 <= i < j):
-        raise ValueError("need 1 <= i < j, got i=%d j=%d" % (i, j))
-    if not is_prime(p):
-        raise ValueError("p must be prime, got %r" % (p,))
-    work = p ** (3 * (j - i))
+    _check_quotient(p, i, j, family)
+    work = _enumeration_size(p, i, j)
     limit = enum_guard_limit()
     if work > limit:
         raise GuardError("enumeration size p^{3(j-i)} = %d exceeds guard %d" % (work, limit))
@@ -477,24 +501,127 @@ def clear_table_cache() -> None:
     _enumerate.cache_clear()
 
 
+def table_invariants(p: int, i: int, j: int, family: str = "pgamma") -> dict:
+    """The fields ``tower_invariants`` returns, read off the enumerated
+    table (``kernel_enumerate``, so guarded)."""
+    table = kernel_enumerate(p, i, j, family)
+    return dict(table.to_dict(), p_group=table.is_p_group())
+
+
+def _layer_coords(x, p, q):
+    """(N01, N10, N00) mod p for x = I + p^q N, or None when x is not I
+    mod p^q.
+
+    For q >= 1 this reads the layer Gamma(p^q)/Gamma(p^{q+1}) as F_p^3
+    without loss: det(x) = 1 forces N11 = -N00 mod p, so the kernel is
+    exactly Gamma(p^{q+1}), and (I + p^q A)(I + p^q B) = I + p^q (A + B)
+    mod p^{q+1} makes it additive.
+    """
+    pq = p ** q
+    a, b, c, d = x
+    if (a - 1) % pq or b % pq or c % pq or (d - 1) % pq:
+        return None
+    return (b // pq % p, c // pq % p, (a - 1) // pq % p)
+
+
+def tower_invariants(p: int, i: int, j: int, family: str = "pgamma"):
+    """The invariants of the quotient G between congruence levels p^i and
+    p^j, certified on the graded tower instead of enumerated, or None when
+    a step of the certificate fails.
+
+    Returns exactly the fields of ``QuotientTable.to_dict()`` plus
+    ``p_group``.  The lifts of the layer-i basis are
+    ``flat_congruence_basis(p, i)`` mod p^j, and each step is an exact
+    check on O(j - i) flat products mod p^j:
+
+    1. the lifts have determinant 1 and the layer map ``_layer_coords`` is
+       additive on them at level i, so G maps onto F_p^3 and d(G) >= 3;
+    2. for q = i, ..., j - 1 the p^{q-i}-th powers of the lifts have
+       coordinates forming a basis of layer q.  The subgroup H the lifts
+       generate then meets every layer in all of it, so
+       |H| >= p^{3(j-i)} >= |G|: H = G, |G| = p^{3(j-i)} and d(G) <= 3;
+    3. (I + p^q N)^p = I mod p^{q+1} by the binomial theorem, so the
+       exponent is at most p^{j-i}, and the order of the lift of A,
+       measured with ``exact_congruence_exponent``, must attain it.
+
+    The pgamma quotient at p = 2 identifies central scalar classes (there
+    is always one besides 1, such as 1 + 2^{j-1}), so its layers are not the
+    layers read here and the answer is None; at odd p it is the gamma
+    quotient.
+    """
+    _check_quotient(p, i, j, family)
+    if family == "pgamma" and p == 2:
+        return None
+    m = p ** j
+    lifts = [tuple(e % m for e in g) for g in flat_congruence_basis(p, i)]
+    if any((a * d - b * c) % m != 1 for a, b, c, d in lifts):
+        return None
+    # 1. the layer map at level i is additive on the lifts
+    coords = [_layer_coords(x, p, i) for x in lifts]
+    if None in coords:
+        return None
+    for x, cx in zip(lifts, coords):
+        for y, cy in zip(lifts, coords):
+            if _layer_coords(_flat_mul(x, y, m), p, i) != tuple((u + v) % p for u, v in zip(cx, cy)):
+                return None
+    # 2. the p-th power map carries a basis of each layer onto the next one
+    powers = lifts
+    for q in range(i, j):
+        basis = [_layer_coords(x, p, q) for x in powers]
+        if None in basis or _det_cofactor(basis) % p == 0:
+            return None
+        powers = [_flat_pow(x, p, m) for x in powers]
+    # 3. the lift of A has the largest order the power map allows
+    top = p ** (j - i)
+    x, order = lifts[0], 1
+    while exact_congruence_exponent(x, p, False, j) < j:
+        if order == top:
+            return None
+        x, order = _flat_pow(x, p, m), order * p
+    if order != top:
+        return None
+    return {
+        "family": family,
+        "p": p,
+        "i": i,
+        "j": j,
+        "order": _enumeration_size(p, i, j),
+        "exponent": top,
+        "d": 3,
+        "elementary_abelian": top == p,
+        "p_group": True,
+    }
+
+
 def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
                        sample_count: int = 60, seed: int = 2715) -> dict:
     """Verify the finite p-group and bounded-generation conditions.
 
     For every 0 <= i < j <= j_max the quotient between levels i and j must
-    be a finite p-group with d <= bound_e; additionally a seeded sample of
-    generator words is checked for consistency between the truncated
-    level_of and the exact congruence exponent (no element shallower than
-    the cap may report cap + 1).
+    be a finite p-group with d <= bound_e.  Each pair is answered by the
+    tower certificate (``tower_invariants``) where it applies, at any
+    depth and without building a table; the pairs it refuses are
+    enumerated (``table_invariants``, under the enumeration guard).  Both
+    fill the same fields with the same values.  Additionally a seeded
+    sample of generator words is checked for consistency between the
+    truncated level_of and the exact congruence exponent (no element
+    shallower than the cap may report cap + 1).
+
+    The result's ``stats`` entry counts the certified and enumerated pairs
+    and sets the largest enumeration against the guard; it describes the
+    run, not the group, and the CLI reports it under ``timings``.
     """
     pairs = []
+    enumerated = []
     ok = True
     for i in range(j_max):
         for j in range(i + 1, j_max + 1):
-            table = kernel_enumerate(spec.p, spec.exponent(i), spec.exponent(j), spec.family)
-            entry = table.to_dict()
+            lo, hi = spec.exponent(i), spec.exponent(j)
+            entry = tower_invariants(spec.p, lo, hi, spec.family)
+            if entry is None:
+                entry = table_invariants(spec.p, lo, hi, spec.family)
+                enumerated.append(_enumeration_size(spec.p, lo, hi))
             entry["levels"] = [i, j]
-            entry["p_group"] = table.is_p_group()
             entry["d_le_e"] = entry["d"] <= bound_e
             entry["pass"] = entry["p_group"] and entry["d_le_e"]
             ok = ok and entry["pass"]
@@ -506,7 +633,7 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
     gens += [_flat_inv_z(m) for m in gens]
     truncation_failures = []
     for _ in range(sample_count):
-        w = random_element(gens, _flat_mul_z, _FLAT_ID, rng, 6)
+        w = random_element(gens, _flat_mul_z, rng, 6)
         exact = exact_congruence_exponent(w, spec.p, spec.allow_sign)
         reported = level_of(w, spec)
         expected = -1 if exact < spec.r0 else min(exact - spec.r0, spec.depth_cap + 1)
@@ -522,4 +649,10 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
         "pairs": pairs,
         "truncation_check": {"samples": sample_count, "failures": truncation_failures},
         "ok": ok,
+        "stats": {
+            "pairs_certified": len(pairs) - len(enumerated),
+            "pairs_enumerated": len(enumerated),
+            "largest_enumeration": max(enumerated, default=0),
+            "guard": enum_guard_limit(),
+        },
     }

@@ -212,11 +212,13 @@ class FreeGroupAction(ActionSpec):
         return out
 
 
-def random_element(alphabet, mul, identity, rng, radius):
+def random_element(alphabet, mul, rng, radius):
     """A word of length 1..radius in ``alphabet`` (generators and their
-    inverses), multiplied out.  The package's one seeded word sampler."""
-    out = identity
-    for _ in range(rng.randint(1, radius)):
+    inverses), multiplied out from its first letter.  The package's one
+    seeded word sampler."""
+    length = rng.randint(1, radius)
+    out = rng.choice(alphabet)
+    for _ in range(length - 1):
         out = mul(out, rng.choice(alphabet))
     return out
 
@@ -243,10 +245,10 @@ def verify_holomorph_identities(act, gamma_gens, pi_gens, count, seed, radius=4)
     pi_alphabet = list(pi_gens) + [act.pi_inv(x) for x in pi_gens]
 
     def g_sample():
-        return random_element(gamma_alphabet, act.gamma_mul, act.gamma_id(), rng, radius)
+        return random_element(gamma_alphabet, act.gamma_mul, rng, radius)
 
     def p_sample():
-        return random_element(pi_alphabet, act.pi_mul, act.pi_id(), rng, radius)
+        return random_element(pi_alphabet, act.pi_mul, rng, radius)
 
     for _ in range(count):
         f, g = g_sample(), g_sample()

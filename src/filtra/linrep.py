@@ -18,6 +18,7 @@ vec(A M B) = (A kron B^T) vec(M), so rho(gamma, y) is the Kronecker product
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -51,6 +52,12 @@ class DeltaElem:
     def n(self) -> int:
         return self.gamma.n
 
+    @functools.cached_property
+    def gamma_inv(self):
+        """gamma^-1, computed on first use and kept: ``rho``, ``act`` and
+        ``delta_mul`` each need it, often for the same pair."""
+        return self.gamma.inverse()
+
 
 def delta_identity(n: int, modulus: Modulus | None = None) -> DeltaElem:
     if modulus is None:
@@ -62,13 +69,12 @@ def delta_identity(n: int, modulus: Modulus | None = None) -> DeltaElem:
 
 def delta_mul(u: DeltaElem, v: DeltaElem) -> DeltaElem:
     """(alpha, x)(beta, y) = (alpha beta, beta^-1 x beta y)."""
-    beta_inv = v.gamma.inverse()
-    return DeltaElem(u.gamma * v.gamma, beta_inv * u.y * v.gamma * v.y)
+    return DeltaElem(u.gamma * v.gamma, v.gamma_inv * u.y * v.gamma * v.y)
 
 
 def act(u: DeltaElem, m) -> object:
     """The left action (gamma, y)(M) = gamma (y M) gamma^-1."""
-    return u.gamma * (u.y * m) * u.gamma.inverse()
+    return u.gamma * (u.y * m) * u.gamma_inv
 
 
 def rho(u: DeltaElem):
@@ -80,7 +86,7 @@ def rho(u: DeltaElem):
     (gamma y)[i][k] * (gamma^-1)[l][j].
     """
     a = (u.gamma * u.y).entries
-    b_cols = tuple(zip(*u.gamma.inverse().entries))
+    b_cols = tuple(zip(*u.gamma_inv.entries))
     rows = tuple(tuple(x * y for x in a_row for y in b_col) for a_row in a for b_col in b_cols)
     if isinstance(u.gamma, ModMat):
         return _mod_mat(rows, u.gamma.modulus)

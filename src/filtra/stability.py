@@ -4,10 +4,12 @@ An ``ExtensionSpec`` packages a classified action together with level
 functions and per-level generator lists for both sides.  The checks sample
 words in the level generators and verify the quantified conditions on each
 sample, always measuring levels with ``level_of``-style functions rather
-than trusting the nominal sampling level.  A level is an int in
-[-1, cap + 1], where cap + 1 means deeper than the truncation; required
-output levels saturate at cap + 1, which is the strongest statement a
-truncated filtration can certify.
+than trusting the nominal sampling level.  The sampler measures each
+element once and hands the evaluators (element, level) pairs;
+``replay_failure`` measures the elements it parses afresh.  A level is an
+int in [-1, cap + 1], where cap + 1 means deeper than the truncation;
+required output levels saturate at cap + 1, which is the strongest
+statement a truncated filtration can certify.
 
 Every failure is recorded as a serialized counterexample (element texts,
 required and observed levels) that ``replay_failure`` re-verifies from
@@ -37,7 +39,9 @@ import random
 from dataclasses import dataclass, field
 
 from .exactmat import _flat_inv, _flat_mul, _parse_flat_sl2, format_matrix
-from .filtration import FiltrationSpec, flat_congruence_basis, kernel_enumerate, level_of
+from .filtration import (
+    FiltrationSpec, flat_congruence_basis, kernel_enumerate, level_of, table_invariants, tower_invariants,
+)
 from .freegroup import Word, format_word, lcs_depth2, parse_word, poison_action
 from .holomorph import (
     FreeGroupAction,
@@ -97,7 +101,7 @@ class ExtensionSpec:
     pi_text: object = str
     gamma_parse: object = None
     pi_parse: object = None
-    quotient_tables: object = None   # (r, s) -> (gamma QuotientTable, pi QuotientTable)
+    quotients: object = None         # (r, s) -> ((p, i, j, family) of Gamma, of pi) or None
 
 
 def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4,
@@ -114,13 +118,10 @@ def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4,
     def pi_gens(level):
         return flat_congruence_basis(p, r0 + level)
 
-    def tables(r, s):
+    def quotients(r, s):
         if s < 1:
             return None
-        return (
-            kernel_enumerate(p, s0 + r, s0 + r + s, "gamma"),
-            kernel_enumerate(p, r0 + r, r0 + r + s, "pgamma"),
-        )
+        return (p, s0 + r, s0 + r + s, "gamma"), (p, r0 + r, r0 + r + s, "pgamma")
 
     return ExtensionSpec(
         name="congruence(p=%d,r0=%d,s0=%d)" % (p, r0, s0),
@@ -136,7 +137,7 @@ def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4,
         pi_text=format_matrix,
         gamma_parse=_parse_flat_sl2,
         pi_parse=_parse_flat_sl2,
-        quotient_tables=tables,
+        quotients=quotients,
     )
 
 
@@ -200,8 +201,10 @@ def poison_extension(radius: int = 6) -> ExtensionSpec:
 
 
 def sample_level(ext: ExtensionSpec, side: str, level: int, count: int, rng) -> list:
-    """Elements of measured level >= level: the identity first, then words
-    of length <= radius in the level generators and their inverses."""
+    """(element, measured level) pairs with level >= ``level``: the
+    identity first, then words of length <= radius in the level generators
+    and their inverses.  Each element is measured here once, both to guard
+    against an element below its level and for the evaluators to use."""
     if side == "gamma":
         gens, mul, inv, ident, measure = (
             ext.gamma_gens(level), ext.act.gamma_mul, ext.act.gamma_inv, ext.act.gamma_id(), ext.gamma_level,
@@ -217,11 +220,12 @@ def sample_level(ext: ExtensionSpec, side: str, level: int, count: int, rng) -> 
     alphabet = list(gens) + [inv(g) for g in gens]
     out = [ident]
     while len(out) < count:
-        out.append(random_element(alphabet, mul, ident, rng, ext.radius))
-    for w in out:
-        if measure(w) < level:
+        out.append(random_element(alphabet, mul, rng, ext.radius))
+    pairs = [(w, measure(w)) for w in out[:count]]
+    for _, got in pairs:
+        if got < level:
             raise RuntimeError("sampler produced an element below its level")  # pragma: no cover
-    return out[:count]
+    return pairs
 
 
 def _cell_rng(ext, check, seed, r, s):
@@ -237,19 +241,23 @@ def _gamma_req(ext, *levels):
 
 
 # --- sample evaluators (shared between the checks and replay) ---------------
+#
+# Each evaluator takes ``elems``, a dict from role ("f", "g" on the Gamma
+# side, "x", "y" on the pi side) to an (element, measured level) pair, and
+# measures only the elements it derives.
 
 def _eval_stable_condition1(ext, elems):
     act = ext.act
-    f, g, y = elems["f"], elems["g"], elems["y"]
-    required = _pi_req(ext, ext.gamma_level(g), ext.pi_level(y))
+    (f, _), (_, lg), (y, ly) = elems["f"], elems["g"], elems["y"]
+    required = _pi_req(ext, lg, ly)
     observed = ext.pi_level(act.apply(f, y))
     return observed >= required, {"required": required, "observed": observed}
 
 
 def _eval_stable_condition2(ext, elems):
     act = ext.act
-    g, x, y = elems["g"], elems["x"], elems["y"]
-    required = _pi_req(ext, ext.gamma_level(g), ext.pi_level(y))
+    (g, lg), (x, _), (_, ly) = elems["g"], elems["x"], elems["y"]
+    required = _pi_req(ext, lg, ly)
     expr = act.pi_mul(act.apply(act.gamma_inv(g), x), act.pi_inv(x))
     observed = ext.pi_level(expr)
     return observed >= required, {"required": required, "observed": observed}
@@ -257,8 +265,8 @@ def _eval_stable_condition2(ext, elems):
 
 def _eval_twist_biconditional(ext, elems):
     act = ext.act
-    g, x, y = elems["g"], elems["x"], elems["y"]
-    required = _pi_req(ext, ext.gamma_level(g), ext.pi_level(y))
+    (g, lg), (x, _), (_, ly) = elems["g"], elems["x"], elems["y"]
+    required = _pi_req(ext, lg, ly)
     forward = ext.pi_level(act.pi_mul(act.apply(g, x), act.pi_inv(x)))
     backward = ext.pi_level(act.pi_mul(act.apply(act.gamma_inv(g), x), act.pi_inv(x)))
     ok = (forward >= required) == (backward >= required)
@@ -267,12 +275,9 @@ def _eval_twist_biconditional(ext, elems):
 
 def _eval_closure(ext, elems):
     act = ext.act
-    a = SemiElem(elems["f"], elems["x"])
-    b = SemiElem(elems["g"], elems["y"])
-    level = min(
-        ext.gamma_level(a.f), ext.pi_level(a.x), ext.gamma_level(b.f), ext.pi_level(b.x)
-    )
-    prod = semi_mul(a, b, act)
+    (f, lf), (x, lx), (g, lg), (y, ly) = elems["f"], elems["x"], elems["g"], elems["y"]
+    level = min(lf, lx, lg, ly)
+    prod = semi_mul(SemiElem(f, x), SemiElem(g, y), act)
     got_gamma = ext.gamma_level(prod.f)
     got_pi = ext.pi_level(prod.x)
     ok = got_gamma >= _gamma_req(ext, level) and got_pi >= _pi_req(ext, level)
@@ -283,8 +288,8 @@ def _eval_normality(ext, elems):
     """Conjugating a depth-(r+s) pair by a depth-r pair stays at depth r+s,
     decomposed into the six intermediate steps of the subgroup argument."""
     act = ext.act
-    f, x, g, y = elems["f"], elems["x"], elems["g"], elems["y"]
-    t = min(ext.gamma_level(g), ext.pi_level(y))
+    (f, _), (x, _), (g, lg), (y, ly) = elems["f"], elems["x"], elems["g"], elems["y"]
+    t = min(lg, ly)
     greq = _gamma_req(ext, t)
     preq = _pi_req(ext, t)
     gi = act.gamma_inv(g)
@@ -321,34 +326,35 @@ def _eval_normality(ext, elems):
 
 def _eval_stably_lie_like_gamma(ext, elems):
     act = ext.act
-    f, g = elems["f"], elems["g"]
-    required = _gamma_req(ext, ext.gamma_level(f) + ext.gamma_level(g))
+    (f, lf), (g, lg) = elems["f"], elems["g"]
+    required = _gamma_req(ext, lf + lg)
     observed = ext.gamma_level(act.gamma_comm(f, g))
     return observed >= required, {"required": required, "observed": observed}
 
 
 def _eval_stably_lie_like_mixed(ext, elems):
     act = ext.act
-    f, x, g, y = elems["f"], elems["x"], elems["g"], elems["y"]
-    required = _pi_req(ext, ext.pi_level(x), ext.pi_level(y))
+    (f, _), (x, lx), (g, _), (y, ly) = elems["f"], elems["x"], elems["g"], elems["y"]
+    required = _pi_req(ext, lx, ly)
     observed = ext.pi_level(act.apply(f, act.pi_mul(x, act.apply(g, y))))
     return observed >= required, {"required": required, "observed": observed}
 
 
 def _eval_stably_lie_like_pi(ext, elems):
     act = ext.act
-    x, y = elems["x"], elems["y"]
-    required = _pi_req(ext, ext.pi_level(x) + ext.pi_level(y))
+    (x, lx), (y, ly) = elems["x"], elems["y"]
+    required = _pi_req(ext, lx + ly)
     observed = ext.pi_level(act.pi_comm(x, y))
     return observed >= required, {"required": required, "observed": observed}
 
 
 def _eval_g_lie_like(ext, elems):
     act = ext.act
-    a = SemiElem(elems["f"], elems["x"])
-    b = SemiElem(elems["g"], elems["y"])
-    ta = min(ext.gamma_level(a.f), ext.pi_level(a.x))
-    tb = min(ext.gamma_level(b.f), ext.pi_level(b.x))
+    (f, lf), (x, lx), (g, lg), (y, ly) = elems["f"], elems["x"], elems["g"], elems["y"]
+    a = SemiElem(f, x)
+    b = SemiElem(g, y)
+    ta = min(lf, lx)
+    tb = min(lg, ly)
     comm = semi_comm(a, b, act)
     got_gamma = ext.gamma_level(comm.f)
     got_pi = ext.pi_level(comm.x)
@@ -377,7 +383,7 @@ _ELEMENT_SIDES = {"f": "gamma", "g": "gamma", "x": "pi", "y": "pi"}
 
 def _record_failure(report, ext, kind, cell, elems, detail):
     entry = {"kind": kind, "cell": list(cell), "elements": {}, "detail": detail}
-    for key, value in elems.items():
+    for key, (value, _) in elems.items():
         text = ext.gamma_text(value) if _ELEMENT_SIDES[key] == "gamma" else ext.pi_text(value)
         entry["elements"][key] = text
     report.failures.append(entry)
@@ -385,11 +391,16 @@ def _record_failure(report, ext, kind, cell, elems, detail):
 
 def replay_failure(ext: ExtensionSpec, failure: dict) -> bool:
     """Re-parse a serialized counterexample and confirm it still violates
-    its condition.  Returns True when the failure reproduces."""
+    its condition.  Returns True when the failure reproduces.  The parsed
+    elements are measured from scratch."""
     elems = {}
     for key, text in failure["elements"].items():
-        parse = ext.gamma_parse if _ELEMENT_SIDES[key] == "gamma" else ext.pi_parse
-        elems[key] = parse(text)
+        if _ELEMENT_SIDES[key] == "gamma":
+            value = ext.gamma_parse(text)
+            elems[key] = (value, ext.gamma_level(value))
+        else:
+            value = ext.pi_parse(text)
+            elems[key] = (value, ext.pi_level(value))
     ok, _ = _EVALS[failure["kind"]](ext, elems)
     return not ok
 
@@ -490,25 +501,32 @@ def product_filtration_check(ext: ExtensionSpec, r: int, s: int, count: int, see
 
 
 def _generator_bound(ext, r, s, limit):
-    if ext.quotient_tables is None:
+    """The c + d bound on the cell's two quotients.  c, d and the orders
+    come from the tower certificate wherever it applies; tables are built
+    only for the constructive check, which runs when the product order is
+    at most ``limit`` and the Gamma modulus is at least the pi modulus."""
+    if ext.quotients is None:
         return None
-    tables = ext.quotient_tables(r, s)
-    if tables is None:
+    levels = ext.quotients(r, s)
+    if levels is None:
         return None
-    gamma_table, pi_table = tables
-    c = gamma_table.minimal_generators()
-    d = pi_table.minimal_generators()
+    gamma_q, pi_q = levels
+    gamma_quot, pi_quot = (tower_invariants(*q) or table_invariants(*q) for q in levels)
+    c = gamma_quot["d"]
+    d = pi_quot["d"]
     out = {
         "c": c,
         "d": d,
         "bound": c + d,
-        "gamma_order": gamma_table.order,
-        "pi_order": pi_table.order,
+        "gamma_order": gamma_quot["order"],
+        "pi_order": pi_quot["order"],
     }
-    total = gamma_table.order * pi_table.order
-    if total > limit or gamma_table.m < pi_table.m:
+    total = gamma_quot["order"] * pi_quot["order"]
+    # index 2 is j: the Gamma table's modulus p^j must reach the pi table's
+    if total > limit or gamma_q[2] < pi_q[2]:
         out["constructive"] = None
         return out
+    gamma_table, pi_table = kernel_enumerate(*gamma_q), kernel_enumerate(*pi_q)
     mp = pi_table.m
     gens = [(u, pi_table.identity) for u in gamma_table.generating_set()]
     gens += [(gamma_table.identity, v) for v in pi_table.generating_set()]

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from filtra.cli import main
+from filtra.filtration import enum_guard_limit
 from filtra.stability import poison_extension, replay_failure
 
 
@@ -182,6 +183,47 @@ def test_pcongruence_command(capsys):
         capsys, "pcongruence", "--family", "gamma", "-p", "3", "--jmax", "2", "-e", "2", "--seed", "2"
     )
     assert code2 == 1 and not report2["ok"]
+
+
+@pytest.mark.parametrize("family, p, jmax, e, digest", [
+    ("gamma", 2, 4, 3, "1555c4da4899ac763f11713474f34ac6cf9baa2cac2e2232b40efb753a37a985"),
+    ("pgamma", 2, 4, 3, "a773d04fe4dadd9073c96da5177e7737e6d3a25ed53e0b1c8f29557111789432"),
+    ("gamma", 3, 3, 3, "77a2f77438e22f354d53eb0ce67eff786e6e025c7d609d99163e136f9784a429"),
+    ("pgamma", 3, 3, 3, "48b46edcfce35a898ec27811f75041eae4e17e6023cfa020434458e994c476cd"),
+    ("gamma", 5, 2, 3, "21ad95bafa9d0998cb8e6da24e29248580da5374cd7ba360ac6766c951d4b8c2"),
+    ("pgamma", 5, 2, 3, "9c66e0b05ca9f6fe3bb52e004eb7a457f601af91786cdc0b906194e065b7fce0"),
+    ("gamma", 3, 2, 2, "41e247368c1ad2d3d0609883a1adbf5f3643bd98a29a9323b1ce50682b6650bb"),
+    ("pgamma", 2, 3, 1, "e5e39a673c45368f9be21e4daa857f7a144290731990739d1048effba40e3fb2"),
+])
+def test_pcongruence_payload_pinned(capsys, family, p, jmax, e, digest):
+    # sha256 of the report without timings, taken when every pair was
+    # enumerated; the tower certificate must reproduce it byte for byte
+    code, _, report = run_cli(capsys, "pcongruence", "--family", family, "-p", str(p),
+                              "--jmax", str(jmax), "-e", str(e), "--seed", "4")
+    assert code == (0 if e == 3 else 1)
+    stats = report["timings"]["stats"]
+    pairs = jmax * (jmax + 1) // 2
+    if family == "pgamma" and p == 2:
+        assert stats["pairs_enumerated"] == pairs and stats["largest_enumeration"] == 2 ** (3 * jmax)
+    else:
+        assert stats == {"pairs_certified": pairs, "pairs_enumerated": 0, "largest_enumeration": 0,
+                         "guard": enum_guard_limit()}
+    assert _pinned_digest(report) == digest
+
+
+def test_pcongruence_deep_tower_builds_no_table(capsys):
+    # 3^24 elements in the deepest quotient, far past the enumeration guard
+    started = time.perf_counter()
+    code, _, report = run_cli(capsys, "pcongruence", "--family", "gamma", "-p", "3", "--r0", "1",
+                              "--jmax", "8", "-e", "3", "--seed", "1")
+    elapsed = time.perf_counter() - started
+    assert code == 0 and report["ok"]
+    deepest = report["results"]["pairs"][7]
+    assert deepest["levels"] == [0, 8] and deepest["order"] == 3 ** 24 and deepest["exponent"] == 3 ** 8
+    assert all(pair["d"] == 3 for pair in report["results"]["pairs"])
+    assert report["timings"]["stats"]["pairs_certified"] == 36
+    assert report["timings"]["stats"]["largest_enumeration"] == 0
+    assert elapsed < 1.0
 
 
 def test_stability_poison_command(capsys):

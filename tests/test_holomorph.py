@@ -139,9 +139,9 @@ def test_action_axioms_both_backends():
         galpha = ggens + [act.gamma_inv(f) for f in ggens]
         palpha = pgens + [act.pi_inv(x) for x in pgens]
         for _ in range(80):
-            f = random_element(galpha, act.gamma_mul, act.gamma_id(), rng, 4)
-            g = random_element(galpha, act.gamma_mul, act.gamma_id(), rng, 4)
-            x = random_element(palpha, act.pi_mul, act.pi_id(), rng, 4)
+            f = random_element(galpha, act.gamma_mul, rng, 4)
+            g = random_element(galpha, act.gamma_mul, rng, 4)
+            x = random_element(palpha, act.pi_mul, rng, 4)
             assert act.pi_eq(act.apply(act.gamma_id(), x), x)
             assert act.pi_eq(act.apply(act.gamma_mul(f, g), x), act.apply(f, act.apply(g, x)))
 

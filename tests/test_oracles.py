@@ -11,25 +11,29 @@ import random
 
 import pytest
 
+from filtra import filtration
 from filtra.exactmat import (
-    IntMat, Modulus, ModMat, NonInvertible, _flat, _flat_inv, _flat_inv_z, _flat_mul, _mat_mul_n,
+    _FLAT_ID, IntMat, Modulus, ModMat, NonInvertible, _flat, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z,
+    _mat_mul_n,
 )
 from filtra.filtration import (
     FAMILIES,
     FiltrationSpec,
     NotPGroup,
     QuotientTable,
+    clear_table_cache,
     congruence_basis,
     exact_congruence_exponent,
     kernel_enumerate,
     level_of,
+    tower_invariants,
 )
 from filtra.freegroup import EndoSpec, Word, mccool_generator, poison_action
 from filtra.graded import (
     GradedClass, GradedError, basis_class, bracket, bracket_from_lifts, class_add, class_of, lift, power_map,
     zero_class,
 )
-from filtra.holomorph import MatrixConjugation
+from filtra.holomorph import MatrixConjugation, random_element
 from filtra.linrep import DeltaElem, random_sl, rho
 from test_graded import _neg, random_kernel_element
 
@@ -526,3 +530,92 @@ def test_fast_word_operations_match_constructor():
             im = e.images[abs(a) - 1].letters
             spelled.extend(im if a > 0 else [-b for b in reversed(im)])
         assert e.apply(u).letters == Word(3, tuple(spelled)).letters
+
+
+def test_tower_certificate_matches_enumerated_tables():
+    # every quotient with at most 10^5 elements at i <= 3: the certificate
+    # answers exactly what the table reports, and refuses only the pgamma
+    # family at p = 2
+    refused = []
+    checked = 0
+    for family in FAMILIES:
+        for p in (2, 3, 5):
+            for i in (1, 2, 3):
+                j = i + 1
+                while p ** (3 * (j - i)) <= 10 ** 5:
+                    cert = tower_invariants(p, i, j, family)
+                    if cert is None:
+                        refused.append((p, family))
+                    else:
+                        table = kernel_enumerate(p, i, j, family)
+                        assert cert == dict(table.to_dict(), p_group=table.is_p_group()), (p, i, j, family)
+                        checked += 1
+                    j += 1
+    clear_table_cache()
+    assert checked == 45
+    assert set(refused) == {(2, "pgamma")} and len(refused) == 15
+
+
+def test_tower_certificate_refuses_pgamma_at_p2():
+    for i in range(1, 5):
+        for j in range(i + 1, i + 8):
+            assert tower_invariants(2, i, j, "pgamma") is None
+            assert tower_invariants(2, i, j, "gamma") is not None
+
+
+def test_tower_certificate_checks_its_arguments():
+    for args in ((3, 2, 2, "gamma"), (3, 0, 2, "gamma"), (6, 1, 2, "gamma"), (3, 1, 2, "sl")):
+        with pytest.raises(ValueError):
+            tower_invariants(*args)
+
+
+def _mutations():
+    basis = filtration.flat_congruence_basis
+    power = filtration._flat_pow
+    coords = filtration._layer_coords
+
+    def reread(change):
+        return lambda x, p, q: None if (c := coords(x, p, q)) is None else change(c, p)
+
+    return {
+        "lift C replaced by A B": ("flat_congruence_basis",
+                                   lambda p, q: basis(p, q)[:2] + [_flat_mul_z(*basis(p, q)[:2])]),
+        "lift of determinant 1 + p^q": ("flat_congruence_basis",
+                                        lambda p, q: basis(p, q)[:2] + [(1 + p ** q, 0, 0, 1)]),
+        "lifts one level too deep": ("flat_congruence_basis", lambda p, q: basis(p, q + 1)),
+        "power map x -> x^(p+1)": ("_flat_pow", lambda x, k, m: power(x, k + 1, m)),
+        "power map x -> x^(p^2)": ("_flat_pow", lambda x, k, m: power(power(x, k, m), k, m)),
+        "layer map drops the diagonal": ("_layer_coords", reread(lambda c, p: c[:2] + (0,))),
+        "layer map not additive": ("_layer_coords", reread(lambda c, p: (c[0], c[1], (c[2] + c[0] * c[1]) % p))),
+        "exponent misread": ("exact_congruence_exponent", lambda x, p, sign, bail=64: bail),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_mutations()))
+def test_tower_certificate_refuses_mutations(monkeypatch, name):
+    attr, broken = _mutations()[name]
+    for p in (2, 3, 5):
+        assert tower_invariants(p, 1, 4, "gamma") is not None
+    monkeypatch.setattr(filtration, attr, broken)
+    for p in (2, 3, 5):
+        assert tower_invariants(p, 1, 4, "gamma") is None, name
+
+
+def test_random_element_matches_identity_first_product():
+    # starting from the first letter draws the same letters and gives the
+    # same element as multiplying them onto the identity
+    def identity_first(alphabet, mul, identity, rng, radius):
+        out = identity
+        for _ in range(rng.randint(1, radius)):
+            out = mul(out, rng.choice(alphabet))
+        return out
+
+    alphabet = [m for q in (1, 2) for m in filtration.flat_congruence_basis(3, q)]
+    alphabet += [_flat_inv_z(m) for m in alphabet]
+    words = [Word.generator(3, i) for i in (1, 2, 3)]
+    words += [w.inverse() for w in words]
+    for elems, mul, ident in ((alphabet, _flat_mul_z, _FLAT_ID), (words, Word.__mul__, Word.identity(3))):
+        new, old = random.Random("sampler"), random.Random("sampler")
+        for _ in range(500):
+            assert random_element(elems, mul, new, 6) == identity_first(elems, mul, ident, old, 6)
+        assert new.random() == old.random()

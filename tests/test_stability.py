@@ -35,14 +35,14 @@ def poison():
 def test_sample_level_contract(cong):
     rng = random.Random(0)
     sample = sample_level(cong, "pi", 0, 1, rng)
-    assert sample[0] == cong.act.pi_id()
+    assert sample == [(cong.act.pi_id(), cong.pi_cap + 1)]
     assert cong.pi_gens(1)[0] == cong.pi_parse("1,9;0,1")
     for level in (0, 1, 2):
         for side in ("gamma", "pi"):
             measure = cong.gamma_level if side == "gamma" else cong.pi_level
-            for el in sample_level(cong, side, level, 25, random.Random(level)):
-                assert measure(el) >= level
-    xs = sample_level(cong, "pi", 1, 20, random.Random(7))
+            for el, measured in sample_level(cong, side, level, 25, random.Random(level)):
+                assert measure(el) == measured >= level
+    xs = [x for x, _ in sample_level(cong, "pi", 1, 20, random.Random(7))]
     for a, b in zip(xs, reversed(xs)):
         assert cong.pi_level(cong.act.pi_mul(a, b)) >= 1
 
@@ -64,6 +64,19 @@ def test_congruence_checks_pass(cong):
     assert bound["constructive"]["generated"] == bound["constructive"]["target"]
     assert check_stably_lie_like(cong, 2, 2, COUNT, seed=9).ok
     assert check_G_lie_like(cong, 2, 2, COUNT, seed=9).ok
+
+
+def test_generator_bound_builds_tables_only_for_constructive_cells(cong):
+    from filtra.filtration import _enumerate, clear_table_cache
+
+    clear_table_cache()
+    bound = product_filtration_check(cong, 0, 2, 5, seed=0).meta["generator_bound"]
+    assert bound["constructive"] is None
+    assert (bound["c"], bound["d"], bound["gamma_order"], bound["pi_order"]) == (3, 3, 3 ** 6, 3 ** 6)
+    assert _enumerate.cache_info().currsize == 0
+    bound = product_filtration_check(cong, 1, 1, 5, seed=0).meta["generator_bound"]
+    assert bound["constructive"]["generated"] == bound["constructive"]["target"]
+    assert _enumerate.cache_info().currsize == 2
 
 
 def test_poison_fails_condition2_only(poison):
@@ -195,7 +208,7 @@ def test_replay_round_trips_flat_texts(cong):
     gs = sample_level(cong, "gamma", 1, 30, rng)
     ys = sample_level(cong, "pi", 1, 30, rng)
     for f, x, g, y in zip(fs, xs, gs, ys):
-        elems = {"f": f, "x": x, "g": g, "y": y}
+        elems = {"f": f[0], "x": x[0], "g": g[0], "y": y[0]}
         texts = {key: (cong.gamma_text if key in ("f", "g") else cong.pi_text)(el) for key, el in elems.items()}
         for key, text in texts.items():
             parse = cong.gamma_parse if key in ("f", "g") else cong.pi_parse
