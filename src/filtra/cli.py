@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .exactmat import IntMat, MatrixError, Modulus, parse_matrix
+from .exactmat import _PRIME_BOUND, IntMat, MatrixError, Modulus, parse_matrix
 from .filtration import FiltrationSpec, GuardError, check_p_congruence, kernel_enumerate
 from .freegroup import (
     Word,
@@ -126,7 +126,9 @@ def _cmd_rep(args, started):
 
 
 def _factor_prime_power(m):
-    for p in range(2, m + 1):
+    """(p, r) with m = p^r.  The search stops at the bound ``Modulus`` puts
+    on p, so a modulus with no prime factor below it is refused at once."""
+    for p in range(2, min(m + 1, _PRIME_BOUND)):
         if m % p == 0:
             r = 0
             while m % p == 0:
@@ -135,7 +137,7 @@ def _factor_prime_power(m):
             if m != 1:
                 raise CliUsageError("--mod must be a prime power")
             return p, r
-    raise CliUsageError("--mod must be a prime power >= 2")
+    raise CliUsageError("--mod must be a prime power p^r with 2 <= p < 2^20")
 
 
 def _cmd_holomorph(args, started):

@@ -25,7 +25,8 @@ A level is an int in [-1, cap + 1]: -1 outside the level-0 group, cap + 1
 for anything deeper than the truncation cap can distinguish.
 
 The tower certificate reads each layer Gamma(p^q)/Gamma(p^{q+1}) as F_p^3
-through the coordinates of x = I + p^q N and follows the p^{q-i}-th powers of
+through the coordinates of x = I + p^q N (``graded.layer_offset``, the map
+the graded classes use) and follows the p^{q-i}-th powers of
 three basis lifts down the layers, so it costs O(j - i) flat products mod
 p^j at any depth.  It covers the gamma family at every p and the pgamma
 family at odd p, where the two quotients coincide; the pgamma quotient at
@@ -37,13 +38,15 @@ is forced and the table is exactly the p^{3(j-i)} triples (a, b, c).  The
 enumeration guard counts those triples.
 
 Minimal generator counts use the Burnside basis theorem: for a finite
-p-group G, d(G) = log_p |G / Phi(G)| with Phi(G) generated by p-th powers
-and commutators.  Phi is computed by explicit closure, which is fine at the
-enumeration sizes guarded here.  Each table does that work once: one
-incremental greedy generator search (every pick grows the subgroup found so
-far instead of closing it again from the identity), one derived subgroup
-and coset map shared by ``minimal_generators`` and ``generating_set``, and
-element orders memoised across the table by order(x) = p * order(x^p).
+p-group G, elements generate G exactly when their images span G / Phi(G),
+where Phi(G) = G^p [G, G].  Each table computes Phi once, by explicit
+closure at the enumeration sizes guarded here: one incremental greedy
+generator search (every pick grows the subgroup found so far instead of
+closing it again from the identity), the derived subgroup of those
+generators, then their p-th powers and the picks of the generating set
+adjoined coset by coset.  d(G), the generating set and
+``elementary_abelian`` all read that one computation, and element orders
+are memoised across the table by order(x) = p * order(x^p).
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .exactmat import (
     IntMat, _FLAT_ID, _det_cofactor, _flat, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z, _flat_pow,
     format_matrix, is_prime,
 )
+from .graded import layer_offset
 from .holomorph import random_element
 
 DEFAULT_ENUM_GUARD = 10 ** 7
@@ -192,8 +196,9 @@ class QuotientTable:
     quotient.
 
     The group invariants are computed once per table and kept: the
-    exponent, the greedy generators, the abelianization data behind d(G),
-    and d(G) itself.
+    exponent, the greedy generators, and the order of the Frattini subgroup
+    with the generating set picked over it, which give d(G) and
+    ``elementary_abelian``.
     """
 
     def __init__(self, p, i, j, family, elements, scalars):
@@ -209,10 +214,9 @@ class QuotientTable:
         self.elements = tuple(sorted(elements))
         self._members = frozenset(self.elements)
         self.identity = self.canon(_FLAT_ID)
-        self._d = None
         self._exponent = None
         self._gens = None
-        self._abelian_quotient = None
+        self._frattini = None
 
     @property
     def order(self) -> int:
@@ -266,14 +270,9 @@ class QuotientTable:
             n //= self.p
         return n == 1
 
-    def is_abelian(self) -> bool:
-        gens = self.greedy_generators()
-        return all(
-            self.mul(a, b) == self.mul(b, a) for a in gens for b in gens
-        )
-
     def is_elementary_abelian(self) -> bool:
-        return self.is_abelian() and self.exponent() == self.p
+        """A nontrivial group with Phi(G) = 1."""
+        return self._frattini_basis()[0] == 1 < self.order
 
     # -- subgroup machinery (desk scale: plain closures over element sets) --
 
@@ -314,8 +313,6 @@ class QuotientTable:
             gens = []
             sub = {self.identity}
             for x in self.elements:
-                if len(sub) == self.order:
-                    break
                 if x not in sub:
                     gens.append(x)
                     self._adjoin(sub, x, gens)
@@ -340,87 +337,59 @@ class QuotientTable:
             pending.extend(mul(mul(g, s), inv(g)) for g in gens)
         return sub
 
-    def _abelianization(self):
-        """(coset map G -> G/[G, G], sorted coset representatives, sorted
-        representatives of the p-th powers), computed once per table."""
-        if self._abelian_quotient is None:
-            coset = self._coset_map(self._commutator_subgroup(self.greedy_generators()))
-            reps = sorted(set(coset.values()))
-            # p-th powers in the abelianization form a subgroup
-            ppowers = sorted({coset[self.power(r, self.p)] for r in reps})
-            self._abelian_quotient = (coset, reps, ppowers)
-        return self._abelian_quotient
+    def _adjoin_cosets(self, sub, x):
+        """Grow ``sub`` in place into <sub, x> for a subgroup normalised by
+        x: that is the union of the cosets sub * x^k, added until x^k lies
+        in sub."""
+        mul = self.mul
+        layer = list(sub)
+        y = x
+        while y not in sub:
+            layer = [mul(h, x) for h in layer]
+            sub.update(layer)
+            y = mul(y, x)
+
+    def _frattini_basis(self):
+        """(|Phi(G)|, picks), computed once per table.
+
+        Phi(G) = G^p [G, G] is the derived subgroup of the greedy
+        generators with their p-th powers adjoined: G / [G, G] is abelian
+        and generated by their images, so its p-th powers are generated by
+        theirs.  The picks are the first elements in sorted order outside
+        the subgroup that Phi and the earlier picks generate, until they
+        generate G; by the Burnside basis theorem they form a minimal
+        generating set.  Every subgroup containing [G, G] is normal, so
+        each adjoin is a union of cosets, and a pick at index p completes G
+        without expanding it.
+        """
+        if self._frattini is None:
+            if not self.is_p_group():
+                raise NotPGroup("order %d is not a power of %d" % (self.order, self.p))
+            gens = self.greedy_generators()
+            sub = self._commutator_subgroup(gens)
+            for g in gens:
+                self._adjoin_cosets(sub, self.power(g, self.p))
+            phi = len(sub)
+            picks = []
+            for x in self.elements:
+                if x not in sub:
+                    picks.append(x)
+                    if len(sub) * self.p == self.order:
+                        break
+                    self._adjoin_cosets(sub, x)
+            self._frattini = (phi, tuple(picks))
+        return self._frattini
 
     def minimal_generators(self) -> int:
-        """d(G) = log_p |G / Phi(G)| via the elementary abelian quotient."""
-        if self._d is not None:
-            return self._d
-        if not self.is_p_group():
-            raise NotPGroup("order %d is not a power of %d" % (self.order, self.p))
-        if self.order == 1:
-            self._d = 0
-        elif self.is_elementary_abelian():
-            self._d = _plog(self.order, self.p)
-        else:
-            _, reps, ppowers = self._abelianization()
-            self._d = _plog(len(reps) // len(ppowers), self.p)
-        return self._d
-
-    def _coset_map(self, subgroup):
-        sub = sorted(subgroup)
-        coset = {}
-        for g in self.elements:
-            if g in coset:
-                continue
-            members = [self.mul(g, s) for s in sub]
-            rep = min(members)
-            for x in members:
-                coset[x] = rep
-        return coset
+        """d(G) = log_p |G / Phi(G)|, the size of the generating set."""
+        return len(self._frattini_basis()[1])
 
     def generating_set(self):
         """A generating set of size exactly d(G) (Burnside basis theorem):
         elements whose images span the elementary abelian quotient G/Phi(G)
         generate G."""
-        d = self.minimal_generators()
-        if d == 0:
-            return []
-        coset, reps, ppowers = self._abelianization()
-
-        def amul(r1, r2):
-            return coset[self.mul(r1, r2)]
-
-        vmap = {}
-        for r in reps:
-            if r in vmap:
-                continue
-            members = [amul(r, s) for s in ppowers]
-            rep = min(members)
-            for x in members:
-                vmap[x] = rep
-
-        def vmul(v1, v2):
-            return vmap[amul(v1, v2)]
-
-        def v_of(x):
-            return vmap[coset[x]]
-
-        picked = []
-        span_v = {v_of(self.identity)}
-        for x in self.elements:
-            vx = v_of(x)
-            if vx not in span_v:
-                picked.append(x)
-                grown = set(span_v)
-                for s in span_v:
-                    cur = s
-                    for _ in range(self.p - 1):
-                        cur = vmul(cur, vx)
-                        grown.add(cur)
-                span_v = grown
-                if len(picked) == d:
-                    break
-        if len(picked) != d or len(self._closure(picked)) != self.order:
+        picked = list(self._frattini_basis()[1])
+        if len(self._closure(picked)) != self.order:
             raise RuntimeError("generating-set extraction failed")  # pragma: no cover
         return picked
 
@@ -435,16 +404,6 @@ class QuotientTable:
             "d": self.minimal_generators(),
             "elementary_abelian": self.is_elementary_abelian(),
         }
-
-
-def _plog(n, p):
-    k = 0
-    while n > 1:
-        if n % p:
-            raise NotPGroup("%d is not a power of %d" % (n, p))
-        n //= p
-        k += 1
-    return k
 
 
 def _check_quotient(p, i, j, family):
@@ -508,22 +467,6 @@ def table_invariants(p: int, i: int, j: int, family: str = "pgamma") -> dict:
     return dict(table.to_dict(), p_group=table.is_p_group())
 
 
-def _layer_coords(x, p, q):
-    """(N01, N10, N00) mod p for x = I + p^q N, or None when x is not I
-    mod p^q.
-
-    For q >= 1 this reads the layer Gamma(p^q)/Gamma(p^{q+1}) as F_p^3
-    without loss: det(x) = 1 forces N11 = -N00 mod p, so the kernel is
-    exactly Gamma(p^{q+1}), and (I + p^q A)(I + p^q B) = I + p^q (A + B)
-    mod p^{q+1} makes it additive.
-    """
-    pq = p ** q
-    a, b, c, d = x
-    if (a - 1) % pq or b % pq or c % pq or (d - 1) % pq:
-        return None
-    return (b // pq % p, c // pq % p, (a - 1) // pq % p)
-
-
 def tower_invariants(p: int, i: int, j: int, family: str = "pgamma"):
     """The invariants of the quotient G between congruence levels p^i and
     p^j, certified on the graded tower instead of enumerated, or None when
@@ -534,8 +477,9 @@ def tower_invariants(p: int, i: int, j: int, family: str = "pgamma"):
     ``flat_congruence_basis(p, i)`` mod p^j, and each step is an exact
     check on O(j - i) flat products mod p^j:
 
-    1. the lifts have determinant 1 and the layer map ``_layer_coords`` is
-       additive on them at level i, so G maps onto F_p^3 and d(G) >= 3;
+    1. the lifts have determinant 1 and the layer map, the first three
+       coordinates of ``graded.layer_offset``, is additive on them at
+       level i, so G maps onto F_p^3 and d(G) >= 3;
     2. for q = i, ..., j - 1 the p^{q-i}-th powers of the lifts have
        coordinates forming a basis of layer q.  The subgroup H the lifts
        generate then meets every layer in all of it, so
@@ -557,18 +501,18 @@ def tower_invariants(p: int, i: int, j: int, family: str = "pgamma"):
     if any((a * d - b * c) % m != 1 for a, b, c, d in lifts):
         return None
     # 1. the layer map at level i is additive on the lifts
-    coords = [_layer_coords(x, p, i) for x in lifts]
+    coords = [layer_offset(x, p, i) for x in lifts]
     if None in coords:
         return None
     for x, cx in zip(lifts, coords):
         for y, cy in zip(lifts, coords):
-            if _layer_coords(_flat_mul(x, y, m), p, i) != tuple((u + v) % p for u, v in zip(cx, cy)):
+            if layer_offset(_flat_mul(x, y, m), p, i) != tuple((u + v) % p for u, v in zip(cx, cy)):
                 return None
     # 2. the p-th power map carries a basis of each layer onto the next one
     powers = lifts
     for q in range(i, j):
-        basis = [_layer_coords(x, p, q) for x in powers]
-        if None in basis or _det_cofactor(basis) % p == 0:
+        basis = [layer_offset(x, p, q) for x in powers]
+        if None in basis or _det_cofactor([n[:3] for n in basis]) % p == 0:
             return None
         powers = [_flat_pow(x, p, m) for x in powers]
     # 3. the lift of A has the largest order the power map allows

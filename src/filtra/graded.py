@@ -86,12 +86,20 @@ def class_smul(k: int, c: GradedClass) -> GradedClass:
     return GradedClass(c.p, c.q, tuple(k * a for a in c.coords))
 
 
-def _offset(x, p, pq):
-    """N mod p for x = I + pq N, or None when x is not I mod pq."""
-    diffs = (x[0] - 1, x[1], x[2], x[3] - 1)
-    if all(v % pq == 0 for v in diffs):
-        return tuple((v // pq) % p for v in diffs)
-    return None
+def layer_offset(x, p, q):
+    """N mod p as (N01, N10, N00, N11) for x = I + p^q N, or None when x is
+    not I mod p^q.
+
+    For q >= 1 and det(x) = 1 the prefix (N01, N10, N00) reads the layer
+    Gamma(p^q)/Gamma(p^{q+1}) as F_p^3 without loss: det(x) = 1 forces
+    N11 = -N00 mod p, so the kernel is exactly Gamma(p^{q+1}), and
+    (I + p^q A)(I + p^q B) = I + p^q (A + B) mod p^{q+1} makes it additive.
+    """
+    pq = p ** q
+    a, b, c, d = x
+    if (a - 1) % pq or b % pq or c % pq or (d - 1) % pq:
+        return None
+    return (b // pq % p, c // pq % p, (a - 1) // pq % p, (d - 1) // pq % p)
 
 
 def class_of(x: tuple, p: int, q: int) -> GradedClass:
@@ -102,18 +110,14 @@ def class_of(x: tuple, p: int, q: int) -> GradedClass:
     det = (a * d - b * c) % m
     if det != 1:
         raise GradedError("expected det = 1 mod %d, got %d" % (m, det))
-    pq = p ** q
-    n = _offset(x, p, pq)
+    n = layer_offset(x, p, q)
     if n is None:
-        n = _offset((-a, -b, -c, -d), p, pq)
+        n = layer_offset((-a, -b, -c, -d), p, q)
     if n is None:
         raise GradedError("matrix is not congruent to +-I mod %d^%d" % (p, q))
-    n00, n01, n10, n11 = n
-    if (n00 + n11) % p != 0:
+    if (n[2] + n[3]) % p != 0:
         raise GradedError("trace of the kernel offset is nonzero mod %d" % p)  # pragma: no cover
-    if p == 2:
-        return GradedClass(p, q, (n01, n10))
-    return GradedClass(p, q, (n01, n10, n00))
+    return GradedClass(p, q, n[:2] if p == 2 else n[:3])
 
 
 def lift(c: GradedClass, t_exp: int) -> tuple:

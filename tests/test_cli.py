@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filtra.cli import main
 from filtra.filtration import enum_guard_limit
@@ -69,6 +72,18 @@ def test_rep_bad_modulus(capsys):
     code = main(["rep", "--mod", "12", "--gamma", "1,0;0,1", "--y", "1,0;0,1"])
     assert code == 2
     assert "prime power" in capsys.readouterr().err
+
+
+def test_rep_refuses_modulus_without_small_prime_factor(capsys):
+    # 2^61 - 1 is prime, past the bound Modulus puts on p: refused without
+    # trial-dividing up to the modulus
+    started = time.perf_counter()
+    code = main(["rep", "--n", "2", "--mod", "2305843009213693951", "--gamma", "1,0;0,1", "--y", "1,0;0,1"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "usage error" in captured.err and "prime power" in captured.err
+    assert elapsed < 1.0
 
 
 def test_bad_inputs_map_to_usage_errors(capsys):
@@ -211,6 +226,28 @@ def test_pcongruence_payload_pinned(capsys, family, p, jmax, e, digest):
     assert _pinned_digest(report) == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["quotient", "--family", "pgamma", "-p", "2", "-i", "1", "-j", "5"],
+     "6d4f87a5bfbdaabaf6d7ef60953534d02af642d432190328de2b6e0230dcee38"),
+    (["quotient", "--family", "gamma", "-p", "2", "-i", "1", "-j", "4"],
+     "dd2f0eef85c890a2ddcbe6e0f4e433975d9adbad2196e30a27940e78c6b07339"),
+    (["quotient", "--family", "gamma", "-p", "3", "-i", "1", "-j", "3"],
+     "02ecb01ecbe3586bc86f23912c0bae96d5cb7b380652faef68c0162652d11e25"),
+    (["quotient", "--family", "pgamma", "-p", "5", "-i", "1", "-j", "3"],
+     "530c14a16fe51797b01ed52295c34c73061e998a03d8e02b30cd1b55aa439b5e"),
+    (["stability", "--example", "congruence", "-p", "2", "--rmax", "2", "--smax", "2", "--count", "20",
+      "--seed", "1"],
+     "30a3a9d7035c50ff593cd5e33a02b69149e8031b13ef3a82160498dfa6485e11"),
+])
+def test_table_payloads_pinned(capsys, args, digest):
+    # sha256 of the report without timings and version, taken when d(G) and
+    # the generating set came from a coset map and a vector space span; the
+    # stability run builds pgamma p = 2 tables for its constructive check
+    code, _, report = run_cli(capsys, *args)
+    assert code == 0
+    assert _pinned_digest(report) == digest
+
+
 def test_pcongruence_deep_tower_builds_no_table(capsys):
     # 3^24 elements in the deepest quotient, far past the enumeration guard
     started = time.perf_counter()
@@ -313,3 +350,97 @@ def test_benchmark_commands_run(capsys):
             argv = command.argv(1, count_cap=5)
             assert main(argv) == command.expect_code, (name, argv)
             capsys.readouterr()
+
+
+# -- the CLI boundary under arbitrary arguments -------------------------------
+
+def _argv(words, required, optional=()):
+    """The command words, every required flag, and each optional flag whose
+    drawn value is not None (argparse's missing-flag exit is covered by
+    ``test_usage_error_exit_code``)."""
+    strategies = [values.map(lambda v, f=flag: [f, str(v)]) for flag, values in required]
+    strategies += [st.one_of(st.none(), values).map(lambda v, f=flag: [] if v is None else [f, str(v)])
+                   for flag, values in optional]
+    return st.tuples(*strategies).map(lambda drawn: list(words) + [a for pair in drawn for a in pair])
+
+
+# each value strategy draws valid and invalid values about equally often
+SMALL = st.one_of(st.integers(1, 3), st.integers(-1, 4))
+SEEDS = st.integers(-3, 10 ** 20)
+PRIMES = st.one_of(st.sampled_from([2, 3, 5, 7]), st.sampled_from([-3, 0, 1, 4, 1048583]))
+MATRICES = st.one_of(
+    st.sampled_from(["1,0;0,1", "1,3;0,1", "1,0;3,1", "2,0;0,1", "-1,0;0,-1", "1", "1,1,0;0,1,0;0,0,1",
+                     "1,0,0,0;0,1,0,0;0,0,1,0;0,0,1,1"]),
+    st.text(alphabet="0123456789,; x", max_size=12),
+)
+MODULI = st.one_of(
+    st.sampled_from([0, 1, 2, 4, 9, 12, 27, 3 ** 40, 1048573, 1048583, 1048583 ** 2, 2 ** 61 - 1, 10 ** 30]),
+    st.integers(-10, 10 ** 40),
+)
+COORDS = st.one_of(st.lists(st.integers(0, 9), min_size=2, max_size=3).map(lambda v: ",".join(map(str, v))),
+                   st.text(alphabet="0123456789, x", max_size=8))
+
+# sizes stay small: every table the enumeration guard admits below has at
+# most 4096 elements, and sample counts stay below 6
+CLI_ARGV = {
+    "quotient": _argv(["quotient"], [("--family", st.sampled_from(["pgamma", "gamma"])), ("-p", PRIMES),
+                                     ("-i", SMALL), ("-j", st.one_of(st.integers(2, 5), SMALL))]),
+    "pcongruence": _argv(["pcongruence"], [("--family", st.sampled_from(["pgamma", "gamma"])), ("-p", PRIMES),
+                                           ("--jmax", SMALL), ("-e", SMALL), ("--seed", SEEDS)],
+                         [("--r0", SMALL)]),
+    "stability": _argv(["stability"], [("--example", st.sampled_from(["congruence", "poison"])), ("--seed", SEEDS),
+                                       ("--count", st.integers(-1, 5))],
+                       [("-p", st.sampled_from([2, 3, -1, 0, 4])), ("--r0", st.integers(-1, 3)),
+                        ("--s0", st.integers(-1, 3)), ("--rmax", st.integers(-1, 2)), ("--smax", st.integers(-1, 2))]),
+    "graded-bracket": _argv(["graded", "bracket"], [("-p", PRIMES), ("-q", SMALL), ("-s", SMALL),
+                                                    ("--c1", COORDS), ("--c2", COORDS)]),
+    "graded-verify": _argv(["graded", "verify"], [("-p", PRIMES), ("--qmax", SMALL)], [("--seed", SEEDS)]),
+    "rep": _argv(["rep"], [("--gamma", MATRICES), ("--y", MATRICES)],
+                 [("--n", SMALL), ("--mod", MODULI), ("--samples", st.integers(-1, 3)), ("--seed", SEEDS)]),
+    "rep-ball": _argv(["rep-ball"], [("-p", PRIMES), ("--base", SMALL), ("--target", SMALL), ("--seed", SEEDS)],
+                      [("--radius", st.integers(-1, 2))]),
+    "holomorph-identities": _argv(["holomorph-identities"], [
+        ("--backend", st.sampled_from(["congruence", "free"])), ("--seed", SEEDS), ("--count", st.integers(-1, 5))],
+        [("-p", PRIMES)]),
+    "freegroup-fixtures": _argv(["freegroup-fixtures"], [], [("--nmax", st.integers(-1, 3))]),
+}
+
+# the commands that print their result on one line before the report
+ECHO_KEY = {"rep": "rho", "graded-bracket": "bracket"}
+
+
+def _reject_constant(name):
+    raise ValueError("non-finite number %s in the report" % name)
+
+
+@pytest.mark.parametrize("command", sorted(CLI_ARGV))
+def test_cli_exit_codes_and_strict_json(monkeypatch, command):
+    # any arguments: an exit code in {0, 1, 2, 3} (argparse's SystemExit
+    # included), a strict JSON report on stdout whenever the code is 0 or 1,
+    # and no exception or traceback escaping main
+    monkeypatch.setenv("FILTRA_MAX_ENUM", "4096")
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(CLI_ARGV[command])
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue()
+        text = out.getvalue()
+        if code in (0, 1):
+            echo = None
+            if command in ECHO_KEY:
+                echo, text = text.split("\n", 1)
+            report = json.loads(text, parse_constant=_reject_constant)
+            assert report["ok"] is (code == 0)
+            if echo is not None:
+                assert echo == report["results"][ECHO_KEY[command]]
+        else:
+            assert text == ""
+
+    check()

@@ -38,17 +38,17 @@ from filtra.linrep import DeltaElem, random_sl, rho
 from test_graded import _neg, random_kernel_element
 
 
-def brute_frattini_rank(table):
-    """d(G) from Phi(G) generated by every p-th power and every commutator,
-    with the subgroup closure done over the full generator set."""
+def brute_frattini(table):
+    """Phi(G) generated by every p-th power and every commutator, with the
+    subgroup closure done over the full generator set."""
     elems = table.elements
     gens = set()
     for x in elems:
         gens.add(table.power(x, table.p))
-    for x in elems:
-        xinv = table.inv(x)
-        for y in elems:
-            gens.add(table.mul(table.mul(x, y), table.mul(xinv, table.inv(y))))
+    inverses = [table.inv(x) for x in elems]
+    for x, xinv in zip(elems, inverses):
+        for y, yinv in zip(elems, inverses):
+            gens.add(table.mul(table.mul(x, y), table.mul(xinv, yinv)))
     gens.discard(table.identity)
     frat = {table.identity}
     frontier = [table.identity]
@@ -60,7 +60,12 @@ def brute_frattini_rank(table):
             if nxt not in frat:
                 frat.add(nxt)
                 frontier.append(nxt)
-    quotient = table.order // len(frat)
+    return frat
+
+
+def brute_frattini_rank(table):
+    """d(G) = log_p |G / Phi(G)| with Phi(G) from ``brute_frattini``."""
+    quotient = table.order // len(brute_frattini(table))
     d = 0
     while quotient > 1:
         quotient //= table.p
@@ -212,6 +217,79 @@ def test_generating_sets_unchanged():
     # value taken before the generator search became incremental
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "092b1b0844b4305a07fd3f165e70d8481297791a61be35e87a0a13108ea85db2"
+
+
+def coset_span_generating_set(table):
+    """(d, picks) the way tables computed them before the Frattini subgroup:
+    a coset map onto G/[G, G], the p-th power classes in it, and a vector
+    space span over those classes, picking the first elements in sorted
+    order that leave the span.  [G, G] is closed from every [x, g] with g a
+    greedy generator."""
+    gens = table.greedy_generators()
+    mul, inv = table.mul, table.inv
+    derived = sorted(_bfs_closure(table, sorted(
+        {mul(mul(x, g), mul(inv(x), inv(g))) for x in table.elements for g in gens})))
+    coset = {}
+    for g in table.elements:
+        if g not in coset:
+            members = [mul(g, s) for s in derived]
+            rep = min(members)
+            for x in members:
+                coset[x] = rep
+    reps = sorted(set(coset.values()))
+    ppowers = sorted({coset[table.power(r, table.p)] for r in reps})
+    d = 0
+    index = len(reps) // len(ppowers)
+    while index > 1:
+        index //= table.p
+        d += 1
+
+    def amul(r1, r2):
+        return coset[mul(r1, r2)]
+
+    vmap = {}
+    for r in reps:
+        if r not in vmap:
+            members = [amul(r, s) for s in ppowers]
+            rep = min(members)
+            for x in members:
+                vmap[x] = rep
+
+    def v_of(x):
+        return vmap[coset[x]]
+
+    picked = []
+    span_v = {v_of(table.identity)}
+    for x in table.elements:
+        if len(picked) == d:
+            break
+        vx = v_of(x)
+        if vx not in span_v:
+            picked.append(x)
+            grown = set(span_v)
+            for cur in span_v:
+                for _ in range(table.p - 1):
+                    cur = vmap[amul(cur, vx)]
+                    grown.add(cur)
+            span_v = grown
+    return d, picked
+
+
+def test_frattini_picks_match_coset_span_oracle():
+    for case in SMALL_TABLES:
+        t = kernel_enumerate(*case)
+        d, picks = coset_span_generating_set(t)
+        assert t.generating_set() == picks, case
+        assert t.minimal_generators() == d == len(picks)
+        gens = t.greedy_generators()
+        commutative = all(t.mul(a, b) == t.mul(b, a) for a in gens for b in gens)
+        assert t.is_elementary_abelian() == (commutative and t.exponent() == t.p)
+        if t.order <= 512:
+            assert t._frattini_basis()[0] == len(brute_frattini(t)), case
+    trivial = QuotientTable(3, 1, 2, "gamma", [(1, 0, 0, 1)], (1,))
+    assert not trivial.is_elementary_abelian()
+    with pytest.raises(NotPGroup):
+        QuotientTable(3, 1, 2, "gamma", [(1, 0, 0, 1), (8, 0, 0, 8)], (1,)).minimal_generators()
 
 
 def test_bracket_by_exhaustive_coset_pairing():
@@ -572,7 +650,7 @@ def test_tower_certificate_checks_its_arguments():
 def _mutations():
     basis = filtration.flat_congruence_basis
     power = filtration._flat_pow
-    coords = filtration._layer_coords
+    coords = filtration.layer_offset
 
     def reread(change):
         return lambda x, p, q: None if (c := coords(x, p, q)) is None else change(c, p)
@@ -585,8 +663,8 @@ def _mutations():
         "lifts one level too deep": ("flat_congruence_basis", lambda p, q: basis(p, q + 1)),
         "power map x -> x^(p+1)": ("_flat_pow", lambda x, k, m: power(x, k + 1, m)),
         "power map x -> x^(p^2)": ("_flat_pow", lambda x, k, m: power(power(x, k, m), k, m)),
-        "layer map drops the diagonal": ("_layer_coords", reread(lambda c, p: c[:2] + (0,))),
-        "layer map not additive": ("_layer_coords", reread(lambda c, p: (c[0], c[1], (c[2] + c[0] * c[1]) % p))),
+        "layer map drops the diagonal": ("layer_offset", reread(lambda c, p: c[:2] + (0, 0))),
+        "layer map not additive": ("layer_offset", reread(lambda c, p: (c[0], c[1], (c[2] + c[0] * c[1]) % p, c[3]))),
         "exponent misread": ("exact_congruence_exponent", lambda x, p, sign, bail=64: bail),
     }
 
