@@ -3,7 +3,7 @@
 Everything in this package computes with exact integers; there is no
 floating point anywhere in the arithmetic.  The submodules are
 
-- ``exactmat``   matrices over Z and Z/p^r, and the flat 2x2 kernel
+- ``exactmat``   one n x n matrix type over Z or Z/p^r, and the flat 2x2 kernel
 - ``freegroup``  reduced words, endomorphisms, basis-conjugating fixtures
 - ``holomorph``  semidirect-product element arithmetic over a classified action
 - ``filtration`` congruence filtrations of (P)SL(2, Z) and their finite quotients
@@ -16,4 +16,4 @@ floating point anywhere in the arithmetic.  The submodules are
 
 __version__ = "0.1.0"
 
-from .exactmat import IntMat, ModMat, Modulus  # noqa: F401
+from .exactmat import Mat, Modulus  # noqa: F401

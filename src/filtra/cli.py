@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .exactmat import _PRIME_BOUND, IntMat, MatrixError, Modulus, parse_matrix
+from .exactmat import _PRIME_BOUND, Mat, MatrixError, Modulus, parse_matrix
 from .filtration import FiltrationSpec, GuardError, check_p_congruence, kernel_enumerate
 from .freegroup import (
     Word,
@@ -94,7 +94,6 @@ def _cmd_graded_bracket(args, started):
     coords1 = tuple(int(t) for t in args.c1.split(","))
     coords2 = tuple(int(t) for t in args.c2.split(","))
     out = bracket(GradedClass(args.p, args.q, coords1), GradedClass(args.p, args.s, coords2))
-    print(str(out))
     config = {"p": args.p, "q": args.q, "s": args.s, "c1": args.c1, "c2": args.c2}
     return 0, _report("graded-bracket", config, {"bracket": str(out), "level": args.q + args.s},
                       True, started)
@@ -113,7 +112,6 @@ def _cmd_rep(args, started):
     if gamma.n != args.n:
         raise CliUsageError("--n %d does not match the %dx%d gamma" % (args.n, gamma.n, gamma.n))
     mat = rho(DeltaElem(gamma, y))
-    print(str(mat))
     results = {"rho": str(mat), "n_squared": mat.n}
     ok = True
     if args.samples:
@@ -164,7 +162,7 @@ def _cmd_freegroup(args, started):
         checks.append({
             "id": "fp_generator_%d" % idx,
             "automorphism": verify_automorphism(endo, inv),
-            "nontrivial_on_homology": abel != IntMat.identity(3),
+            "nontrivial_on_homology": abel != Mat.identity(3),
             "abelianization": str(abel),
         })
     for n in range(2, args.nmax + 1):
@@ -176,7 +174,7 @@ def _cmd_freegroup(args, started):
                 checks.append({
                     "id": "mccool_%d_%d_%d" % (n, i, j),
                     "automorphism": verify_automorphism(gen, mccool_inverse(n, i, j)),
-                    "trivial_on_homology": gen.abelianize() == IntMat.identity(n),
+                    "trivial_on_homology": gen.abelianize() == Mat.identity(n),
                 })
     for n in range(2, args.nmax + 1):
         x, y = example_shift_action(n)
@@ -185,7 +183,7 @@ def _cmd_freegroup(args, started):
             "id": "shift_action_n%d" % n,
             "x_automorphism": verify_automorphism(x, x_inv),
             "y_automorphism": verify_automorphism(y, y_inv),
-            "y_trivial_on_homology": y.abelianize() == IntMat.identity(n + 1),
+            "y_trivial_on_homology": y.abelianize() == Mat.identity(n + 1),
         })
     ok = all(all(v for k, v in c.items() if isinstance(v, bool)) for c in checks)
     config = {"nmax": args.nmax}

@@ -1,24 +1,26 @@
 """Exact matrix arithmetic over Z and over Z/p^r.
 
 All types here are immutable values with exact integer entries; nothing in
-this module ever rounds.  ``IntMat`` is a square matrix over Z whose entries
-may grow without bound, and ``ModMat`` is a square matrix over Z/p^r with
-entries normalized into [0, p^r); both serve the n x n representation and
-the integral congruence generators.
+this module ever rounds.  ``Mat(entries, modulus)`` is a square matrix over
+Z when ``modulus`` is None, with entries that may grow without bound, and
+over Z/p^r otherwise, with entries normalized into [0, p^r); it serves the
+n x n representation.  The ring is a value: a product of matrices over
+different rings raises ``ModulusMismatch``, and ``Mat(a.entries, modulus)``
+reduces a matrix over Z mod p^r.
 
-Validation happens where a matrix enters: the public constructors and
+Validation happens where a matrix enters: the public constructor and
 ``parse_matrix`` check that the entries form a nonempty square of exact
 integers.  Products, negations and inverses of validated matrices are square
 integer tuples by construction, so they are built by a private constructor
-that skips that scan (``ModMat`` results are still reduced into [0, m)).
-The determinant and unit checks of ``inverse`` stay.
+that skips that scan (entries mod p^r are still reduced into [0, p^r)).
+The determinant and unit checks of ``inverse`` stay: over Z the
+determinant must be +-1, mod p^r any unit.
 
-Products, determinants and adjugates use closed forms for n = 2 (the
-representation on 2x2 rings and the integral congruence generators); larger
-matrices take the generic loops (the product transposes its right factor
-once).  Determinants above 2x2 are computed by cofactor expansion up to 4x4
-and by fraction-free (Bareiss) elimination above that, so they are exact
-for any entry size.
+Products, determinants and adjugates use closed forms for n = 2, which keep
+the representation on 2x2 rings fast; larger matrices take the generic loops
+(the product transposes its right factor once).  Determinants above 2x2 are
+computed by fraction-free (Bareiss) elimination, so they are exact for any
+entry size.
 
 Every 2x2 computation (levels, the congruence extension, the quotient
 tables and the graded layers) carries its matrices flat, as (a, b, c, d)
@@ -178,22 +180,6 @@ def _flat(a) -> tuple:
     return (a00, a01, a10, a11)
 
 
-def _det_cofactor(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for c in range(n):
-        if rows[0][c] == 0:
-            continue
-        minor = [row[:c] + row[c + 1:] for row in rows[1:]]
-        term = rows[0][c] * _det_cofactor(minor)
-        total += term if c % 2 == 0 else -term
-    return total
-
-
 def _det_bareiss(rows):
     # Fraction-free elimination; every division below is exact over Z.
     m = [list(row) for row in rows]
@@ -220,12 +206,6 @@ def _det(rows):
     if len(rows) == 2:
         (a, b), (c, d) = rows
         return a * d - b * c
-    return _det_n(rows)
-
-
-def _det_n(rows):
-    if len(rows) <= 4:
-        return _det_cofactor([tuple(r) for r in rows])
     return _det_bareiss(rows)
 
 
@@ -252,141 +232,89 @@ def _adjugate_n(rows):
 
 
 @dataclass(frozen=True)
-class IntMat:
-    """Immutable square matrix over Z."""
+class Mat:
+    """Immutable square matrix over Z (``modulus`` None) or over Z/p^r
+    (entries normalized into [0, p^r))."""
 
     entries: tuple
+    modulus: Modulus | None = None
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.entries)
         _check_square(rows)
+        if self.modulus is not None:
+            m = self.modulus.m
+            rows = tuple(tuple(e % m for e in row) for row in rows)
         object.__setattr__(self, "entries", rows)
 
     @staticmethod
-    def identity(n: int) -> "IntMat":
-        return IntMat(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    def identity(n: int, modulus: Modulus | None = None) -> "Mat":
+        return Mat(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), modulus)
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
     def det(self) -> int:
-        return _det(self.entries)
+        d = _det(self.entries)
+        return d if self.modulus is None else d % self.modulus.m
 
-    @property
-    def is_special(self) -> bool:
-        return self.det() == 1
-
-    def __mul__(self, other: "IntMat") -> "IntMat":
-        if not isinstance(other, IntMat):
+    def __mul__(self, other: "Mat") -> "Mat":
+        if not isinstance(other, Mat):
             return NotImplemented
+        if other.modulus != self.modulus:
+            raise ModulusMismatch("moduli differ: %s vs %s" % (self.modulus, other.modulus))
         a, b = self.entries, other.entries
         n = len(a)
         if len(b) != n:
             raise DimensionMismatch("cannot multiply %dx%d by %dx%d" % (n, n, len(b), len(b)))
-        return _int_mat(_mat_mul(a, b, n))
+        return _mat(_mat_mul(a, b, n), self.modulus)
 
-    def __neg__(self) -> "IntMat":
-        return _int_mat(_negate(self.entries))
+    def __neg__(self) -> "Mat":
+        return _mat(_negate(self.entries), self.modulus)
 
-    def inverse(self) -> "IntMat":
+    def inverse(self) -> "Mat":
+        """The inverse; over Z the determinant must be +-1, mod m a unit."""
         d = _det(self.entries)
-        if d == 1:
-            return _int_mat(_adjugate(self.entries))
-        if d == -1:
-            return _int_mat(_negate(_adjugate(self.entries)))
-        raise NonInvertible("determinant %d is not a unit in Z" % d)
-
-    def __str__(self):
-        return format_matrix(self)
-
-
-@dataclass(frozen=True)
-class ModMat:
-    """Immutable square matrix over Z/p^r, entries normalized into [0, p^r)."""
-
-    entries: tuple
-    modulus: Modulus
-
-    def __post_init__(self):
-        m = self.modulus.m
-        rows = tuple(tuple(e % m for e in row) for row in self.entries)
-        _check_square(rows)
-        object.__setattr__(self, "entries", rows)
-
-    @staticmethod
-    def identity(n: int, modulus: Modulus) -> "ModMat":
-        return ModMat(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), modulus)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def det(self) -> int:
-        return _det(self.entries) % self.modulus.m
-
-    @property
-    def is_special(self) -> bool:
-        return self.det() == 1
-
-    def _check_compatible(self, other):
-        if other.modulus != self.modulus:
-            raise ModulusMismatch("moduli differ: %s vs %s" % (self.modulus, other.modulus))
-        if other.n != self.n:
-            raise DimensionMismatch("cannot combine %dx%d with %dx%d" % (self.n, self.n, other.n, other.n))
-
-    def __mul__(self, other: "ModMat") -> "ModMat":
-        if not isinstance(other, ModMat):
-            return NotImplemented
-        self._check_compatible(other)
-        return _mod_mat(_mat_mul(self.entries, other.entries, self.n), self.modulus)
-
-    def __neg__(self) -> "ModMat":
-        return _mod_mat(_negate(self.entries), self.modulus)
-
-    def inverse(self) -> "ModMat":
-        m = self.modulus.m
-        d = _det(self.entries) % m
-        try:
-            dinv = pow(d, -1, m)
-        except ValueError:
-            raise NonInvertible("determinant %d is not a unit mod %d" % (d, m)) from None
+        if self.modulus is None:
+            if d not in (1, -1):
+                raise NonInvertible("determinant %d is not a unit in Z" % d)
+            dinv = d
+        else:
+            m = self.modulus.m
+            d %= m
+            try:
+                dinv = pow(d, -1, m)
+            except ValueError:
+                raise NonInvertible("determinant %d is not a unit mod %d" % (d, m)) from None
         adj = _adjugate(self.entries)
-        return _mod_mat(tuple(tuple(dinv * e for e in row) for row in adj), self.modulus)
+        if dinv != 1:
+            adj = tuple(tuple(dinv * e for e in row) for row in adj)
+        return _mat(adj, self.modulus)
 
     def __str__(self):
         return format_matrix(self)
 
 
-# Arithmetic results skip the constructors' validation: a product, negation
+# Arithmetic results skip the constructor's validation: a product, negation
 # or adjugate of validated matrices is already a square tuple of ints.
 
 def _negate(rows):
     return tuple(tuple(-e for e in row) for row in rows)
 
 
-def _int_mat(rows) -> IntMat:
-    out = object.__new__(IntMat)
-    object.__setattr__(out, "entries", rows)
-    return out
-
-
-def _mod_mat(rows, modulus: Modulus) -> ModMat:
-    m = modulus.m
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        rows = ((a % m, b % m), (c % m, d % m))
-    else:
-        rows = tuple(tuple(e % m for e in row) for row in rows)
-    out = object.__new__(ModMat)
+def _mat(rows, modulus: Modulus | None) -> Mat:
+    if modulus is not None:
+        m = modulus.m
+        if len(rows) == 2:
+            (a, b), (c, d) = rows
+            rows = ((a % m, b % m), (c % m, d % m))
+        else:
+            rows = tuple(tuple(e % m for e in row) for row in rows)
+    out = object.__new__(Mat)
     object.__setattr__(out, "entries", rows)
     object.__setattr__(out, "modulus", modulus)
     return out
-
-
-def reduce_mod(a: IntMat, modulus: Modulus) -> ModMat:
-    """Entrywise reduction Z -> Z/p^r; determinant-one inputs stay special."""
-    return ModMat(a.entries, modulus)
 
 
 def _sign_normal(x):
@@ -405,7 +333,7 @@ def format_matrix(a) -> str:
 
 
 def parse_matrix(text: str, modulus: Modulus | None = None):
-    """Parse the ``"1,3;0,1"`` literal form into an IntMat (or ModMat)."""
+    """Parse the ``"1,3;0,1"`` literal form into a Mat over Z (or Z/p^r)."""
     try:
         rows = tuple(
             tuple(int(tok.strip()) for tok in row.split(","))
@@ -413,9 +341,7 @@ def parse_matrix(text: str, modulus: Modulus | None = None):
         )
     except ValueError:
         raise MatrixError("bad matrix literal: %r" % (text,)) from None
-    if modulus is None:
-        return IntMat(rows)
-    return ModMat(rows, modulus)
+    return Mat(rows, modulus)
 
 
 def _parse_flat_sl2(text: str) -> tuple:

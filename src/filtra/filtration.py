@@ -58,8 +58,7 @@ import random
 from dataclasses import dataclass
 
 from .exactmat import (
-    IntMat, _FLAT_ID, _det_cofactor, _flat, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z, _flat_pow,
-    format_matrix, is_prime,
+    _FLAT_ID, _det, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z, _flat_pow, check_prime, format_matrix,
 )
 from .graded import layer_offset
 from .holomorph import random_element
@@ -96,8 +95,7 @@ class FiltrationSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError("family must be one of %s, got %r" % (FAMILIES, self.family))
-        if not is_prime(self.p):
-            raise ValueError("p must be prime, got %r" % (self.p,))
+        check_prime(self.p, ValueError)
         if self.r0 < 1:
             raise ValueError("base exponent must be >= 1")
         if self.depth_cap < 0:
@@ -157,22 +155,13 @@ def exact_congruence_exponent(x: tuple, p: int, allow_sign: bool, bail: int = 64
     return _valuation_to_identity(math.gcd(b, c, d - a), a, p, bail, allow_sign)
 
 
-def congruence_basis(p: int, q: int) -> dict:
-    """The three determinant-one integer matrices generating depth p^q:
-    upper and lower unipotents with offdiagonal p^q, and the mixed one with
-    diagonal 1 +- p^q."""
-    t = p ** q
-    return {
-        "A": IntMat(((1, t), (0, 1))),
-        "B": IntMat(((1, 0), (t, 1))),
-        "C": IntMat(((1 + t, t), (-t, 1 - t))),
-    }
-
-
 def flat_congruence_basis(p: int, q: int) -> list:
-    """``congruence_basis(p, q)`` as flat (a, b, c, d) tuples, in the order
-    A, B, C."""
-    return [_flat(m) for m in congruence_basis(p, q).values()]
+    """The three determinant-one integer matrices generating depth p^q, as
+    flat (a, b, c, d) tuples in the order A, B, C: upper and lower
+    unipotents with offdiagonal p^q, and the mixed one with diagonal
+    1 +- p^q."""
+    t = p ** q
+    return [(1, t, 0, 1), (1, 0, t, 1), (1 + t, t, -t, 1 - t)]
 
 
 # --- finite quotients -------------------------------------------------------
@@ -411,8 +400,7 @@ def _check_quotient(p, i, j, family):
         raise ValueError("family must be one of %s" % (FAMILIES,))
     if not (1 <= i < j):
         raise ValueError("need 1 <= i < j, got i=%d j=%d" % (i, j))
-    if not is_prime(p):
-        raise ValueError("p must be prime, got %r" % (p,))
+    check_prime(p, ValueError)
 
 
 def _enumeration_size(p, i, j):
@@ -512,7 +500,7 @@ def tower_invariants(p: int, i: int, j: int, family: str = "pgamma"):
     powers = lifts
     for q in range(i, j):
         basis = [layer_offset(x, p, q) for x in powers]
-        if None in basis or _det_cofactor([n[:3] for n in basis]) % p == 0:
+        if None in basis or _det([n[:3] for n in basis]) % p == 0:
             return None
         powers = [_flat_pow(x, p, m) for x in powers]
     # 3. the lift of A has the largest order the power map allows

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import neg
 
-from .exactmat import IntMat
+from .exactmat import Mat
 
 #: Hard cap on word length; composed substitutions hitting this are a bug
 #: in the caller, not something to silently truncate.
@@ -194,10 +194,10 @@ class EndoSpec:
             raise RankMismatch("ranks differ: %d vs %d" % (self.rank, other.rank))
         return EndoSpec(self.rank, tuple(self.apply(im) for im in other.images))
 
-    def abelianize(self) -> IntMat:
+    def abelianize(self) -> Mat:
         """Induced matrix on H_1; column j is the exponent vector of images[j]."""
         cols = [exponent_vector(im) for im in self.images]
-        return IntMat(tuple(tuple(cols[j][i] for j in range(self.rank)) for i in range(self.rank)))
+        return Mat(tuple(tuple(cols[j][i] for j in range(self.rank)) for i in range(self.rank)))
 
 
 def verify_automorphism(e: EndoSpec, e_inv: EndoSpec) -> bool:

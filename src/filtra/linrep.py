@@ -14,6 +14,11 @@ reported).  The matrix-unit basis is ordered row-major (E_00, E_01, ...),
 which pins every rho matrix bit-exactly: with vec(M)[k*n + l] = M[k][l],
 vec(A M B) = (A kron B^T) vec(M), so rho(gamma, y) is the Kronecker product
 (gamma y) kron (gamma^-1)^T, built from one product and one inverse.
+
+The ring A is one value, ``modulus``: None for Z, a ``Modulus`` for Z/p^r.
+Every matrix is an ``exactmat.Mat`` over it, so the code takes no branch on
+the ring except where the mathematics differs: the scalar center, the
+coefficient bound of ``random_sl`` and the ring label of the report.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .exactmat import IntMat, Modulus, ModMat, _int_mat, _mod_mat, reduce_mod
+from .exactmat import Mat, Modulus, _mat
 
 
 class LinRepError(ValueError):
@@ -32,19 +37,17 @@ class LinRepError(ValueError):
 
 @dataclass(frozen=True)
 class DeltaElem:
-    """A pair (gamma, y) of determinant-one matrices; gamma is a chosen
-    representative of its scalar class."""
+    """A pair (gamma, y) of determinant-one matrices over one ring; gamma is
+    a chosen representative of its scalar class."""
 
     gamma: object
     y: object
 
     def __post_init__(self):
-        if type(self.gamma) is not type(self.y):
-            raise LinRepError("components must share a backend ring")
+        if self.gamma.modulus != self.y.modulus:
+            raise LinRepError("components must share a ring")
         if self.gamma.n != self.y.n:
             raise LinRepError("components must share a dimension")
-        if isinstance(self.gamma, ModMat) and self.gamma.modulus != self.y.modulus:
-            raise LinRepError("components must share a modulus")
         if self.gamma.det() != 1 or self.y.det() != 1:
             raise LinRepError("components must have determinant 1")
 
@@ -60,10 +63,7 @@ class DeltaElem:
 
 
 def delta_identity(n: int, modulus: Modulus | None = None) -> DeltaElem:
-    if modulus is None:
-        one = IntMat.identity(n)
-    else:
-        one = ModMat.identity(n, modulus)
+    one = Mat.identity(n, modulus)
     return DeltaElem(one, one)
 
 
@@ -88,9 +88,7 @@ def rho(u: DeltaElem):
     a = (u.gamma * u.y).entries
     b_cols = tuple(zip(*u.gamma_inv.entries))
     rows = tuple(tuple(x * y for x in a_row for y in b_col) for a_row in a for b_col in b_cols)
-    if isinstance(u.gamma, ModMat):
-        return _mod_mat(rows, u.gamma.modulus)
-    return _int_mat(rows)
+    return _mat(rows, u.gamma.modulus)
 
 
 def is_scalar(mat) -> bool:
@@ -108,10 +106,7 @@ def center_scalars(n: int, modulus: Modulus | None):
 
 
 def scale(mat, lam: int):
-    rows = tuple(tuple(lam * e for e in row) for row in mat.entries)
-    if isinstance(mat, ModMat):
-        return ModMat(rows, mat.modulus)
-    return IntMat(rows)
+    return Mat(tuple(tuple(lam * e for e in row) for row in mat.entries), mat.modulus)
 
 
 def delta_eq_mod_center(u: DeltaElem, v: DeltaElem, scalars) -> bool:
@@ -138,8 +133,7 @@ def random_sl(n: int, modulus: Modulus | None, rng: random.Random, length: int =
             continue
         c = rng.randint(1, max(bound, 1))
         cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
-    rows = tuple(zip(*cols))
-    return _int_mat(rows) if modulus is None else _mod_mat(rows, modulus)
+    return _mat(tuple(zip(*cols)), modulus)
 
 
 def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) -> dict:
@@ -152,7 +146,7 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) ->
     """
     rng = random.Random("linrep:%s:%s:%s" % (n, modulus, seed))
     ident = rho(delta_identity(n, modulus))
-    one = IntMat.identity(n) if modulus is None else ModMat.identity(n, modulus)
+    one = Mat.identity(n, modulus)
     hom_failures = 0
     left_action_failures = 0
     kernel_violations = 0
@@ -206,12 +200,12 @@ def ball_injectivity(p: int, base_exp: int, target_exp: int, radius: int = 3,
     center; pairs differing by a central scalar on gamma do not count, since
     the ball may hold nontrivial scalars (-I mod 8 at p = 2, radius 3).
     """
-    from .filtration import congruence_basis
+    from .filtration import flat_congruence_basis
 
     modulus = Modulus(p, target_exp)
-    gens = [reduce_mod(m, modulus) for m in congruence_basis(p, base_exp).values()]
+    gens = [Mat((x[:2], x[2:]), modulus) for x in flat_congruence_basis(p, base_exp)]
     gens += [g.inverse() for g in gens]
-    ball = {ModMat.identity(2, modulus)}
+    ball = {Mat.identity(2, modulus)}
     frontier = list(ball)
     for _ in range(radius):
         nxt = []

@@ -10,7 +10,7 @@ import time
 
 import filtra.filtration as filtration
 from filtra.cli import main as cli_main
-from filtra.exactmat import IntMat, Modulus, _flat_inv, _flat_mul
+from filtra.exactmat import Mat, Modulus, _flat_inv, _flat_mul
 from filtra.filtration import FiltrationSpec, check_p_congruence, flat_congruence_basis, kernel_enumerate
 from filtra.freegroup import (
     Word,
@@ -125,8 +125,8 @@ def test_criterion_06_congruence_stability_suite():
 
 def test_criterion_07_poison_contrast(capsys):
     (phi1, _), (phi2, _) = poison_action()
-    ok = phi1.abelianize() != IntMat.identity(3)
-    ok = ok and phi2.abelianize() != IntMat.identity(3)
+    ok = phi1.abelianize() != Mat.identity(3)
+    ok = ok and phi2.abelianize() != Mat.identity(3)
     code = cli_main(["stability", "--example", "poison", "--seed", "1", "--count", "200"])
     out = capsys.readouterr().out
     ok = ok and code == 1
@@ -172,7 +172,7 @@ def test_criterion_10_automorphism_fixtures():
         x_inv, y_inv = example_shift_inverses(n)
         ok = ok and verify_automorphism(x, x_inv)
         ok = ok and verify_automorphism(y, y_inv)
-        ok = ok and y.abelianize() == IntMat.identity(n + 1)
+        ok = ok and y.abelianize() == Mat.identity(n + 1)
     for n in (2, 3, 4):
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -180,5 +180,5 @@ def test_criterion_10_automorphism_fixtures():
                     continue
                 gen = mccool_generator(n, i, j)
                 ok = ok and verify_automorphism(gen, mccool_inverse(n, i, j))
-                ok = ok and gen.abelianize() == IntMat.identity(n)
+                ok = ok and gen.abelianize() == Mat.identity(n)
     _criterion(10, "shift/conjugation and basis-conjugating witnesses, n<=4", ok)

@@ -2,25 +2,28 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import filtra
 from filtra.cli import main
 from filtra.filtration import enum_guard_limit
 from filtra.stability import poison_extension, replay_failure
 
 
 def run_cli(capsys, *args):
+    # stdout is exactly one JSON document
     code = main(list(args))
-    out = capsys.readouterr().out
-    start = out.index("{")
-    return code, out[:start], json.loads(out[start:])
+    return code, json.loads(capsys.readouterr().out)
 
 
 def test_quotient_command(capsys):
-    code, _, report = run_cli(capsys, "quotient", "--family", "pgamma", "-p", "2", "-i", "1", "-j", "2")
+    code, report = run_cli(capsys, "quotient", "--family", "pgamma", "-p", "2", "-i", "1", "-j", "2")
     assert code == 0
     assert report["results"]["order"] == 4
     assert report["results"]["exponent"] == 2
@@ -45,27 +48,25 @@ def test_usage_error_exit_code():
 
 
 def test_graded_bracket_output(capsys):
-    code, before, report = run_cli(
+    code, report = run_cli(
         capsys, "graded", "bracket", "-p", "3", "-q", "1", "-s", "1", "--c1", "1,0,0", "--c2", "0,1,0"
     )
     assert code == 0
-    assert before.strip() == "0,0,1"
-    assert report["results"]["bracket"] == "0,0,1"
+    assert report["results"] == {"bracket": "0,0,1", "level": 2}
 
 
 def test_graded_verify(capsys):
-    code, _, report = run_cli(capsys, "graded", "verify", "-p", "3", "--qmax", "3")
+    code, report = run_cli(capsys, "graded", "verify", "-p", "3", "--qmax", "3")
     assert code == 0 and report["ok"]
 
 
 def test_rep_command(capsys):
-    code, before, report = run_cli(
+    code, report = run_cli(
         capsys, "rep", "--n", "2", "--mod", "9", "--gamma", "1,3;0,1", "--y", "1,0;3,1"
     )
     assert code == 0
-    assert before.strip() == report["results"]["rho"]
-    rows = report["results"]["rho"].split(";")
-    assert len(rows) == 4 and all(len(r.split(",")) == 4 for r in rows)
+    # the golden 4x4 matrix of tests/test_linrep.py::test_rho_golden_matrix
+    assert report["results"] == {"rho": "1,0,3,0;6,1,0,3;3,0,1,0;0,3,6,1", "n_squared": 4}
 
 
 def test_rep_bad_modulus(capsys):
@@ -95,7 +96,7 @@ def test_bad_inputs_map_to_usage_errors(capsys):
 
 
 def test_holomorph_identities_command(capsys):
-    code, _, report = run_cli(
+    code, report = run_cli(
         capsys, "holomorph-identities", "--backend", "free", "--count", "50", "--seed", "4"
     )
     assert code == 0 and report["ok"]
@@ -103,8 +104,8 @@ def test_holomorph_identities_command(capsys):
 
 def test_congruence_holomorph_report_pinned(capsys):
     # sha256 of the report without timings and version, taken with the
-    # IntMat backend; the flat SL2(Z) backend must reproduce it.
-    code, _, report = run_cli(capsys, "holomorph-identities", "--backend", "congruence",
+    # generic 2x2 matrix backend; the flat SL2(Z) backend must reproduce it.
+    code, report = run_cli(capsys, "holomorph-identities", "--backend", "congruence",
                               "-p", "3", "--count", "50", "--seed", "7")
     assert code == 0
     report.pop("timings")
@@ -132,7 +133,7 @@ def _pinned_digest(report):
 def test_rep_reports_pinned(capsys, args, digest):
     # sha256 of the report without timings and version, taken with rho
     # built from matrix units and random_sl from transvection products
-    code, _, report = run_cli(capsys, *args)
+    code, report = run_cli(capsys, *args)
     assert code == 0
     assert _pinned_digest(report) == digest
 
@@ -151,8 +152,8 @@ def test_rep_reports_pinned(capsys, args, digest):
 ])
 def test_graded_reports_pinned(capsys, args, digest):
     # sha256 of the report without timings and version, taken with the
-    # graded layer maps computed on ModMat
-    code, _, report = run_cli(capsys, *args)
+    # graded layer maps computed on generic 2x2 matrices mod p^r
+    code, report = run_cli(capsys, *args)
     assert code == 0
     assert _pinned_digest(report) == digest
 
@@ -169,9 +170,28 @@ def test_graded_rejects_bad_primes(capsys, command, p):
     assert "usage error" in captured.err and "Traceback" not in captured.err
 
 
+HUGE_PRIME = "2305843009213693951"  # 2^61 - 1
+
+
+@pytest.mark.parametrize("command", [
+    ["quotient", "--family", "gamma", "-i", "1", "-j", "2"],
+    ["pcongruence", "--family", "gamma", "--jmax", "1", "-e", "3", "--seed", "1"],
+    ["stability", "--example", "congruence", "--seed", "1"],
+    ["holomorph-identities", "--backend", "congruence", "--seed", "1"],
+])
+def test_huge_prime_refused_at_once(command):
+    # -p past the prime bound is refused before any trial division; a child
+    # process with a timeout fails the test instead of hanging it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(filtra.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "filtra.cli", *command, "-p", HUGE_PRIME],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "usage error" in proc.stderr and "below 2^20" in proc.stderr
+
+
 def test_rep_n4_is_cheap(capsys):
     started = time.perf_counter()
-    code, _, report = run_cli(capsys, "rep", "--n", "4", "--mod", "5",
+    code, report = run_cli(capsys, "rep", "--n", "4", "--mod", "5",
                               "--gamma", "1,1,0,0;0,1,0,0;0,0,1,0;0,0,0,1",
                               "--y", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,1,1", "--samples", "100", "--seed", "1")
     elapsed = time.perf_counter() - started
@@ -183,18 +203,18 @@ def test_rep_n4_is_cheap(capsys):
 
 
 def test_freegroup_fixtures_command(capsys):
-    code, _, report = run_cli(capsys, "freegroup-fixtures", "--nmax", "3")
+    code, report = run_cli(capsys, "freegroup-fixtures", "--nmax", "3")
     assert code == 0 and report["ok"]
     ids = [c["id"] for c in report["results"]]
     assert "fp_generator_1" in ids and "shift_action_n3" in ids
 
 
 def test_pcongruence_command(capsys):
-    code, _, report = run_cli(
+    code, report = run_cli(
         capsys, "pcongruence", "--family", "gamma", "-p", "3", "--jmax", "2", "-e", "3", "--seed", "2"
     )
     assert code == 0 and report["ok"]
-    code2, _, report2 = run_cli(
+    code2, report2 = run_cli(
         capsys, "pcongruence", "--family", "gamma", "-p", "3", "--jmax", "2", "-e", "2", "--seed", "2"
     )
     assert code2 == 1 and not report2["ok"]
@@ -213,7 +233,7 @@ def test_pcongruence_command(capsys):
 def test_pcongruence_payload_pinned(capsys, family, p, jmax, e, digest):
     # sha256 of the report without timings, taken when every pair was
     # enumerated; the tower certificate must reproduce it byte for byte
-    code, _, report = run_cli(capsys, "pcongruence", "--family", family, "-p", str(p),
+    code, report = run_cli(capsys, "pcongruence", "--family", family, "-p", str(p),
                               "--jmax", str(jmax), "-e", str(e), "--seed", "4")
     assert code == (0 if e == 3 else 1)
     stats = report["timings"]["stats"]
@@ -243,7 +263,7 @@ def test_table_payloads_pinned(capsys, args, digest):
     # sha256 of the report without timings and version, taken when d(G) and
     # the generating set came from a coset map and a vector space span; the
     # stability run builds pgamma p = 2 tables for its constructive check
-    code, _, report = run_cli(capsys, *args)
+    code, report = run_cli(capsys, *args)
     assert code == 0
     assert _pinned_digest(report) == digest
 
@@ -251,7 +271,7 @@ def test_table_payloads_pinned(capsys, args, digest):
 def test_pcongruence_deep_tower_builds_no_table(capsys):
     # 3^24 elements in the deepest quotient, far past the enumeration guard
     started = time.perf_counter()
-    code, _, report = run_cli(capsys, "pcongruence", "--family", "gamma", "-p", "3", "--r0", "1",
+    code, report = run_cli(capsys, "pcongruence", "--family", "gamma", "-p", "3", "--r0", "1",
                               "--jmax", "8", "-e", "3", "--seed", "1")
     elapsed = time.perf_counter() - started
     assert code == 0 and report["ok"]
@@ -264,7 +284,7 @@ def test_pcongruence_deep_tower_builds_no_table(capsys):
 
 
 def test_stability_poison_command(capsys):
-    code, _, report = run_cli(
+    code, report = run_cli(
         capsys, "stability", "--example", "poison", "--seed", "1", "--count", "80"
     )
     assert code == 1
@@ -278,8 +298,8 @@ def test_stability_poison_command(capsys):
 def test_stability_congruence_command_deterministic(capsys):
     args = ["stability", "--example", "congruence", "-p", "3", "--r0", "1", "--s0", "1",
             "--rmax", "1", "--smax", "1", "--count", "30", "--seed", "42"]
-    code1, _, report1 = run_cli(capsys, *args)
-    code2, _, report2 = run_cli(capsys, *args)
+    code1, report1 = run_cli(capsys, *args)
+    code2, report2 = run_cli(capsys, *args)
     assert code1 == code2 == 0
     report1.pop("timings")
     report2.pop("timings")
@@ -296,7 +316,7 @@ def test_out_path(tmp_path, capsys):
 
 
 def test_rep_ball_command(capsys):
-    code, _, report = run_cli(
+    code, report = run_cli(
         capsys, "rep-ball", "-p", "3", "--base", "1", "--target", "3", "--radius", "2", "--seed", "1"
     )
     assert code == 0 and report["ok"]
@@ -323,7 +343,7 @@ def test_rep_rejects_non_sl_and_size_mismatch(capsys, argv):
 
 
 def test_rep_ball_p2_has_no_false_collisions(capsys):
-    code, _, report = run_cli(
+    code, report = run_cli(
         capsys, "rep-ball", "-p", "2", "--base", "1", "--target", "3", "--radius", "3", "--seed", "1"
     )
     assert code == 0 and report["results"]["collisions"] == 0
@@ -406,9 +426,6 @@ CLI_ARGV = {
 }
 
 # the commands that print their result on one line before the report
-ECHO_KEY = {"rep": "rho", "graded-bracket": "bracket"}
-
-
 def _reject_constant(name):
     raise ValueError("non-finite number %s in the report" % name)
 
@@ -433,13 +450,8 @@ def test_cli_exit_codes_and_strict_json(monkeypatch, command):
         assert "Traceback" not in err.getvalue()
         text = out.getvalue()
         if code in (0, 1):
-            echo = None
-            if command in ECHO_KEY:
-                echo, text = text.split("\n", 1)
             report = json.loads(text, parse_constant=_reject_constant)
             assert report["ok"] is (code == 0)
-            if echo is not None:
-                assert echo == report["results"][ECHO_KEY[command]]
         else:
             assert text == ""
 

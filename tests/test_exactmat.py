@@ -5,18 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from filtra.exactmat import (
     DimensionMismatch,
-    IntMat,
+    Mat,
     MatrixError,
-    ModMat,
     Modulus,
     ModulusMismatch,
     NonInvertible,
     format_matrix,
     parse_matrix,
-    reduce_mod,
 )
 from filtra.exactmat import (
-    _adjugate, _adjugate_n, _det, _det_bareiss, _det_n, _flat, _flat_mul, _flat_mul_z, _flat_pow, _mat_mul,
+    _adjugate, _adjugate_n, _det, _det_bareiss, _flat, _flat_mul, _flat_mul_z, _flat_pow, _mat_mul,
     _mat_mul_n, _sign_normal,
 )
 
@@ -25,22 +23,21 @@ M27 = Modulus(3, 3)
 
 
 def imat(*rows):
-    return IntMat(tuple(tuple(r) for r in rows))
+    return Mat(tuple(tuple(r) for r in rows))
 
 
 def mmat(modulus, *rows):
-    return ModMat(tuple(tuple(r) for r in rows), modulus)
+    return Mat(tuple(tuple(r) for r in rows), modulus)
 
 
 # -- elementary-word strategies for special (det 1) matrices -----------------
 
 def special_word(rng, modulus=None, length=6):
-    out = IntMat.identity(2) if modulus is None else ModMat.identity(2, modulus)
+    out = Mat.identity(2, modulus)
     for _ in range(length):
         c = rng.randint(-4, 4)
         rows = ((1, c), (0, 1)) if rng.random() < 0.5 else ((1, 0), (c, 1))
-        t = IntMat(rows) if modulus is None else ModMat(rows, modulus)
-        out = out * t
+        out = out * Mat(rows, modulus)
     return out
 
 
@@ -50,10 +47,10 @@ elementary_steps = st.lists(
 
 
 def build_special(steps, modulus=None):
-    out = IntMat.identity(2) if modulus is None else ModMat.identity(2, modulus)
+    out = Mat.identity(2, modulus)
     for upper, c in steps:
         rows = ((1, c), (0, 1)) if upper else ((1, 0), (c, 1))
-        out = out * (IntMat(rows) if modulus is None else ModMat(rows, modulus))
+        out = out * Mat(rows, modulus)
     return out
 
 
@@ -69,7 +66,7 @@ def test_modulus_validation():
 
 def test_mul_identity_and_examples():
     a1 = imat((1, 3), (0, 1))
-    assert IntMat.identity(2) * a1 == a1
+    assert Mat.identity(2) * a1 == a1
     assert a1 * a1 == imat((1, 6), (0, 1))
     # the mixed product lands on the diagonal coset representative mod 9
     b1 = mmat(M9, (1, 0), (3, 1))
@@ -77,25 +74,28 @@ def test_mul_identity_and_examples():
     a1m = mmat(M9, (1, 3), (0, 1))
     assert b1 * c1 * a1m.inverse() == mmat(M9, (4, 0), (0, 7))
     assert a1m * a1m == mmat(M9, (1, 6), (0, 1))
-    assert a1m * a1m * a1m == ModMat.identity(2, M9)
+    assert a1m * a1m * a1m == Mat.identity(2, M9)
 
 
 def test_mul_dimension_and_modulus_errors():
     with pytest.raises(DimensionMismatch):
-        imat((1, 0), (0, 1)) * IntMat.identity(3)
+        imat((1, 0), (0, 1)) * Mat.identity(3)
     with pytest.raises(ModulusMismatch):
-        ModMat.identity(2, M9) * ModMat.identity(2, M27)
+        Mat.identity(2, M9) * Mat.identity(2, M27)
+    # Z and Z/p^r are two rings too
+    with pytest.raises(ModulusMismatch):
+        Mat.identity(2) * Mat.identity(2, M9)
 
 
 def test_inverse_examples():
-    assert IntMat.identity(2).inverse() == IntMat.identity(2)
+    assert Mat.identity(2).inverse() == Mat.identity(2)
     a = imat((1, 3), (0, 1))
     assert a.inverse() == imat((1, -3), (0, 1))
     am = mmat(M9, (1, 3), (0, 1))
     inv = am.inverse()
     assert inv == mmat(M9, (1, 6), (0, 1))
-    assert am * inv == ModMat.identity(2, M9)
-    assert inv * am == ModMat.identity(2, M9)
+    assert am * inv == Mat.identity(2, M9)
+    assert inv * am == Mat.identity(2, M9)
     # a determinant -1 integer matrix is a unit too
     flip = imat((0, 1), (1, 0))
     assert flip.inverse() == flip
@@ -109,7 +109,7 @@ def test_inverse_two_sided_many_random():
     # 1000 random special matrices per modulus, exact two-sided inverses
     for modulus in (M9, M27, Modulus(2, 3), Modulus(5, 2)):
         rng = random.Random("inv:%s" % modulus)
-        one = ModMat.identity(2, modulus)
+        one = Mat.identity(2, modulus)
         for _ in range(1000):
             m = special_word(rng, modulus)
             assert m.det() == 1
@@ -118,22 +118,23 @@ def test_inverse_two_sided_many_random():
 
 
 def test_reduce_examples_and_homomorphism():
-    assert reduce_mod(imat((1, 9), (0, 1)), M9) == ModMat.identity(2, M9)
-    assert reduce_mod(imat((1, 3), (0, 1)), M9) == mmat(M9, (1, 3), (0, 1))
-    assert reduce_mod(imat((-1, 0), (0, -1)), M9) == mmat(M9, (8, 0), (0, 8))
+    # reducing mod p^r is re-reading the entries over the smaller ring
+    assert Mat(imat((1, 9), (0, 1)).entries, M9) == Mat.identity(2, M9)
+    assert Mat(imat((1, 3), (0, 1)).entries, M9) == mmat(M9, (1, 3), (0, 1))
+    assert Mat(imat((-1, 0), (0, -1)).entries, M9) == mmat(M9, (8, 0), (0, 8))
     rng = random.Random("reducehom")
     for _ in range(300):
         a = special_word(rng)
         b = special_word(rng)
-        assert reduce_mod(a * b, M27) == reduce_mod(a, M27) * reduce_mod(b, M27)
+        assert Mat((a * b).entries, M27) == Mat(a.entries, M27) * Mat(b.entries, M27)
 
 
 def test_special_tag_preserved():
     rng = random.Random("special")
     for _ in range(100):
         a, b = special_word(rng), special_word(rng)
-        assert a.is_special and b.is_special and (a * b).is_special
-        assert reduce_mod(a, M9).is_special
+        assert a.det() == 1 and b.det() == 1 and (a * b).det() == 1
+        assert Mat(a.entries, M9).det() == 1
 
 
 def test_psl_examples():
@@ -163,10 +164,21 @@ def test_associativity(s1, s2, s3):
     assert (ai * bi) * ci == ai * (bi * ci)
 
 
+def _det_cofactor(rows):
+    """Determinant by cofactor expansion along the first row."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for c in range(n):
+        minor = [row[:c] + row[c + 1:] for row in rows[1:]]
+        term = rows[0][c] * _det_cofactor(minor)
+        total += term if c % 2 == 0 else -term
+    return total
+
+
 def test_det_bareiss_matches_cofactor():
     rng = random.Random("bareiss")
-    from filtra.exactmat import _det_bareiss, _det_cofactor
-
     for n in (2, 3, 4, 5, 6):
         for _ in range(30):
             rows = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
@@ -206,12 +218,10 @@ def _sl2_word(rng, length):
 
 def _assert_validated(x):
     # an arithmetic result must equal its fully validated re-construction
-    if isinstance(x, IntMat):
-        assert IntMat(x.entries) == x
-    else:
+    if x.modulus is not None:
         m = x.modulus.m
         assert all(0 <= e < m for row in x.entries for e in row)
-        assert ModMat(x.entries, x.modulus) == x
+    assert Mat(x.entries, x.modulus) == x
     assert type(x.entries) is tuple and all(type(row) is tuple for row in x.entries)
 
 
@@ -224,22 +234,19 @@ def test_closed_forms_match_generic_2x2():
         if rng.random() < 0.25:
             a = _mat_mul_n(a, ((0, 1), (1, 0)), 2)   # det -1
         assert _mat_mul(a, b, 2) == _mat_mul_n(a, b, 2)
-        assert _det(a) == _det_n(a) == _det_bareiss(a)
+        det = _det_bareiss(a)
+        assert _det(a) == det
         assert _adjugate(a) == _adjugate_n(a)
-        if modulus is None:
-            x, y = IntMat(a), IntMat(b)
-            expected_inv = IntMat(_adjugate_n(a)) if _det_n(a) == 1 else -IntMat(_adjugate_n(a))
-            expected_prod = IntMat(_mat_mul_n(a, b, 2))
-        else:
-            x, y = ModMat(a, modulus), ModMat(b, modulus)
-            dinv = pow(_det_n(a), -1, modulus.m)
-            expected_inv = ModMat(tuple(tuple(dinv * e for e in row) for row in _adjugate_n(a)), modulus)
-            expected_prod = ModMat(_mat_mul_n(a, b, 2), modulus)
-        assert x.det() == (_det_n(a) if modulus is None else _det_n(a) % modulus.m)
+        x, y = Mat(a, modulus), Mat(b, modulus)
+        # det is +-1, its own inverse over Z
+        dinv = det if modulus is None else pow(det, -1, modulus.m)
+        expected_inv = Mat(tuple(tuple(dinv * e for e in row) for row in _adjugate_n(a)), modulus)
+        expected_prod = Mat(_mat_mul_n(a, b, 2), modulus)
+        assert x.det() == (det if modulus is None else det % modulus.m)
         results = [x * y, x.inverse(), -x]
         assert results[0] == expected_prod
         assert results[1] == expected_inv
-        assert x * results[1] == (IntMat.identity(2) if modulus is None else ModMat.identity(2, modulus))
+        assert x * results[1] == Mat.identity(2, modulus)
         if modulus is not None:
             m = modulus.m
             cube = _flat_mul(_flat_mul(_flat(x), _flat(x), m), _flat(x), m)
@@ -253,23 +260,19 @@ def test_generic_path_results_validated():
     for modulus in (None, Modulus(2, 2), Modulus(3, 2)):
         for _ in range(20):
             rows = tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3))
-            x = IntMat(rows) if modulus is None else ModMat(rows, modulus)
+            x = Mat(rows, modulus)
             _assert_validated(x * x)
             _assert_validated(-x)
-        unit = IntMat(((1, 2, 0), (0, 1, 0), (3, 0, 1)))
-        if modulus is None:
-            u, one = unit, IntMat.identity(3)
-        else:
-            u, one = reduce_mod(unit, modulus), ModMat.identity(3, modulus)
+        u, one = Mat(((1, 2, 0), (0, 1, 0), (3, 0, 1)), modulus), Mat.identity(3, modulus)
         _assert_validated(u.inverse())
         assert u * u.inverse() == one
 
 
 def test_fast_paths_keep_their_errors():
     with pytest.raises(DimensionMismatch):
-        IntMat.identity(2) * IntMat.identity(3)
+        Mat.identity(2) * Mat.identity(3)
     with pytest.raises(DimensionMismatch):
-        ModMat.identity(3, M9) * ModMat.identity(2, M9)
+        Mat.identity(3, M9) * Mat.identity(2, M9)
     with pytest.raises(ModulusMismatch):
         mmat(M9, (1, 3), (0, 1)) * mmat(M27, (1, 3), (0, 1))
     with pytest.raises(NonInvertible):

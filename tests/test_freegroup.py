@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from filtra.exactmat import IntMat
+from filtra.exactmat import Mat
 from filtra.freegroup import (
     EndoSpec,
     RankMismatch,
@@ -113,7 +113,7 @@ def test_mccool_generators():
                 if i == j:
                     continue
                 assert verify_automorphism(mccool_generator(n, i, j), mccool_inverse(n, i, j))
-                assert mccool_generator(n, i, j).abelianize() == IntMat.identity(n)
+                assert mccool_generator(n, i, j).abelianize() == Mat.identity(n)
     with pytest.raises(ValueError):
         mccool_generator(3, 2, 2)
     with pytest.raises(ValueError):
@@ -121,15 +121,15 @@ def test_mccool_generators():
 
 
 def test_abelianize_examples():
-    assert EndoSpec.identity(3).abelianize() == IntMat.identity(3)
+    assert EndoSpec.identity(3).abelianize() == Mat.identity(3)
     (phi1, _), (phi2, _) = poison_action()
     m1 = phi1.abelianize()
-    assert m1 != IntMat.identity(3)
+    assert m1 != Mat.identity(3)
     expected = ((1, 0, 1), (0, 1, 0), (0, 0, 1))
     assert m1.entries == expected
     assert phi2.abelianize().entries == ((1, 0, 0), (0, 1, 1), (0, 0, 1))
     _, y = example_shift_action(3)
-    assert y.abelianize() == IntMat.identity(4)
+    assert y.abelianize() == Mat.identity(4)
 
 
 @settings(max_examples=40)

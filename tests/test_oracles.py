@@ -13,7 +13,7 @@ import pytest
 
 from filtra import filtration
 from filtra.exactmat import (
-    _FLAT_ID, IntMat, Modulus, ModMat, NonInvertible, _flat, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z,
+    _FLAT_ID, Mat, Modulus, NonInvertible, _flat, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z,
     _mat_mul_n,
 )
 from filtra.filtration import (
@@ -22,8 +22,8 @@ from filtra.filtration import (
     NotPGroup,
     QuotientTable,
     clear_table_cache,
-    congruence_basis,
     exact_congruence_exponent,
+    flat_congruence_basis,
     kernel_enumerate,
     level_of,
     tower_invariants,
@@ -332,10 +332,10 @@ def test_layer_addition_by_exhaustive_table():
                 assert got == want
 
 
-# -- reference: the graded layer maps computed with ModMat arithmetic --------
+# -- reference: the graded layer maps computed with Mat arithmetic -----------
 
 def _ref_pow(m, k):
-    out = ModMat.identity(2, m.modulus)
+    out = Mat.identity(2, m.modulus)
     for _ in range(k):
         out = out * m
     return out
@@ -372,10 +372,10 @@ def ref_lift(c, t_exp):
     mod = Modulus(p, t_exp)
     pq = p ** q
     a, b, d = (c.coords + (0,)) if p == 2 else c.coords
-    out = ModMat(((1, a * pq), (0, 1)), mod) * ModMat(((1, 0), (b * pq, 1)), mod)
+    out = Mat(((1, a * pq), (0, 1)), mod) * Mat(((1, 0), (b * pq, 1)), mod)
     if d:
         u = (1 + pq) % mod.m
-        out = out * _ref_pow(ModMat(((u, 0), (0, pow(u, -1, mod.m))), mod), d)
+        out = out * _ref_pow(Mat(((u, 0), (0, pow(u, -1, mod.m))), mod), d)
     return out
 
 
@@ -388,7 +388,7 @@ def ref_power_map(c):
 
 
 def _as_modmat(x, p, r):
-    return ModMat((x[:2], x[2:]), Modulus(p, r))
+    return Mat((x[:2], x[2:]), Modulus(p, r))
 
 
 def _all_classes(p, q):
@@ -456,9 +456,9 @@ def brute_congruence_exponent(rows, p, cap, allow_sign):
 def _sl2_words(rng, p):
     """A seeded SL2(Z) element: a word in the depth-q basis (q = 0 gives the
     unipotent generators of SL2(Z) itself), sometimes negated."""
-    basis = list(congruence_basis(p, rng.randint(0, 3)).values())
+    basis = [Mat((x[:2], x[2:])) for x in flat_congruence_basis(p, rng.randint(0, 3))]
     alphabet = basis + [m.inverse() for m in basis]
-    out = IntMat.identity(2)
+    out = Mat.identity(2)
     for _ in range(rng.randint(0, 7)):
         out = out * rng.choice(alphabet)
     return -out if rng.random() < 0.2 else out
@@ -484,7 +484,7 @@ def test_flat_backend_matches_intmat_backend():
     with pytest.raises(NonInvertible):
         _flat_inv_z((2, 0, 0, 1))
     with pytest.raises(NonInvertible):
-        IntMat(((2, 0), (0, 1))).inverse()
+        Mat(((2, 0), (0, 1))).inverse()
 
 
 def test_gcd_valuation_matches_bruteforce():
@@ -500,19 +500,19 @@ def test_gcd_valuation_matches_bruteforce():
         )
         for allow_sign in (False, True):
             want = brute_congruence_exponent(rows, p, cap, allow_sign)
-            assert exact_congruence_exponent(_flat(IntMat(rows)), p, allow_sign, bail=cap) == want
+            assert exact_congruence_exponent(_flat(Mat(rows)), p, allow_sign, bail=cap) == want
 
 
 def matrix_unit(n, k, l, modulus):
     rows = tuple(tuple(1 if (i, j) == (k, l) else 0 for j in range(n)) for i in range(n))
-    return IntMat(rows) if modulus is None else ModMat(rows, modulus)
+    return Mat(rows, modulus)
 
 
 def rho_by_matrix_units(u):
     """rho(u) column by column: column k*n + l is gamma (y E_kl) gamma^-1
     flattened row-major, with 2n^2 generic products."""
     n = u.n
-    modulus = u.gamma.modulus if isinstance(u.gamma, ModMat) else None
+    modulus = u.gamma.modulus
     ginv = u.gamma.inverse()
     cols = []
     for k in range(n):
@@ -520,12 +520,12 @@ def rho_by_matrix_units(u):
             image = u.gamma * (u.y * matrix_unit(n, k, l, modulus)) * ginv
             cols.append([image.entries[i][j] for i in range(n) for j in range(n)])
     rows = tuple(tuple(cols[c][r] for c in range(n * n)) for r in range(n * n))
-    return IntMat(rows) if modulus is None else ModMat(rows, modulus)
+    return Mat(rows, modulus)
 
 
 def random_sl_by_transvections(n, modulus, rng, length=8):
     """The product of explicit transvection matrices, with random_sl's draws."""
-    out = IntMat.identity(n) if modulus is None else ModMat.identity(n, modulus)
+    out = Mat.identity(n, modulus)
     bound = 3 if modulus is None else modulus.m - 1
     for _ in range(length):
         i = rng.randrange(n)
@@ -537,7 +537,7 @@ def random_sl_by_transvections(n, modulus, rng, length=8):
             tuple((1 if a == b else 0) + (c if (a, b) == (i, j) else 0) for b in range(n))
             for a in range(n)
         )
-        out = out * (IntMat(rows) if modulus is None else ModMat(rows, modulus))
+        out = out * (Mat(rows, modulus))
     return out
 
 
@@ -583,9 +583,9 @@ def test_mat_mul_n_matches_triple_loop():
                 want = mat_mul_by_loops(a, b, n)
                 assert _mat_mul_n(a, b, n) == want
                 if modulus is None:
-                    assert (IntMat(a) * IntMat(b)).entries == want
+                    assert (Mat(a) * Mat(b)).entries == want
                 else:
-                    assert (ModMat(a, modulus) * ModMat(b, modulus)).entries == ModMat(want, modulus).entries
+                    assert (Mat(a, modulus) * Mat(b, modulus)).entries == Mat(want, modulus).entries
 
 
 def _random_word(rng, rank):

@@ -191,7 +191,7 @@ def test_poison_sampler_stream_pinned():
 
 
 def test_congruence_suite_payload_pinned():
-    # sha256 of the suite's report payload, taken with the IntMat backend;
+    # sha256 of the suite's report payload, taken with the generic 2x2 matrix backend;
     # the flat SL2(Z) backend must reproduce it byte for byte.
     reports, ok = run_congruence_suite(3, 1, 1, 2, 2, count=40, seed=12)
     payload = json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
