@@ -537,7 +537,7 @@ def random_sl_by_transvections(n, modulus, rng, length=8):
             tuple((1 if a == b else 0) + (c if (a, b) == (i, j) else 0) for b in range(n))
             for a in range(n)
         )
-        out = out * (Mat(rows, modulus))
+        out = out * Mat(rows, modulus)
     return out
 
 
@@ -582,10 +582,7 @@ def test_mat_mul_n_matches_triple_loop():
                         for _ in range(2))
                 want = mat_mul_by_loops(a, b, n)
                 assert _mat_mul_n(a, b, n) == want
-                if modulus is None:
-                    assert (Mat(a) * Mat(b)).entries == want
-                else:
-                    assert (Mat(a, modulus) * Mat(b, modulus)).entries == Mat(want, modulus).entries
+                assert (Mat(a, modulus) * Mat(b, modulus)).entries == Mat(want, modulus).entries
 
 
 def _random_word(rng, rank):
