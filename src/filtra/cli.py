@@ -1,10 +1,11 @@
 """Command line front end: JSON verification reports for every suite.
 
 Exit codes: 0 all checks passed, 1 at least one check failed (the JSON
-report carries the counterexamples), 2 usage error, 3 desk-scale guard
-violation.  Re-running with an identical config (including the seed, which
-is mandatory for every sampling command) reproduces the same report except
-for the wall-clock timings.
+report carries the counterexamples), 2 usage error.  Every finite quotient
+a command reports comes from the tower certificate, so no command builds an
+enumeration table or reaches its guard.  Re-running with an identical
+config (including the seed, which is mandatory for every sampling command)
+reproduces the same report except for the wall-clock timings.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 
 from . import __version__
 from .exactmat import _PRIME_BOUND, Mat, MatrixError, Modulus, parse_matrix
-from .filtration import FiltrationSpec, GuardError, check_p_congruence, kernel_enumerate
+from .filtration import FiltrationSpec, check_p_congruence, tower_invariants
 from .freegroup import (
     Word,
     example_shift_action,
@@ -60,8 +61,8 @@ def _emit(report, out_path):
 
 
 def _cmd_quotient(args, started):
-    table = kernel_enumerate(args.p, args.i, args.j, args.family)
-    result = table.to_dict()
+    result = tower_invariants(args.p, args.i, args.j, args.family)
+    del result["p_group"]
     config = {"family": args.family, "p": args.p, "i": args.i, "j": args.j}
     return 0, _report("quotient", config, result, True, started)
 
@@ -77,13 +78,18 @@ def _cmd_pcongruence(args, started):
     return (0 if result["ok"] else 1), report
 
 
+_CONGRUENCE_DEFAULTS = {"p": 3, "r0": 1, "s0": 1, "rmax": 3, "smax": 3}
+
+
 def _cmd_stability(args, started):
     config = {"example": args.example, "seed": args.seed, "count": args.count}
+    given = {key: value for key in _CONGRUENCE_DEFAULTS if (value := getattr(args, key)) is not None}
     if args.example == "congruence":
-        config.update({"p": args.p, "r0": args.r0, "s0": args.s0,
-                       "rmax": args.rmax, "smax": args.smax})
-        reports, ok = run_congruence_suite(args.p, args.r0, args.s0, args.rmax, args.smax,
-                                           count=args.count, seed=args.seed)
+        config.update(_CONGRUENCE_DEFAULTS, **given)
+        reports, ok = run_congruence_suite(config["p"], config["r0"], config["s0"], config["rmax"],
+                                           config["smax"], count=args.count, seed=args.seed)
+    elif given:
+        raise CliUsageError("-p, --r0, --s0, --rmax and --smax apply to --example congruence only")
     else:
         reports, ok = run_poison_suite(count=args.count, seed=args.seed)
     results = [rep.to_dict() for rep in reports]
@@ -206,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="also write the JSON report to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("quotient", parents=[common], help="enumerate a finite congruence quotient")
+    q = sub.add_parser("quotient", parents=[common], help="certify the invariants of a finite congruence quotient")
     q.add_argument("--family", choices=["pgamma", "gamma"], required=True)
     q.add_argument("-p", type=int, required=True)
     q.add_argument("-i", type=int, required=True)
@@ -224,11 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("stability", parents=[common], help="stability / Lie-like sampling suites")
     st.add_argument("--example", choices=["congruence", "poison"], required=True)
-    st.add_argument("-p", type=int, default=3)
-    st.add_argument("--r0", type=int, default=1)
-    st.add_argument("--s0", type=int, default=1)
-    st.add_argument("--rmax", type=int, default=3)
-    st.add_argument("--smax", type=int, default=3)
+    # the congruence example's flags, None when not given (defaults in _CONGRUENCE_DEFAULTS)
+    st.add_argument("-p", type=int)
+    st.add_argument("--r0", type=int)
+    st.add_argument("--s0", type=int)
+    st.add_argument("--rmax", type=int)
+    st.add_argument("--smax", type=int)
     st.add_argument("--count", type=int, default=500)
     st.add_argument("--seed", type=int, required=True)
     st.set_defaults(func=_cmd_stability)
@@ -287,9 +294,6 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code, report = args.func(args, started)
-    except GuardError as exc:
-        print("guard violation: %s" % exc, file=sys.stderr)
-        return 3
     except (CliUsageError, MatrixError, ValueError) as exc:
         # bad literals, coordinates out of shape, invalid moduli, ...
         print("usage error: %s" % exc, file=sys.stderr)

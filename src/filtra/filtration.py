@@ -9,10 +9,11 @@ p^{r0}, p^{r0+1}, ... of either family:
 
 ``level_of`` measures how deep an element sits, ``tower_invariants``
 certifies the order, exponent and d(G) of the finite quotient between two
-levels from the graded tower, ``kernel_enumerate`` builds that quotient by
-complete enumeration, and ``check_p_congruence`` verifies the finite p-group
-and bounded-generation conditions for every pair of levels up to a depth
-cap.
+levels from the graded tower, and ``check_p_congruence`` verifies the
+finite p-group and bounded-generation conditions for every pair of levels
+up to a depth cap.  ``kernel_enumerate`` builds the same quotient by
+complete enumeration; no command calls it, and it is the oracle the
+certificate is tested against.
 
 Elements of SL(2, Z) are flat (a, b, c, d) tuples, the form the samplers
 use (``flat_congruence_basis`` gives the generators that way); quotient
@@ -28,9 +29,9 @@ The tower certificate reads each layer Gamma(p^q)/Gamma(p^{q+1}) as F_p^3
 through the coordinates of x = I + p^q N (``graded.layer_offset``, the map
 the graded classes use) and follows the p^{q-i}-th powers of
 three basis lifts down the layers, so it costs O(j - i) flat products mod
-p^j at any depth.  It covers the gamma family at every p and the pgamma
-family at odd p, where the two quotients coincide; the pgamma quotient at
-p = 2 identifies central scalar classes and is enumerated.
+p^j at any depth.  The pgamma quotient is the gamma quotient modulo the
+central scalars it identifies, which exist only at p = 2, so the
+certificate covers both families at every p.
 
 The quotient between levels p^i and p^j (i >= 1) is enumerated on its
 determinant-one locus: a = 1 + p^i n is a unit mod p^j, so d = (1 + bc) a^-1
@@ -167,12 +168,20 @@ def flat_congruence_basis(p: int, q: int) -> list:
 # --- finite quotients -------------------------------------------------------
 
 def _scalar_subgroup(p, i, j):
-    """Scalars lam = 1 + p^i mu with lam^2 = 1 mod p^j (the central scalars
-    living inside the enumerated kernel).  Trivial for odd p."""
-    pi_, pj = p ** i, p ** j
-    return tuple(
-        lam for mu in range(p ** (j - i)) if ((lam := (1 + pi_ * mu) % pj) * lam) % pj == 1
-    )
+    """Scalars lam = 1 mod p^i with lam^2 = 1 mod p^j (the central scalars
+    living inside the quotient between levels p^i and p^j), in increasing
+    order.
+
+    Trivial for odd p, where lam^2 = 1 forces lam = +-1 and only 1 is 1 mod
+    p^i.  At p = 2 every square root of 1 mod 2^j lies in
+    {+-1, +-1 + 2^{j-1}}, so the members of that set passing both tests are
+    all of them.
+    """
+    if p != 2:
+        return (1,)
+    pi_, pj = 2 ** i, 2 ** j
+    roots = {lam % pj for lam in (1, -1, 1 + pj // 2, pj // 2 - 1)}
+    return tuple(sorted(lam for lam in roots if lam % pi_ == 1 and lam * lam % pj == 1))
 
 
 class QuotientTable:
@@ -419,11 +428,8 @@ def kernel_enumerate(p: int, i: int, j: int, family: str = "pgamma") -> Quotient
     p^{3(j-i)} <= FILTRA_MAX_ENUM (default 10^7), also for tables already
     in the cache.
 
-    Tables answer what the tower certificate does not: the ``quotient``
-    command, the pairs ``tower_invariants`` refuses (the pgamma family at
-    p = 2), and the constructive generator check of the stability suite's
-    small cells.  They are also the oracle the certificate is tested
-    against.
+    No command builds a table: ``tower_invariants`` answers every quotient.
+    Tables are the oracle the certificate is tested against.
     """
     _check_quotient(p, i, j, family)
     work = _enumeration_size(p, i, j)
@@ -448,22 +454,15 @@ def clear_table_cache() -> None:
     _enumerate.cache_clear()
 
 
-def table_invariants(p: int, i: int, j: int, family: str = "pgamma") -> dict:
-    """The fields ``tower_invariants`` returns, read off the enumerated
-    table (``kernel_enumerate``, so guarded)."""
-    table = kernel_enumerate(p, i, j, family)
-    return dict(table.to_dict(), p_group=table.is_p_group())
-
-
-def tower_invariants(p: int, i: int, j: int, family: str = "pgamma"):
-    """The invariants of the quotient G between congruence levels p^i and
-    p^j, certified on the graded tower instead of enumerated, or None when
-    a step of the certificate fails.
+def tower_invariants(p: int, i: int, j: int, family: str = "pgamma") -> dict:
+    """The invariants of the quotient between congruence levels p^i and
+    p^j, certified on the graded tower instead of enumerated.  Raises
+    RuntimeError when a step of the certificate fails.
 
     Returns exactly the fields of ``QuotientTable.to_dict()`` plus
-    ``p_group``.  The lifts of the layer-i basis are
-    ``flat_congruence_basis(p, i)`` mod p^j, and each step is an exact
-    check on O(j - i) flat products mod p^j:
+    ``p_group``.  Let G be the gamma quotient.  The lifts of the layer-i
+    basis are ``flat_congruence_basis(p, i)`` mod p^j, and each step is an
+    exact check on O(j - i) flat products mod p^j:
 
     1. the lifts have determinant 1 and the layer map, the first three
        coordinates of ``graded.layer_offset``, is additive on them at
@@ -473,54 +472,61 @@ def tower_invariants(p: int, i: int, j: int, family: str = "pgamma"):
        generate then meets every layer in all of it, so
        |H| >= p^{3(j-i)} >= |G|: H = G, |G| = p^{3(j-i)} and d(G) <= 3;
     3. (I + p^q N)^p = I mod p^{q+1} by the binomial theorem, so the
-       exponent is at most p^{j-i}, and the order of the lift of A,
+       exponent is at most top = p^{j-i}, and the order of the lift of A,
        measured with ``exact_congruence_exponent``, must attain it.
 
-    The pgamma quotient at p = 2 identifies central scalar classes (there
-    is always one besides 1, such as 1 + 2^{j-1}), so its layers are not the
-    layers read here and the answer is None; at odd p it is the gamma
-    quotient.
+    The pgamma quotient is G/Z for the central scalars Z of
+    ``_scalar_subgroup``, trivial at odd p.  Its order is |G|/|Z|.  Steps
+    1 and 2 identify G/Phi(G) with layer i, and Phi(G/Z) = Phi(G)Z/Z, so
+    d(G/Z) is 3 minus the rank of the layer-i images of Z.  The exponent
+    stays top when the (top/p)-th power of the lift of A is not in Z.  The
+    quotient is elementary abelian exactly when its order is p^d.
     """
     _check_quotient(p, i, j, family)
-    if family == "pgamma" and p == 2:
-        return None
     m = p ** j
     lifts = [tuple(e % m for e in g) for g in flat_congruence_basis(p, i)]
     if any((a * d - b * c) % m != 1 for a, b, c, d in lifts):
-        return None
+        raise RuntimeError("a lift of the layer-%d basis has determinant other than 1" % i)
     # 1. the layer map at level i is additive on the lifts
     coords = [layer_offset(x, p, i) for x in lifts]
     if None in coords:
-        return None
+        raise RuntimeError("a lift of the layer-%d basis is not I mod p^%d" % (i, i))
     for x, cx in zip(lifts, coords):
         for y, cy in zip(lifts, coords):
             if layer_offset(_flat_mul(x, y, m), p, i) != tuple((u + v) % p for u, v in zip(cx, cy)):
-                return None
+                raise RuntimeError("the layer-%d map is not additive on the lifts" % i)
     # 2. the p-th power map carries a basis of each layer onto the next one
     powers = lifts
     for q in range(i, j):
         basis = [layer_offset(x, p, q) for x in powers]
         if None in basis or _det([n[:3] for n in basis]) % p == 0:
-            return None
+            raise RuntimeError("the powers of the lifts do not span layer %d" % q)
         powers = [_flat_pow(x, p, m) for x in powers]
     # 3. the lift of A has the largest order the power map allows
     top = p ** (j - i)
     x, order = lifts[0], 1
     while exact_congruence_exponent(x, p, False, j) < j:
         if order == top:
-            return None
-        x, order = _flat_pow(x, p, m), order * p
+            raise RuntimeError("the lift of A has order above p^(j-i)")
+        last, x, order = x, _flat_pow(x, p, m), order * p
     if order != top:
-        return None
+        raise RuntimeError("the lift of A has order below p^(j-i)")
+    scalars = _scalar_subgroup(p, i, j) if family == "pgamma" else (1,)
+    if any(last == (lam, 0, 0, lam) for lam in scalars):
+        raise RuntimeError("the (p^(j-i)/p)-th power of the lift of A is a central scalar")
+    # the layer-i images of Z form a subgroup of order 2^rank (Z is trivial at odd p)
+    rank = len({layer_offset((lam, 0, 0, lam), p, i) for lam in scalars}).bit_length() - 1
+    d = 3 - rank
+    size = _enumeration_size(p, i, j) // len(scalars)
     return {
         "family": family,
         "p": p,
         "i": i,
         "j": j,
-        "order": _enumeration_size(p, i, j),
+        "order": size,
         "exponent": top,
-        "d": 3,
-        "elementary_abelian": top == p,
+        "d": d,
+        "elementary_abelian": size == p ** d,
         "p_group": True,
     }
 
@@ -531,28 +537,21 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
 
     For every 0 <= i < j <= j_max the quotient between levels i and j must
     be a finite p-group with d <= bound_e.  Each pair is answered by the
-    tower certificate (``tower_invariants``) where it applies, at any
-    depth and without building a table; the pairs it refuses are
-    enumerated (``table_invariants``, under the enumeration guard).  Both
-    fill the same fields with the same values.  Additionally a seeded
-    sample of generator words is checked for consistency between the
-    truncated level_of and the exact congruence exponent (no element
-    shallower than the cap may report cap + 1).
+    tower certificate (``tower_invariants``) at any depth and without
+    building a table.  Additionally a seeded sample of generator words is
+    checked for consistency between the truncated level_of and the exact
+    congruence exponent (no element shallower than the cap may report
+    cap + 1); the exact exponent is taken one past the cap, as deep as
+    level_of reads.
 
-    The result's ``stats`` entry counts the certified and enumerated pairs
-    and sets the largest enumeration against the guard; it describes the
-    run, not the group, and the CLI reports it under ``timings``.
+    The result's ``stats`` entry counts the certified pairs; it describes
+    the run, not the group, and the CLI reports it under ``timings``.
     """
     pairs = []
-    enumerated = []
     ok = True
     for i in range(j_max):
         for j in range(i + 1, j_max + 1):
-            lo, hi = spec.exponent(i), spec.exponent(j)
-            entry = tower_invariants(spec.p, lo, hi, spec.family)
-            if entry is None:
-                entry = table_invariants(spec.p, lo, hi, spec.family)
-                enumerated.append(_enumeration_size(spec.p, lo, hi))
+            entry = tower_invariants(spec.p, spec.exponent(i), spec.exponent(j), spec.family)
             entry["levels"] = [i, j]
             entry["d_le_e"] = entry["d"] <= bound_e
             entry["pass"] = entry["p_group"] and entry["d_le_e"]
@@ -566,7 +565,7 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
     truncation_failures = []
     for _ in range(sample_count):
         w = random_element(gens, _flat_mul_z, rng, 6)
-        exact = exact_congruence_exponent(w, spec.p, spec.allow_sign)
+        exact = exact_congruence_exponent(w, spec.p, spec.allow_sign, bail=spec.r0 + spec.depth_cap + 1)
         reported = level_of(w, spec)
         expected = -1 if exact < spec.r0 else min(exact - spec.r0, spec.depth_cap + 1)
         if reported != expected:
@@ -581,10 +580,5 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
         "pairs": pairs,
         "truncation_check": {"samples": sample_count, "failures": truncation_failures},
         "ok": ok,
-        "stats": {
-            "pairs_certified": len(pairs) - len(enumerated),
-            "pairs_enumerated": len(enumerated),
-            "largest_enumeration": max(enumerated, default=0),
-            "guard": enum_guard_limit(),
-        },
+        "stats": {"pairs_certified": len(pairs)},
     }

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import filtra
 from filtra.cli import main
-from filtra.filtration import enum_guard_limit
+from filtra.filtration import _enumerate, clear_table_cache
 from filtra.stability import poison_extension, replay_failure
 
 
@@ -31,11 +31,18 @@ def test_quotient_command(capsys):
     assert report["schema_version"] == 1
 
 
-def test_quotient_guard_exit_code(capsys):
-    code = main(["quotient", "--family", "pgamma", "-p", "3", "-i", "1", "-j", "6"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "guard" in err
+def test_quotient_past_the_guard_is_certified(capsys):
+    # 3^15 triples, past the enumeration guard: the certificate answers
+    clear_table_cache()
+    code, report = run_cli(capsys, "quotient", "--family", "pgamma", "-p", "3", "-i", "1", "-j", "6")
+    assert code == 0
+    assert (report["results"]["order"], report["results"]["exponent"], report["results"]["d"]) == (3 ** 15, 243, 3)
+    started = time.perf_counter()
+    code, report = run_cli(capsys, "quotient", "--family", "pgamma", "-p", "2", "-i", "1", "-j", "40")
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert (report["results"]["order"], report["results"]["d"]) == (2 ** 117 // 4, 2)
+    assert _enumerate.cache_info().misses == 0
 
 
 def test_usage_error_exit_code():
@@ -233,17 +240,22 @@ def test_pcongruence_command(capsys):
 def test_pcongruence_payload_pinned(capsys, family, p, jmax, e, digest):
     # sha256 of the report without timings, taken when every pair was
     # enumerated; the tower certificate must reproduce it byte for byte
+    clear_table_cache()
     code, report = run_cli(capsys, "pcongruence", "--family", family, "-p", str(p),
                               "--jmax", str(jmax), "-e", str(e), "--seed", "4")
     assert code == (0 if e == 3 else 1)
-    stats = report["timings"]["stats"]
-    pairs = jmax * (jmax + 1) // 2
-    if family == "pgamma" and p == 2:
-        assert stats["pairs_enumerated"] == pairs and stats["largest_enumeration"] == 2 ** (3 * jmax)
-    else:
-        assert stats == {"pairs_certified": pairs, "pairs_enumerated": 0, "largest_enumeration": 0,
-                         "guard": enum_guard_limit()}
+    assert report["timings"]["stats"] == {"pairs_certified": jmax * (jmax + 1) // 2}
+    assert _enumerate.cache_info().misses == 0
     assert _pinned_digest(report) == digest
+
+
+def test_pcongruence_truncation_check_reads_past_64(capsys):
+    # levels reach exponent r0 + jmax + 1 = 66: the exact exponent the
+    # sample is checked against must not saturate below it
+    code, report = run_cli(capsys, "pcongruence", "--family", "gamma", "-p", "3", "--r0", "60",
+                           "--jmax", "5", "-e", "3", "--seed", "1")
+    assert code == 0 and report["ok"]
+    assert report["results"]["truncation_check"] == {"samples": 60, "failures": []}
 
 
 @pytest.mark.parametrize("args, digest", [
@@ -261,15 +273,19 @@ def test_pcongruence_payload_pinned(capsys, family, p, jmax, e, digest):
 ])
 def test_table_payloads_pinned(capsys, args, digest):
     # sha256 of the report without timings and version, taken when d(G) and
-    # the generating set came from a coset map and a vector space span; the
-    # stability run builds pgamma p = 2 tables for its constructive check
+    # the generating set came from a coset map and a vector space span and
+    # the stability run closed pgamma p = 2 tables for its constructive
+    # check; the tower certificate must reproduce it without a table
+    clear_table_cache()
     code, report = run_cli(capsys, *args)
     assert code == 0
+    assert _enumerate.cache_info().misses == 0
     assert _pinned_digest(report) == digest
 
 
 def test_pcongruence_deep_tower_builds_no_table(capsys):
     # 3^24 elements in the deepest quotient, far past the enumeration guard
+    clear_table_cache()
     started = time.perf_counter()
     code, report = run_cli(capsys, "pcongruence", "--family", "gamma", "-p", "3", "--r0", "1",
                               "--jmax", "8", "-e", "3", "--seed", "1")
@@ -278,8 +294,8 @@ def test_pcongruence_deep_tower_builds_no_table(capsys):
     deepest = report["results"]["pairs"][7]
     assert deepest["levels"] == [0, 8] and deepest["order"] == 3 ** 24 and deepest["exponent"] == 3 ** 8
     assert all(pair["d"] == 3 for pair in report["results"]["pairs"])
-    assert report["timings"]["stats"]["pairs_certified"] == 36
-    assert report["timings"]["stats"]["largest_enumeration"] == 0
+    assert report["timings"]["stats"] == {"pairs_certified": 36}
+    assert _enumerate.cache_info().misses == 0
     assert elapsed < 1.0
 
 
@@ -293,6 +309,21 @@ def test_stability_poison_command(capsys):
     failure = stable["failures"][0]
     assert failure["kind"] == "stable_condition2"
     assert replay_failure(poison_extension(), failure)
+
+
+@pytest.mark.parametrize("flag, value", [("-p", "4"), ("--r0", "1"), ("--s0", "2"), ("--rmax", "9"),
+                                         ("--smax", "3")])
+def test_stability_poison_refuses_congruence_flags(capsys, flag, value):
+    assert main(["stability", "--example", "poison", "--count", "5", "--seed", "1", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error" in captured.err
+
+
+def test_stability_congruence_flags_default(capsys):
+    code, report = run_cli(capsys, "stability", "--example", "congruence", "--count", "1", "--seed", "1")
+    assert code == 0
+    assert report["config"] == {"example": "congruence", "seed": 1, "count": 1,
+                                "p": 3, "r0": 1, "s0": 1, "rmax": 3, "smax": 3}
 
 
 def test_stability_congruence_command_deterministic(capsys):
@@ -400,8 +431,7 @@ MODULI = st.one_of(
 COORDS = st.one_of(st.lists(st.integers(0, 9), min_size=2, max_size=3).map(lambda v: ",".join(map(str, v))),
                    st.text(alphabet="0123456789, x", max_size=8))
 
-# sizes stay small: every table the enumeration guard admits below has at
-# most 4096 elements, and sample counts stay below 6
+# sizes stay small: sample counts stay below 6
 CLI_ARGV = {
     "quotient": _argv(["quotient"], [("--family", st.sampled_from(["pgamma", "gamma"])), ("-p", PRIMES),
                                      ("-i", SMALL), ("-j", st.one_of(st.integers(2, 5), SMALL))]),
@@ -425,17 +455,18 @@ CLI_ARGV = {
     "freegroup-fixtures": _argv(["freegroup-fixtures"], [], [("--nmax", st.integers(-1, 3))]),
 }
 
-# the commands that print their result on one line before the report
 def _reject_constant(name):
     raise ValueError("non-finite number %s in the report" % name)
 
 
 @pytest.mark.parametrize("command", sorted(CLI_ARGV))
 def test_cli_exit_codes_and_strict_json(monkeypatch, command):
-    # any arguments: an exit code in {0, 1, 2, 3} (argparse's SystemExit
+    # any arguments: an exit code in {0, 1, 2} (argparse's SystemExit
     # included), a strict JSON report on stdout whenever the code is 0 or 1,
-    # and no exception or traceback escaping main
+    # no exception or traceback escaping main, and no quotient table built
+    # (the low guard keeps a command that did enumerate from running long)
     monkeypatch.setenv("FILTRA_MAX_ENUM", "4096")
+    clear_table_cache()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(CLI_ARGV[command])
@@ -446,7 +477,7 @@ def test_cli_exit_codes_and_strict_json(monkeypatch, command):
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-        assert code in (0, 1, 2, 3), argv
+        assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue()
         text = out.getvalue()
         if code in (0, 1):
@@ -456,3 +487,4 @@ def test_cli_exit_codes_and_strict_json(monkeypatch, command):
             assert text == ""
 
     check()
+    assert _enumerate.cache_info().misses == 0

@@ -27,6 +27,7 @@ from filtra.filtration import (
     kernel_enumerate,
     level_of,
     tower_invariants,
+    _scalar_subgroup,
 )
 from filtra.freegroup import EndoSpec, Word, mccool_generator, poison_action
 from filtra.graded import (
@@ -35,6 +36,7 @@ from filtra.graded import (
 )
 from filtra.holomorph import MatrixConjugation, random_element
 from filtra.linrep import DeltaElem, random_sl, rho
+from filtra.stability import CONSTRUCTIVE_LIMIT, congruence_extension, product_filtration_check
 from test_graded import _neg, random_kernel_element
 
 
@@ -608,34 +610,87 @@ def test_fast_word_operations_match_constructor():
 
 
 def test_tower_certificate_matches_enumerated_tables():
-    # every quotient with at most 10^5 elements at i <= 3: the certificate
-    # answers exactly what the table reports, and refuses only the pgamma
-    # family at p = 2
-    refused = []
+    # every quotient with at most 10^5 elements at i <= 3, in both families:
+    # the certificate answers exactly what the table reports
     checked = 0
     for family in FAMILIES:
         for p in (2, 3, 5):
             for i in (1, 2, 3):
                 j = i + 1
                 while p ** (3 * (j - i)) <= 10 ** 5:
-                    cert = tower_invariants(p, i, j, family)
-                    if cert is None:
-                        refused.append((p, family))
-                    else:
-                        table = kernel_enumerate(p, i, j, family)
-                        assert cert == dict(table.to_dict(), p_group=table.is_p_group()), (p, i, j, family)
-                        checked += 1
+                    table = kernel_enumerate(p, i, j, family)
+                    expected = dict(table.to_dict(), p_group=table.is_p_group())
+                    assert tower_invariants(p, i, j, family) == expected, (p, i, j, family)
+                    checked += 1
                     j += 1
     clear_table_cache()
-    assert checked == 45
-    assert set(refused) == {(2, "pgamma")} and len(refused) == 15
+    assert checked == 60
 
 
-def test_tower_certificate_refuses_pgamma_at_p2():
-    for i in range(1, 5):
-        for j in range(i + 1, i + 8):
-            assert tower_invariants(2, i, j, "pgamma") is None
-            assert tower_invariants(2, i, j, "gamma") is not None
+def scalar_subgroup_by_loop(p, i, j):
+    """Every lam = 1 + p^i mu mod p^j, mu < p^{j-i}, with lam^2 = 1 mod p^j."""
+    pi_, pj = p ** i, p ** j
+    return tuple(
+        lam for mu in range(p ** (j - i)) if ((lam := (1 + pi_ * mu) % pj) * lam) % pj == 1
+    )
+
+
+def test_scalar_subgroup_closed_form_matches_loop():
+    for p in (2, 3):
+        for i in range(1, 9):
+            for j in range(i + 1, i + 9):
+                assert _scalar_subgroup(p, i, j) == scalar_subgroup_by_loop(p, i, j), (p, i, j)
+
+
+def constructive_by_closure(gamma_q, pi_q):
+    """The generating sets of the two quotient tables, closed under the
+    product (u1, v1)(u2, v2) = (u1 u2, u2^-1 v1 u2 v2) of the extension
+    breadth first, counted against the product order."""
+    gamma_table, pi_table = kernel_enumerate(*gamma_q), kernel_enumerate(*pi_q)
+    mp = pi_table.m
+    gens = [(u, pi_table.identity) for u in gamma_table.generating_set()]
+    gens += [(gamma_table.identity, v) for v in pi_table.generating_set()]
+
+    def pair_mul(a, b):
+        (u1, v1), (u2, v2) = a, b
+        u2red = tuple(e % mp for e in u2)
+        twisted = _flat_mul(_flat_mul(_flat_inv(u2red, mp), v1, mp), u2red, mp)
+        return gamma_table.mul(u1, u2), pi_table.mul(pi_table.canon(twisted), v2)
+
+    seen = {(gamma_table.identity, pi_table.identity)}
+    frontier = list(seen)
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = pair_mul(cur, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return {"generators_used": len(gens), "generated": len(seen), "target": gamma_table.order * pi_table.order}
+
+
+def test_certified_constructive_block_matches_closure():
+    # every cell r + s <= 3 of the suite at p in {2, 3}: where the product
+    # has at most CONSTRUCTIVE_LIMIT elements and the Gamma modulus reaches
+    # the pi modulus, closing the generators reproduces the block (the
+    # largest closure, 2^16 pairs at p = 2, takes seconds); at s0 < r0 the
+    # Gamma modulus falls short and there is no block
+    closed = 0
+    for p in (2, 3):
+        for r0, s0 in ((1, 1), (2, 1)):
+            ext = congruence_extension(p, r0, s0, cap=3)
+            for r in range(3):
+                for s in range(1, 4 - r):
+                    bound = product_filtration_check(ext, r, s, 1).meta["generator_bound"]
+                    gamma_q, pi_q = ext.quotients(r, s)
+                    if bound["gamma_order"] * bound["pi_order"] > CONSTRUCTIVE_LIMIT or gamma_q[2] < pi_q[2]:
+                        assert bound["constructive"] is None and "pass" not in bound
+                        continue
+                    assert bound["constructive"] == constructive_by_closure(gamma_q, pi_q), (p, r0, s0, r, s)
+                    assert bound["pass"]
+                    closed += 1
+    clear_table_cache()
+    assert closed == 9
 
 
 def test_tower_certificate_checks_its_arguments():
@@ -669,11 +724,13 @@ def _mutations():
 @pytest.mark.parametrize("name", sorted(_mutations()))
 def test_tower_certificate_refuses_mutations(monkeypatch, name):
     attr, broken = _mutations()[name]
-    for p in (2, 3, 5):
-        assert tower_invariants(p, 1, 4, "gamma") is not None
+    cases = [(2, "pgamma"), (2, "gamma"), (3, "gamma"), (5, "gamma")]
+    for p, family in cases:
+        tower_invariants(p, 1, 4, family)
     monkeypatch.setattr(filtration, attr, broken)
-    for p in (2, 3, 5):
-        assert tower_invariants(p, 1, 4, "gamma") is None, name
+    for p, family in cases:
+        with pytest.raises(RuntimeError):
+            tower_invariants(p, 1, 4, family)
 
 
 def test_random_element_matches_identity_first_product():
