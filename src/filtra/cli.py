@@ -86,14 +86,16 @@ def _cmd_stability(args, started):
     given = {key: value for key in _CONGRUENCE_DEFAULTS if (value := getattr(args, key)) is not None}
     if args.example == "congruence":
         config.update(_CONGRUENCE_DEFAULTS, **given)
-        reports, ok = run_congruence_suite(config["p"], config["r0"], config["s0"], config["rmax"],
-                                           config["smax"], count=args.count, seed=args.seed)
+        reports, ok, stats = run_congruence_suite(config["p"], config["r0"], config["s0"], config["rmax"],
+                                                  config["smax"], count=args.count, seed=args.seed)
     elif given:
         raise CliUsageError("-p, --r0, --s0, --rmax and --smax apply to --example congruence only")
     else:
-        reports, ok = run_poison_suite(count=args.count, seed=args.seed)
+        reports, ok, stats = run_poison_suite(count=args.count, seed=args.seed)
     results = [rep.to_dict() for rep in reports]
-    return (0 if ok else 1), _report("stability", config, results, ok, started)
+    report = _report("stability", config, results, ok, started)
+    report["timings"]["stats"] = stats
+    return (0 if ok else 1), report
 
 
 def _cmd_graded_bracket(args, started):
@@ -107,11 +109,15 @@ def _cmd_graded_bracket(args, started):
 
 def _cmd_graded_verify(args, started):
     result = verify_relation_table(args.p, args.qmax)
-    config = {"p": args.p, "qmax": args.qmax, "seed": args.seed}
+    # the table is exhaustive and takes no seed; "seed": 0 keeps the payload
+    config = {"p": args.p, "qmax": args.qmax, "seed": 0}
     return (0 if result["ok"] else 1), _report("graded-verify", config, result, result["ok"], started)
 
 
 def _cmd_rep(args, started):
+    if args.seed is not None and not args.samples:
+        raise CliUsageError("--seed seeds the faithfulness suite and needs --samples")
+    seed = 0 if args.seed is None else args.seed
     modulus = Modulus(*_factor_prime_power(args.mod)) if args.mod else None
     gamma = parse_matrix(args.gamma, modulus)
     y = parse_matrix(args.y, modulus)
@@ -121,11 +127,11 @@ def _cmd_rep(args, started):
     results = {"rho": str(mat), "n_squared": mat.n}
     ok = True
     if args.samples:
-        suite = verify_faithful(gamma.n, modulus, args.samples, args.seed)
+        suite = verify_faithful(gamma.n, modulus, args.samples, seed)
         results["faithfulness"] = suite
         ok = suite["ok"]
     config = {"n": gamma.n, "mod": args.mod, "gamma": args.gamma, "y": args.y,
-              "samples": args.samples, "seed": args.seed}
+              "samples": args.samples, "seed": seed}
     return (0 if ok else 1), _report("rep", config, results, ok, started)
 
 
@@ -145,17 +151,20 @@ def _factor_prime_power(m):
 
 
 def _cmd_holomorph(args, started):
+    p = 3 if args.p is None else args.p
     if args.backend == "congruence":
-        ext = congruence_extension(args.p)
+        ext = congruence_extension(p)
         gens = ext.gamma_gens(0)
         result = verify_holomorph_identities(ext.act, gens, gens, args.count, args.seed)
+    elif args.p is not None:
+        raise CliUsageError("-p applies to --backend congruence only")
     else:
         act = FreeGroupAction(2, 3, poison_action())
         gamma_gens = [Word.generator(2, 1), Word.generator(2, 2)]
         pi_gens = [Word.generator(3, i) for i in (1, 2, 3)]
         result = verify_holomorph_identities(act, gamma_gens, pi_gens, args.count, args.seed,
                                              radius=5)
-    config = {"backend": args.backend, "p": args.p, "count": args.count, "seed": args.seed}
+    config = {"backend": args.backend, "p": p, "count": args.count, "seed": args.seed}
     return (0 if result["ok"] else 1), _report("holomorph-identities", config, result,
                                                result["ok"], started)
 
@@ -252,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     grv = gr_sub.add_parser("verify", parents=[common])
     grv.add_argument("-p", type=int, required=True)
     grv.add_argument("--qmax", type=int, required=True)
-    grv.add_argument("--seed", type=int, default=0,
-                     help="accepted for config uniformity; the table is exhaustive")
     grv.set_defaults(func=_cmd_graded_verify)
 
     rp = sub.add_parser("rep", parents=[common], help="the n^2-dimensional conjugation representation")
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--y", required=True)
     rp.add_argument("--samples", type=int, default=0,
                     help="also run the faithfulness suite on this many seeded pairs")
-    rp.add_argument("--seed", type=int, default=0)
+    rp.add_argument("--seed", type=int, help="seed of the faithfulness suite (default 0); needs --samples")
     rp.set_defaults(func=_cmd_rep)
 
     rb = sub.add_parser("rep-ball", parents=[common], help="injectivity of rho on a congruence generator ball")
@@ -276,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ho = sub.add_parser("holomorph-identities", parents=[common], help="closed forms vs first-principles products")
     ho.add_argument("--backend", choices=["congruence", "free"], required=True)
-    ho.add_argument("-p", type=int, default=3)
+    ho.add_argument("-p", type=int, help="prime of the congruence backend (default 3)")
     ho.add_argument("--count", type=int, default=1000)
     ho.add_argument("--seed", type=int, required=True)
     ho.set_defaults(func=_cmd_holomorph)

@@ -20,7 +20,9 @@ use (``flat_congruence_basis`` gives the generators that way); quotient
 table elements are flat tuples mod p^j.  Depth is a valuation: M = +-I
 mod p^e exactly when p^e divides the gcd of the entries of M -+ I, so
 ``level_of`` and ``exact_congruence_exponent`` take one gcd per sign and
-count its factors of p up to the cap.
+count its factors of p up to the cap.  The truncation check of
+``check_p_congruence`` divides the entries themselves instead, so that it
+does not share that code with what it checks.
 
 A level is an int in [-1, cap + 1]: -1 outside the level-0 group, cap + 1
 for anything deeper than the truncation cap can distinguish.
@@ -62,7 +64,7 @@ from .exactmat import (
     _FLAT_ID, _det, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z, _flat_pow, check_prime, format_matrix,
 )
 from .graded import layer_offset
-from .holomorph import random_element
+from .holomorph import WordSampler
 
 DEFAULT_ENUM_GUARD = 10 ** 7
 
@@ -531,6 +533,19 @@ def tower_invariants(p: int, i: int, j: int, family: str = "pgamma") -> dict:
     }
 
 
+def _divisibility_exponent(x: tuple, p: int, allow_sign: bool, bail: int) -> int:
+    """Largest e <= bail with p^e dividing every entry of x - I (or, with
+    ``allow_sign``, of x + I), found by dividing the entries themselves."""
+    a, b, c, d = x
+    best = 0
+    for sign in ((1, -1) if allow_sign else (1,)):
+        e, pe = 0, p
+        while e < bail and (a - sign) % pe == b % pe == c % pe == (d - sign) % pe == 0:
+            e, pe = e + 1, pe * p
+        best = max(best, e)
+    return best
+
+
 def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
                        sample_count: int = 60, seed: int = 2715) -> dict:
     """Verify the finite p-group and bounded-generation conditions.
@@ -542,7 +557,8 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
     checked for consistency between the truncated level_of and the exact
     congruence exponent (no element shallower than the cap may report
     cap + 1); the exact exponent is taken one past the cap, as deep as
-    level_of reads.
+    level_of reads, by ``_divisibility_exponent``, which shares no code
+    with level_of.
 
     The result's ``stats`` entry counts the certified pairs; it describes
     the run, not the group, and the CLI reports it under ``timings``.
@@ -562,10 +578,10 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
     gens = [m for lv in range(spec.depth_cap + 1)
             for m in flat_congruence_basis(spec.p, spec.exponent(lv))]
     gens += [_flat_inv_z(m) for m in gens]
+    bail = spec.r0 + spec.depth_cap + 1
     truncation_failures = []
-    for _ in range(sample_count):
-        w = random_element(gens, _flat_mul_z, rng, 6)
-        exact = exact_congruence_exponent(w, spec.p, spec.allow_sign, bail=spec.r0 + spec.depth_cap + 1)
+    for w, _ in WordSampler(gens, _flat_mul_z, 6).draw(rng, sample_count):
+        exact = _divisibility_exponent(w, spec.p, spec.allow_sign, bail)
         reported = level_of(w, spec)
         expected = -1 if exact < spec.r0 else min(exact - spec.r0, spec.depth_cap + 1)
         if reported != expected:

@@ -119,7 +119,7 @@ def delta_eq_mod_center(u: DeltaElem, v: DeltaElem, scalars) -> bool:
 def random_sl(n: int, modulus: Modulus | None, rng: random.Random, length: int = 8):
     """A pseudo-random determinant-one matrix: a word in transvections.
 
-    Not a ``holomorph.random_element`` word: each factor draws a position
+    Not a ``holomorph.WordSampler`` word: each factor draws a position
     and a coefficient, not a letter, and these draws fix the
     ``kernel_probes.hits`` that ``verify_faithful`` reports.  Each factor
     I + c E_ij is applied as the column operation column j += c column i;

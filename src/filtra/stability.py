@@ -17,6 +17,12 @@ scratch.  These are certificates of empirical stability over the sampled
 sets, never proofs: the quantifiers in the definitions range over infinite
 groups.
 
+``sample_level`` draws its words with ``holomorph.WordSampler``, the
+package's one seeded word sampler.  An ``ExtensionSpec`` keeps one sampler,
+and so one table of short words with their measured levels, per (side,
+level), so every check of a run reuses the products and levels of the
+words it has drawn before.
+
 Two extensions ship here:
 
 - ``congruence_extension``: the determinant-one congruence chain at
@@ -45,9 +51,9 @@ from .holomorph import (
     FreeGroupAction,
     MatrixConjugation,
     SemiElem,
+    WordSampler,
     comm_via_mul,
     conj_via_mul,
-    random_element,
     semi_comm,
     semi_conj,
     semi_eq,
@@ -104,6 +110,15 @@ class ExtensionSpec:
     gamma_parse: object = None
     pi_parse: object = None
     quotients: object = None         # (r, s) -> ((p, i, j, family) of Gamma, of pi) or None
+    # (side, level) -> WordSampler, made by the first sample_level call
+    samplers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def sampler_stats(self) -> dict:
+        """Words drawn by ``sample_level`` so far, and how many of them the
+        samplers' tables answered whole."""
+        samplers = self.samplers.values()
+        return {"samples_drawn": sum(s.drawn for s in samplers),
+                "short_word_hits": sum(s.hits for s in samplers)}
 
 
 def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4,
@@ -205,25 +220,29 @@ def poison_extension(radius: int = 6) -> ExtensionSpec:
 def sample_level(ext: ExtensionSpec, side: str, level: int, count: int, rng) -> list:
     """(element, measured level) pairs with level >= ``level``: the
     identity first, then words of length <= radius in the level generators
-    and their inverses.  Each element is measured here once, both to guard
-    against an element below its level and for the evaluators to use."""
+    and their inverses.  Each element is measured once, both to guard
+    against an element below its level and for the evaluators to use; the
+    spec's sampler for (side, level) keeps the short words' levels."""
     if side == "gamma":
-        gens, mul, inv, ident, measure = (
-            ext.gamma_gens(level), ext.act.gamma_mul, ext.act.gamma_inv, ext.act.gamma_id(), ext.gamma_level,
+        level_gens, mul, inv, ident, measure = (
+            ext.gamma_gens, ext.act.gamma_mul, ext.act.gamma_inv, ext.act.gamma_id(), ext.gamma_level,
         )
     elif side == "pi":
-        gens, mul, inv, ident, measure = (
-            ext.pi_gens(level), ext.act.pi_mul, ext.act.pi_inv, ext.act.pi_id(), ext.pi_level,
+        level_gens, mul, inv, ident, measure = (
+            ext.pi_gens, ext.act.pi_mul, ext.act.pi_inv, ext.act.pi_id(), ext.pi_level,
         )
     else:
         raise ValueError("side must be 'gamma' or 'pi'")
-    if not gens:
-        raise ValueError("empty generator list at level %d" % level)
-    alphabet = list(gens) + [inv(g) for g in gens]
-    out = [ident]
-    while len(out) < count:
-        out.append(random_element(alphabet, mul, rng, ext.radius))
-    pairs = [(w, measure(w)) for w in out[:count]]
+    sampler = ext.samplers.get((side, level))
+    if sampler is None:
+        gens = level_gens(level)
+        if not gens:
+            raise ValueError("empty generator list at level %d" % level)
+        sampler = ext.samplers[side, level] = WordSampler(
+            list(gens) + [inv(g) for g in gens], mul, ext.radius, measure)
+    if count < 1:
+        return []
+    pairs = [(ident, measure(ident))] + sampler.draw(rng, count - 1)
     for _, got in pairs:
         if got < level:
             raise RuntimeError("sampler produced an element below its level")  # pragma: no cover
@@ -590,7 +609,8 @@ def check_G_lie_like(ext: ExtensionSpec, r_max: int, s_max: int, count: int, see
 def run_congruence_suite(p: int, r0: int, s0: int, r_max: int, s_max: int,
                          count: int = 500, seed=42):
     """All five checks on the congruence extension, over the cells
-    r <= r_max, s <= s_max, r + s <= max(r_max, s_max); returns (reports, ok)."""
+    r <= r_max, s <= s_max, r + s <= max(r_max, s_max); returns (reports,
+    ok, stats), where stats are the extension's ``sampler_stats``."""
     ext = congruence_extension(p, r0, s0, cap=max(r_max, s_max))
     reports = [
         check_stable(ext, r_max, s_max, count, seed),
@@ -600,16 +620,17 @@ def run_congruence_suite(p: int, r0: int, s0: int, r_max: int, s_max: int,
         reports.append(product_filtration_check(ext, r, s, count, seed))
     reports.append(check_stably_lie_like(ext, r_max, s_max, count, seed))
     reports.append(check_G_lie_like(ext, r_max, s_max, count, seed))
-    return reports, all(rep.ok for rep in reports)
+    return reports, all(rep.ok for rep in reports), ext.sampler_stats()
 
 
 def run_poison_suite(count: int = 200, seed=1):
     """The contrast fixture: the depth-compatibility check is expected to
     fail on its twist condition while the two-phrasing equivalence holds on
-    every sample.  Returns (reports, ok) where ok means 'behaved as a
-    counterexample', i.e. the run carries replayable twist failures."""
+    every sample.  Returns (reports, ok, stats) where ok means 'behaved as
+    a counterexample', i.e. the run carries replayable twist failures, and
+    stats are the extension's ``sampler_stats``."""
     ext = poison_extension()
     stable = check_stable(ext, 1, 1, count, seed)
     lemma = check_twist_equivalence(ext, count, seed, 1, 1)
     reports = [stable, lemma]
-    return reports, all(rep.ok for rep in reports)
+    return reports, all(rep.ok for rep in reports), ext.sampler_stats()

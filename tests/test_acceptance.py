@@ -116,7 +116,7 @@ def test_criterion_05_holomorph_identities():
 
 def test_criterion_06_congruence_stability_suite():
     started = time.monotonic()
-    reports, ok = run_congruence_suite(3, 1, 1, 3, 3, count=500, seed=42)
+    reports, ok, _ = run_congruence_suite(3, 1, 1, 3, 3, count=500, seed=42)
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 60.0
     ok = ok and all(rep.ok for rep in reports)

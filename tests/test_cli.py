@@ -326,6 +326,47 @@ def test_stability_congruence_flags_default(capsys):
                                 "p": 3, "r0": 1, "s0": 1, "rmax": 3, "smax": 3}
 
 
+@pytest.mark.parametrize("argv", [
+    ["holomorph-identities", "--backend", "free", "--count", "5", "--seed", "1", "-p", "3"],
+    ["rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--seed", "1"],
+    ["rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--samples", "0", "--seed", "1"],
+    ["graded", "verify", "-p", "3", "--qmax", "2", "--seed", "1"],
+])
+def test_ignored_flags_are_refused(capsys, argv):
+    # -p means nothing to the free backend, --seed nothing to rep without
+    # its faithfulness suite or to the exhaustive relation table
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse refuses a flag the command lacks
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_absent_flags_keep_their_config_values(capsys):
+    code, report = run_cli(capsys, "holomorph-identities", "--backend", "free", "--count", "5", "--seed", "1")
+    assert code == 0 and report["config"]["p"] == 3
+    code, report = run_cli(capsys, "rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1")
+    assert code == 0 and report["config"]["seed"] == 0
+    code, report = run_cli(capsys, "rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--samples", "3")
+    assert code == 0 and report["config"]["seed"] == 0
+    code, report = run_cli(capsys, "graded", "verify", "-p", "3", "--qmax", "2")
+    assert code == 0 and report["config"]["seed"] == 0
+
+
+def test_stability_reports_sampler_stats(capsys):
+    # three cells, with 4 sample_level calls each in the stable check and 3
+    # in the twist check, draw count - 1 words per call; the poison tables
+    # answer some words whole
+    code, report = run_cli(capsys, "stability", "--example", "poison", "--count", "40", "--seed", "1")
+    stats = report["timings"]["stats"]
+    assert code == 1
+    assert stats["samples_drawn"] == (3 * 4 + 3 * 3) * 39
+    assert 0 < stats["short_word_hits"] < stats["samples_drawn"]
+    code, report = run_cli(capsys, "stability", "--example", "congruence", "--count", "1", "--seed", "1")
+    assert code == 0 and report["timings"]["stats"] == {"samples_drawn": 0, "short_word_hits": 0}
+
+
 def test_stability_congruence_command_deterministic(capsys):
     args = ["stability", "--example", "congruence", "-p", "3", "--r0", "1", "--s0", "1",
             "--rmax", "1", "--smax", "1", "--count", "30", "--seed", "42"]

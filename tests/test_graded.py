@@ -18,7 +18,7 @@ from filtra.graded import (
     verify_relation_table,
     zero_class,
 )
-from filtra.holomorph import random_element
+from filtra.holomorph import WordSampler
 
 
 def random_kernel_element(p, level, t_exp, rng):
@@ -28,7 +28,7 @@ def random_kernel_element(p, level, t_exp, rng):
     names = ["A", "B"] if p == 2 else ["A", "B", "D"]
     lifts = [lift(basis_class(p, level, name), t_exp) for name in names]
     alphabet = lifts + [_flat_inv(g, m) for g in lifts]
-    return random_element(alphabet, lambda x, y: _flat_mul(x, y, m), rng, 4)
+    return WordSampler(alphabet, lambda x, y: _flat_mul(x, y, m), 4).draw(rng, 1)[0][0]
 
 
 def basis_matrices(p, q):

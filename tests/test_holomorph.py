@@ -126,7 +126,7 @@ def test_psl_normalization_in_equality():
 def test_action_axioms_both_backends():
     import random
 
-    from filtra.holomorph import random_element
+    from filtra.holomorph import WordSampler
 
     backends = []
     gens = flat_congruence_basis(3, 1)
@@ -136,12 +136,11 @@ def test_action_axioms_both_backends():
                      [Word.generator(3, i) for i in (1, 2, 3)]))
     for act, ggens, pgens in backends:
         rng = random.Random("axioms")
-        galpha = ggens + [act.gamma_inv(f) for f in ggens]
-        palpha = pgens + [act.pi_inv(x) for x in pgens]
+        gwords = WordSampler(ggens + [act.gamma_inv(f) for f in ggens], act.gamma_mul, 4)
+        pwords = WordSampler(pgens + [act.pi_inv(x) for x in pgens], act.pi_mul, 4)
         for _ in range(80):
-            f = random_element(galpha, act.gamma_mul, rng, 4)
-            g = random_element(galpha, act.gamma_mul, rng, 4)
-            x = random_element(palpha, act.pi_mul, rng, 4)
+            (f, _), (g, _) = gwords.draw(rng, 2)
+            (x, _), = pwords.draw(rng, 1)
             assert act.pi_eq(act.apply(act.gamma_id(), x), x)
             assert act.pi_eq(act.apply(act.gamma_mul(f, g), x), act.apply(f, act.apply(g, x)))
 

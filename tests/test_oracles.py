@@ -5,6 +5,7 @@ closures from generating sets, p-power order climbing, canonical lifts) and
 recompute the same quantities by exhaustive enumeration over all pairs.
 """
 
+import functools
 import hashlib
 import itertools
 import random
@@ -21,6 +22,7 @@ from filtra.filtration import (
     FiltrationSpec,
     NotPGroup,
     QuotientTable,
+    check_p_congruence,
     clear_table_cache,
     exact_congruence_exponent,
     flat_congruence_basis,
@@ -29,14 +31,14 @@ from filtra.filtration import (
     tower_invariants,
     _scalar_subgroup,
 )
-from filtra.freegroup import EndoSpec, Word, mccool_generator, poison_action
+from filtra.freegroup import EndoSpec, Word, lcs_depth2, mccool_generator, poison_action
 from filtra.graded import (
     GradedClass, GradedError, basis_class, bracket, bracket_from_lifts, class_add, class_of, lift, power_map,
     zero_class,
 )
-from filtra.holomorph import MatrixConjugation, random_element
+from filtra.holomorph import MatrixConjugation, WordSampler
 from filtra.linrep import DeltaElem, random_sl, rho
-from filtra.stability import CONSTRUCTIVE_LIMIT, congruence_extension, product_filtration_check
+from filtra.stability import CONSTRUCTIVE_LIMIT, congruence_extension, product_filtration_check, sample_level
 from test_graded import _neg, random_kernel_element
 
 
@@ -489,6 +491,23 @@ def test_flat_backend_matches_intmat_backend():
         Mat(((2, 0), (0, 1))).inverse()
 
 
+def test_fused_conjugation_matches_two_products():
+    # apply(f, x) computes f x f^-1 in one step; the two-product form and the
+    # inverse's determinant check are the reference
+    rng = random.Random("fused-conjugation")
+    act = MatrixConjugation()
+    for k in range(2000):
+        p = (2, 3, 5)[k % 3]
+        f, x = _flat(_sl2_words(rng, p)), _flat(_sl2_words(rng, p))
+        assert act.apply(f, x) == _flat_mul_z(_flat_mul_z(f, x), _flat_inv_z(f))
+    for f in ((2, 0, 0, 1), (1, 1, 1, 1), (-1, 0, 0, 1)):
+        with pytest.raises(NonInvertible) as fused:
+            act.apply(f, (1, 3, 0, 1))
+        with pytest.raises(NonInvertible) as reference:
+            _flat_inv_z(f)
+        assert str(fused.value) == str(reference.value)
+
+
 def test_gcd_valuation_matches_bruteforce():
     rng = random.Random("gcd-valuation")
     for _ in range(600):
@@ -733,21 +752,112 @@ def test_tower_certificate_refuses_mutations(monkeypatch, name):
             tower_invariants(p, 1, 4, family)
 
 
+def _valuation_mutations():
+    valuation = filtration._valuation_to_identity
+    return {
+        "one factor of p too many": lambda g, corner, p, cap, sign: min(valuation(g, corner, p, cap, sign) + 1, cap),
+        "saturates one short": lambda g, corner, p, cap, sign: valuation(g, corner, p, cap - 1, sign),
+        "sign ignored": lambda g, corner, p, cap, sign: valuation(g, corner, p, cap, False),
+    }
+
+
+@pytest.mark.parametrize("name, family, p", [
+    ("one factor of p too many", "gamma", 3),
+    ("saturates one short", "gamma", 3),
+    ("sign ignored", "pgamma", 2),
+])
+def test_truncation_check_refuses_broken_level_of(monkeypatch, name, family, p):
+    # level_of and exact_congruence_exponent share _valuation_to_identity;
+    # the truncation check divides the entries itself, so a broken helper
+    # shows as failures (j_max = 0 leaves the tower certificate out)
+    spec = FiltrationSpec(family, p, 1, 3)
+    assert check_p_congruence(spec, 0, 3, sample_count=400, seed=1)["ok"]
+    monkeypatch.setattr(filtration, "_valuation_to_identity", _valuation_mutations()[name])
+    result = check_p_congruence(spec, 0, 3, sample_count=400, seed=1)
+    assert not result["ok"] and result["truncation_check"]["failures"]
+
+
+def random_element(alphabet, mul, rng, radius):
+    """The word sampler before its table: a length from ``rng.randint``,
+    then one ``rng.choice`` per letter, multiplied out from the first."""
+    length = rng.randint(1, radius)
+    out = rng.choice(alphabet)
+    for _ in range(length - 1):
+        out = mul(out, rng.choice(alphabet))
+    return out
+
+
+def _sampler_cases():
+    """(alphabet, product, identity, level function): flat tuples over Z
+    with 4, 6, 8 and 24 letters, free-group words with 4, 6 and 8."""
+    flat = [m for q in (1, 2, 3, 4) for m in flat_congruence_basis(3, q)]
+    measure = functools.partial(level_of, spec=FiltrationSpec("gamma", 3, 1, 3))
+    cases = []
+    for gens in (flat[:2], flat[:3], flat[:2] + flat[3:5], flat):
+        cases.append((gens + [_flat_inv_z(m) for m in gens], _flat_mul_z, _FLAT_ID, measure))
+    for rank in (2, 3, 4):
+        words = [Word.generator(rank, i) for i in range(1, rank + 1)]
+        cases.append((words + [w.inverse() for w in words], Word.__mul__, Word.identity(rank), lcs_depth2))
+    return cases
+
+
 def test_random_element_matches_identity_first_product():
-    # starting from the first letter draws the same letters and gives the
-    # same element as multiplying them onto the identity
+    # the table-backed sampler draws each letter with one getrandbits call
+    # and reuses short words: the same stream, elements and levels as the
+    # randint/choice draw, which in turn equals multiplying the letters onto
+    # the identity
     def identity_first(alphabet, mul, identity, rng, radius):
         out = identity
         for _ in range(rng.randint(1, radius)):
             out = mul(out, rng.choice(alphabet))
         return out
 
-    alphabet = [m for q in (1, 2) for m in filtration.flat_congruence_basis(3, q)]
-    alphabet += [_flat_inv_z(m) for m in alphabet]
-    words = [Word.generator(3, i) for i in (1, 2, 3)]
-    words += [w.inverse() for w in words]
-    for elems, mul, ident in ((alphabet, _flat_mul_z, _FLAT_ID), (words, Word.__mul__, Word.identity(3))):
-        new, old = random.Random("sampler"), random.Random("sampler")
-        for _ in range(500):
-            assert random_element(elems, mul, new, 6) == identity_first(elems, mul, ident, old, 6)
-        assert new.random() == old.random()
+    for alphabet, mul, ident, measure in _sampler_cases():
+        assert len(alphabet) in (4, 6, 8, 24)
+        for radius in range(1, 7):
+            sampler = WordSampler(alphabet, mul, radius, measure)
+            new, old = random.Random("sampler:%d" % radius), random.Random("sampler:%d" % radius)
+            for batch in (0, 1, 2, 40, 1, 150):
+                pairs = sampler.draw(new, batch)
+                assert len(pairs) == batch
+                for w, level in pairs:
+                    want = random_element(alphabet, mul, old, radius)
+                    assert w == want and level == measure(want)
+            assert sampler.drawn == 194
+            assert new.random() == old.random()
+        unmeasured = WordSampler(alphabet, mul, 6)
+        new, old, first = (random.Random("sampler") for _ in range(3))
+        for _ in range(200):
+            (w, level), = unmeasured.draw(new, 1)
+            assert level is None
+            assert w == random_element(alphabet, mul, old, 6) == identity_first(alphabet, mul, ident, first, 6)
+        assert new.random() == old.random() == first.random()
+
+
+def test_sampler_refuses_what_randint_and_choice_refuse():
+    # an empty alphabet or radius 0 would make the rejection loop spin
+    alphabet, mul, _, _ = _sampler_cases()[0]
+    for args in (([], 3), (alphabet, 0)):
+        with pytest.raises(ValueError):
+            WordSampler(args[0], mul, args[1])
+
+
+def test_sampler_hits_count_repeated_short_words():
+    # with radius 1 every word is one letter: all but the first draw of each
+    # letter come from the table
+    alphabet, mul, _, measure = _sampler_cases()[1]
+    sampler = WordSampler(alphabet, mul, 1, measure)
+    words = [w for w, _ in sampler.draw(random.Random("hits"), 50)]
+    assert sampler.hits == 50 - len(set(words)) > 0
+
+
+def test_sample_level_counts_zero_and_one():
+    # count 0 gives nothing and count 1 the identity alone; neither draws
+    ext = congruence_extension(3, 1, 1, cap=2)
+    for side, ident, cap in (("gamma", ext.act.gamma_id(), ext.gamma_cap), ("pi", ext.act.pi_id(), ext.pi_cap)):
+        for level in (0, 2):
+            rng = random.Random("counts")
+            assert sample_level(ext, side, level, 0, rng) == []
+            assert sample_level(ext, side, level, 1, rng) == [(ident, cap + 1)]
+            assert rng.random() == random.Random("counts").random()
+    assert ext.sampler_stats() == {"samples_drawn": 0, "short_word_hits": 0}

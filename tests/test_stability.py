@@ -126,14 +126,14 @@ def test_determinism(cong):
 
 
 def test_poison_suite_shape():
-    reports, ok = run_poison_suite(count=60, seed=1)
+    reports, ok, _ = run_poison_suite(count=60, seed=1)
     assert not ok
     assert reports[0].condition == "stable" and not reports[0].ok
     assert reports[1].condition == "twist_equivalence" and reports[1].ok
 
 
 def test_congruence_suite_small():
-    reports, ok = run_congruence_suite(3, 1, 1, 2, 2, count=40, seed=12)
+    reports, ok, _ = run_congruence_suite(3, 1, 1, 2, 2, count=40, seed=12)
     assert ok
     names = [rep.condition for rep in reports]
     assert "stable" in names and "G_lie_like" in names
@@ -183,7 +183,7 @@ def test_top_levels_saturate(cong, poison):
 def test_poison_sampler_stream_pinned():
     # The poison report's failure texts depend on the exact draw order of
     # the word sampler; these values pin that stream.
-    (stable, lemma), _ = run_poison_suite(count=200, seed=1)
+    (stable, lemma), _, _ = run_poison_suite(count=200, seed=1)
     assert stable.samples == 600 and len(stable.failures) == 103
     assert {f["kind"] for f in stable.failures} == {"stable_condition2"}
     first = stable.failures[0]
@@ -196,7 +196,7 @@ def test_poison_sampler_stream_pinned():
 def test_congruence_suite_payload_pinned():
     # sha256 of the suite's report payload, taken with the generic 2x2 matrix backend;
     # the flat SL2(Z) backend must reproduce it byte for byte.
-    reports, ok = run_congruence_suite(3, 1, 1, 2, 2, count=40, seed=12)
+    reports, ok, _ = run_congruence_suite(3, 1, 1, 2, 2, count=40, seed=12)
     payload = json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
     assert ok
     assert hashlib.sha256(payload.encode()).hexdigest() == (
