@@ -6,6 +6,13 @@ a command reports comes from the tower certificate, so no command builds an
 enumeration table or reaches its guard.  Re-running with an identical
 config (including the seed, which is mandatory for every sampling command)
 reproduces the same report except for the wall-clock timings.
+
+Imports follow the paper's split.  The congruence tower (``exactmat``,
+``graded``, ``filtration``) is imported at the top of this module, and the
+tower commands (``quotient``, ``pcongruence``, ``graded``) import nothing
+more.  Each other handler imports the split-extension modules it runs
+(``stability``, ``holomorph``, ``freegroup``, ``linrep``) when it is
+called, so a command loads only what it needs.
 """
 
 from __future__ import annotations
@@ -16,21 +23,11 @@ import sys
 import time
 
 from . import __version__
-from .exactmat import _PRIME_BOUND, Mat, MatrixError, Modulus, parse_matrix
-from .filtration import FiltrationSpec, check_p_congruence, tower_invariants
-from .freegroup import (
-    Word,
-    example_shift_action,
-    example_shift_inverses,
-    poison_action,
-    mccool_generator,
-    mccool_inverse,
-    verify_automorphism,
+from .exactmat import _PRIME_BOUND, Mat, MatrixError, Modulus, check_prime, parse_matrix
+from .filtration import (
+    MAX_JMAX, FiltrationSpec, check_p_congruence, check_tower_depth, flat_congruence_basis, tower_invariants,
 )
 from .graded import GradedClass, bracket, verify_relation_table
-from .holomorph import FreeGroupAction, verify_holomorph_identities
-from .linrep import DeltaElem, ball_injectivity, rho, verify_faithful
-from .stability import congruence_extension, run_congruence_suite, run_poison_suite
 
 SCHEMA_VERSION = 1
 
@@ -61,6 +58,7 @@ def _emit(report, out_path):
 
 
 def _cmd_quotient(args, started):
+    check_tower_depth(args.p, args.j)
     result = tower_invariants(args.p, args.i, args.j, args.family)
     del result["p_group"]
     config = {"family": args.family, "p": args.p, "i": args.i, "j": args.j}
@@ -69,6 +67,9 @@ def _cmd_quotient(args, started):
 
 def _cmd_pcongruence(args, started):
     spec = FiltrationSpec(args.family, args.p, args.r0, args.jmax)
+    if args.jmax > MAX_JMAX:
+        raise CliUsageError("--jmax must be at most %d" % MAX_JMAX)
+    check_tower_depth(args.p, args.r0 + args.jmax)
     result = check_p_congruence(spec, args.jmax, args.e, seed=args.seed)
     stats = result.pop("stats")
     config = {"family": args.family, "p": args.p, "r0": args.r0,
@@ -78,10 +79,18 @@ def _cmd_pcongruence(args, started):
     return (0 if result["ok"] else 1), report
 
 
+def _check_count(count):
+    if count < 1:
+        raise CliUsageError("--count must be at least 1")
+
+
 _CONGRUENCE_DEFAULTS = {"p": 3, "r0": 1, "s0": 1, "rmax": 3, "smax": 3}
 
 
 def _cmd_stability(args, started):
+    from .stability import run_congruence_suite, run_poison_suite
+
+    _check_count(args.count)
     config = {"example": args.example, "seed": args.seed, "count": args.count}
     given = {key: value for key in _CONGRUENCE_DEFAULTS if (value := getattr(args, key)) is not None}
     if args.example == "congruence":
@@ -108,6 +117,8 @@ def _cmd_graded_bracket(args, started):
 
 
 def _cmd_graded_verify(args, started):
+    if args.qmax < 2:
+        raise CliUsageError("--qmax must be at least 2")
     result = verify_relation_table(args.p, args.qmax)
     # the table is exhaustive and takes no seed; "seed": 0 keeps the payload
     config = {"p": args.p, "qmax": args.qmax, "seed": 0}
@@ -115,6 +126,10 @@ def _cmd_graded_verify(args, started):
 
 
 def _cmd_rep(args, started):
+    from .linrep import DeltaElem, rho, verify_faithful
+
+    if args.samples < 0:
+        raise CliUsageError("--samples must be at least 0")
     if args.seed is not None and not args.samples:
         raise CliUsageError("--seed seeds the faithfulness suite and needs --samples")
     seed = 0 if args.seed is None else args.seed
@@ -151,14 +166,19 @@ def _factor_prime_power(m):
 
 
 def _cmd_holomorph(args, started):
+    from .holomorph import FreeGroupAction, MatrixConjugation, verify_holomorph_identities
+
+    _check_count(args.count)
     p = 3 if args.p is None else args.p
     if args.backend == "congruence":
-        ext = congruence_extension(p)
-        gens = ext.gamma_gens(0)
-        result = verify_holomorph_identities(ext.act, gens, gens, args.count, args.seed)
+        check_prime(p, ValueError)
+        gens = flat_congruence_basis(p, 1)
+        result = verify_holomorph_identities(MatrixConjugation(), gens, gens, args.count, args.seed)
     elif args.p is not None:
         raise CliUsageError("-p applies to --backend congruence only")
     else:
+        from .freegroup import Word, poison_action
+
         act = FreeGroupAction(2, 3, poison_action())
         gamma_gens = [Word.generator(2, 1), Word.generator(2, 2)]
         pi_gens = [Word.generator(3, i) for i in (1, 2, 3)]
@@ -170,6 +190,13 @@ def _cmd_holomorph(args, started):
 
 
 def _cmd_freegroup(args, started):
+    from .freegroup import (
+        example_shift_action, example_shift_inverses, mccool_generator, mccool_inverse, poison_action,
+        verify_automorphism,
+    )
+
+    if args.nmax < 2:
+        raise CliUsageError("--nmax must be at least 2")
     checks = []
     phi_pairs = poison_action()
     for idx, (endo, inv) in enumerate(phi_pairs, start=1):
@@ -206,6 +233,10 @@ def _cmd_freegroup(args, started):
 
 
 def _cmd_ball(args, started):
+    from .linrep import ball_injectivity
+
+    if args.radius < 1 or args.base < 1 or args.target <= args.base:
+        raise CliUsageError("rep-ball needs --radius >= 1 and 1 <= --base < --target")
     result = ball_injectivity(args.p, args.base, args.target, radius=args.radius, seed=args.seed)
     config = {"p": args.p, "base": args.base, "target": args.target,
               "radius": args.radius, "seed": args.seed}

@@ -27,6 +27,11 @@ does not share that code with what it checks.
 A level is an int in [-1, cap + 1]: -1 outside the level-0 group, cap + 1
 for anything deeper than the truncation cap can distinguish.
 
+``WordSampler`` is the package's one seeded word sampler: the truncation
+check here, the holomorph identity checks and the stability checks all
+draw their words from it.  It lives with the tower, its first user, so
+that the tower commands load no module of the split-extension layer.
+
 The tower certificate reads each layer Gamma(p^q)/Gamma(p^{q+1}) as F_p^3
 through the coordinates of x = I + p^q N (``graded.layer_offset``, the map
 the graded classes use) and follows the p^{q-i}-th powers of
@@ -64,9 +69,21 @@ from .exactmat import (
     _FLAT_ID, _det, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z, _flat_pow, check_prime, format_matrix,
 )
 from .graded import layer_offset
-from .holomorph import WordSampler
 
 DEFAULT_ENUM_GUARD = 10 ** 7
+
+#: The largest bit length of the modulus p^j a tower certificate computes
+#: mod.  The certificate's O(j - i) products of p^j-sized integers grow
+#: faster than quadratically in it: at this bound the slowest quotient
+#: (p = 2, j = 511) takes about 0.03 s, at 1585 bits (p = 3, j = 1000)
+#: 0.28 s, and at 10^4 levels it did not finish in 100 s.
+MAX_MODULUS_BITS = 512
+
+#: The largest ``pcongruence --jmax``: ``check_p_congruence`` certifies
+#: every pair of its jmax + 1 levels, O(jmax^3) products in all.  With the
+#: modulus at its bound, jmax = 16 takes about 0.3 s; jmax = 64 (p = 3,
+#: r0 = 1) took 1.3 s.
+MAX_JMAX = 16
 
 FAMILIES = ("pgamma", "gamma")
 
@@ -84,6 +101,15 @@ def enum_guard_limit() -> int:
     if value:
         return int(value)
     return DEFAULT_ENUM_GUARD
+
+
+def check_tower_depth(p: int, j: int) -> None:
+    """Raise ValueError unless p is a prime below 2^20 and p^j has at most
+    ``MAX_MODULUS_BITS`` bits.  p^j has more than j bits, so a j past the
+    bound is refused before the power is taken."""
+    check_prime(p, ValueError)
+    if j >= MAX_MODULUS_BITS or (p ** max(j, 0)).bit_length() > MAX_MODULUS_BITS:
+        raise ValueError("%d^%d has more than %d bits" % (p, j, MAX_MODULUS_BITS))
 
 
 @dataclass(frozen=True)
@@ -165,6 +191,95 @@ def flat_congruence_basis(p: int, q: int) -> list:
     1 +- p^q."""
     t = p ** q
     return [(1, t, 0, 1), (1, 0, t, 1), (1 + t, t, -t, 1 - t)]
+
+
+# --- seeded words -----------------------------------------------------------
+
+#: Words of at most this many letters are answered from a sampler's table,
+#: and longer words start from the table entry of their first letters.
+#: With 4 letters the p = 3 stability suite (500 per cell) peaked 2.4 MB
+#: (13%) higher and ran no faster.
+_SHORT = 3
+
+
+class WordSampler:
+    """Seeded words in ``alphabet`` (generators and their inverses): the
+    package's one word sampler.
+
+    A word has a length drawn uniformly from 1..radius and letters drawn
+    uniformly from the alphabet, and is multiplied out from its first
+    letter.  Each draw is one ``rng.getrandbits(k)`` call with the
+    rejection rule of ``random.Random._randbelow``, so a ``random.Random``
+    gives exactly the stream, and the elements, of ``rng.randint(1,
+    radius)`` followed by one ``rng.choice(alphabet)`` per letter.
+
+    Words of at most three letters, and the three-letter prefix of every
+    longer word, are looked up in a table filled lazily with each product
+    and its level, ``measure(element)`` (None without ``measure``).  A
+    sampler therefore belongs to one alphabet, product and level function;
+    reusing it shares the table.  ``drawn`` counts the words drawn and
+    ``hits`` those answered whole from the table.
+    """
+
+    def __init__(self, alphabet, mul, radius, measure=None):
+        self.alphabet = tuple(alphabet)
+        if not self.alphabet or radius < 1:
+            raise ValueError("need a nonempty alphabet and radius >= 1")
+        self.mul = mul
+        self.radius = radius
+        self.measure = measure
+        self.drawn = 0
+        self.hits = 0
+        self._table = {}   # letter indices in base len(alphabet) + 1, from 1 -> (element, level)
+
+    def draw(self, rng, count):
+        """``count`` words from ``rng``, as (element, level) pairs."""
+        getrandbits = rng.getrandbits
+        letters, mul, measure, table = self.alphabet, self.mul, self.measure, self._table
+        n = len(letters)
+        n_bits, base = n.bit_length(), n + 1
+        radius = self.radius
+        r_bits = radius.bit_length()
+        out = []
+        append = out.append
+        hits = 0
+        for _ in range(count):
+            length = getrandbits(r_bits) + 1
+            while length > radius:
+                length = getrandbits(r_bits) + 1
+            key = 0
+            for _ in range(length if length < _SHORT else _SHORT):
+                i = getrandbits(n_bits)
+                while i >= n:
+                    i = getrandbits(n_bits)
+                key = key * base + i + 1
+            entry = table.get(key)
+            if length <= _SHORT:
+                if entry is None:
+                    entry = self._fill(key)
+                else:
+                    hits += 1
+                append(entry)
+                continue
+            w = (entry or self._fill(key))[0]
+            for _ in range(length - _SHORT):
+                i = getrandbits(n_bits)
+                while i >= n:
+                    i = getrandbits(n_bits)
+                w = mul(w, letters[i])
+            append((w, None if measure is None else measure(w)))
+        self.drawn += count
+        self.hits += hits
+        return out
+
+    def _fill(self, key):
+        """The table entry of the word ``key`` encodes, from its prefix's."""
+        prefix, i = divmod(key, len(self.alphabet) + 1)
+        w = self.alphabet[i - 1]
+        if prefix:
+            w = self.mul((self._table.get(prefix) or self._fill(prefix))[0], w)
+        entry = self._table[key] = (w, None if self.measure is None else self.measure(w))
+        return entry
 
 
 # --- finite quotients -------------------------------------------------------

@@ -16,9 +16,8 @@ Closed forms for inverse, conjugation, and commutator are provided and can
 be cross-checked against first-principles products (see
 ``verify_holomorph_identities``).
 
-``WordSampler`` is the package's one seeded word sampler: the identity
-checks here, the stability checks and the ``pcongruence`` truncation check
-all draw their words from it.
+The identity checks draw their words with ``filtration.WordSampler``, the
+package's one seeded word sampler.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .exactmat import _FLAT_ID, NonInvertible, _flat_inv_z, _flat_mul_z, _sign_normal
-from .freegroup import Word
+from .filtration import WordSampler
 
 
 class BackendMismatch(ValueError):
@@ -181,12 +180,17 @@ class FreeGroupAction(ActionSpec):
     rank-``pi_rank`` words."""
 
     def __init__(self, gamma_rank, pi_rank, generator_pairs):
+        # imported here, so that the matrix backend runs without freegroup
+        from .freegroup import Word
+
         # generator_pairs[i] = (endo, endo_inverse) for Gamma generator i+1
         self.gamma_rank = gamma_rank
         self.pi_rank = pi_rank
         self.pairs = tuple(generator_pairs)
         if len(self.pairs) != gamma_rank:
             raise BackendMismatch("need one endomorphism pair per Gamma generator")
+        self._gamma_id = Word.identity(gamma_rank)
+        self._pi_id = Word.identity(pi_rank)
 
     def gamma_mul(self, f, g):
         return f * g
@@ -195,7 +199,7 @@ class FreeGroupAction(ActionSpec):
         return f.inverse()
 
     def gamma_id(self):
-        return Word.identity(self.gamma_rank)
+        return self._gamma_id
 
     def pi_mul(self, x, y):
         return x * y
@@ -204,7 +208,7 @@ class FreeGroupAction(ActionSpec):
         return x.inverse()
 
     def pi_id(self):
-        return Word.identity(self.pi_rank)
+        return self._pi_id
 
     def apply(self, f, x):
         if f.rank != self.gamma_rank or x.rank != self.pi_rank:
@@ -215,93 +219,6 @@ class FreeGroupAction(ActionSpec):
             endo = self.pairs[abs(a) - 1][0 if a > 0 else 1]
             out = endo.apply(out)
         return out
-
-
-#: Words of at most this many letters are answered from a sampler's table,
-#: and longer words start from the table entry of their first letters.
-#: With 4 letters the p = 3 stability suite (500 per cell) peaked 2.4 MB
-#: (13%) higher and ran no faster.
-_SHORT = 3
-
-
-class WordSampler:
-    """Seeded words in ``alphabet`` (generators and their inverses): the
-    package's one word sampler.
-
-    A word has a length drawn uniformly from 1..radius and letters drawn
-    uniformly from the alphabet, and is multiplied out from its first
-    letter.  Each draw is one ``rng.getrandbits(k)`` call with the
-    rejection rule of ``random.Random._randbelow``, so a ``random.Random``
-    gives exactly the stream, and the elements, of ``rng.randint(1,
-    radius)`` followed by one ``rng.choice(alphabet)`` per letter.
-
-    Words of at most three letters, and the three-letter prefix of every
-    longer word, are looked up in a table filled lazily with each product
-    and its level, ``measure(element)`` (None without ``measure``).  A
-    sampler therefore belongs to one alphabet, product and level function;
-    reusing it shares the table.  ``drawn`` counts the words drawn and
-    ``hits`` those answered whole from the table.
-    """
-
-    def __init__(self, alphabet, mul, radius, measure=None):
-        self.alphabet = tuple(alphabet)
-        if not self.alphabet or radius < 1:
-            raise ValueError("need a nonempty alphabet and radius >= 1")
-        self.mul = mul
-        self.radius = radius
-        self.measure = measure
-        self.drawn = 0
-        self.hits = 0
-        self._table = {}   # letter indices in base len(alphabet) + 1, from 1 -> (element, level)
-
-    def draw(self, rng, count):
-        """``count`` words from ``rng``, as (element, level) pairs."""
-        getrandbits = rng.getrandbits
-        letters, mul, measure, table = self.alphabet, self.mul, self.measure, self._table
-        n = len(letters)
-        n_bits, base = n.bit_length(), n + 1
-        radius = self.radius
-        r_bits = radius.bit_length()
-        out = []
-        append = out.append
-        hits = 0
-        for _ in range(count):
-            length = getrandbits(r_bits) + 1
-            while length > radius:
-                length = getrandbits(r_bits) + 1
-            key = 0
-            for _ in range(length if length < _SHORT else _SHORT):
-                i = getrandbits(n_bits)
-                while i >= n:
-                    i = getrandbits(n_bits)
-                key = key * base + i + 1
-            entry = table.get(key)
-            if length <= _SHORT:
-                if entry is None:
-                    entry = self._fill(key)
-                else:
-                    hits += 1
-                append(entry)
-                continue
-            w = (entry or self._fill(key))[0]
-            for _ in range(length - _SHORT):
-                i = getrandbits(n_bits)
-                while i >= n:
-                    i = getrandbits(n_bits)
-                w = mul(w, letters[i])
-            append((w, None if measure is None else measure(w)))
-        self.drawn += count
-        self.hits += hits
-        return out
-
-    def _fill(self, key):
-        """The table entry of the word ``key`` encodes, from its prefix's."""
-        prefix, i = divmod(key, len(self.alphabet) + 1)
-        w = self.alphabet[i - 1]
-        if prefix:
-            w = self.mul((self._table.get(prefix) or self._fill(prefix))[0], w)
-        entry = self._table[key] = (w, None if self.measure is None else self.measure(w))
-        return entry
 
 
 def verify_holomorph_identities(act, gamma_gens, pi_gens, count, seed, radius=4):

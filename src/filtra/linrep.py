@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 
 from .exactmat import Mat, Modulus, _mat
+from .filtration import flat_congruence_basis
 
 
 class LinRepError(ValueError):
@@ -119,7 +120,7 @@ def delta_eq_mod_center(u: DeltaElem, v: DeltaElem, scalars) -> bool:
 def random_sl(n: int, modulus: Modulus | None, rng: random.Random, length: int = 8):
     """A pseudo-random determinant-one matrix: a word in transvections.
 
-    Not a ``holomorph.WordSampler`` word: each factor draws a position
+    Not a ``filtration.WordSampler`` word: each factor draws a position
     and a coefficient, not a letter, and these draws fix the
     ``kernel_probes.hits`` that ``verify_faithful`` reports.  Each factor
     I + c E_ij is applied as the column operation column j += c column i;
@@ -200,8 +201,6 @@ def ball_injectivity(p: int, base_exp: int, target_exp: int, radius: int = 3,
     center; pairs differing by a central scalar on gamma do not count, since
     the ball may hold nontrivial scalars (-I mod 8 at p = 2, radius 3).
     """
-    from .filtration import flat_congruence_basis
-
     modulus = Modulus(p, target_exp)
     gens = [Mat((x[:2], x[2:]), modulus) for x in flat_congruence_basis(p, base_exp)]
     gens += [g.inverse() for g in gens]

@@ -17,7 +17,7 @@ scratch.  These are certificates of empirical stability over the sampled
 sets, never proofs: the quantifiers in the definitions range over infinite
 groups.
 
-``sample_level`` draws its words with ``holomorph.WordSampler``, the
+``sample_level`` draws its words with ``filtration.WordSampler``, the
 package's one seeded word sampler.  An ``ExtensionSpec`` keeps one sampler,
 and so one table of short words with their measured levels, per (side,
 level), so every check of a run reuses the products and levels of the
@@ -45,13 +45,13 @@ import random
 from dataclasses import dataclass, field
 
 from .exactmat import _parse_flat_sl2, format_matrix
-from .filtration import FiltrationSpec, flat_congruence_basis, level_of, tower_invariants
-from .freegroup import Word, format_word, lcs_depth2, parse_word, poison_action
+from .filtration import (
+    FiltrationSpec, GuardError, WordSampler, flat_congruence_basis, level_of, tower_invariants,
+)
 from .holomorph import (
     FreeGroupAction,
     MatrixConjugation,
     SemiElem,
-    WordSampler,
     comm_via_mul,
     conj_via_mul,
     semi_comm,
@@ -167,6 +167,9 @@ def poison_extension(radius: int = 6) -> ExtensionSpec:
     class 2 on F_3, and on the rank-2 side the central series with the
     whole group sitting at levels 0 and 1 (so the two generators measure
     level 1, mirroring how the congruence chain pairs its indices)."""
+    # imported here, so that the congruence extension runs without freegroup
+    from .freegroup import Word, format_word, lcs_depth2, parse_word, poison_action
+
     pairs = poison_action()
     act = FreeGroupAction(2, 3, pairs)
 
@@ -485,8 +488,6 @@ def product_filtration_check(ext: ExtensionSpec, r: int, s: int, count: int, see
     normality of depth r+s under conjugation by depth r (with the six-step
     decomposition checked), and the c+d generator bound on the finite
     quotient."""
-    from .filtration import GuardError
-
     if r < 0 or s < 0 or r + s > _sample_cap(ext):
         raise GuardError("cell (%d,%d) exceeds the depth cap %d" % (r, s, _sample_cap(ext)))
     report = CheckReport("product_filtration[%d,%d]" % (r, s))

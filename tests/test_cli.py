@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import filtra
 from filtra.cli import main
-from filtra.filtration import _enumerate, clear_table_cache
+from filtra.filtration import MAX_JMAX, MAX_MODULUS_BITS, _enumerate, clear_table_cache
 from filtra.stability import poison_extension, replay_failure
 
 
@@ -385,6 +385,98 @@ def test_out_path(tmp_path, capsys):
     assert code == 0
     saved = json.loads(target.read_text())
     assert saved["results"]["order"] == 27
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--example", "congruence", "--count", "0", "--seed", "1"],
+    ["holomorph-identities", "--backend", "congruence", "--count", "0", "--seed", "1"],
+    ["rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--samples", "-1", "--seed", "1"],
+    ["graded", "verify", "-p", "3", "--qmax", "1"],
+    ["rep-ball", "-p", "3", "--base", "1", "--target", "3", "--radius", "0", "--seed", "1"],
+    ["rep-ball", "-p", "3", "--base", "0", "--target", "3", "--seed", "1"],
+    ["rep-ball", "-p", "3", "--base", "2", "--target", "2", "--seed", "1"],
+    ["freegroup-fixtures", "--nmax", "1"],
+    ["holomorph-identities", "--backend", "congruence", "-p", "4", "--seed", "1"],
+])
+def test_vacuous_sizes_are_refused(capsys, argv):
+    # each size one short of checking anything exits 2 instead of reporting
+    # "ok" on no samples; the congruence backend keeps its prime check
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error" in captured.err
+
+
+def _largest_exponent(p):
+    j = 1
+    while (p ** (j + 1)).bit_length() <= MAX_MODULUS_BITS:
+        j += 1
+    return j
+
+
+@pytest.mark.parametrize("p", [2, 3, 1048573])
+def test_tower_modulus_bound(capsys, p):
+    # p^j may have MAX_MODULUS_BITS bits; one level deeper exits 2 at once
+    j = _largest_exponent(p)
+    assert (p ** j).bit_length() <= MAX_MODULUS_BITS < (p ** (j + 1)).bit_length()
+    quotient = ["quotient", "--family", "pgamma", "-p", str(p), "-i", "1"]
+    pcongruence = ["pcongruence", "--family", "gamma", "-p", str(p), "--jmax", "1", "-e", "3", "--seed", "1"]
+    assert main(quotient + ["-j", str(j)]) == 0
+    assert main(pcongruence + ["--r0", str(j - 1)]) == 0
+    capsys.readouterr()
+    started = time.perf_counter()
+    assert main(quotient + ["-j", str(j + 1)]) == 2
+    assert main(pcongruence + ["--r0", str(j)]) == 2
+    assert main(quotient + ["-j", str(10 ** 9)]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "more than %d bits" % MAX_MODULUS_BITS in captured.err
+
+
+def test_pcongruence_jmax_bound(capsys):
+    args = ["pcongruence", "--family", "gamma", "-p", "3", "-e", "3", "--seed", "1", "--jmax"]
+    code, report = run_cli(capsys, *args, str(MAX_JMAX))
+    assert code == 0 and report["timings"]["stats"] == {"pairs_certified": MAX_JMAX * (MAX_JMAX + 1) // 2}
+    assert main(args + [str(MAX_JMAX + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--jmax must be at most %d" % MAX_JMAX in captured.err
+
+
+_TOWER_MODULES = {"filtra", "filtra.cli", "filtra.exactmat", "filtra.graded", "filtra.filtration"}
+
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+import filtra.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert filtra.cli.main(argv) in (0, 1)
+print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] == "filtra")))
+"""
+
+
+@pytest.mark.parametrize("argv, added", [
+    ([], set()),
+    (["quotient", "--family", "gamma", "-p", "3", "-i", "1", "-j", "2"], set()),
+    (["pcongruence", "--family", "pgamma", "-p", "3", "--jmax", "2", "-e", "3", "--seed", "1"], set()),
+    (["graded", "verify", "-p", "3", "--qmax", "2"], set()),
+    (["graded", "bracket", "-p", "3", "-q", "1", "-s", "1", "--c1", "1,0,0", "--c2", "0,1,0"], set()),
+    (["rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--samples", "2", "--seed", "1"], {"linrep"}),
+    (["rep-ball", "-p", "3", "--base", "1", "--target", "2", "--radius", "1", "--seed", "1"], {"linrep"}),
+    (["holomorph-identities", "--backend", "congruence", "--count", "2", "--seed", "1"], {"holomorph"}),
+    (["holomorph-identities", "--backend", "free", "--count", "2", "--seed", "1"], {"holomorph", "freegroup"}),
+    (["stability", "--example", "congruence", "--rmax", "1", "--smax", "1", "--count", "2", "--seed", "1"],
+     {"stability", "holomorph"}),
+    (["stability", "--example", "poison", "--count", "2", "--seed", "1"], {"stability", "holomorph", "freegroup"}),
+    (["freegroup-fixtures", "--nmax", "2"], {"freegroup"}),
+])
+def test_commands_load_only_their_modules(argv, added):
+    # importing the CLI loads the tower layer alone, the tower commands load
+    # nothing more, and every other command adds just the modules it runs
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(filtra.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == _TOWER_MODULES | {"filtra." + name for name in added}
 
 
 def test_rep_ball_command(capsys):

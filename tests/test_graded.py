@@ -18,7 +18,7 @@ from filtra.graded import (
     verify_relation_table,
     zero_class,
 )
-from filtra.holomorph import WordSampler
+from filtra.filtration import WordSampler
 
 
 def random_kernel_element(p, level, t_exp, rng):

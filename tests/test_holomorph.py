@@ -126,7 +126,7 @@ def test_psl_normalization_in_equality():
 def test_action_axioms_both_backends():
     import random
 
-    from filtra.holomorph import WordSampler
+    from filtra.filtration import WordSampler
 
     backends = []
     gens = flat_congruence_basis(3, 1)

@@ -22,6 +22,7 @@ from filtra.filtration import (
     FiltrationSpec,
     NotPGroup,
     QuotientTable,
+    WordSampler,
     check_p_congruence,
     clear_table_cache,
     exact_congruence_exponent,
@@ -36,7 +37,7 @@ from filtra.graded import (
     GradedClass, GradedError, basis_class, bracket, bracket_from_lifts, class_add, class_of, lift, power_map,
     zero_class,
 )
-from filtra.holomorph import MatrixConjugation, WordSampler
+from filtra.holomorph import MatrixConjugation
 from filtra.linrep import DeltaElem, random_sl, rho
 from filtra.stability import CONSTRUCTIVE_LIMIT, congruence_extension, product_filtration_check, sample_level
 from test_graded import _neg, random_kernel_element
