@@ -95,6 +95,8 @@ def _cmd_stability(args, started):
     given = {key: value for key in _CONGRUENCE_DEFAULTS if (value := getattr(args, key)) is not None}
     if args.example == "congruence":
         config.update(_CONGRUENCE_DEFAULTS, **given)
+        # level_of reads exponents up to r0 + cap + 1 on the pi side, s0 + cap + 1 on Gamma
+        check_tower_depth(config["p"], max(config["r0"], config["s0"]) + max(config["rmax"], config["smax"]) + 1)
         reports, ok, stats = run_congruence_suite(config["p"], config["r0"], config["s0"], config["rmax"],
                                                   config["smax"], count=args.count, seed=args.seed)
     elif given:
@@ -117,8 +119,8 @@ def _cmd_graded_bracket(args, started):
 
 
 def _cmd_graded_verify(args, started):
-    if args.qmax < 2:
-        raise CliUsageError("--qmax must be at least 2")
+    if not 2 <= args.qmax <= MAX_JMAX:
+        raise CliUsageError("--qmax must be between 2 and %d" % MAX_JMAX)
     result = verify_relation_table(args.p, args.qmax)
     # the table is exhaustive and takes no seed; "seed": 0 keeps the payload
     config = {"p": args.p, "qmax": args.qmax, "seed": 0}

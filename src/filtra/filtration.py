@@ -79,10 +79,12 @@ DEFAULT_ENUM_GUARD = 10 ** 7
 #: 0.28 s, and at 10^4 levels it did not finish in 100 s.
 MAX_MODULUS_BITS = 512
 
-#: The largest ``pcongruence --jmax``: ``check_p_congruence`` certifies
-#: every pair of its jmax + 1 levels, O(jmax^3) products in all.  With the
-#: modulus at its bound, jmax = 16 takes about 0.3 s; jmax = 64 (p = 3,
-#: r0 = 1) took 1.3 s.
+#: The largest ``pcongruence --jmax`` and ``graded verify --qmax``.
+#: ``check_p_congruence`` certifies every pair of its jmax + 1 levels,
+#: O(jmax^3) products in all: with the modulus at its bound, jmax = 16
+#: takes about 0.3 s; jmax = 64 (p = 3, r0 = 1) took 1.3 s.  The relation
+#: table checks every pair of levels up to qmax: qmax = 16 takes about
+#: 0.4 s at p = 3 or 5, qmax = 80 took 11 s.
 MAX_JMAX = 16
 
 FAMILIES = ("pgamma", "gamma")
@@ -178,7 +180,7 @@ def level_of(x: tuple, spec: FiltrationSpec):
     return v - spec.r0 if v >= spec.r0 else -1
 
 
-def exact_congruence_exponent(x: tuple, p: int, allow_sign: bool, bail: int = 64) -> int:
+def exact_congruence_exponent(x: tuple, p: int, allow_sign: bool, bail: int) -> int:
     """Congruence exponent of a flat 2x2 integer matrix, saturated at bail."""
     a, b, c, d = x
     return _valuation_to_identity(math.gcd(b, c, d - a), a, p, bail, allow_sign)
@@ -327,7 +329,6 @@ class QuotientTable:
         if not self._one_scalar:
             elements = {self.canon(e) for e in elements}
         self.elements = tuple(sorted(elements))
-        self._members = frozenset(self.elements)
         self.identity = self.canon(_FLAT_ID)
         self._exponent = None
         self._gens = None
@@ -354,9 +355,6 @@ class QuotientTable:
     def power(self, x, k):
         # canon is a class function: the scalars are central with square 1
         return self.canon(_flat_pow(x, k, self.m))
-
-    def __contains__(self, flat):
-        return self.canon(flat) in self._members
 
     def exponent(self) -> int:
         """The largest element order.  Orders are p-powers, so an element

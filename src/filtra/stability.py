@@ -4,7 +4,11 @@ An ``ExtensionSpec`` packages a classified action together with level
 functions and per-level generator lists for both sides.  The checks sample
 words in the level generators and verify the quantified conditions on each
 sample, always measuring levels with ``level_of``-style functions rather
-than trusting the nominal sampling level.  The sampler measures each
+than trusting the nominal sampling level.  The checks are one table: each
+is a list of phases, which name their draws (side and level a*r + b*s)
+and the failure kinds evaluated on every tuple of them, run by one loop
+over the cells, and ``_KINDS`` maps each kind to its evaluator for that
+loop and for ``replay_failure`` alike.  The sampler measures each
 element once and hands the evaluators (element, level) pairs;
 ``replay_failure`` measures the elements it parses afresh.  A level is an
 int in [-1, cap + 1], where cap + 1 means deeper than the truncation;
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .exactmat import _parse_flat_sl2, format_matrix
 from .filtration import (
@@ -252,10 +257,6 @@ def sample_level(ext: ExtensionSpec, side: str, level: int, count: int, rng) -> 
     return pairs
 
 
-def _cell_rng(ext, check, seed, r, s):
-    return random.Random("%s|%s|%s|%d|%d" % (ext.name, check, seed, r, s))
-
-
 def _pi_req(ext, *levels):
     return min(*levels, ext.pi_cap + 1)
 
@@ -264,42 +265,44 @@ def _gamma_req(ext, *levels):
     return min(*levels, ext.gamma_cap + 1)
 
 
+def _reaches(observed, required):
+    return observed >= required, {"required": required, "observed": observed}
+
+
 # --- sample evaluators (shared between the checks and replay) ---------------
 #
-# Each evaluator takes ``elems``, a dict from role ("f", "g" on the Gamma
-# side, "x", "y" on the pi side) to an (element, measured level) pair, and
-# measures only the elements it derives.
+# Each evaluator takes ``elems``, the (element, measured level) pairs of its
+# kind's roles in the order ``_KINDS`` lists them ("f", "g" on the Gamma
+# side, "x", "y" on the pi side), and measures only the elements it derives.
+
+def _twist_level(ext, g, x):
+    """The level of g(x) x^-1."""
+    act = ext.act
+    return ext.pi_level(act.pi_mul(act.apply(g, x), act.pi_inv(x)))
+
 
 def _eval_stable_condition1(ext, elems):
-    act = ext.act
-    (f, _), (_, lg), (y, ly) = elems["f"], elems["g"], elems["y"]
-    required = _pi_req(ext, lg, ly)
-    observed = ext.pi_level(act.apply(f, y))
-    return observed >= required, {"required": required, "observed": observed}
+    (f, _), _, (_, lg), (y, ly) = elems
+    return _reaches(ext.pi_level(ext.act.apply(f, y)), _pi_req(ext, lg, ly))
 
 
 def _eval_stable_condition2(ext, elems):
-    act = ext.act
-    (g, lg), (x, _), (_, ly) = elems["g"], elems["x"], elems["y"]
-    required = _pi_req(ext, lg, ly)
-    expr = act.pi_mul(act.apply(act.gamma_inv(g), x), act.pi_inv(x))
-    observed = ext.pi_level(expr)
-    return observed >= required, {"required": required, "observed": observed}
+    _, (x, _), (g, lg), (_, ly) = elems
+    return _reaches(_twist_level(ext, ext.act.gamma_inv(g), x), _pi_req(ext, lg, ly))
 
 
 def _eval_twist_biconditional(ext, elems):
-    act = ext.act
-    (g, lg), (x, _), (_, ly) = elems["g"], elems["x"], elems["y"]
+    (x, _), (g, lg), (_, ly) = elems
     required = _pi_req(ext, lg, ly)
-    forward = ext.pi_level(act.pi_mul(act.apply(g, x), act.pi_inv(x)))
-    backward = ext.pi_level(act.pi_mul(act.apply(act.gamma_inv(g), x), act.pi_inv(x)))
+    forward = _twist_level(ext, g, x)
+    backward = _twist_level(ext, ext.act.gamma_inv(g), x)
     ok = (forward >= required) == (backward >= required)
     return ok, {"required": required, "forward": forward, "backward": backward}
 
 
 def _eval_closure(ext, elems):
     act = ext.act
-    (f, lf), (x, lx), (g, lg), (y, ly) = elems["f"], elems["x"], elems["g"], elems["y"]
+    (f, lf), (x, lx), (g, lg), (y, ly) = elems
     level = min(lf, lx, lg, ly)
     prod = semi_mul(SemiElem(f, x), SemiElem(g, y), act)
     got_gamma = ext.gamma_level(prod.f)
@@ -312,152 +315,169 @@ def _eval_normality(ext, elems):
     """Conjugating a depth-(r+s) pair by a depth-r pair stays at depth r+s,
     decomposed into the six intermediate steps of the subgroup argument."""
     act = ext.act
-    (f, _), (x, _), (g, lg), (y, ly) = elems["f"], elems["x"], elems["g"], elems["y"]
+    (f, _), (x, _), (g, lg), (y, ly) = elems
     t = min(lg, ly)
     greq = _gamma_req(ext, t)
     preq = _pi_req(ext, t)
-    gi = act.gamma_inv(g)
-    fx_twist = act.apply(f, act.pi_mul(act.apply(gi, x), y))
-    fx_tail = act.apply(f, act.pi_inv(x))
-    lhs = act.pi_mul(fx_twist, fx_tail)
-    part1 = act.apply(f, act.apply(gi, x))
+    gx = act.apply(act.gamma_inv(g), x)
+    part1 = act.apply(f, gx)
     part2 = act.apply(f, y)
     part3 = act.apply(f, act.pi_inv(x))
-    steps = {}
-    steps["s1_gamma_conj"] = ext.gamma_level(
-        act.gamma_mul(act.gamma_mul(f, g), act.gamma_inv(f))
-    ) >= greq
-    steps["s2_action_hom"] = act.pi_eq(lhs, act.pi_mul(act.pi_mul(part1, part2), part3))
-    steps["s3_twist_pair"] = ext.pi_level(act.pi_mul(part1, part3)) >= preq
-    steps["s4_f_of_y"] = ext.pi_level(part2) >= preq
-    steps["s5_conjugated_y"] = ext.pi_level(
-        act.pi_mul(act.pi_mul(act.apply(f, x), part2), part3)
-    ) >= preq
-    recombined = act.pi_mul(
-        act.pi_mul(part1, part3),
-        act.pi_mul(act.pi_mul(act.apply(f, x), part2), part3),
-    )
-    steps["s6_recombination"] = act.pi_eq(act.pi_mul(act.pi_mul(part1, part2), part3), recombined)
+    parts = act.pi_mul(act.pi_mul(part1, part2), part3)
+    twist_pair = act.pi_mul(part1, part3)
+    conjugated_y = act.pi_mul(act.pi_mul(act.apply(f, x), part2), part3)
     conj = semi_conj(SemiElem(f, x), SemiElem(g, y), act)
-    steps["s7_conj_in_subgroup"] = (
-        ext.gamma_level(conj.f) >= greq and ext.pi_level(conj.x) >= preq
-    )
-    steps["s8_closed_form_agrees"] = semi_eq(
-        conj, conj_via_mul(SemiElem(f, x), SemiElem(g, y), act), act
-    )
+    steps = {
+        "s1_gamma_conj": ext.gamma_level(act.gamma_mul(act.gamma_mul(f, g), act.gamma_inv(f))) >= greq,
+        "s2_action_hom": act.pi_eq(act.pi_mul(act.apply(f, act.pi_mul(gx, y)), part3), parts),
+        "s3_twist_pair": ext.pi_level(twist_pair) >= preq,
+        "s4_f_of_y": ext.pi_level(part2) >= preq,
+        "s5_conjugated_y": ext.pi_level(conjugated_y) >= preq,
+        "s6_recombination": act.pi_eq(parts, act.pi_mul(twist_pair, conjugated_y)),
+        "s7_conj_in_subgroup": ext.gamma_level(conj.f) >= greq and ext.pi_level(conj.x) >= preq,
+        "s8_closed_form_agrees": semi_eq(conj, conj_via_mul(SemiElem(f, x), SemiElem(g, y), act), act),
+    }
     return all(steps.values()), {"required": t, "steps": steps}
 
 
 def _eval_stably_lie_like_gamma(ext, elems):
-    act = ext.act
-    (f, lf), (g, lg) = elems["f"], elems["g"]
-    required = _gamma_req(ext, lf + lg)
-    observed = ext.gamma_level(act.gamma_comm(f, g))
-    return observed >= required, {"required": required, "observed": observed}
+    (f, lf), (g, lg) = elems
+    return _reaches(ext.gamma_level(ext.act.gamma_comm(f, g)), _gamma_req(ext, lf + lg))
 
 
 def _eval_stably_lie_like_mixed(ext, elems):
     act = ext.act
-    (f, _), (x, lx), (g, _), (y, ly) = elems["f"], elems["x"], elems["g"], elems["y"]
-    required = _pi_req(ext, lx, ly)
-    observed = ext.pi_level(act.apply(f, act.pi_mul(x, act.apply(g, y))))
-    return observed >= required, {"required": required, "observed": observed}
+    (f, _), (x, lx), (g, _), (y, ly) = elems
+    return _reaches(ext.pi_level(act.apply(f, act.pi_mul(x, act.apply(g, y)))), _pi_req(ext, lx, ly))
 
 
 def _eval_stably_lie_like_pi(ext, elems):
-    act = ext.act
-    (x, lx), (y, ly) = elems["x"], elems["y"]
-    required = _pi_req(ext, lx + ly)
-    observed = ext.pi_level(act.pi_comm(x, y))
-    return observed >= required, {"required": required, "observed": observed}
+    (x, lx), (y, ly) = elems
+    return _reaches(ext.pi_level(ext.act.pi_comm(x, y)), _pi_req(ext, lx + ly))
 
 
 def _eval_g_lie_like(ext, elems):
     act = ext.act
-    (f, lf), (x, lx), (g, lg), (y, ly) = elems["f"], elems["x"], elems["g"], elems["y"]
-    a = SemiElem(f, x)
-    b = SemiElem(g, y)
-    ta = min(lf, lx)
-    tb = min(lg, ly)
+    (f, lf), (x, lx), (g, lg), (y, ly) = elems
+    a, b = SemiElem(f, x), SemiElem(g, y)
+    level = min(lf, lx) + min(lg, ly)
     comm = semi_comm(a, b, act)
     got_gamma = ext.gamma_level(comm.f)
     got_pi = ext.pi_level(comm.x)
-    ok = (
-        got_gamma >= _gamma_req(ext, ta + tb)
-        and got_pi >= _pi_req(ext, ta + tb)
-        and semi_eq(comm, comm_via_mul(a, b, act), act)
-    )
-    return ok, {"required": ta + tb, "gamma": got_gamma, "pi": got_pi}
+    ok = (got_gamma >= _gamma_req(ext, level) and got_pi >= _pi_req(ext, level)
+          and semi_eq(comm, comm_via_mul(a, b, act), act))
+    return ok, {"required": level, "gamma": got_gamma, "pi": got_pi}
 
 
-_EVALS = {
-    "stable_condition1": _eval_stable_condition1,
-    "stable_condition2": _eval_stable_condition2,
-    "twist_biconditional": _eval_twist_biconditional,
-    "product_closure": _eval_closure,
-    "product_normality": _eval_normality,
-    "stably_lie_like_gamma": _eval_stably_lie_like_gamma,
-    "stably_lie_like_mixed": _eval_stably_lie_like_mixed,
-    "stably_lie_like_pi": _eval_stably_lie_like_pi,
-    "g_lie_like_commutator": _eval_g_lie_like,
+_FXGY = ("f", "x", "g", "y")
+
+#: kind -> (evaluator, roles).  The roles name the draws the evaluator
+#: takes, in order, and give the element keys of a recorded failure.  A
+#: role is its name's first letter: a longer name picks a phase's second
+#: draw of the same role.
+_KINDS = {
+    "stable_condition1": (_eval_stable_condition1, _FXGY),
+    "stable_condition2": (_eval_stable_condition2, _FXGY),
+    "twist_biconditional": (_eval_twist_biconditional, ("x", "g", "y")),
+    "product_closure": (_eval_closure, _FXGY),
+    "product_normality": (_eval_normality, _FXGY),
+    "stably_lie_like_gamma": (_eval_stably_lie_like_gamma, ("f", "g")),
+    "stably_lie_like_mixed": (_eval_stably_lie_like_mixed, _FXGY),
+    "stably_lie_like_pi": (_eval_stably_lie_like_pi, ("xr", "ys")),
+    "g_lie_like_commutator": (_eval_g_lie_like, _FXGY),
 }
 
 _ELEMENT_SIDES = {"f": "gamma", "g": "gamma", "x": "pi", "y": "pi"}
 
 
-def _record_failure(report, ext, kind, cell, elems, detail):
-    entry = {"kind": kind, "cell": list(cell), "elements": {}, "detail": detail}
-    for key, (value, _) in elems.items():
-        text = ext.gamma_text(value) if _ELEMENT_SIDES[key] == "gamma" else ext.pi_text(value)
-        entry["elements"][key] = text
-    report.failures.append(entry)
+def _record_failure(report, ext, kind, cell, roles, elems, detail):
+    texts = {}
+    for name, (value, _) in zip(roles, elems):
+        role = name[0]
+        texts[role] = ext.gamma_text(value) if _ELEMENT_SIDES[role] == "gamma" else ext.pi_text(value)
+    report.failures.append({"kind": kind, "cell": list(cell), "elements": texts, "detail": detail})
 
 
 def replay_failure(ext: ExtensionSpec, failure: dict) -> bool:
     """Re-parse a serialized counterexample and confirm it still violates
     its condition.  Returns True when the failure reproduces.  The parsed
-    elements are measured from scratch."""
-    elems = {}
+    elements are measured from scratch; a role the failure does not name
+    reaches the evaluator as None, which only an evaluator that does not
+    read it accepts."""
+    parsed = {}
     for key, text in failure["elements"].items():
         if _ELEMENT_SIDES[key] == "gamma":
             value = ext.gamma_parse(text)
-            elems[key] = (value, ext.gamma_level(value))
+            parsed[key] = (value, ext.gamma_level(value))
         else:
             value = ext.pi_parse(text)
-            elems[key] = (value, ext.pi_level(value))
-    ok, _ = _EVALS[failure["kind"]](ext, elems)
+            parsed[key] = (value, ext.pi_level(value))
+    evaluate, roles = _KINDS[failure["kind"]]
+    ok, _ = evaluate(ext, tuple(parsed.get(name[0]) for name in roles))
     return not ok
 
 
-def _cells(r_max, s_max, cap):
-    return [(r, s) for r in range(r_max + 1) for s in range(s_max + 1) if r + s <= cap]
+# --- the checks as data -------------------------------------------------------
+#
+# A check is a list of phases (draws, kinds).  Each draw (name, side, a, b)
+# takes ``count`` samples on its side at level a*r + b*s; the draws run in
+# the order listed, which fixes the cell's RNG stream and so every payload.
+# Each kind is then evaluated on every tuple of the phase's draws, and each
+# tuple counts as one sample.
+
+#: (f, x) at level r and (g, y) at level r + s
+_OUTER_INNER = (("f", "gamma", 1, 0), ("x", "pi", 1, 0), ("g", "gamma", 1, 1), ("y", "pi", 1, 1))
+
+_STABLE = [(_OUTER_INNER, ("stable_condition1", "stable_condition2"))]
+_TWIST = [(_OUTER_INNER[1:], ("twist_biconditional",))]
+_PRODUCT = [
+    ((("f", "gamma", 1, 1), ("x", "pi", 1, 1), ("g", "gamma", 1, 1), ("y", "pi", 1, 1)), ("product_closure",)),
+    (_OUTER_INNER, ("product_normality",)),
+]
+_STABLY_LIE_LIKE = [(
+    (("f", "gamma", 1, 0), ("g", "gamma", 0, 1), ("x", "pi", 1, 1), ("y", "pi", 1, 1),
+     ("xr", "pi", 1, 0), ("ys", "pi", 0, 1)),
+    ("stably_lie_like_gamma", "stably_lie_like_mixed", "stably_lie_like_pi"),
+)]
+_G_LIE_LIKE = [(
+    (("f", "gamma", 1, 0), ("x", "pi", 1, 0), ("g", "gamma", 0, 1), ("y", "pi", 0, 1)),
+    ("g_lie_like_commutator",),
+)]
+
+
+def _run_cells(ext, report, label, cells, phases, count, seed):
+    """Run ``phases`` on every cell (r, s) of ``cells``, with the cell's RNG
+    seeded by ``label``, and add their samples and failures to ``report``."""
+    for r, s in cells:
+        rng = random.Random("%s|%s|%s|%d|%d" % (ext.name, label, seed, r, s))
+        for draws, kinds in phases:
+            names = [name for name, _, _, _ in draws]
+            columns = [sample_level(ext, side, a * r + b * s, count, rng) for _, side, a, b in draws]
+            runs = [(kind, evaluate, roles, itemgetter(*map(names.index, roles)))
+                    for kind in kinds for evaluate, roles in [_KINDS[kind]]]
+            for sample in zip(*columns):
+                report.samples += 1
+                for kind, evaluate, roles, pick in runs:
+                    elems = pick(sample)
+                    ok, detail = evaluate(ext, elems)
+                    if not ok:
+                        _record_failure(report, ext, kind, (r, s), roles, elems, detail)
+    return report
 
 
 def _sample_cap(ext):
     return min(ext.gamma_cap, ext.pi_cap)
 
 
+def _cells(ext, r_max, s_max):
+    return [(r, s) for r in range(r_max + 1) for s in range(s_max + 1) if r + s <= _sample_cap(ext)]
+
+
 def check_stable(ext: ExtensionSpec, r_max: int, s_max: int, count: int, seed=0) -> CheckReport:
     """Depth compatibility of the action: for (f, x) at measured level r and
     (g, y) at measured level t >= r, f(y) and g^-1(x) x^-1 must sit at
     level >= t."""
-    report = CheckReport("stable")
-    for r, s in _cells(r_max, s_max, _sample_cap(ext)):
-        rng = _cell_rng(ext, "stable", seed, r, s)
-        fs = sample_level(ext, "gamma", r, count, rng)
-        xs = sample_level(ext, "pi", r, count, rng)
-        gs = sample_level(ext, "gamma", r + s, count, rng)
-        ys = sample_level(ext, "pi", r + s, count, rng)
-        for f, x, g, y in zip(fs, xs, gs, ys):
-            elems = {"f": f, "x": x, "g": g, "y": y}
-            report.samples += 1
-            ok1, detail1 = _eval_stable_condition1(ext, elems)
-            if not ok1:
-                _record_failure(report, ext, "stable_condition1", (r, s), elems, detail1)
-            ok2, detail2 = _eval_stable_condition2(ext, elems)
-            if not ok2:
-                _record_failure(report, ext, "stable_condition2", (r, s), elems, detail2)
-    return report
+    return _run_cells(ext, CheckReport("stable"), "stable", _cells(ext, r_max, s_max), _STABLE, count, seed)
 
 
 def check_twist_equivalence(ext: ExtensionSpec, count: int, seed=0,
@@ -466,21 +486,8 @@ def check_twist_equivalence(ext: ExtensionSpec, count: int, seed=0,
     equivalent on every sample: g(x) differs from x by depth t iff
     g^-1(x) does."""
     cap = _sample_cap(ext)
-    r_max = cap if r_max is None else r_max
-    s_max = cap if s_max is None else s_max
-    report = CheckReport("twist_equivalence")
-    for r, s in _cells(r_max, s_max, cap):
-        rng = _cell_rng(ext, "twist_eq", seed, r, s)
-        xs = sample_level(ext, "pi", r, count, rng)
-        gs = sample_level(ext, "gamma", r + s, count, rng)
-        ys = sample_level(ext, "pi", r + s, count, rng)
-        for x, g, y in zip(xs, gs, ys):
-            elems = {"x": x, "g": g, "y": y}
-            report.samples += 1
-            ok, detail = _eval_twist_biconditional(ext, elems)
-            if not ok:
-                _record_failure(report, ext, "twist_biconditional", (r, s), elems, detail)
-    return report
+    cells = _cells(ext, cap if r_max is None else r_max, cap if s_max is None else s_max)
+    return _run_cells(ext, CheckReport("twist_equivalence"), "twist_eq", cells, _TWIST, count, seed)
 
 
 def product_filtration_check(ext: ExtensionSpec, r: int, s: int, count: int, seed=0) -> CheckReport:
@@ -491,27 +498,7 @@ def product_filtration_check(ext: ExtensionSpec, r: int, s: int, count: int, see
     if r < 0 or s < 0 or r + s > _sample_cap(ext):
         raise GuardError("cell (%d,%d) exceeds the depth cap %d" % (r, s, _sample_cap(ext)))
     report = CheckReport("product_filtration[%d,%d]" % (r, s))
-    rng = _cell_rng(ext, "product", seed, r, s)
-    deep_f = sample_level(ext, "gamma", r + s, count, rng)
-    deep_x = sample_level(ext, "pi", r + s, count, rng)
-    deep_g = sample_level(ext, "gamma", r + s, count, rng)
-    deep_y = sample_level(ext, "pi", r + s, count, rng)
-    for f, x, g, y in zip(deep_f, deep_x, deep_g, deep_y):
-        elems = {"f": f, "x": x, "g": g, "y": y}
-        report.samples += 1
-        ok, detail = _eval_closure(ext, elems)
-        if not ok:
-            _record_failure(report, ext, "product_closure", (r, s), elems, detail)
-    outer_f = sample_level(ext, "gamma", r, count, rng)
-    outer_x = sample_level(ext, "pi", r, count, rng)
-    inner_g = sample_level(ext, "gamma", r + s, count, rng)
-    inner_y = sample_level(ext, "pi", r + s, count, rng)
-    for f, x, g, y in zip(outer_f, outer_x, inner_g, inner_y):
-        elems = {"f": f, "x": x, "g": g, "y": y}
-        report.samples += 1
-        ok, detail = _eval_normality(ext, elems)
-        if not ok:
-            _record_failure(report, ext, "product_normality", (r, s), elems, detail)
+    _run_cells(ext, report, "product", [(r, s)], _PRODUCT, count, seed)
     bound = _generator_bound(ext, r, s)
     if bound is not None:
         report.meta["generator_bound"] = bound
@@ -560,30 +547,8 @@ def check_stably_lie_like(ext: ExtensionSpec, r_max: int, s_max: int, count: int
     """Bracket compatibility: commutators on the Gamma side add levels, the
     mixed expression f(x * g(y)) with both inner elements at depth r+s stays
     at depth r+s, and commutators on the pi side add levels."""
-    report = CheckReport("stably_lie_like")
-    for r, s in _cells(r_max, s_max, _sample_cap(ext)):
-        rng = _cell_rng(ext, "stably_lie_like", seed, r, s)
-        fs = sample_level(ext, "gamma", r, count, rng)
-        gs = sample_level(ext, "gamma", s, count, rng)
-        xs = sample_level(ext, "pi", r + s, count, rng)
-        ys = sample_level(ext, "pi", r + s, count, rng)
-        xr = sample_level(ext, "pi", r, count, rng)
-        ys_s = sample_level(ext, "pi", s, count, rng)
-        for f, g, x, y, xa, yb in zip(fs, gs, xs, ys, xr, ys_s):
-            report.samples += 1
-            elems = {"f": f, "g": g}
-            ok, detail = _eval_stably_lie_like_gamma(ext, elems)
-            if not ok:
-                _record_failure(report, ext, "stably_lie_like_gamma", (r, s), elems, detail)
-            elems = {"f": f, "x": x, "g": g, "y": y}
-            ok, detail = _eval_stably_lie_like_mixed(ext, elems)
-            if not ok:
-                _record_failure(report, ext, "stably_lie_like_mixed", (r, s), elems, detail)
-            elems = {"x": xa, "y": yb}
-            ok, detail = _eval_stably_lie_like_pi(ext, elems)
-            if not ok:
-                _record_failure(report, ext, "stably_lie_like_pi", (r, s), elems, detail)
-    return report
+    cells = _cells(ext, r_max, s_max)
+    return _run_cells(ext, CheckReport("stably_lie_like"), "stably_lie_like", cells, _STABLY_LIE_LIKE, count, seed)
 
 
 def check_G_lie_like(ext: ExtensionSpec, r_max: int, s_max: int, count: int, seed=0) -> CheckReport:
@@ -591,20 +556,8 @@ def check_G_lie_like(ext: ExtensionSpec, r_max: int, s_max: int, count: int, see
     a at measured level ta and b at tb, both components of [a, b] sit at
     level >= ta + tb (saturated at the caps); the closed form is also
     cross-checked against the four-factor product on every sample."""
-    report = CheckReport("G_lie_like")
-    for r, s in _cells(r_max, s_max, _sample_cap(ext)):
-        rng = _cell_rng(ext, "g_lie_like", seed, r, s)
-        fs = sample_level(ext, "gamma", r, count, rng)
-        xs = sample_level(ext, "pi", r, count, rng)
-        gs = sample_level(ext, "gamma", s, count, rng)
-        ys = sample_level(ext, "pi", s, count, rng)
-        for f, x, g, y in zip(fs, xs, gs, ys):
-            elems = {"f": f, "x": x, "g": g, "y": y}
-            report.samples += 1
-            ok, detail = _eval_g_lie_like(ext, elems)
-            if not ok:
-                _record_failure(report, ext, "g_lie_like_commutator", (r, s), elems, detail)
-    return report
+    cells = _cells(ext, r_max, s_max)
+    return _run_cells(ext, CheckReport("G_lie_like"), "g_lie_like", cells, _G_LIE_LIKE, count, seed)
 
 
 def run_congruence_suite(p: int, r0: int, s0: int, r_max: int, s_max: int,
@@ -616,11 +569,10 @@ def run_congruence_suite(p: int, r0: int, s0: int, r_max: int, s_max: int,
     reports = [
         check_stable(ext, r_max, s_max, count, seed),
         check_twist_equivalence(ext, count, seed, r_max, s_max),
+        *(product_filtration_check(ext, r, s, count, seed) for r, s in _cells(ext, r_max, s_max)),
+        check_stably_lie_like(ext, r_max, s_max, count, seed),
+        check_G_lie_like(ext, r_max, s_max, count, seed),
     ]
-    for r, s in _cells(r_max, s_max, _sample_cap(ext)):
-        reports.append(product_filtration_check(ext, r, s, count, seed))
-    reports.append(check_stably_lie_like(ext, r_max, s_max, count, seed))
-    reports.append(check_G_lie_like(ext, r_max, s_max, count, seed))
     return reports, all(rep.ok for rep in reports), ext.sampler_stats()
 
 

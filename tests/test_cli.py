@@ -441,6 +441,33 @@ def test_pcongruence_jmax_bound(capsys):
     assert captured.out == "" and "--jmax must be at most %d" % MAX_JMAX in captured.err
 
 
+def test_stability_depth_bound(capsys):
+    # the congruence suite measures exponents up to max(r0, s0) + max(rmax, smax) + 1,
+    # bounded as quotient and pcongruence bound theirs
+    j = _largest_exponent(3)
+    args = ["stability", "--example", "congruence", "--rmax", "1", "--smax", "0", "--count", "2", "--seed", "1"]
+    assert main(args + ["--r0", str(j - 2), "--s0", str(j - 2)]) == 0
+    capsys.readouterr()
+    started = time.perf_counter()
+    assert main(args + ["--r0", str(j - 1)]) == 2
+    assert main(args + ["--s0", str(j - 1)]) == 2
+    assert main(["stability", "--example", "congruence", "--r0", "3000", "--count", "5", "--seed", "1"]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "more than %d bits" % MAX_MODULUS_BITS in captured.err
+
+
+def test_graded_verify_qmax_bound(capsys):
+    code, report = run_cli(capsys, "graded", "verify", "-p", "2", "--qmax", str(MAX_JMAX))
+    assert code == 0 and report["ok"]
+    started = time.perf_counter()
+    for qmax in (MAX_JMAX + 1, 10 ** 6):
+        assert main(["graded", "verify", "-p", "3", "--qmax", str(qmax)]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--qmax must be between 2 and %d" % MAX_JMAX in captured.err
+
+
 _TOWER_MODULES = {"filtra", "filtra.cli", "filtra.exactmat", "filtra.graded", "filtra.filtration"}
 
 _LOADED_MODULES = """
@@ -561,6 +588,9 @@ MODULI = st.one_of(
     st.sampled_from([0, 1, 2, 4, 9, 12, 27, 3 ** 40, 1048573, 1048583, 1048583 ** 2, 2 ** 61 - 1, 10 ** 30]),
     st.integers(-10, 10 ** 40),
 )
+# stability exponents and relation-table depths, within and past their bounds
+DEPTHS = st.one_of(st.integers(-1, 3), st.just(10 ** 4))
+QMAX = st.one_of(SMALL, st.sampled_from([17, 10 ** 6]))
 COORDS = st.one_of(st.lists(st.integers(0, 9), min_size=2, max_size=3).map(lambda v: ",".join(map(str, v))),
                    st.text(alphabet="0123456789, x", max_size=8))
 
@@ -573,11 +603,11 @@ CLI_ARGV = {
                          [("--r0", SMALL)]),
     "stability": _argv(["stability"], [("--example", st.sampled_from(["congruence", "poison"])), ("--seed", SEEDS),
                                        ("--count", st.integers(-1, 5))],
-                       [("-p", st.sampled_from([2, 3, -1, 0, 4])), ("--r0", st.integers(-1, 3)),
-                        ("--s0", st.integers(-1, 3)), ("--rmax", st.integers(-1, 2)), ("--smax", st.integers(-1, 2))]),
+                       [("-p", st.sampled_from([2, 3, -1, 0, 4])), ("--r0", DEPTHS), ("--s0", DEPTHS),
+                        ("--rmax", st.integers(-1, 2)), ("--smax", st.integers(-1, 2))]),
     "graded-bracket": _argv(["graded", "bracket"], [("-p", PRIMES), ("-q", SMALL), ("-s", SMALL),
                                                     ("--c1", COORDS), ("--c2", COORDS)]),
-    "graded-verify": _argv(["graded", "verify"], [("-p", PRIMES), ("--qmax", SMALL)], [("--seed", SEEDS)]),
+    "graded-verify": _argv(["graded", "verify"], [("-p", PRIMES), ("--qmax", QMAX)], [("--seed", SEEDS)]),
     "rep": _argv(["rep"], [("--gamma", MATRICES), ("--y", MATRICES)],
                  [("--n", SMALL), ("--mod", MODULI), ("--samples", st.integers(-1, 3)), ("--seed", SEEDS)]),
     "rep-ball": _argv(["rep-ball"], [("-p", PRIMES), ("--base", SMALL), ("--target", SMALL), ("--seed", SEEDS)],

@@ -1,11 +1,19 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from filtra.exactmat import MatrixError, parse_matrix
+from filtra.holomorph import MatrixConjugation
 from filtra.stability import (
+    _G_LIE_LIKE,
+    _KINDS,
+    _PRODUCT,
+    _STABLE,
+    _STABLY_LIE_LIKE,
+    _TWIST,
     check_G_lie_like,
     check_twist_equivalence,
     check_stable,
@@ -233,3 +241,68 @@ def test_flat_parse_rejects_non_sl2_texts(cong, text):
             "elements": {"g": "1,9;0,1", "x": text, "y": "1,9;0,1"}}
     with pytest.raises(MatrixError):
         replay_failure(cong, fake)
+
+
+# -- injected faults: every failure kind occurs and replays --------------------
+
+class _ApplyFxF(MatrixConjugation):
+    """f x f in place of f x f^-1."""
+
+    def apply(self, f, x):
+        return self.pi_mul(self.pi_mul(f, x), f)
+
+
+class _Lopsided(MatrixConjugation):
+    """Conjugation by f when its upper corner is >= 0, else x times a matrix
+    outside the chain, so g and g^-1 act differently."""
+
+    def apply(self, f, x):
+        return super().apply(f, x) if f[1] >= 0 else self.pi_mul(x, (1, 1, 0, 1))
+
+
+class _ConjugateForCommutator(MatrixConjugation):
+    """Both commutators return the conjugate u v u^-1."""
+
+    def gamma_comm(self, f, g):
+        return self.gamma_mul(self.gamma_mul(f, g), self.gamma_inv(f))
+
+    def pi_comm(self, x, y):
+        return self.pi_mul(self.pi_mul(x, y), self.pi_inv(x))
+
+
+# fault -> (action, failure kinds, sha256 of the reports); the digests pin
+# each check's draw order and the draws each failure kind reads, which a
+# passing run's payload cannot show
+_FAULTS = {
+    "apply f x f": (_ApplyFxF, {"stable_condition1", "product_normality", "stably_lie_like_mixed",
+                                "g_lie_like_commutator"},
+                    "6974b18d0a5703d6c41e848a036555eb975b053b7fbfade4f6b78b46ac5172fb"),
+    "lopsided action": (_Lopsided, {"stable_condition1", "stable_condition2", "twist_biconditional",
+                                    "product_closure", "product_normality", "stably_lie_like_mixed",
+                                    "g_lie_like_commutator"},
+                        "a228b1b1811a3ead207f66903cd3cd871b3a540bbb336a0314cdf51a155b9549"),
+    "conjugate for commutator": (_ConjugateForCommutator, {"stably_lie_like_gamma", "stably_lie_like_pi",
+                                                           "g_lie_like_commutator"},
+                                 "1f467fb3b5a4c2679416cbb25e44d6726902570dc200ff4eeaadf571f23944bb"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_injected_faults_replay(fault):
+    action, kinds, digest = _FAULTS[fault]
+    ext = replace(congruence_extension(3, 1, 1, cap=2), act=action())
+    reports = [check_stable(ext, 2, 2, 30), check_twist_equivalence(ext, 30)]
+    reports += [product_filtration_check(ext, r, s, 30) for r in range(3) for s in range(3 - r)]
+    reports += [check_stably_lie_like(ext, 2, 2, 30), check_G_lie_like(ext, 2, 2, 30)]
+    failures = [failure for rep in reports for failure in rep.failures]
+    assert {failure["kind"] for failure in failures} == kinds
+    assert all(replay_failure(ext, failure) for failure in failures)
+    payload = json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+def test_every_failure_kind_is_reached():
+    phases = _STABLE + _TWIST + _PRODUCT + _STABLY_LIE_LIKE + _G_LIE_LIKE
+    named = [kind for _, kinds in phases for kind in kinds]
+    assert sorted(named) == sorted(_KINDS)
+    assert set().union(*(kinds for _, kinds, _ in _FAULTS.values())) == set(_KINDS)
