@@ -95,6 +95,8 @@ def _cmd_stability(args, started):
     given = {key: value for key in _CONGRUENCE_DEFAULTS if (value := getattr(args, key)) is not None}
     if args.example == "congruence":
         config.update(_CONGRUENCE_DEFAULTS, **given)
+        if min(config["rmax"], config["smax"]) < 0:
+            raise CliUsageError("--rmax and --smax must be at least 0")
         # level_of reads exponents up to r0 + cap + 1 on the pi side, s0 + cap + 1 on Gamma
         check_tower_depth(config["p"], max(config["r0"], config["s0"]) + max(config["rmax"], config["smax"]) + 1)
         reports, ok, stats = run_congruence_suite(config["p"], config["r0"], config["s0"], config["rmax"],

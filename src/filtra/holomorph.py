@@ -6,11 +6,14 @@ phi: Gamma -> Aut(pi); elements are pairs (f, x) multiplied by
     (f, x) * (g, y) = (f g, phi(g^-1)(x) * y)
 
 mirroring the product rule of the universal split extension of Aut(pi) by
-pi.  ``ActionSpec`` bundles the group operations on both sides together with
-``apply(f, x) = phi(f)(x)``; two backends ship here, conjugation inside
-SL(2, Z) and word substitution under free-group automorphisms.  The matrix
-backend runs on flat (a, b, c, d) tuples with the closed-form kernel of
-``exactmat`` and compares the pi side up to sign.
+pi.  A ``Group`` holds one side's product, inverse and identity, and
+optionally the normal form its equality compares; commutator and equality
+are written once, on ``Group``.  An ``ActionSpec`` is the two groups
+``gamma`` and ``pi`` plus its one method ``apply(f, x) = phi(f)(x)``.  Two
+backends ship here, conjugation inside SL(2, Z) and word substitution under
+free-group automorphisms.  The matrix backend runs on flat (a, b, c, d)
+tuples with the closed-form kernel of ``exactmat``, and its pi group
+compares up to sign.
 
 Closed forms for inverse, conjugation, and commutator are provided and can
 be cross-checked against first-principles products (see
@@ -22,6 +25,7 @@ package's one seeded word sampler.
 
 from __future__ import annotations
 
+import operator
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -34,50 +38,33 @@ class BackendMismatch(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class Group:
+    """A group given by its product, inverse and identity.  ``norm``, when
+    given, maps an element to the normal form that equality compares."""
+
+    mul: object
+    inv: object
+    identity: object
+    norm: object = None
+
+    def eq(self, a, b) -> bool:
+        norm = self.norm
+        return a == b if norm is None else norm(a) == norm(b)
+
+    def comm(self, a, b):
+        mul, inv = self.mul, self.inv
+        return mul(mul(mul(a, b), inv(a)), inv(b))
+
+
 class ActionSpec(ABC):
-    """Group operations for Gamma and pi plus the action apply(f, x)."""
+    """Gamma and pi as ``Group``s, plus the action apply(f, x) = phi(f)(x)."""
 
-    @abstractmethod
-    def gamma_mul(self, f, g): ...
-
-    @abstractmethod
-    def gamma_inv(self, f): ...
-
-    @abstractmethod
-    def gamma_id(self): ...
-
-    @abstractmethod
-    def pi_mul(self, x, y): ...
-
-    @abstractmethod
-    def pi_inv(self, x): ...
-
-    @abstractmethod
-    def pi_id(self): ...
+    gamma: Group
+    pi: Group
 
     @abstractmethod
     def apply(self, f, x): ...
-
-    # Normal forms used for equality; override when elements are not canonical.
-    def gamma_norm(self, f):
-        return f
-
-    def pi_norm(self, x):
-        return x
-
-    def gamma_eq(self, f, g) -> bool:
-        return self.gamma_norm(f) == self.gamma_norm(g)
-
-    def pi_eq(self, x, y) -> bool:
-        return self.pi_norm(x) == self.pi_norm(y)
-
-    def gamma_comm(self, f, g):
-        return self.gamma_mul(
-            self.gamma_mul(self.gamma_mul(f, g), self.gamma_inv(f)), self.gamma_inv(g)
-        )
-
-    def pi_comm(self, x, y):
-        return self.pi_mul(self.pi_mul(self.pi_mul(x, y), self.pi_inv(x)), self.pi_inv(y))
 
 
 @dataclass(frozen=True)
@@ -89,48 +76,43 @@ class SemiElem:
 
 
 def semi_id(act: ActionSpec) -> SemiElem:
-    return SemiElem(act.gamma_id(), act.pi_id())
+    return SemiElem(act.gamma.identity, act.pi.identity)
 
 
 def semi_mul(a: SemiElem, b: SemiElem, act: ActionSpec) -> SemiElem:
     """(f,x)*(g,y) = (f g, g^-1(x) * y)."""
-    twisted = act.apply(act.gamma_inv(b.f), a.x)
-    return SemiElem(act.gamma_mul(a.f, b.f), act.pi_mul(twisted, b.x))
+    twisted = act.apply(act.gamma.inv(b.f), a.x)
+    return SemiElem(act.gamma.mul(a.f, b.f), act.pi.mul(twisted, b.x))
 
 
 def semi_inv(a: SemiElem, act: ActionSpec) -> SemiElem:
     """(f,x)^-1 = (f^-1, f(x^-1))."""
-    return SemiElem(act.gamma_inv(a.f), act.apply(a.f, act.pi_inv(a.x)))
+    return SemiElem(act.gamma.inv(a.f), act.apply(a.f, act.pi.inv(a.x)))
+
+
+def _conj_core(a, b, act):
+    """The pi part f(g^-1(x) * y) * f(x^-1) of a*b*a^-1, for a = (f, x) and
+    b = (g, y)."""
+    pi, apply, f, x = act.pi, act.apply, a.f, a.x
+    return pi.mul(apply(f, pi.mul(apply(act.gamma.inv(b.f), x), b.x)), apply(f, pi.inv(x)))
 
 
 def semi_conj(a: SemiElem, b: SemiElem, act: ActionSpec) -> SemiElem:
     """Closed form of a*b*a^-1: (f g f^-1, f(g^-1(x) * y) * f(x^-1))."""
-    f, x = a.f, a.x
-    g, y = b.f, b.x
-    outer = act.gamma_mul(act.gamma_mul(f, g), act.gamma_inv(f))
-    inner = act.pi_mul(
-        act.apply(f, act.pi_mul(act.apply(act.gamma_inv(g), x), y)),
-        act.apply(f, act.pi_inv(x)),
-    )
-    return SemiElem(outer, inner)
+    gamma = act.gamma
+    return SemiElem(gamma.mul(gamma.mul(a.f, b.f), gamma.inv(a.f)), _conj_core(a, b, act))
 
 
 def semi_comm(a: SemiElem, b: SemiElem, act: ActionSpec) -> SemiElem:
     """Closed form of [a,b] = a*b*a^-1*b^-1:
     (f g f^-1 g^-1, g{ f(g^-1(x) * y) * f(x^-1) } * g(y^-1))."""
-    f, x = a.f, a.x
-    g, y = b.f, b.x
-    outer = act.gamma_comm(f, g)
-    core = act.pi_mul(
-        act.apply(f, act.pi_mul(act.apply(act.gamma_inv(g), x), y)),
-        act.apply(f, act.pi_inv(x)),
-    )
-    inner = act.pi_mul(act.apply(g, core), act.apply(g, act.pi_inv(y)))
-    return SemiElem(outer, inner)
+    g, pi = b.f, act.pi
+    inner = pi.mul(act.apply(g, _conj_core(a, b, act)), act.apply(g, pi.inv(b.x)))
+    return SemiElem(act.gamma.comm(a.f, g), inner)
 
 
 def semi_eq(a: SemiElem, b: SemiElem, act: ActionSpec) -> bool:
-    return act.gamma_eq(a.f, b.f) and act.pi_eq(a.x, b.x)
+    return act.gamma.eq(a.f, b.f) and act.pi.eq(a.x, b.x)
 
 
 def conj_via_mul(a: SemiElem, b: SemiElem, act: ActionSpec) -> SemiElem:
@@ -148,14 +130,8 @@ class MatrixConjugation(ActionSpec):
     up to sign (classes in the sign quotient).  Elements are flat
     (a, b, c, d) tuples over Z."""
 
-    gamma_mul = pi_mul = staticmethod(_flat_mul_z)
-    gamma_inv = pi_inv = staticmethod(_flat_inv_z)
-
-    def gamma_id(self):
-        return _FLAT_ID
-
-    def pi_id(self):
-        return _FLAT_ID
+    gamma = Group(_flat_mul_z, _flat_inv_z, _FLAT_ID)
+    pi = Group(_flat_mul_z, _flat_inv_z, _FLAT_ID, norm=_sign_normal)
 
     def apply(self, f, x):
         """f x f^-1 in one step; f must have determinant 1, as for
@@ -170,9 +146,6 @@ class MatrixConjugation(ActionSpec):
         r, s = c * e + d * h, c * g + d * k
         return (p * d - q * c, q * a - p * b, r * d - s * c, s * a - r * b)
 
-    def pi_norm(self, x):
-        return _sign_normal(x)
-
 
 class FreeGroupAction(ActionSpec):
     """A free group Gamma acting on F_n through automorphisms of the
@@ -184,34 +157,15 @@ class FreeGroupAction(ActionSpec):
         from .freegroup import Word
 
         # generator_pairs[i] = (endo, endo_inverse) for Gamma generator i+1
-        self.gamma_rank = gamma_rank
-        self.pi_rank = pi_rank
+        self.ranks = (gamma_rank, pi_rank)
         self.pairs = tuple(generator_pairs)
         if len(self.pairs) != gamma_rank:
             raise BackendMismatch("need one endomorphism pair per Gamma generator")
-        self._gamma_id = Word.identity(gamma_rank)
-        self._pi_id = Word.identity(pi_rank)
-
-    def gamma_mul(self, f, g):
-        return f * g
-
-    def gamma_inv(self, f):
-        return f.inverse()
-
-    def gamma_id(self):
-        return self._gamma_id
-
-    def pi_mul(self, x, y):
-        return x * y
-
-    def pi_inv(self, x):
-        return x.inverse()
-
-    def pi_id(self):
-        return self._pi_id
+        self.gamma = Group(operator.mul, Word.inverse, Word.identity(gamma_rank))
+        self.pi = Group(operator.mul, Word.inverse, Word.identity(pi_rank))
 
     def apply(self, f, x):
-        if f.rank != self.gamma_rank or x.rank != self.pi_rank:
+        if (f.rank, x.rank) != self.ranks:
             raise BackendMismatch("word ranks do not match this action")
         # phi(f g) = phi(f) o phi(g), so the rightmost letter acts first
         out = x
@@ -239,8 +193,9 @@ def verify_holomorph_identities(act, gamma_gens, pi_gens, count, seed, radius=4)
         "inclusion_hom",
     ]
     failures = {name: 0 for name in names}
-    gamma_words = WordSampler(list(gamma_gens) + [act.gamma_inv(g) for g in gamma_gens], act.gamma_mul, radius)
-    pi_words = WordSampler(list(pi_gens) + [act.pi_inv(x) for x in pi_gens], act.pi_mul, radius)
+    gamma, pi = act.gamma, act.pi
+    gamma_words = WordSampler(list(gamma_gens) + [gamma.inv(g) for g in gamma_gens], gamma.mul, radius)
+    pi_words = WordSampler(list(pi_gens) + [pi.inv(x) for x in pi_gens], pi.mul, radius)
 
     def g_sample():
         return gamma_words.draw(rng, 1)[0][0]
@@ -259,9 +214,9 @@ def verify_holomorph_identities(act, gamma_gens, pi_gens, count, seed, radius=4)
         if not (semi_eq(semi_mul(a, ainv, act), e, act) and semi_eq(semi_mul(ainv, a, act), e, act)):
             failures["inverse_formula"] += 1
 
-        lhs = semi_mul(semi_mul(semi_inv(SemiElem(f, act.pi_id()), act), SemiElem(act.gamma_id(), y), act),
-                       SemiElem(f, act.pi_id()), act)
-        rhs = SemiElem(act.gamma_id(), act.apply(act.gamma_inv(f), y))
+        lhs = semi_mul(semi_mul(semi_inv(SemiElem(f, pi.identity), act), SemiElem(gamma.identity, y), act),
+                       SemiElem(f, pi.identity), act)
+        rhs = SemiElem(gamma.identity, act.apply(gamma.inv(f), y))
         if not semi_eq(lhs, rhs, act):
             failures["conjugation_by_inverse"] += 1
 
@@ -276,11 +231,11 @@ def verify_holomorph_identities(act, gamma_gens, pi_gens, count, seed, radius=4)
             failures["associativity"] += 1
 
         prod = semi_mul(a, b, act)
-        if not act.gamma_eq(prod.f, act.gamma_mul(a.f, b.f)):
+        if not gamma.eq(prod.f, gamma.mul(a.f, b.f)):
             failures["projection_hom"] += 1
 
-        incl = semi_mul(SemiElem(act.gamma_id(), x), SemiElem(act.gamma_id(), y), act)
-        if not semi_eq(incl, SemiElem(act.gamma_id(), act.pi_mul(x, y)), act):
+        incl = semi_mul(SemiElem(gamma.identity, x), SemiElem(gamma.identity, y), act)
+        if not semi_eq(incl, SemiElem(gamma.identity, pi.mul(x, y)), act):
             failures["inclusion_hom"] += 1
 
     return {

@@ -1,7 +1,10 @@
 """Empirical stability and Lie-like checks for filtered split extensions.
 
-An ``ExtensionSpec`` packages a classified action together with level
-functions and per-level generator lists for both sides.  The checks sample
+An ``ExtensionSpec`` packages a classified action (whose ``gamma`` and
+``pi`` are ``holomorph.Group`` values) with one ``Side`` for each of Gamma
+and pi: its level function, per-level generator lists, depth cap, and the
+text form and parser of its elements.  Code that works on either side
+looks it up by name, so each operation is written once.  The checks sample
 words in the level generators and verify the quantified conditions on each
 sample, always measuring levels with ``level_of``-style functions rather
 than trusting the nominal sampling level.  The checks are one table: each
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import itemgetter
 
 from .exactmat import _parse_flat_sl2, format_matrix
@@ -97,23 +101,28 @@ class CheckReport:
         }
 
 
+@dataclass(frozen=True)
+class Side:
+    """One filtered side of the extension: its level function, generator
+    lists and depth cap, and the text form of its elements."""
+
+    level: object
+    gens: object                 # level -> list of elements
+    cap: int
+    text: object = str
+    parse: object = None
+
+
 @dataclass
 class ExtensionSpec:
-    """A filtered split extension with samplers for both sides."""
+    """A filtered split extension: an action and its two filtered sides,
+    with samplers for both."""
 
     name: str
     act: object
-    gamma_level: object
-    pi_level: object
-    gamma_gens: object           # level -> list of Gamma elements
-    pi_gens: object              # level -> list of pi elements
-    gamma_cap: int
-    pi_cap: int
+    gamma: Side
+    pi: Side
     radius: int = 6
-    gamma_text: object = str
-    pi_text: object = str
-    gamma_parse: object = None
-    pi_parse: object = None
     quotients: object = None         # (r, s) -> ((p, i, j, family) of Gamma, of pi) or None
     # (side, level) -> WordSampler, made by the first sample_level call
     samplers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -130,15 +139,11 @@ def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4,
                          radius: int = 6) -> ExtensionSpec:
     """Conjugation of the exponent-(s0+j) chain on the sign-class
     exponent-(r0+j) chain, with generator triples at every level."""
-    gamma_spec = FiltrationSpec("gamma", p, s0, cap)
-    pi_spec = FiltrationSpec("pgamma", p, r0, cap)
-    act = MatrixConjugation()
-
-    def gamma_gens(level):
-        return flat_congruence_basis(p, s0 + level)
-
-    def pi_gens(level):
-        return flat_congruence_basis(p, r0 + level)
+    def side(family, base):
+        spec = FiltrationSpec(family, p, base, cap)
+        return Side(level=lambda el: level_of(el, spec),
+                    gens=lambda level: flat_congruence_basis(p, base + level),
+                    cap=cap, text=format_matrix, parse=_parse_flat_sl2)
 
     def quotients(r, s):
         if s < 1:
@@ -147,18 +152,10 @@ def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4,
 
     return ExtensionSpec(
         name="congruence(p=%d,r0=%d,s0=%d)" % (p, r0, s0),
-        act=act,
-        gamma_level=lambda f: level_of(f, gamma_spec),
-        pi_level=lambda x: level_of(x, pi_spec),
-        gamma_gens=gamma_gens,
-        pi_gens=pi_gens,
-        gamma_cap=cap,
-        pi_cap=cap,
+        act=MatrixConjugation(),
+        gamma=side("gamma", s0),
+        pi=side("pgamma", r0),
         radius=radius,
-        gamma_text=format_matrix,
-        pi_text=format_matrix,
-        gamma_parse=_parse_flat_sl2,
-        pi_parse=_parse_flat_sl2,
         quotients=quotients,
     )
 
@@ -175,53 +172,23 @@ def poison_extension(radius: int = 6) -> ExtensionSpec:
     # imported here, so that the congruence extension runs without freegroup
     from .freegroup import Word, format_word, lcs_depth2, parse_word, poison_action
 
-    pairs = poison_action()
-    act = FreeGroupAction(2, 3, pairs)
+    def side(names, level, gens, cap):
+        return Side(level, gens, cap, text=lambda w: format_word(w, names),
+                    parse=lambda text: parse_word(text, len(names), names))
 
-    def gamma_level(w: Word):
-        # levels: F_0 = F_1 = whole group, F_2 = commutator subgroup,
-        # 3 = cap + 1 = third lower central subgroup and deeper
-        return lcs_depth2(w)
-
-    def pi_level(w: Word):
-        # L_0 = F_3, L_1 = commutator subgroup, 2 = cap + 1 = class >= 3
-        return lcs_depth2(w) - 1
-
-    phi1 = Word.generator(2, 1)
-    phi2 = Word.generator(2, 2)
-    comm_gamma = phi1 * phi2 * phi1.inverse() * phi2.inverse()
-
-    def gamma_gens(level):
-        if level <= 1:
-            return [phi1, phi2]
-        if level == 2:
-            return [comm_gamma]
-        raise ValueError("no generator list at level %d" % level)
-
+    act = FreeGroupAction(2, 3, poison_action())
+    phi = [Word.generator(2, i) for i in (1, 2)]
     a = [Word.generator(3, i) for i in (1, 2, 3)]
-    pi_comms = [u * v * u.inverse() * v.inverse() for u, v in ((a[0], a[1]), (a[0], a[2]), (a[1], a[2]))]
-
-    def pi_gens(level):
-        if level == 0:
-            return list(a)
-        if level == 1:
-            return pi_comms
-        raise ValueError("no generator list at level %d" % level)
-
     return ExtensionSpec(
         name="poison",
         act=act,
-        gamma_level=gamma_level,
-        pi_level=pi_level,
-        gamma_gens=gamma_gens,
-        pi_gens=pi_gens,
-        gamma_cap=2,
-        pi_cap=1,
+        # levels: F_0 = F_1 = whole group, F_2 = commutator subgroup,
+        # 3 = cap + 1 = third lower central subgroup and deeper
+        gamma=side(_GAMMA_NAMES, lcs_depth2, {0: phi, 1: phi, 2: [act.gamma.comm(*phi)]}.get, 2),
+        # L_0 = F_3, L_1 = commutator subgroup, 2 = cap + 1 = class >= 3
+        pi=side(_PI_NAMES, lambda w: lcs_depth2(w) - 1,
+                {0: a, 1: [act.pi.comm(u, v) for u, v in combinations(a, 2)]}.get, 1),
         radius=radius,
-        gamma_text=lambda w: format_word(w, _GAMMA_NAMES),
-        pi_text=lambda w: format_word(w, _PI_NAMES),
-        gamma_parse=lambda text: parse_word(text, 2, _GAMMA_NAMES),
-        pi_parse=lambda text: parse_word(text, 3, _PI_NAMES),
     )
 
 
@@ -231,38 +198,28 @@ def sample_level(ext: ExtensionSpec, side: str, level: int, count: int, rng) -> 
     and their inverses.  Each element is measured once, both to guard
     against an element below its level and for the evaluators to use; the
     spec's sampler for (side, level) keeps the short words' levels."""
-    if side == "gamma":
-        level_gens, mul, inv, ident, measure = (
-            ext.gamma_gens, ext.act.gamma_mul, ext.act.gamma_inv, ext.act.gamma_id(), ext.gamma_level,
-        )
-    elif side == "pi":
-        level_gens, mul, inv, ident, measure = (
-            ext.pi_gens, ext.act.pi_mul, ext.act.pi_inv, ext.act.pi_id(), ext.pi_level,
-        )
-    else:
+    if side not in ("gamma", "pi"):
         raise ValueError("side must be 'gamma' or 'pi'")
+    group, spec = getattr(ext.act, side), getattr(ext, side)
     sampler = ext.samplers.get((side, level))
     if sampler is None:
-        gens = level_gens(level)
+        gens = spec.gens(level)
         if not gens:
-            raise ValueError("empty generator list at level %d" % level)
+            raise ValueError("no generator list at level %d" % level)
         sampler = ext.samplers[side, level] = WordSampler(
-            list(gens) + [inv(g) for g in gens], mul, ext.radius, measure)
+            list(gens) + [group.inv(g) for g in gens], group.mul, ext.radius, spec.level)
     if count < 1:
         return []
-    pairs = [(ident, measure(ident))] + sampler.draw(rng, count - 1)
+    pairs = [(group.identity, spec.level(group.identity))] + sampler.draw(rng, count - 1)
     for _, got in pairs:
         if got < level:
             raise RuntimeError("sampler produced an element below its level")  # pragma: no cover
     return pairs
 
 
-def _pi_req(ext, *levels):
-    return min(*levels, ext.pi_cap + 1)
-
-
-def _gamma_req(ext, *levels):
-    return min(*levels, ext.gamma_cap + 1)
+def _req(side, *levels):
+    """The lowest of ``levels``, saturated at ``side``'s cap + 1."""
+    return min(*levels, side.cap + 1)
 
 
 def _reaches(observed, required):
@@ -277,37 +234,36 @@ def _reaches(observed, required):
 
 def _twist_level(ext, g, x):
     """The level of g(x) x^-1."""
-    act = ext.act
-    return ext.pi_level(act.pi_mul(act.apply(g, x), act.pi_inv(x)))
+    pi = ext.act.pi
+    return ext.pi.level(pi.mul(ext.act.apply(g, x), pi.inv(x)))
 
 
 def _eval_stable_condition1(ext, elems):
     (f, _), _, (_, lg), (y, ly) = elems
-    return _reaches(ext.pi_level(ext.act.apply(f, y)), _pi_req(ext, lg, ly))
+    return _reaches(ext.pi.level(ext.act.apply(f, y)), _req(ext.pi, lg, ly))
 
 
 def _eval_stable_condition2(ext, elems):
     _, (x, _), (g, lg), (_, ly) = elems
-    return _reaches(_twist_level(ext, ext.act.gamma_inv(g), x), _pi_req(ext, lg, ly))
+    return _reaches(_twist_level(ext, ext.act.gamma.inv(g), x), _req(ext.pi, lg, ly))
 
 
 def _eval_twist_biconditional(ext, elems):
     (x, _), (g, lg), (_, ly) = elems
-    required = _pi_req(ext, lg, ly)
+    required = _req(ext.pi, lg, ly)
     forward = _twist_level(ext, g, x)
-    backward = _twist_level(ext, ext.act.gamma_inv(g), x)
+    backward = _twist_level(ext, ext.act.gamma.inv(g), x)
     ok = (forward >= required) == (backward >= required)
     return ok, {"required": required, "forward": forward, "backward": backward}
 
 
 def _eval_closure(ext, elems):
-    act = ext.act
     (f, lf), (x, lx), (g, lg), (y, ly) = elems
     level = min(lf, lx, lg, ly)
-    prod = semi_mul(SemiElem(f, x), SemiElem(g, y), act)
-    got_gamma = ext.gamma_level(prod.f)
-    got_pi = ext.pi_level(prod.x)
-    ok = got_gamma >= _gamma_req(ext, level) and got_pi >= _pi_req(ext, level)
+    prod = semi_mul(SemiElem(f, x), SemiElem(g, y), ext.act)
+    got_gamma = ext.gamma.level(prod.f)
+    got_pi = ext.pi.level(prod.x)
+    ok = got_gamma >= _req(ext.gamma, level) and got_pi >= _req(ext.pi, level)
     return ok, {"required": level, "gamma": got_gamma, "pi": got_pi}
 
 
@@ -315,26 +271,27 @@ def _eval_normality(ext, elems):
     """Conjugating a depth-(r+s) pair by a depth-r pair stays at depth r+s,
     decomposed into the six intermediate steps of the subgroup argument."""
     act = ext.act
+    gamma, pi, apply = act.gamma, act.pi, act.apply
     (f, _), (x, _), (g, lg), (y, ly) = elems
     t = min(lg, ly)
-    greq = _gamma_req(ext, t)
-    preq = _pi_req(ext, t)
-    gx = act.apply(act.gamma_inv(g), x)
-    part1 = act.apply(f, gx)
-    part2 = act.apply(f, y)
-    part3 = act.apply(f, act.pi_inv(x))
-    parts = act.pi_mul(act.pi_mul(part1, part2), part3)
-    twist_pair = act.pi_mul(part1, part3)
-    conjugated_y = act.pi_mul(act.pi_mul(act.apply(f, x), part2), part3)
+    greq = _req(ext.gamma, t)
+    preq = _req(ext.pi, t)
+    gx = apply(gamma.inv(g), x)
+    part1 = apply(f, gx)
+    part2 = apply(f, y)
+    part3 = apply(f, pi.inv(x))
+    parts = pi.mul(pi.mul(part1, part2), part3)
+    twist_pair = pi.mul(part1, part3)
+    conjugated_y = pi.mul(pi.mul(apply(f, x), part2), part3)
     conj = semi_conj(SemiElem(f, x), SemiElem(g, y), act)
     steps = {
-        "s1_gamma_conj": ext.gamma_level(act.gamma_mul(act.gamma_mul(f, g), act.gamma_inv(f))) >= greq,
-        "s2_action_hom": act.pi_eq(act.pi_mul(act.apply(f, act.pi_mul(gx, y)), part3), parts),
-        "s3_twist_pair": ext.pi_level(twist_pair) >= preq,
-        "s4_f_of_y": ext.pi_level(part2) >= preq,
-        "s5_conjugated_y": ext.pi_level(conjugated_y) >= preq,
-        "s6_recombination": act.pi_eq(parts, act.pi_mul(twist_pair, conjugated_y)),
-        "s7_conj_in_subgroup": ext.gamma_level(conj.f) >= greq and ext.pi_level(conj.x) >= preq,
+        "s1_gamma_conj": ext.gamma.level(gamma.mul(gamma.mul(f, g), gamma.inv(f))) >= greq,
+        "s2_action_hom": pi.eq(pi.mul(apply(f, pi.mul(gx, y)), part3), parts),
+        "s3_twist_pair": ext.pi.level(twist_pair) >= preq,
+        "s4_f_of_y": ext.pi.level(part2) >= preq,
+        "s5_conjugated_y": ext.pi.level(conjugated_y) >= preq,
+        "s6_recombination": pi.eq(parts, pi.mul(twist_pair, conjugated_y)),
+        "s7_conj_in_subgroup": ext.gamma.level(conj.f) >= greq and ext.pi.level(conj.x) >= preq,
         "s8_closed_form_agrees": semi_eq(conj, conj_via_mul(SemiElem(f, x), SemiElem(g, y), act), act),
     }
     return all(steps.values()), {"required": t, "steps": steps}
@@ -342,18 +299,18 @@ def _eval_normality(ext, elems):
 
 def _eval_stably_lie_like_gamma(ext, elems):
     (f, lf), (g, lg) = elems
-    return _reaches(ext.gamma_level(ext.act.gamma_comm(f, g)), _gamma_req(ext, lf + lg))
+    return _reaches(ext.gamma.level(ext.act.gamma.comm(f, g)), _req(ext.gamma, lf + lg))
 
 
 def _eval_stably_lie_like_mixed(ext, elems):
     act = ext.act
     (f, _), (x, lx), (g, _), (y, ly) = elems
-    return _reaches(ext.pi_level(act.apply(f, act.pi_mul(x, act.apply(g, y)))), _pi_req(ext, lx, ly))
+    return _reaches(ext.pi.level(act.apply(f, act.pi.mul(x, act.apply(g, y)))), _req(ext.pi, lx, ly))
 
 
 def _eval_stably_lie_like_pi(ext, elems):
     (x, lx), (y, ly) = elems
-    return _reaches(ext.pi_level(ext.act.pi_comm(x, y)), _pi_req(ext, lx + ly))
+    return _reaches(ext.pi.level(ext.act.pi.comm(x, y)), _req(ext.pi, lx + ly))
 
 
 def _eval_g_lie_like(ext, elems):
@@ -362,9 +319,9 @@ def _eval_g_lie_like(ext, elems):
     a, b = SemiElem(f, x), SemiElem(g, y)
     level = min(lf, lx) + min(lg, ly)
     comm = semi_comm(a, b, act)
-    got_gamma = ext.gamma_level(comm.f)
-    got_pi = ext.pi_level(comm.x)
-    ok = (got_gamma >= _gamma_req(ext, level) and got_pi >= _pi_req(ext, level)
+    got_gamma = ext.gamma.level(comm.f)
+    got_pi = ext.pi.level(comm.x)
+    ok = (got_gamma >= _req(ext.gamma, level) and got_pi >= _req(ext.pi, level)
           and semi_eq(comm, comm_via_mul(a, b, act), act))
     return ok, {"required": level, "gamma": got_gamma, "pi": got_pi}
 
@@ -391,29 +348,32 @@ _ELEMENT_SIDES = {"f": "gamma", "g": "gamma", "x": "pi", "y": "pi"}
 
 
 def _record_failure(report, ext, kind, cell, roles, elems, detail):
-    texts = {}
-    for name, (value, _) in zip(roles, elems):
-        role = name[0]
-        texts[role] = ext.gamma_text(value) if _ELEMENT_SIDES[role] == "gamma" else ext.pi_text(value)
+    texts = {name[0]: getattr(ext, _ELEMENT_SIDES[name[0]]).text(value)
+             for name, (value, _) in zip(roles, elems)}
     report.failures.append({"kind": kind, "cell": list(cell), "elements": texts, "detail": detail})
 
 
 def replay_failure(ext: ExtensionSpec, failure: dict) -> bool:
     """Re-parse a serialized counterexample and confirm it still violates
     its condition.  Returns True when the failure reproduces.  The parsed
-    elements are measured from scratch; a role the failure does not name
-    reaches the evaluator as None, which only an evaluator that does not
-    read it accepts."""
+    elements are measured from scratch.  An unknown kind or role, or a
+    role the kind reads that the failure does not name, raises
+    ``ValueError``; so does an element text the side cannot parse."""
+    kind = failure["kind"]
+    if kind not in _KINDS:
+        raise ValueError("unknown failure kind %r" % (kind,))
     parsed = {}
-    for key, text in failure["elements"].items():
-        if _ELEMENT_SIDES[key] == "gamma":
-            value = ext.gamma_parse(text)
-            parsed[key] = (value, ext.gamma_level(value))
-        else:
-            value = ext.pi_parse(text)
-            parsed[key] = (value, ext.pi_level(value))
-    evaluate, roles = _KINDS[failure["kind"]]
-    ok, _ = evaluate(ext, tuple(parsed.get(name[0]) for name in roles))
+    for role, text in failure["elements"].items():
+        if role not in _ELEMENT_SIDES:
+            raise ValueError("unknown role %r in a %s failure" % (role, kind))
+        side = getattr(ext, _ELEMENT_SIDES[role])
+        value = side.parse(text)
+        parsed[role] = (value, side.level(value))
+    evaluate, roles = _KINDS[kind]
+    missing = sorted({name[0] for name in roles} - parsed.keys())
+    if missing:
+        raise ValueError("a %s failure needs element %s" % (kind, ", ".join(missing)))
+    ok, _ = evaluate(ext, tuple(parsed[name[0]] for name in roles))
     return not ok
 
 
@@ -466,7 +426,7 @@ def _run_cells(ext, report, label, cells, phases, count, seed):
 
 
 def _sample_cap(ext):
-    return min(ext.gamma_cap, ext.pi_cap)
+    return min(ext.gamma.cap, ext.pi.cap)
 
 
 def _cells(ext, r_max, s_max):

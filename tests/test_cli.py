@@ -397,6 +397,8 @@ def test_out_path(tmp_path, capsys):
     ["rep-ball", "-p", "3", "--base", "2", "--target", "2", "--seed", "1"],
     ["freegroup-fixtures", "--nmax", "1"],
     ["holomorph-identities", "--backend", "congruence", "-p", "4", "--seed", "1"],
+    ["stability", "--example", "congruence", "--rmax", "-1", "--smax", "0", "--count", "5", "--seed", "1"],
+    ["stability", "--example", "congruence", "--rmax", "0", "--smax", "-1", "--count", "5", "--seed", "1"],
 ])
 def test_vacuous_sizes_are_refused(capsys, argv):
     # each size one short of checking anything exits 2 instead of reporting
@@ -561,6 +563,23 @@ def test_benchmark_commands_run(capsys):
             argv = command.argv(1, count_cap=5)
             assert main(argv) == command.expect_code, (name, argv)
             capsys.readouterr()
+
+
+def test_benchmark_replay_child_reproduces_poison_failures(tmp_path, capsys):
+    # the benchmark calls the library directly in one place, its replay
+    # child: every stable_condition2 failure of a poison report reproduces
+    report = tmp_path / "poison.json"
+    argv = ["stability", "--example", "poison", "--count", "200", "--seed", "1", "--out", str(report)]
+    assert main(argv) == 1
+    capsys.readouterr()
+    child = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "child.py")
+    result = tmp_path / "replay.json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(filtra.__file__)))
+    proc = subprocess.run([sys.executable, child, "replay", str(result), str(report)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(result.read_text())
+    assert counts["replayed"] == counts["reproduced"] == 103
 
 
 # -- the CLI boundary under arbitrary arguments -------------------------------

@@ -136,13 +136,13 @@ def test_action_axioms_both_backends():
                      [Word.generator(3, i) for i in (1, 2, 3)]))
     for act, ggens, pgens in backends:
         rng = random.Random("axioms")
-        gwords = WordSampler(ggens + [act.gamma_inv(f) for f in ggens], act.gamma_mul, 4)
-        pwords = WordSampler(pgens + [act.pi_inv(x) for x in pgens], act.pi_mul, 4)
+        gwords = WordSampler(ggens + [act.gamma.inv(f) for f in ggens], act.gamma.mul, 4)
+        pwords = WordSampler(pgens + [act.pi.inv(x) for x in pgens], act.pi.mul, 4)
         for _ in range(80):
             (f, _), (g, _) = gwords.draw(rng, 2)
             (x, _), = pwords.draw(rng, 1)
-            assert act.pi_eq(act.apply(act.gamma_id(), x), x)
-            assert act.pi_eq(act.apply(act.gamma_mul(f, g), x), act.apply(f, act.apply(g, x)))
+            assert act.pi.eq(act.apply(act.gamma.identity, x), x)
+            assert act.pi.eq(act.apply(act.gamma.mul(f, g), x), act.apply(f, act.apply(g, x)))
 
 
 def test_matrix_backend_needs_one_element_type():
@@ -151,5 +151,5 @@ def test_matrix_backend_needs_one_element_type():
         MatrixConjugation(I2, I2)
     flat = MatrixConjugation()
     x = (1, 3, 0, 1)
-    assert flat.pi_eq(flat.apply((0, -1, 1, 0), x), (1, 0, -3, 1))
-    assert flat.pi_eq(x, (-1, -3, 0, -1))
+    assert flat.pi.eq(flat.apply((0, -1, 1, 0), x), (1, 0, -3, 1))
+    assert flat.pi.eq(x, (-1, -3, 0, -1))

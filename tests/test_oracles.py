@@ -476,10 +476,10 @@ def test_flat_backend_matches_intmat_backend():
         p = (2, 3, 5)[k % 3]
         u, v = _sl2_words(rng, p), _sl2_words(rng, p)
         fu, fv = _flat(u), _flat(v)
-        assert flat_act.gamma_mul(fu, fv) == flat_act.pi_mul(fu, fv) == _flat(u * v)
-        assert flat_act.gamma_inv(fu) == flat_act.pi_inv(fu) == _flat(u.inverse())
+        assert flat_act.gamma.mul(fu, fv) == flat_act.pi.mul(fu, fv) == _flat(u * v)
+        assert flat_act.gamma.inv(fu) == flat_act.pi.inv(fu) == _flat(u.inverse())
         assert flat_act.apply(fu, fv) == _flat(u * v * u.inverse())
-        assert flat_act.pi_norm(fv) == _flat(min(v, -v, key=lambda a: a.entries))
+        assert flat_act.pi.norm(fv) == _flat(min(v, -v, key=lambda a: a.entries))
         for family in ("gamma", "pgamma"):
             spec = FiltrationSpec(family, p, 1, 3)
             cap_exp = spec.r0 + spec.depth_cap + 1
@@ -855,7 +855,8 @@ def test_sampler_hits_count_repeated_short_words():
 def test_sample_level_counts_zero_and_one():
     # count 0 gives nothing and count 1 the identity alone; neither draws
     ext = congruence_extension(3, 1, 1, cap=2)
-    for side, ident, cap in (("gamma", ext.act.gamma_id(), ext.gamma_cap), ("pi", ext.act.pi_id(), ext.pi_cap)):
+    for side in ("gamma", "pi"):
+        ident, cap = getattr(ext.act, side).identity, getattr(ext, side).cap
         for level in (0, 2):
             rng = random.Random("counts")
             assert sample_level(ext, side, level, 0, rng) == []

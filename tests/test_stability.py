@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from filtra.exactmat import MatrixError, parse_matrix
-from filtra.holomorph import MatrixConjugation
+from filtra.holomorph import Group, MatrixConjugation
 from filtra.stability import (
     _G_LIE_LIKE,
     _KINDS,
@@ -43,16 +43,16 @@ def poison():
 def test_sample_level_contract(cong):
     rng = random.Random(0)
     sample = sample_level(cong, "pi", 0, 1, rng)
-    assert sample == [(cong.act.pi_id(), cong.pi_cap + 1)]
-    assert cong.pi_gens(1)[0] == cong.pi_parse("1,9;0,1")
+    assert sample == [(cong.act.pi.identity, cong.pi.cap + 1)]
+    assert cong.pi.gens(1)[0] == cong.pi.parse("1,9;0,1")
     for level in (0, 1, 2):
         for side in ("gamma", "pi"):
-            measure = cong.gamma_level if side == "gamma" else cong.pi_level
+            measure = getattr(cong, side).level
             for el, measured in sample_level(cong, side, level, 25, random.Random(level)):
                 assert measure(el) == measured >= level
     xs = [x for x, _ in sample_level(cong, "pi", 1, 20, random.Random(7))]
     for a, b in zip(xs, reversed(xs)):
-        assert cong.pi_level(cong.act.pi_mul(a, b)) >= 1
+        assert cong.pi.level(cong.act.pi.mul(a, b)) >= 1
 
 
 def test_sample_level_errors(cong, poison):
@@ -101,12 +101,12 @@ def test_poison_fails_condition2_only(poison):
 
 def test_poison_handmade_counterexample(poison):
     act = poison.act
-    phi1 = poison.gamma_parse("phi1")
-    a3 = poison.pi_parse("a3")
-    assert poison.gamma_level(phi1) == 1
-    assert poison.pi_level(a3) == 0
-    twisted = act.pi_mul(act.apply(act.gamma_inv(phi1), a3), act.pi_inv(a3))
-    assert poison.pi_level(twisted) == 0  # nonzero exponent sum: depth 0 < 1
+    phi1 = poison.gamma.parse("phi1")
+    a3 = poison.pi.parse("a3")
+    assert poison.gamma.level(phi1) == 1
+    assert poison.pi.level(a3) == 0
+    twisted = act.pi.mul(act.apply(act.gamma.inv(phi1), a3), act.pi.inv(a3))
+    assert poison.pi.level(twisted) == 0  # nonzero exponent sum: depth 0 < 1
 
 
 def test_replay_failures(poison):
@@ -120,7 +120,7 @@ def test_replay_rejects_fixed_sample(cong):
     fake = {
         "kind": "stable_condition2",
         "cell": [0, 1],
-        "elements": {"g": "1,9;0,1", "x": "1,3;0,1", "y": "1,9;0,1"},
+        "elements": {"f": "1,3;0,1", "g": "1,9;0,1", "x": "1,3;0,1", "y": "1,9;0,1"},
     }
     assert not replay_failure(cong, fake)  # congruence samples satisfy the condition
 
@@ -150,21 +150,17 @@ def test_congruence_suite_small():
 
 def test_trivial_action_always_stable():
     from filtra.filtration import FiltrationSpec, flat_congruence_basis, level_of
-    from filtra.stability import ExtensionSpec
+    from filtra.stability import ExtensionSpec, Side
     from test_holomorph import TrivialConjugation
 
     gamma_spec = FiltrationSpec("gamma", 3, 1, 2)
     pi_spec = FiltrationSpec("pgamma", 3, 1, 2)
-    gens = lambda base: (lambda level: flat_congruence_basis(3, base + level))
+    gens = lambda level: flat_congruence_basis(3, 1 + level)
     ext = ExtensionSpec(
         name="trivial",
         act=TrivialConjugation(),
-        gamma_level=lambda f: level_of(f, gamma_spec),
-        pi_level=lambda x: level_of(x, pi_spec),
-        gamma_gens=gens(1),
-        pi_gens=gens(1),
-        gamma_cap=2,
-        pi_cap=2,
+        gamma=Side(lambda f: level_of(f, gamma_spec), gens, 2),
+        pi=Side(lambda x: level_of(x, pi_spec), gens, 2),
     )
     assert check_stable(ext, 2, 2, 30, seed=3).ok
     assert check_twist_equivalence(ext, 30, seed=3).ok
@@ -178,13 +174,13 @@ def test_product_filtration_cap_guard(cong):
 
 
 def test_top_levels_saturate(cong, poison):
-    ident = cong.act.gamma_id()
-    deep = cong.gamma_parse("1,%d;0,1" % 3 ** 9)
-    for level, cap in ((cong.gamma_level(ident), cong.gamma_cap),
-                       (cong.gamma_level(deep), cong.gamma_cap),
-                       (cong.pi_level(deep), cong.pi_cap),
-                       (poison.gamma_level(poison.act.gamma_id()), poison.gamma_cap),
-                       (poison.pi_level(poison.act.pi_id()), poison.pi_cap)):
+    ident = cong.act.gamma.identity
+    deep = cong.gamma.parse("1,%d;0,1" % 3 ** 9)
+    for level, cap in ((cong.gamma.level(ident), cong.gamma.cap),
+                       (cong.gamma.level(deep), cong.gamma.cap),
+                       (cong.pi.level(deep), cong.pi.cap),
+                       (poison.gamma.level(poison.act.gamma.identity), poison.gamma.cap),
+                       (poison.pi.level(poison.act.pi.identity), poison.pi.cap)):
         assert type(level) is int and level == cap + 1
 
 
@@ -220,9 +216,9 @@ def test_replay_round_trips_flat_texts(cong):
     ys = sample_level(cong, "pi", 1, 30, rng)
     for f, x, g, y in zip(fs, xs, gs, ys):
         elems = {"f": f[0], "x": x[0], "g": g[0], "y": y[0]}
-        texts = {key: (cong.gamma_text if key in ("f", "g") else cong.pi_text)(el) for key, el in elems.items()}
+        texts = {key: (cong.gamma if key in ("f", "g") else cong.pi).text(el) for key, el in elems.items()}
         for key, text in texts.items():
-            parse = cong.gamma_parse if key in ("f", "g") else cong.pi_parse
+            parse = (cong.gamma if key in ("f", "g") else cong.pi).parse
             assert parse(text) == elems[key]
             assert text == str(parse_matrix(text))
         for kind in ("stable_condition1", "stable_condition2", "product_normality",
@@ -234,13 +230,29 @@ def test_replay_round_trips_flat_texts(cong):
 @pytest.mark.parametrize("text", ["1,0,0;0,1,0;0,0,1", "2,0;0,1", "1,1;1,1", "1,3;0"])
 def test_flat_parse_rejects_non_sl2_texts(cong, text):
     with pytest.raises(MatrixError):
-        cong.gamma_parse(text)
+        cong.gamma.parse(text)
     with pytest.raises(MatrixError):
-        cong.pi_parse(text)
+        cong.pi.parse(text)
     fake = {"kind": "stable_condition2", "cell": [0, 1],
             "elements": {"g": "1,9;0,1", "x": text, "y": "1,9;0,1"}}
     with pytest.raises(MatrixError):
         replay_failure(cong, fake)
+
+
+_SL2_TEXTS = {"f": "1,3;0,1", "x": "1,3;0,1", "g": "1,9;0,1", "y": "1,9;0,1"}
+
+
+@pytest.mark.parametrize("kind, elements, problem", [
+    ("nope", _SL2_TEXTS, "unknown failure kind 'nope'"),
+    ("stable_condition1", {**_SL2_TEXTS, "z": "1,0;0,1"}, "unknown role 'z'"),
+    ("stable_condition1", {key: _SL2_TEXTS[key] for key in "xgy"}, "needs element f"),
+    ("stably_lie_like_pi", {"x": "1,3;0,1"}, "needs element y"),
+])
+def test_replay_rejects_malformed_failures(cong, kind, elements, problem):
+    # a failure that names no known condition, or not its elements, is
+    # refused rather than evaluated
+    with pytest.raises(ValueError, match=problem):
+        replay_failure(cong, {"kind": kind, "cell": [0, 1], "elements": elements})
 
 
 # -- injected faults: every failure kind occurs and replays --------------------
@@ -249,7 +261,7 @@ class _ApplyFxF(MatrixConjugation):
     """f x f in place of f x f^-1."""
 
     def apply(self, f, x):
-        return self.pi_mul(self.pi_mul(f, x), f)
+        return self.pi.mul(self.pi.mul(f, x), f)
 
 
 class _Lopsided(MatrixConjugation):
@@ -257,17 +269,21 @@ class _Lopsided(MatrixConjugation):
     outside the chain, so g and g^-1 act differently."""
 
     def apply(self, f, x):
-        return super().apply(f, x) if f[1] >= 0 else self.pi_mul(x, (1, 1, 0, 1))
+        return super().apply(f, x) if f[1] >= 0 else self.pi.mul(x, (1, 1, 0, 1))
 
 
-class _ConjugateForCommutator(MatrixConjugation):
-    """Both commutators return the conjugate u v u^-1."""
+class _ConjugateForCommutator(Group):
+    """The commutator returns the conjugate u v u^-1."""
 
-    def gamma_comm(self, f, g):
-        return self.gamma_mul(self.gamma_mul(f, g), self.gamma_inv(f))
+    def comm(self, a, b):
+        return self.mul(self.mul(a, b), self.inv(a))
 
-    def pi_comm(self, x, y):
-        return self.pi_mul(self.pi_mul(x, y), self.pi_inv(x))
+
+class _ConjugatingCommutators(MatrixConjugation):
+    """Conjugation, with both sides' commutators replaced by conjugates."""
+
+    gamma = _ConjugateForCommutator(**vars(MatrixConjugation.gamma))
+    pi = _ConjugateForCommutator(**vars(MatrixConjugation.pi))
 
 
 # fault -> (action, failure kinds, sha256 of the reports); the digests pin
@@ -281,7 +297,7 @@ _FAULTS = {
                                     "product_closure", "product_normality", "stably_lie_like_mixed",
                                     "g_lie_like_commutator"},
                         "a228b1b1811a3ead207f66903cd3cd871b3a540bbb336a0314cdf51a155b9549"),
-    "conjugate for commutator": (_ConjugateForCommutator, {"stably_lie_like_gamma", "stably_lie_like_pi",
+    "conjugate for commutator": (_ConjugatingCommutators, {"stably_lie_like_gamma", "stably_lie_like_pi",
                                                            "g_lie_like_commutator"},
                                  "1f467fb3b5a4c2679416cbb25e44d6726902570dc200ff4eeaadf571f23944bb"),
 }
