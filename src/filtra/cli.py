@@ -137,7 +137,7 @@ def _cmd_rep(args, started):
     if args.seed is not None and not args.samples:
         raise CliUsageError("--seed seeds the faithfulness suite and needs --samples")
     seed = 0 if args.seed is None else args.seed
-    modulus = Modulus(*_factor_prime_power(args.mod)) if args.mod else None
+    modulus = None if args.mod is None else Modulus(*_factor_prime_power(args.mod))
     gamma = parse_matrix(args.gamma, modulus)
     y = parse_matrix(args.y, modulus)
     if gamma.n != args.n:

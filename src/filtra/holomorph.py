@@ -13,7 +13,9 @@ are written once, on ``Group``.  An ``ActionSpec`` is the two groups
 backends ship here, conjugation inside SL(2, Z) and word substitution under
 free-group automorphisms.  The matrix backend runs on flat (a, b, c, d)
 tuples with the closed-form kernel of ``exactmat``, and its pi group
-compares up to sign.
+compares up to sign.  The free backend composes phi(f) into one
+``EndoSpec`` once per distinct Gamma word (and its prefixes) and keeps it
+for the action's lifetime, so each application is one substitution pass.
 
 Closed forms for inverse, conjugation, and commutator are provided and can
 be cross-checked against first-principles products (see
@@ -150,7 +152,14 @@ class MatrixConjugation(ActionSpec):
 class FreeGroupAction(ActionSpec):
     """A free group Gamma acting on F_n through automorphisms of the
     generators; Gamma elements are rank-``gamma_rank`` words, pi elements
-    rank-``pi_rank`` words."""
+    rank-``pi_rank`` words.
+
+    phi(f) is composed once per distinct Gamma word and kept for the
+    action's lifetime, in ``_phi`` keyed by the word's letters, together
+    with phi of the word's prefixes; each ``apply`` is then one substitution
+    pass over x.  Words are freely reduced, so the composed substitution
+    gives the same word as applying the letters' automorphisms one at a
+    time."""
 
     def __init__(self, gamma_rank, pi_rank, generator_pairs):
         # imported here, so that the matrix backend runs without freegroup
@@ -163,16 +172,34 @@ class FreeGroupAction(ActionSpec):
             raise BackendMismatch("need one endomorphism pair per Gamma generator")
         self.gamma = Group(operator.mul, Word.inverse, Word.identity(gamma_rank))
         self.pi = Group(operator.mul, Word.inverse, Word.identity(pi_rank))
+        self._phi = {}   # f.letters -> phi(f) as one EndoSpec
+        for i, (endo, endo_inv) in enumerate(self.pairs, 1):
+            self._phi[(i,)], self._phi[(-i,)] = endo, endo_inv
 
     def apply(self, f, x):
         if (f.rank, x.rank) != self.ranks:
             raise BackendMismatch("word ranks do not match this action")
-        # phi(f g) = phi(f) o phi(g), so the rightmost letter acts first
-        out = x
-        for a in reversed(f.letters):
-            endo = self.pairs[abs(a) - 1][0 if a > 0 else 1]
-            out = endo.apply(out)
-        return out
+        letters = f.letters
+        if not letters:
+            return x
+        endo = self._phi.get(letters)
+        if endo is None:
+            endo = self._compose(letters)
+        return endo.apply(x)
+
+    def _compose(self, letters):
+        """phi of a word of two or more letters, kept with phi of each of its
+        prefixes: phi(w a) = phi(w) o phi(a), so the rightmost letter acts
+        first.  Composition starts from the longest prefix already kept;
+        the one-letter words are kept from the start."""
+        phi = self._phi
+        k = len(letters) - 1
+        while letters[:k] not in phi:
+            k -= 1
+        endo = phi[letters[:k]]
+        for k in range(k + 1, len(letters) + 1):
+            endo = phi[letters[:k]] = endo.compose(phi[letters[k - 1:k]])
+        return endo
 
 
 def verify_holomorph_identities(act, gamma_gens, pi_gens, count, seed, radius=4):

@@ -24,7 +24,6 @@ coefficient bound of ``random_sl`` and the ring label of the report.
 from __future__ import annotations
 
 import functools
-import math
 import random
 from dataclasses import dataclass
 
@@ -99,11 +98,22 @@ def is_scalar(mat) -> bool:
 
 
 def center_scalars(n: int, modulus: Modulus | None):
-    """Scalars lambda with lambda^n = 1 (the scalar center of SL(n, A))."""
+    """Scalars lambda with lambda^n = 1 (the scalar center of SL(n, A)),
+    ascending.
+
+    Over Z/p^r the roots mod p are lifted one level at a time: a root mod
+    p^(k+1) reduces to a root mod p^k, so the lifts of each root lambda mod
+    p^k are among the p values lambda + t p^k."""
     if modulus is None:
         return [1, -1] if n % 2 == 0 else [1]
-    m = modulus.m
-    return [lam for lam in range(1, m) if math.gcd(lam, m) == 1 and pow(lam, n, m) == 1]
+    p = modulus.p
+    roots = [lam for lam in range(1, p) if pow(lam, n, p) == 1]
+    step = p
+    for _ in range(modulus.r - 1):
+        nxt = step * p
+        roots = [lift for lam in roots for lift in range(lam, nxt, step) if pow(lift, n, nxt) == 1]
+        step = nxt
+    return sorted(roots)
 
 
 def scale(mat, lam: int):
@@ -124,15 +134,28 @@ def random_sl(n: int, modulus: Modulus | None, rng: random.Random, length: int =
     and a coefficient, not a letter, and these draws fix the
     ``kernel_probes.hits`` that ``verify_faithful`` reports.  Each factor
     I + c E_ij is applied as the column operation column j += c column i;
-    the draws are the same as for the explicit product of transvections."""
+    the draws are the same as for the explicit product of transvections.
+
+    i, j and c are each one ``rng.getrandbits(k)`` draw under the rejection
+    rule of ``random.Random._randbelow``, so a ``random.Random`` gives
+    exactly the stream of ``randrange(n)``, ``randrange(n)`` and
+    ``randint(1, bound)``, at n = 1 and bound = 1 too."""
+    getrandbits = rng.getrandbits
     cols = [[1 if a == b else 0 for a in range(n)] for b in range(n)]
     bound = 3 if modulus is None else modulus.m - 1
+    n_bits, c_bits = n.bit_length(), bound.bit_length()
     for _ in range(length):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
+        i = getrandbits(n_bits)
+        while i >= n:
+            i = getrandbits(n_bits)
+        j = getrandbits(n_bits)
+        while j >= n:
+            j = getrandbits(n_bits)
         if i == j:
             continue
-        c = rng.randint(1, max(bound, 1))
+        c = getrandbits(c_bits) + 1
+        while c > bound:
+            c = getrandbits(c_bits) + 1
         cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
     return _mat(tuple(zip(*cols)), modulus)
 

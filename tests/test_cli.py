@@ -82,6 +82,15 @@ def test_rep_bad_modulus(capsys):
     assert "prime power" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mod", ["0", "1", "-9"])
+def test_rep_modulus_below_two_is_refused(capsys, mod):
+    # 0 must not fall through to Z, the ring an omitted --mod selects
+    code = main(["rep", "--mod", mod, "--gamma", "1,0;0,1", "--y", "1,0;0,1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "prime power" in captured.err
+
+
 def test_rep_refuses_modulus_without_small_prime_factor(capsys):
     # 2^61 - 1 is prime, past the bound Modulus puts on p: refused without
     # trial-dividing up to the modulus
@@ -207,6 +216,32 @@ def test_rep_n4_is_cheap(capsys):
     assert report["results"]["faithfulness"]["kernel_probes"] == {"center_order": 4, "hits": 4, "violations": 0}
     assert _pinned_digest(report) == "9e3d9b983108256b732ed0300e5b5a9ac5752e2f359a5804ea9af25634d7e445"
     assert elapsed < 1.0
+
+
+def test_rep_ball_deep_target_is_cheap(capsys):
+    # the center of SL(2, Z/3^40) is found by lifting roots, not by
+    # trying each of the 3^40 residues
+    started = time.perf_counter()
+    code, report = run_cli(capsys, "rep-ball", "-p", "3", "--base", "1", "--target", "40",
+                           "--radius", "2", "--seed", "1")
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert report["results"] == {"ball_size": 37, "pairs": 1369, "collisions": 0, "ok": True}
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("args, exit_code, digest", [
+    (["holomorph-identities", "--backend", "free", "--count", "200", "--seed", "1"], 0,
+     "cd39e2383e1699954e031438bbaa1e7caabeaeb2c47ab475da7a415ce465b359"),
+    (["stability", "--example", "poison", "--count", "200", "--seed", "1"], 1,
+     "dd1b002ada3920b3dbe8a6f9f573e752cac240cda58bf48831e3172408edbc2e"),
+])
+def test_free_group_payloads_pinned(capsys, args, exit_code, digest):
+    # sha256 of the report without timings and version, taken when
+    # FreeGroupAction applied the automorphism of each letter in turn
+    code, report = run_cli(capsys, *args)
+    assert code == exit_code
+    assert _pinned_digest(report) == digest
 
 
 def test_freegroup_fixtures_command(capsys):

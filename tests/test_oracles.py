@@ -8,6 +8,7 @@ recompute the same quantities by exhaustive enumeration over all pairs.
 import functools
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -32,13 +33,13 @@ from filtra.filtration import (
     tower_invariants,
     _scalar_subgroup,
 )
-from filtra.freegroup import EndoSpec, Word, lcs_depth2, mccool_generator, poison_action
+from filtra.freegroup import EndoSpec, Word, lcs_depth2, mccool_generator, mccool_inverse, poison_action
 from filtra.graded import (
     GradedClass, GradedError, basis_class, bracket, bracket_from_lifts, class_add, class_of, lift, power_map,
     zero_class,
 )
-from filtra.holomorph import MatrixConjugation
-from filtra.linrep import DeltaElem, random_sl, rho
+from filtra.holomorph import BackendMismatch, FreeGroupAction, MatrixConjugation
+from filtra.linrep import DeltaElem, center_scalars, random_sl, rho
 from filtra.stability import CONSTRUCTIVE_LIMIT, congruence_extension, product_filtration_check, sample_level
 from test_graded import _neg, random_kernel_element
 
@@ -575,13 +576,29 @@ def test_kronecker_rho_matches_matrix_units():
 
 
 def test_column_op_random_sl_matches_transvection_product():
-    for n, modulus in REP_RINGS + ((2, None), (4, None)):
+    # n = 1 and Z/2 draw from ranges of one value, which still consume bits
+    edge = ((1, None), (1, Modulus(2, 1)), (2, Modulus(2, 1)), (3, Modulus(2, 1)))
+    for n, modulus in REP_RINGS + ((2, None), (4, None)) + edge:
         for length in (1, 8, 20):
             fast = random.Random("sl:%s:%s" % (n, length))
             slow = random.Random("sl:%s:%s" % (n, length))
             for _ in range(100):
                 assert random_sl(n, modulus, fast, length) == random_sl_by_transvections(n, modulus, slow, length)
                 assert fast.getstate() == slow.getstate()
+
+
+def center_scalars_by_loop(n, m):
+    """Every unit lam mod m with lam^n = 1 mod m, by trying each residue."""
+    return [lam for lam in range(1, m) if math.gcd(lam, m) == 1 and pow(lam, n, m) == 1]
+
+
+def test_lifted_center_scalars_match_every_residue():
+    for p in (2, 3, 5, 7, 11, 101):
+        r = 1
+        while p ** r <= 5000:
+            for n in range(1, 9):
+                assert center_scalars(n, Modulus(p, r)) == center_scalars_by_loop(n, p ** r), (p, r, n)
+            r += 1
 
 
 def mat_mul_by_loops(a, b, n):
@@ -627,6 +644,39 @@ def test_fast_word_operations_match_constructor():
             im = e.images[abs(a) - 1].letters
             spelled.extend(im if a > 0 else [-b for b in reversed(im)])
         assert e.apply(u).letters == Word(3, tuple(spelled)).letters
+
+
+def apply_letter_by_letter(act, f, x):
+    """phi(f)(x) with the automorphism of each letter applied in turn,
+    rightmost first."""
+    out = x
+    for a in reversed(f.letters):
+        out = act.pairs[abs(a) - 1][0 if a > 0 else 1].apply(out)
+    return out
+
+
+def test_composed_action_matches_letter_by_letter():
+    mccool = FreeGroupAction(3, 3, [(mccool_generator(3, i, j), mccool_inverse(3, i, j))
+                                    for i, j in ((1, 2), (2, 3), (3, 1))])
+    poison = FreeGroupAction(2, 3, poison_action())
+    rng = random.Random("composed-action")
+    for act in (poison, mccool):
+        gamma_rank, pi_rank = act.ranks
+        words = [Word.identity(gamma_rank)] + [_random_word(rng, gamma_rank) for _ in range(150)]
+        for f in words + words:
+            x = _random_word(rng, pi_rank)
+            assert act.apply(f, x) == apply_letter_by_letter(act, f, x)
+        # kept: the one-letter words, and each word asked for with its prefixes
+        kept = {f.letters[:k] for f in words for k in range(1, len(f) + 1)}
+        kept |= {(a,) for i in range(1, gamma_rank + 1) for a in (i, -i)}
+        assert set(act._phi) == kept
+    # phi(a1 a2) = phi1 o phi2 sends a3 to a3 a1 a2; phi2 o phi1 gives a3 a2 a1
+    a3 = Word.generator(3, 3)
+    assert poison.apply(Word(2, (1, 2)), a3).letters == (3, 1, 2)
+    assert poison.apply(Word(2, (-2, -1)), a3).letters == (3, -2, -1)
+    for f, x in ((Word(3, (1,)), a3), (Word(2, (1, 2)), Word.generator(2, 1)), (Word(2, ()), Word(4, ()))):
+        with pytest.raises(BackendMismatch):
+            poison.apply(f, x)
 
 
 def test_tower_certificate_matches_enumerated_tables():
