@@ -30,6 +30,11 @@ from dataclasses import dataclass
 from .exactmat import Mat, Modulus, _mat
 from .filtration import flat_congruence_basis
 
+#: The largest ``rep-ball --radius``.  The ball grows about 5x per radius: at
+#: p = 3, base 1, target 323 (the deepest 512-bit modulus) radius 6 (23,437
+#: elements) takes about 0.4 s and 37 MB; radius 7 took 1.5 s and 92 MB.
+MAX_BALL_RADIUS = 6
+
 
 class LinRepError(ValueError):
     pass
@@ -103,7 +108,10 @@ def center_scalars(n: int, modulus: Modulus | None):
 
     Over Z/p^r the roots mod p are lifted one level at a time: a root mod
     p^(k+1) reduces to a root mod p^k, so the lifts of each root lambda mod
-    p^k are among the p values lambda + t p^k."""
+    p^k are among the p values lambda + t p^k.  For k >= 1,
+    (lambda + t p^k)^n = lambda^n + n lambda^(n-1) t p^k mod p^(k+1), so t
+    solves one linear congruence mod p (Hensel's lemma): a single t when p
+    does not divide n, else every t or none."""
     if modulus is None:
         return [1, -1] if n % 2 == 0 else [1]
     p = modulus.p
@@ -111,7 +119,14 @@ def center_scalars(n: int, modulus: Modulus | None):
     step = p
     for _ in range(modulus.r - 1):
         nxt = step * p
-        roots = [lift for lam in roots for lift in range(lam, nxt, step) if pow(lift, n, nxt) == 1]
+        lifts = []
+        for lam in roots:
+            excess = (pow(lam, n, nxt) - 1) % nxt // step
+            if n % p:
+                lifts.append(lam + (-excess * pow(n * pow(lam, n - 1, p), -1, p) % p) * step)
+            elif excess == 0:
+                lifts.extend(range(lam, nxt, step))
+        roots = lifts
         step = nxt
     return sorted(roots)
 
@@ -215,6 +230,16 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) ->
     }
 
 
+def _sample_pairs(ball, cap, rng):
+    """Every pair (g, y) of ``ball``, or ``cap`` of them drawn by ``rng.sample``
+    over the pair indices g_index * len(ball) + y_index: the stream and the
+    pairs of sampling the list of all pairs, without building that list."""
+    n = len(ball)
+    if n * n <= cap:
+        return [(g, y) for g in ball for y in ball]
+    return [(ball[i], ball[j]) for i, j in (divmod(k, n) for k in rng.sample(range(n * n), cap))]
+
+
 def ball_injectivity(p: int, base_exp: int, target_exp: int, radius: int = 3,
                      pair_cap: int = 4000, seed=0) -> dict:
     """Injectivity of rho modulo the scalar center on pairs drawn from the
@@ -239,10 +264,7 @@ def ball_injectivity(p: int, base_exp: int, target_exp: int, radius: int = 3,
                     nxt.append(y)
         frontier = nxt
     ball = sorted(ball, key=lambda m: m.entries)
-    rng = random.Random("ball:%s" % seed)
-    pairs = [(g, y) for g in ball for y in ball]
-    if len(pairs) > pair_cap:
-        pairs = rng.sample(pairs, pair_cap)
+    pairs = _sample_pairs(ball, pair_cap, random.Random("ball:%s" % seed))
     scalars = center_scalars(2, modulus)
     seen = {}
     collisions = 0

@@ -8,10 +8,9 @@ clock budgets stated inline.
 import random
 import time
 
-import filtra.filtration as filtration
 from filtra.cli import main as cli_main
 from filtra.exactmat import Mat, Modulus, _flat_inv, _flat_mul
-from filtra.filtration import FiltrationSpec, check_p_congruence, flat_congruence_basis, kernel_enumerate
+from filtra.filtration import FiltrationSpec, check_p_congruence, flat_congruence_basis
 from filtra.freegroup import (
     Word,
     example_shift_action,
@@ -33,6 +32,7 @@ from filtra.graded import (
 from filtra.holomorph import FreeGroupAction, MatrixConjugation, verify_holomorph_identities
 from filtra.linrep import verify_faithful
 from filtra.stability import poison_extension, replay_failure, run_congruence_suite
+from quotient_tables import clear_table_cache, kernel_enumerate
 from test_graded import random_kernel_element
 
 
@@ -42,7 +42,7 @@ def _criterion(num, desc, passed):
 
 
 def test_criterion_01_kernel_quotient_structure():
-    filtration.clear_table_cache()
+    clear_table_cache()
     ok = True
     for p, order, exponent, d in ((3, 27, 3, 3), (2, 4, 2, 2)):
         for q in (1, 2, 3):

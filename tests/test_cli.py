@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import filtra
-from filtra.cli import main
-from filtra.filtration import MAX_JMAX, MAX_MODULUS_BITS, _enumerate, clear_table_cache
+from filtra.cli import MAX_NMAX, main
+from filtra.filtration import MAX_JMAX, MAX_MODULUS_BITS
+from filtra.linrep import MAX_BALL_RADIUS
 from filtra.stability import poison_extension, replay_failure
 
 
@@ -33,7 +34,6 @@ def test_quotient_command(capsys):
 
 def test_quotient_past_the_guard_is_certified(capsys):
     # 3^15 triples, past the enumeration guard: the certificate answers
-    clear_table_cache()
     code, report = run_cli(capsys, "quotient", "--family", "pgamma", "-p", "3", "-i", "1", "-j", "6")
     assert code == 0
     assert (report["results"]["order"], report["results"]["exponent"], report["results"]["d"]) == (3 ** 15, 243, 3)
@@ -42,7 +42,6 @@ def test_quotient_past_the_guard_is_certified(capsys):
     assert time.perf_counter() - started < 1.0
     assert code == 0
     assert (report["results"]["order"], report["results"]["d"]) == (2 ** 117 // 4, 2)
-    assert _enumerate.cache_info().misses == 0
 
 
 def test_usage_error_exit_code():
@@ -275,12 +274,10 @@ def test_pcongruence_command(capsys):
 def test_pcongruence_payload_pinned(capsys, family, p, jmax, e, digest):
     # sha256 of the report without timings, taken when every pair was
     # enumerated; the tower certificate must reproduce it byte for byte
-    clear_table_cache()
     code, report = run_cli(capsys, "pcongruence", "--family", family, "-p", str(p),
                               "--jmax", str(jmax), "-e", str(e), "--seed", "4")
     assert code == (0 if e == 3 else 1)
     assert report["timings"]["stats"] == {"pairs_certified": jmax * (jmax + 1) // 2}
-    assert _enumerate.cache_info().misses == 0
     assert _pinned_digest(report) == digest
 
 
@@ -311,16 +308,13 @@ def test_table_payloads_pinned(capsys, args, digest):
     # the generating set came from a coset map and a vector space span and
     # the stability run closed pgamma p = 2 tables for its constructive
     # check; the tower certificate must reproduce it without a table
-    clear_table_cache()
     code, report = run_cli(capsys, *args)
     assert code == 0
-    assert _enumerate.cache_info().misses == 0
     assert _pinned_digest(report) == digest
 
 
 def test_pcongruence_deep_tower_builds_no_table(capsys):
     # 3^24 elements in the deepest quotient, far past the enumeration guard
-    clear_table_cache()
     started = time.perf_counter()
     code, report = run_cli(capsys, "pcongruence", "--family", "gamma", "-p", "3", "--r0", "1",
                               "--jmax", "8", "-e", "3", "--seed", "1")
@@ -330,7 +324,6 @@ def test_pcongruence_deep_tower_builds_no_table(capsys):
     assert deepest["levels"] == [0, 8] and deepest["order"] == 3 ** 24 and deepest["exponent"] == 3 ** 8
     assert all(pair["d"] == 3 for pair in report["results"]["pairs"])
     assert report["timings"]["stats"] == {"pairs_certified": 36}
-    assert _enumerate.cache_info().misses == 0
     assert elapsed < 1.0
 
 
@@ -505,6 +498,56 @@ def test_graded_verify_qmax_bound(capsys):
     assert captured.out == "" and "--qmax must be between 2 and %d" % MAX_JMAX in captured.err
 
 
+def test_graded_bracket_depth_bound(capsys):
+    # the bracket lifts both classes mod p^(q+s+1), bounded as the tower
+    # commands bound their moduli; a layer below 1 is refused too
+    j = _largest_exponent(3)
+    args = ["graded", "bracket", "-p", "3", "-s", "1", "--c1", "1,0,0", "--c2", "0,1,0", "-q"]
+    code, report = run_cli(capsys, *args, str(j - 2))
+    assert code == 0 and report["results"] == {"bracket": "0,0,1", "level": j - 1}
+    started = time.perf_counter()
+    for q in (j - 1, 10 ** 6):
+        assert main(args + [str(q)]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "more than %d bits" % MAX_MODULUS_BITS in captured.err
+    assert main(args + ["0"]) == 2
+    assert main(["graded", "bracket", "-p", "3", "-q", "1", "-s", "0", "--c1", "1,0,0", "--c2", "0,1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("level must be >= 1") == 2
+
+
+def test_rep_ball_bounds(capsys):
+    # --radius is bounded, and the modulus p^target follows the 512-bit rule
+    j = _largest_exponent(3)
+    args = ["rep-ball", "-p", "3", "--base", "1", "--seed", "1"]
+    code, report = run_cli(capsys, *args, "--target", "3", "--radius", str(MAX_BALL_RADIUS))
+    assert code == 0 and report["results"]["ball_size"] == 3 ** 6
+    code, report = run_cli(capsys, *args, "--target", str(j), "--radius", "1")
+    assert code == 0 and report["results"]["ball_size"] == 7
+    started = time.perf_counter()
+    for radius in (MAX_BALL_RADIUS + 1, 10 ** 6):
+        assert main(args + ["--target", "3", "--radius", str(radius)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("1 <= --radius <= %d" % MAX_BALL_RADIUS) == 2
+    for target in (j + 1, 8000):
+        assert main(args + ["--target", str(target), "--radius", "1"]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("more than %d bits" % MAX_MODULUS_BITS) == 2
+
+
+def test_freegroup_fixtures_nmax_bound(capsys):
+    code, report = run_cli(capsys, "freegroup-fixtures", "--nmax", str(MAX_NMAX))
+    assert code == 0 and report["ok"]
+    started = time.perf_counter()
+    for nmax in (MAX_NMAX + 1, 10 ** 6):
+        assert main(["freegroup-fixtures", "--nmax", str(nmax)]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("--nmax must be between 2 and %d" % MAX_NMAX) == 2
+
+
 _TOWER_MODULES = {"filtra", "filtra.cli", "filtra.exactmat", "filtra.graded", "filtra.filtration"}
 
 _LOADED_MODULES = """
@@ -541,6 +584,22 @@ def test_commands_load_only_their_modules(argv, added):
                           capture_output=True, text=True, timeout=30, env=env)
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(proc.stdout)) == _TOWER_MODULES | {"filtra." + name for name in added}
+
+
+def test_no_module_enumerates_quotients():
+    # the enumerated quotient tables are the test oracle alone: no filtra
+    # module defines or imports them, so no command can build one
+    import importlib
+    import pkgutil
+
+    import quotient_tables
+
+    names = {"kernel_enumerate", "QuotientTable", "_enumerate"}
+    assert names <= set(vars(quotient_tables))
+    for info in pkgutil.iter_modules(filtra.__path__):
+        module = vars(importlib.import_module("filtra." + info.name))
+        assert not (names | {"quotient_tables"}) & set(module), info.name
+        assert quotient_tables not in module.values(), info.name
 
 
 def test_rep_ball_command(capsys):
@@ -645,6 +704,11 @@ MODULI = st.one_of(
 # stability exponents and relation-table depths, within and past their bounds
 DEPTHS = st.one_of(st.integers(-1, 3), st.just(10 ** 4))
 QMAX = st.one_of(SMALL, st.sampled_from([17, 10 ** 6]))
+# graded layers, rep-ball targets and radii, and fixture ranks, within and past their bounds
+LAYERS = st.one_of(SMALL, st.sampled_from([400, 10 ** 6]))
+TARGETS = st.one_of(SMALL, st.sampled_from([600, 10 ** 5]))
+RADII = st.one_of(st.integers(-1, 2), st.sampled_from([MAX_BALL_RADIUS + 1, 10 ** 6]))
+NMAX = st.one_of(st.integers(-1, 3), st.sampled_from([MAX_NMAX + 1, 10 ** 6]))
 COORDS = st.one_of(st.lists(st.integers(0, 9), min_size=2, max_size=3).map(lambda v: ",".join(map(str, v))),
                    st.text(alphabet="0123456789, x", max_size=8))
 
@@ -659,17 +723,17 @@ CLI_ARGV = {
                                        ("--count", st.integers(-1, 5))],
                        [("-p", st.sampled_from([2, 3, -1, 0, 4])), ("--r0", DEPTHS), ("--s0", DEPTHS),
                         ("--rmax", st.integers(-1, 2)), ("--smax", st.integers(-1, 2))]),
-    "graded-bracket": _argv(["graded", "bracket"], [("-p", PRIMES), ("-q", SMALL), ("-s", SMALL),
+    "graded-bracket": _argv(["graded", "bracket"], [("-p", PRIMES), ("-q", LAYERS), ("-s", LAYERS),
                                                     ("--c1", COORDS), ("--c2", COORDS)]),
     "graded-verify": _argv(["graded", "verify"], [("-p", PRIMES), ("--qmax", QMAX)], [("--seed", SEEDS)]),
     "rep": _argv(["rep"], [("--gamma", MATRICES), ("--y", MATRICES)],
                  [("--n", SMALL), ("--mod", MODULI), ("--samples", st.integers(-1, 3)), ("--seed", SEEDS)]),
-    "rep-ball": _argv(["rep-ball"], [("-p", PRIMES), ("--base", SMALL), ("--target", SMALL), ("--seed", SEEDS)],
-                      [("--radius", st.integers(-1, 2))]),
+    "rep-ball": _argv(["rep-ball"], [("-p", PRIMES), ("--base", SMALL), ("--target", TARGETS), ("--seed", SEEDS)],
+                      [("--radius", RADII)]),
     "holomorph-identities": _argv(["holomorph-identities"], [
         ("--backend", st.sampled_from(["congruence", "free"])), ("--seed", SEEDS), ("--count", st.integers(-1, 5))],
         [("-p", PRIMES)]),
-    "freegroup-fixtures": _argv(["freegroup-fixtures"], [], [("--nmax", st.integers(-1, 3))]),
+    "freegroup-fixtures": _argv(["freegroup-fixtures"], [], [("--nmax", NMAX)]),
 }
 
 def _reject_constant(name):
@@ -677,13 +741,10 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("command", sorted(CLI_ARGV))
-def test_cli_exit_codes_and_strict_json(monkeypatch, command):
+def test_cli_exit_codes_and_strict_json(command):
     # any arguments: an exit code in {0, 1, 2} (argparse's SystemExit
     # included), a strict JSON report on stdout whenever the code is 0 or 1,
-    # no exception or traceback escaping main, and no quotient table built
-    # (the low guard keeps a command that did enumerate from running long)
-    monkeypatch.setenv("FILTRA_MAX_ENUM", "4096")
-    clear_table_cache()
+    # and no exception or traceback escaping main
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(CLI_ARGV[command])
@@ -704,4 +765,3 @@ def test_cli_exit_codes_and_strict_json(monkeypatch, command):
             assert text == ""
 
     check()
-    assert _enumerate.cache_info().misses == 0

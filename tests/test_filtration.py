@@ -8,9 +8,9 @@ from filtra.filtration import (
     GuardError,
     check_p_congruence,
     flat_congruence_basis,
-    kernel_enumerate,
     level_of,
 )
+from quotient_tables import kernel_enumerate
 
 PG3 = FiltrationSpec("pgamma", 3, 1, 3)
 G3 = FiltrationSpec("gamma", 3, 1, 3)
@@ -185,7 +185,7 @@ def test_check_p_congruence_bound():
 
 
 def test_minimal_generators_trivial_group():
-    from filtra.filtration import QuotientTable
+    from quotient_tables import QuotientTable
 
     table = QuotientTable(3, 1, 2, "gamma", [(1, 0, 0, 1)], (1,))
     assert table.order == 1
@@ -204,7 +204,7 @@ def test_quotient_table_identity_and_membership():
 
 
 def test_table_cache_returns_one_table_until_cleared():
-    from filtra.filtration import clear_table_cache
+    from quotient_tables import clear_table_cache
 
     t = kernel_enumerate(3, 1, 2, "gamma")
     assert kernel_enumerate(3, 1, 2, "gamma") is t

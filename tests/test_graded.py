@@ -164,7 +164,7 @@ def test_verify_relation_table():
 
 def test_kernel_order_matches_coordinates():
     # layer sizes from the coordinate model agree with enumeration
-    from filtra.filtration import kernel_enumerate
+    from quotient_tables import kernel_enumerate
 
     for p, rank in ((3, 3), (5, 3), (2, 2)):
         for q in (1, 2):

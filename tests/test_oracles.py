@@ -21,14 +21,10 @@ from filtra.exactmat import (
 from filtra.filtration import (
     FAMILIES,
     FiltrationSpec,
-    NotPGroup,
-    QuotientTable,
     WordSampler,
     check_p_congruence,
-    clear_table_cache,
     exact_congruence_exponent,
     flat_congruence_basis,
-    kernel_enumerate,
     level_of,
     tower_invariants,
     _scalar_subgroup,
@@ -39,8 +35,9 @@ from filtra.graded import (
     zero_class,
 )
 from filtra.holomorph import BackendMismatch, FreeGroupAction, MatrixConjugation
-from filtra.linrep import DeltaElem, center_scalars, random_sl, rho
+from filtra.linrep import DeltaElem, _sample_pairs, center_scalars, random_sl, rho
 from filtra.stability import CONSTRUCTIVE_LIMIT, congruence_extension, product_filtration_check, sample_level
+from quotient_tables import NotPGroup, QuotientTable, clear_table_cache, kernel_enumerate
 from test_graded import _neg, random_kernel_element
 
 
@@ -592,6 +589,18 @@ def center_scalars_by_loop(n, m):
     return [lam for lam in range(1, m) if math.gcd(lam, m) == 1 and pow(lam, n, m) == 1]
 
 
+def center_scalars_by_lifting_loop(n, p, r):
+    """The roots mod p, lifted one power of p at a time by trying each of
+    the p candidates lam + t p^k."""
+    roots = [lam for lam in range(1, p) if pow(lam, n, p) == 1]
+    step = p
+    for _ in range(r - 1):
+        nxt = step * p
+        roots = [lift for lam in roots for lift in range(lam, nxt, step) if pow(lift, n, nxt) == 1]
+        step = nxt
+    return sorted(roots)
+
+
 def test_lifted_center_scalars_match_every_residue():
     for p in (2, 3, 5, 7, 11, 101):
         r = 1
@@ -599,6 +608,34 @@ def test_lifted_center_scalars_match_every_residue():
             for n in range(1, 9):
                 assert center_scalars(n, Modulus(p, r)) == center_scalars_by_loop(n, p ** r), (p, r, n)
             r += 1
+    # past the residue loop's reach, against the loop over every candidate lift
+    for p, r in ((2, 12), (3, 8), (7, 5), (10007, 4)):
+        for n in range(1, 9):
+            assert center_scalars(n, Modulus(p, r)) == center_scalars_by_lifting_loop(n, p, r), (p, r, n)
+
+
+def pairs_by_list(ball, cap, rng):
+    """Every pair of the ball listed, then ``cap`` of them sampled."""
+    pairs = [(g, y) for g in ball for y in ball]
+    if len(pairs) > cap:
+        pairs = rng.sample(pairs, cap)
+    return pairs
+
+
+def test_pair_indices_sample_the_pairs_of_the_list():
+    # drawing indices into the ball^2 pairs consumes the stream and picks
+    # the pairs that sampling the listed pairs did: at the ball sizes of
+    # rep-ball at p = 3, base 1, radius 1 to 4 (7, 37, 187, 937) with the
+    # command's cap, at sizes whose square brackets that cap (63, 64, 65),
+    # and at caps around each small size's square
+    for size in (7, 37, 63, 64, 65, 187, 937):
+        ball = [("x", i) for i in range(size)]
+        caps = (1, 5, 4000, size * size - 1, size * size) if size < 100 else (4000,)
+        for cap in caps:
+            for seed in range(5):
+                fast, slow = random.Random("ball:%d" % seed), random.Random("ball:%d" % seed)
+                assert _sample_pairs(ball, cap, fast) == pairs_by_list(ball, cap, slow), (size, cap, seed)
+                assert fast.getstate() == slow.getstate()
 
 
 def mat_mul_by_loops(a, b, n):
