@@ -71,10 +71,10 @@ def _cmd_quotient(args, started):
 
 
 def _cmd_pcongruence(args, started):
-    spec = FiltrationSpec(args.family, args.p, args.r0, args.jmax)
     if args.jmax > MAX_JMAX:
         raise CliUsageError("--jmax must be at most %d" % MAX_JMAX)
     check_tower_depth(args.p, args.r0 + args.jmax)
+    spec = FiltrationSpec(args.family, args.p, args.r0, args.jmax)
     result = check_p_congruence(spec, args.jmax, args.e, seed=args.seed)
     stats = result.pop("stats")
     config = {"family": args.family, "p": args.p, "r0": args.r0,
@@ -84,18 +84,20 @@ def _cmd_pcongruence(args, started):
     return (0 if result["ok"] else 1), report
 
 
-def _check_count(count):
+def _check_count(count, most=None):
     if count < 1:
         raise CliUsageError("--count must be at least 1")
+    if most is not None and count > most:
+        raise CliUsageError("--count must be at most %d" % most)
 
 
 _CONGRUENCE_DEFAULTS = {"p": 3, "r0": 1, "s0": 1, "rmax": 3, "smax": 3}
 
 
 def _cmd_stability(args, started):
-    from .stability import run_congruence_suite, run_poison_suite
+    from .stability import MAX_SAMPLE_COUNT, run_congruence_suite, run_poison_suite
 
-    _check_count(args.count)
+    _check_count(args.count, MAX_SAMPLE_COUNT)
     config = {"example": args.example, "seed": args.seed, "count": args.count}
     given = {key: value for key in _CONGRUENCE_DEFAULTS if (value := getattr(args, key)) is not None}
     if args.example == "congruence":

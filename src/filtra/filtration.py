@@ -16,9 +16,12 @@ the test oracle ``tests/quotient_tables.py``, which no command imports.
 
 Elements of SL(2, Z) are flat (a, b, c, d) tuples, the form the samplers
 use (``flat_congruence_basis`` gives the generators that way).  Depth is a
-valuation: M = +-I mod p^e exactly when p^e divides the gcd of the entries
-of M -+ I, so ``level_of`` and ``exact_congruence_exponent`` take one gcd
-per sign and count its factors of p up to the cap.  The truncation check of
+valuation: M = sI mod p^e exactly when p^e divides h = gcd(b, c, d - a,
+a - s, p^N), where N is the deepest exponent read.  That h is itself a
+power of p, so ``level_of`` and ``exact_congruence_exponent`` take one gcd
+per sign (the part gcd(b, c, d - a, p^N) is shared by both signs) and look
+its exponent up in a table {p^e: e}; a ``FiltrationSpec`` keeps p^N and the
+table, made on its first ``level_of`` call.  The truncation check of
 ``check_p_congruence`` divides the entries themselves instead, so that it
 does not share that code with what it checks.
 
@@ -45,6 +48,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .exactmat import _det, _flat_inv_z, _flat_mul, _flat_mul_z, _flat_pow, check_prime, format_matrix
 from .graded import layer_offset
@@ -117,25 +121,42 @@ class FiltrationSpec:
     def exponent(self, level: int) -> int:
         return self.r0 + level
 
+    @cached_property
+    def _level_table(self):
+        """(p^N, {p^e: e for e <= N}, allow_sign) for the deepest exponent
+        ``level_of`` reads, N = r0 + depth_cap + 1.  Made on the first
+        ``level_of`` call rather than with the spec, so that building a
+        spec never takes a power."""
+        return _prime_powers(self.p, self.r0 + self.depth_cap + 1) + (self.allow_sign,)
 
-def _valuation_to_identity(g, corner, p, cap, allow_sign):
-    """Largest e <= cap with M = (+-)I mod p^e, as a truncated valuation.
 
-    ``corner`` is M's top-left entry and ``g`` the gcd of the entries of
-    M - corner*I.  Then M = sI mod p^e exactly when p^e divides
-    gcd(g, corner - s), so each sign costs one gcd; a zero gcd is divisible
-    by every power of p and gives cap.
+@lru_cache(maxsize=32)
+def _prime_powers(p, n):
+    """(p^n, {p^e: e for 0 <= e <= n}).  The gcd of anything with p^n is
+    p^e for some e <= n, so the table reads e off it.  The table is shared
+    between callers and never written after it is built."""
+    pe, exponents = 1, {1: 0}
+    for e in range(1, n + 1):
+        pe *= p
+        exponents[pe] = e
+    return pe, exponents
+
+
+def _valuation_to_identity(g, corner, exponents, allow_sign):
+    """Largest e <= n with M = (+-)I mod p^e, as a truncated valuation.
+
+    ``exponents`` is the table of ``_prime_powers(p, n)``, ``corner`` is M's
+    top-left entry and ``g`` = gcd(b, c, d - a, p^n) for M's entries.  Then
+    M = sI mod p^e exactly when p^e divides gcd(g, corner - s), which is
+    itself a power of p, so each sign costs one gcd and one lookup.  For
+    +-I every entry but p^n is zero and the gcd is p^n: n, the cap.
     """
-    best = 0
-    for sign in ((1, -1) if allow_sign else (1,)):
-        h = math.gcd(g, corner - sign)
-        v = 0
-        while v < cap and h % p == 0:
-            h //= p
-            v += 1
-        if v > best:
-            best = v
-    return best
+    v = exponents[math.gcd(g, corner - 1)]
+    if allow_sign:
+        w = exponents[math.gcd(g, corner + 1)]
+        if w > v:
+            v = w
+    return v
 
 
 def level_of(x: tuple, spec: FiltrationSpec):
@@ -145,7 +166,9 @@ def level_of(x: tuple, spec: FiltrationSpec):
     type raises TypeError and a determinant other than 1 ValueError.
     Returns -1 when x is not even in the level-0 group and depth_cap + 1
     when x is congruent to (+-)I one exponent beyond the cap, i.e. deeper
-    than the truncation can distinguish.
+    than the truncation can distinguish.  The exponent is one gcd per sign
+    with the spec's p^(r0 + depth_cap + 1), read off the spec's table of
+    powers (``_valuation_to_identity``).
     """
     if type(x) is not tuple:
         raise TypeError("level_of expects a flat 2x2 tuple (a, b, c, d), got %r" % type(x))
@@ -153,15 +176,16 @@ def level_of(x: tuple, spec: FiltrationSpec):
     det = a * d - b * c
     if det != 1:
         raise ValueError("expected determinant 1, got %d" % det)
-    v = _valuation_to_identity(math.gcd(b, c, d - a), a, spec.p, spec.r0 + spec.depth_cap + 1,
-                               spec.allow_sign)
+    top, exponents, allow_sign = spec._level_table
+    v = _valuation_to_identity(math.gcd(b, c, d - a, top), a, exponents, allow_sign)
     return v - spec.r0 if v >= spec.r0 else -1
 
 
 def exact_congruence_exponent(x: tuple, p: int, allow_sign: bool, bail: int) -> int:
     """Congruence exponent of a flat 2x2 integer matrix, saturated at bail."""
     a, b, c, d = x
-    return _valuation_to_identity(math.gcd(b, c, d - a), a, p, bail, allow_sign)
+    top, exponents = _prime_powers(p, bail)
+    return _valuation_to_identity(math.gcd(b, c, d - a, top), a, exponents, allow_sign)
 
 
 def flat_congruence_basis(p: int, q: int) -> list:
@@ -176,9 +200,9 @@ def flat_congruence_basis(p: int, q: int) -> list:
 # --- seeded words -----------------------------------------------------------
 
 #: Words of at most this many letters are answered from a sampler's table,
-#: and longer words start from the table entry of their first letters.
-#: With 4 letters the p = 3 stability suite (500 per cell) peaked 2.4 MB
-#: (13%) higher and ran no faster.
+#: and a longer word is the product of two table entries: the word's first
+#: ``_SHORT`` letters and the rest.  With 4 letters the p = 3 stability
+#: suite (500 per cell) peaked 2.4 MB (13%) higher and ran no faster.
 _SHORT = 3
 
 
@@ -186,25 +210,28 @@ class WordSampler:
     """Seeded words in ``alphabet`` (generators and their inverses): the
     package's one word sampler.
 
-    A word has a length drawn uniformly from 1..radius and letters drawn
-    uniformly from the alphabet, and is multiplied out from its first
-    letter.  Each draw is one ``rng.getrandbits(k)`` call with the
-    rejection rule of ``random.Random._randbelow``, so a ``random.Random``
-    gives exactly the stream, and the elements, of ``rng.randint(1,
-    radius)`` followed by one ``rng.choice(alphabet)`` per letter.
+    A word has a length drawn uniformly from 1..radius, radius at most 6,
+    and letters drawn uniformly from the alphabet, left to right.  Each draw
+    is one ``rng.getrandbits(k)`` call with the rejection rule of
+    ``random.Random._randbelow``, so a ``random.Random`` gives exactly the
+    stream, and the elements, of ``rng.randint(1, radius)`` followed by one
+    ``rng.choice(alphabet)`` per letter.
 
-    Words of at most three letters, and the three-letter prefix of every
-    longer word, are looked up in a table filled lazily with each product
-    and its level, ``measure(element)`` (None without ``measure``).  A
-    sampler therefore belongs to one alphabet, product and level function;
-    reusing it shares the table.  ``drawn`` counts the words drawn and
-    ``hits`` those answered whole from the table.
+    Words of at most three letters are looked up in a table filled lazily
+    with each product and its level, ``measure(element)`` (None without
+    ``measure``).  A word of four to six letters is its prefix's entry
+    times its suffix's entry, the first three letters and the rest, so it
+    costs one product and one ``measure``.  That equals the product of its
+    letters from the first only because ``mul`` is associative, as a group
+    product is.  A sampler therefore belongs to one alphabet, product and
+    level function; reusing it shares the table.  ``drawn`` counts the words
+    drawn and ``hits`` those answered whole from the table.
     """
 
     def __init__(self, alphabet, mul, radius, measure=None):
         self.alphabet = tuple(alphabet)
-        if not self.alphabet or radius < 1:
-            raise ValueError("need a nonempty alphabet and radius >= 1")
+        if not self.alphabet or not 1 <= radius <= 2 * _SHORT:
+            raise ValueError("need a nonempty alphabet and 1 <= radius <= %d" % (2 * _SHORT))
         self.mul = mul
         self.radius = radius
         self.measure = measure
@@ -215,8 +242,8 @@ class WordSampler:
     def draw(self, rng, count):
         """``count`` words from ``rng``, as (element, level) pairs."""
         getrandbits = rng.getrandbits
-        letters, mul, measure, table = self.alphabet, self.mul, self.measure, self._table
-        n = len(letters)
+        mul, measure, table = self.mul, self.measure, self._table
+        n = len(self.alphabet)
         n_bits, base = n.bit_length(), n + 1
         radius = self.radius
         r_bits = radius.bit_length()
@@ -241,12 +268,13 @@ class WordSampler:
                     hits += 1
                 append(entry)
                 continue
-            w = (entry or self._fill(key))[0]
+            suffix = 0
             for _ in range(length - _SHORT):
                 i = getrandbits(n_bits)
                 while i >= n:
                     i = getrandbits(n_bits)
-                w = mul(w, letters[i])
+                suffix = suffix * base + i + 1
+            w = mul((entry or self._fill(key))[0], (table.get(suffix) or self._fill(suffix))[0])
             append((w, None if measure is None else measure(w)))
         self.drawn += count
         self.hits += hits

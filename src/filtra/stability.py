@@ -73,6 +73,14 @@ from .holomorph import (
 #: ``constructive`` block.
 CONSTRUCTIVE_LIMIT = 10 ** 5
 
+#: The largest ``stability --count``.  ``sample_level`` holds each draw's
+#: whole column, so memory grows with the count as well as time.  At this
+#: bound the default congruence suite (p = 3, r, s <= 3) took 12.1 s and
+#: peaked at 24.4 MB RSS (17.8 MB at the default 500), and the poison suite
+#: 2.3 s and 29.7 MB with a 1.2 MB report; 10^7 would hold about 14 GB
+#: (extrapolated, not run).
+MAX_SAMPLE_COUNT = 5000
+
 
 @dataclass
 class CheckReport:

@@ -14,7 +14,7 @@ import filtra
 from filtra.cli import MAX_NMAX, main
 from filtra.filtration import MAX_JMAX, MAX_MODULUS_BITS
 from filtra.linrep import MAX_BALL_RADIUS
-from filtra.stability import poison_extension, replay_failure
+from filtra.stability import MAX_SAMPLE_COUNT, poison_extension, replay_failure
 
 
 def run_cli(capsys, *args):
@@ -457,6 +457,7 @@ def test_tower_modulus_bound(capsys, p):
     assert main(quotient + ["-j", str(j + 1)]) == 2
     assert main(pcongruence + ["--r0", str(j)]) == 2
     assert main(quotient + ["-j", str(10 ** 9)]) == 2
+    assert main(pcongruence + ["--r0", str(10 ** 9)]) == 2
     assert time.perf_counter() - started < 0.5
     captured = capsys.readouterr()
     assert captured.out == "" and "more than %d bits" % MAX_MODULUS_BITS in captured.err
@@ -466,9 +467,26 @@ def test_pcongruence_jmax_bound(capsys):
     args = ["pcongruence", "--family", "gamma", "-p", "3", "-e", "3", "--seed", "1", "--jmax"]
     code, report = run_cli(capsys, *args, str(MAX_JMAX))
     assert code == 0 and report["timings"]["stats"] == {"pairs_certified": MAX_JMAX * (MAX_JMAX + 1) // 2}
-    assert main(args + [str(MAX_JMAX + 1)]) == 2
+    started = time.perf_counter()
+    for jmax in (MAX_JMAX + 1, 10 ** 9):
+        assert main(args + [str(jmax)]) == 2
+    assert time.perf_counter() - started < 0.5
     captured = capsys.readouterr()
     assert captured.out == "" and "--jmax must be at most %d" % MAX_JMAX in captured.err
+
+
+def test_stability_count_bound(capsys):
+    # sample_level holds whole columns, so --count is bounded; the
+    # benchmark's counts (500 congruence, 200 poison) stay accepted
+    assert 500 <= MAX_SAMPLE_COUNT
+    args = ["stability", "--seed", "1", "--count"]
+    started = time.perf_counter()
+    for example in ("congruence", "poison"):
+        for count in (MAX_SAMPLE_COUNT + 1, 10 ** 7):
+            assert main(args + [str(count), "--example", example]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--count must be at most %d" % MAX_SAMPLE_COUNT in captured.err
 
 
 def test_stability_depth_bound(capsys):
@@ -709,10 +727,12 @@ LAYERS = st.one_of(SMALL, st.sampled_from([400, 10 ** 6]))
 TARGETS = st.one_of(SMALL, st.sampled_from([600, 10 ** 5]))
 RADII = st.one_of(st.integers(-1, 2), st.sampled_from([MAX_BALL_RADIUS + 1, 10 ** 6]))
 NMAX = st.one_of(st.integers(-1, 3), st.sampled_from([MAX_NMAX + 1, 10 ** 6]))
+# stability sample counts, within and past their bound
+COUNTS = st.one_of(st.integers(-1, 5), st.sampled_from([MAX_SAMPLE_COUNT + 1, 10 ** 7]))
 COORDS = st.one_of(st.lists(st.integers(0, 9), min_size=2, max_size=3).map(lambda v: ",".join(map(str, v))),
                    st.text(alphabet="0123456789, x", max_size=8))
 
-# sizes stay small: sample counts stay below 6
+# sizes stay small: the sample counts a command accepts stay below 6
 CLI_ARGV = {
     "quotient": _argv(["quotient"], [("--family", st.sampled_from(["pgamma", "gamma"])), ("-p", PRIMES),
                                      ("-i", SMALL), ("-j", st.one_of(st.integers(2, 5), SMALL))]),
@@ -720,7 +740,7 @@ CLI_ARGV = {
                                            ("--jmax", SMALL), ("-e", SMALL), ("--seed", SEEDS)],
                          [("--r0", SMALL)]),
     "stability": _argv(["stability"], [("--example", st.sampled_from(["congruence", "poison"])), ("--seed", SEEDS),
-                                       ("--count", st.integers(-1, 5))],
+                                       ("--count", COUNTS)],
                        [("-p", st.sampled_from([2, 3, -1, 0, 4])), ("--r0", DEPTHS), ("--s0", DEPTHS),
                         ("--rmax", st.integers(-1, 2)), ("--smax", st.integers(-1, 2))]),
     "graded-bracket": _argv(["graded", "bracket"], [("-p", PRIMES), ("-q", LAYERS), ("-s", LAYERS),

@@ -116,6 +116,17 @@ def test_free_action_application_order():
     assert act.apply(f, a3) == Word(3, (3, 1, 2))
 
 
+def test_pairs_are_immutable_values():
+    a = SemiElem(A1, B1)
+    assert (a.f, a.x) == (A1, B1)
+    assert a == SemiElem(A1, B1) and a != SemiElem(B1, A1)
+    assert hash(a) == hash(SemiElem(A1, B1))
+    for name in ("f", "x", "y"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, I2)
+    assert a == SemiElem(A1, B1)
+
+
 def test_psl_normalization_in_equality():
     # pi is compared up to sign, Gamma exactly
     x = SemiElem(A1, B1)

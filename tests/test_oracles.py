@@ -841,11 +841,14 @@ def test_tower_certificate_refuses_mutations(monkeypatch, name):
 
 
 def _valuation_mutations():
+    # the helper reads its exponent off the table {p^e: e for e <= N}, whose
+    # N + 1 entries give the cap N
     valuation = filtration._valuation_to_identity
     return {
-        "one factor of p too many": lambda g, corner, p, cap, sign: min(valuation(g, corner, p, cap, sign) + 1, cap),
-        "saturates one short": lambda g, corner, p, cap, sign: valuation(g, corner, p, cap - 1, sign),
-        "sign ignored": lambda g, corner, p, cap, sign: valuation(g, corner, p, cap, False),
+        "one factor of p too many":
+            lambda g, corner, exps, sign: min(valuation(g, corner, exps, sign) + 1, len(exps) - 1),
+        "saturates one short": lambda g, corner, exps, sign: min(valuation(g, corner, exps, sign), len(exps) - 2),
+        "sign ignored": lambda g, corner, exps, sign: valuation(g, corner, exps, False),
     }
 
 
@@ -857,12 +860,78 @@ def _valuation_mutations():
 def test_truncation_check_refuses_broken_level_of(monkeypatch, name, family, p):
     # level_of and exact_congruence_exponent share _valuation_to_identity;
     # the truncation check divides the entries itself, so a broken helper
-    # shows as failures (j_max = 0 leaves the tower certificate out)
+    # shows as failures (j_max = 0 leaves the tower certificate out).  The
+    # first run fills the spec's table of powers, which the broken helper
+    # then reads: the spec caches constants, never the helper
     spec = FiltrationSpec(family, p, 1, 3)
     assert check_p_congruence(spec, 0, 3, sample_count=400, seed=1)["ok"]
     monkeypatch.setattr(filtration, "_valuation_to_identity", _valuation_mutations()[name])
     result = check_p_congruence(spec, 0, 3, sample_count=400, seed=1)
     assert not result["ok"] and result["truncation_check"]["failures"]
+
+
+def valuation_by_factor_loop(g, corner, p, cap, allow_sign):
+    """The level helper before its table of powers: for each sign one gcd,
+    whose factors of p are then divided off one at a time up to the cap."""
+    best = 0
+    for sign in ((1, -1) if allow_sign else (1,)):
+        h = math.gcd(g, corner - sign)
+        v = 0
+        while v < cap and h % p == 0:
+            h //= p
+            v += 1
+        best = max(best, v)
+    return best
+
+
+def level_by_factor_loop(x, spec):
+    a, b, c, d = x
+    v = valuation_by_factor_loop(math.gcd(b, c, d - a), a, spec.p, spec.r0 + spec.depth_cap + 1, spec.allow_sign)
+    return v - spec.r0 if v >= spec.r0 else -1
+
+
+def _elements_at_exponent(p, e, rng):
+    """Determinant-one flat tuples congruent to I mod p^e and not mod
+    p^(e+1), with their negatives, some with negative entries: the depth-e
+    basis, and each basis element times a random word one or two exponents
+    deeper."""
+    out = []
+    for x in flat_congruence_basis(p, e):
+        deeper = flat_congruence_basis(p, e + rng.randint(1, 2))
+        w = x
+        for _ in range(rng.randint(1, 4)):
+            y = rng.choice(deeper)
+            w = _flat_mul_z(w, y if rng.random() < 0.5 else _flat_inv_z(y))
+        out += [x, w]
+    return out + [tuple(-v for v in x) for x in out]
+
+
+def test_table_level_matches_factor_loop():
+    # p in {2, 3, 5, 7}, both families, several r0 and caps: every exponent
+    # from 0 (outside the level-0 group) to two past the deepest one read,
+    # r0 + cap + 1, so elements exactly at the cap and at cap + 1 are among
+    # them, each sign, and +-I, where the gcd of the off-identity entries is 0
+    rng = random.Random("table-level")
+    checked = 0
+    for p in (2, 3, 5, 7):
+        for r0 in (1, 2, 3):
+            for cap in (0, 1, 3, 5):
+                deepest = r0 + cap + 1
+                elements = [(1, 0, 0, 1), (-1, 0, 0, -1), (2, 1, 1, 1), (-3, -2, -1, -1)]
+                for e in range(deepest + 3):
+                    elements += _elements_at_exponent(p, e, rng)
+                for family in FAMILIES:
+                    spec = FiltrationSpec(family, p, r0, cap)
+                    levels = [level_of(x, spec) for x in elements]
+                    assert levels == [level_by_factor_loop(x, spec) for x in elements], (p, r0, cap, family)
+                    assert {cap, cap + 1, -1} <= set(levels)
+                    for x in elements:
+                        a, b, c, d = x
+                        for bail in (0, 1, deepest - 1, deepest, deepest + 2):
+                            got = exact_congruence_exponent(x, p, spec.allow_sign, bail)
+                            assert got == valuation_by_factor_loop(math.gcd(b, c, d - a), a, p, bail, spec.allow_sign)
+                    checked += len(elements)
+    assert checked > 4000
 
 
 def random_element(alphabet, mul, rng, radius):
@@ -928,6 +997,9 @@ def test_sampler_refuses_what_randint_and_choice_refuse():
     for args in (([], 3), (alphabet, 0)):
         with pytest.raises(ValueError):
             WordSampler(args[0], mul, args[1])
+    # past six letters a word would need more than one product of two entries
+    with pytest.raises(ValueError):
+        WordSampler(alphabet, mul, 7)
 
 
 def test_sampler_hits_count_repeated_short_words():
