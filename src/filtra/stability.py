@@ -55,7 +55,7 @@ from operator import itemgetter
 
 from .exactmat import _parse_flat_sl2, format_matrix
 from .filtration import (
-    FiltrationSpec, GuardError, WordSampler, flat_congruence_basis, level_of, tower_invariants,
+    MAX_RADIUS, FiltrationSpec, GuardError, WordSampler, flat_congruence_basis, level_of, tower_invariants,
 )
 from .holomorph import (
     FreeGroupAction,
@@ -130,7 +130,6 @@ class ExtensionSpec:
     act: object
     gamma: Side
     pi: Side
-    radius: int = 6
     quotients: object = None         # (r, s) -> ((p, i, j, family) of Gamma, of pi) or None
     # (side, level) -> WordSampler, made by the first sample_level call
     samplers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -143,8 +142,7 @@ class ExtensionSpec:
                 "short_word_hits": sum(s.hits for s in samplers)}
 
 
-def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4,
-                         radius: int = 6) -> ExtensionSpec:
+def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4) -> ExtensionSpec:
     """Conjugation of the exponent-(s0+j) chain on the sign-class
     exponent-(r0+j) chain, with generator triples at every level."""
     def side(family, base):
@@ -163,7 +161,6 @@ def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4,
         act=MatrixConjugation(),
         gamma=side("gamma", s0),
         pi=side("pgamma", r0),
-        radius=radius,
         quotients=quotients,
     )
 
@@ -172,7 +169,7 @@ _GAMMA_NAMES = ["phi1", "phi2"]
 _PI_NAMES = ["a1", "a2", "a3"]
 
 
-def poison_extension(radius: int = 6) -> ExtensionSpec:
+def poison_extension() -> ExtensionSpec:
     """The contrast fixture: lower-central-series levels truncated at
     class 2 on F_3, and on the rank-2 side the central series with the
     whole group sitting at levels 0 and 1 (so the two generators measure
@@ -196,16 +193,15 @@ def poison_extension(radius: int = 6) -> ExtensionSpec:
         # L_0 = F_3, L_1 = commutator subgroup, 2 = cap + 1 = class >= 3
         pi=side(_PI_NAMES, lambda w: lcs_depth2(w) - 1,
                 {0: a, 1: [act.pi.comm(u, v) for u, v in combinations(a, 2)]}.get, 1),
-        radius=radius,
     )
 
 
 def sample_level(ext: ExtensionSpec, side: str, level: int, count: int, rng) -> list:
     """(element, measured level) pairs with level >= ``level``: the
-    identity first, then words of length <= radius in the level generators
-    and their inverses.  Each element is measured once, both to guard
-    against an element below its level and for the evaluators to use; the
-    spec's sampler for (side, level) keeps the short words' levels."""
+    identity first, then words of length <= ``MAX_RADIUS`` in the level
+    generators and their inverses.  Each element is measured once, both to
+    guard against an element below its level and for the evaluators to use;
+    the spec's sampler for (side, level) keeps the short words' levels."""
     if side not in ("gamma", "pi"):
         raise ValueError("side must be 'gamma' or 'pi'")
     group, spec = getattr(ext.act, side), getattr(ext, side)
@@ -215,7 +211,7 @@ def sample_level(ext: ExtensionSpec, side: str, level: int, count: int, rng) -> 
         if not gens:
             raise ValueError("no generator list at level %d" % level)
         sampler = ext.samplers[side, level] = WordSampler(
-            list(gens) + [group.inv(g) for g in gens], group.mul, ext.radius, spec.level)
+            list(gens) + [group.inv(g) for g in gens], group.mul, MAX_RADIUS, spec.level)
     if count < 1:
         return []
     pairs = [(group.identity, spec.level(group.identity))] + sampler.draw(rng, count - 1)
@@ -254,6 +250,13 @@ def _eval_stable_condition1(ext, elems):
 def _eval_stable_condition2(ext, elems):
     _, (x, _), (g, lg), (_, ly) = elems
     return _reaches(_twist_level(ext, ext.act.gamma.inv(g), x), _req(ext.pi, lg, ly))
+
+
+def _eval_action_hom(ext, elems):
+    """Gamma acts by a homomorphism: (f g)(y) = f(g(y))."""
+    act = ext.act
+    (f, _), (g, _), (y, _) = elems
+    return act.pi.eq(act.apply(act.gamma.mul(f, g), y), act.apply(f, act.apply(g, y))), {}
 
 
 def _eval_twist_biconditional(ext, elems):
@@ -343,6 +346,7 @@ _FXGY = ("f", "x", "g", "y")
 _KINDS = {
     "stable_condition1": (_eval_stable_condition1, _FXGY),
     "stable_condition2": (_eval_stable_condition2, _FXGY),
+    "action_hom": (_eval_action_hom, ("f", "g", "y")),
     "twist_biconditional": (_eval_twist_biconditional, ("x", "g", "y")),
     "product_closure": (_eval_closure, _FXGY),
     "product_normality": (_eval_normality, _FXGY),
@@ -396,7 +400,7 @@ def replay_failure(ext: ExtensionSpec, failure: dict) -> bool:
 #: (f, x) at level r and (g, y) at level r + s
 _OUTER_INNER = (("f", "gamma", 1, 0), ("x", "pi", 1, 0), ("g", "gamma", 1, 1), ("y", "pi", 1, 1))
 
-_STABLE = [(_OUTER_INNER, ("stable_condition1", "stable_condition2"))]
+_STABLE = [(_OUTER_INNER, ("stable_condition1", "stable_condition2", "action_hom"))]
 _TWIST = [(_OUTER_INNER[1:], ("twist_biconditional",))]
 _PRODUCT = [
     ((("f", "gamma", 1, 1), ("x", "pi", 1, 1), ("g", "gamma", 1, 1), ("y", "pi", 1, 1)), ("product_closure",)),
@@ -444,17 +448,16 @@ def _cells(ext, r_max, s_max):
 def check_stable(ext: ExtensionSpec, r_max: int, s_max: int, count: int, seed=0) -> CheckReport:
     """Depth compatibility of the action: for (f, x) at measured level r and
     (g, y) at measured level t >= r, f(y) and g^-1(x) x^-1 must sit at
-    level >= t."""
+    level >= t.  The same samples check that Gamma acts by a homomorphism,
+    (f g)(y) = f(g(y)), which the level conditions cannot see."""
     return _run_cells(ext, CheckReport("stable"), "stable", _cells(ext, r_max, s_max), _STABLE, count, seed)
 
 
-def check_twist_equivalence(ext: ExtensionSpec, count: int, seed=0,
-                            r_max: int = None, s_max: int = None) -> CheckReport:
+def check_twist_equivalence(ext: ExtensionSpec, r_max: int, s_max: int, count: int, seed=0) -> CheckReport:
     """The two phrasings of depth compatibility for the twist condition are
     equivalent on every sample: g(x) differs from x by depth t iff
     g^-1(x) does."""
-    cap = _sample_cap(ext)
-    cells = _cells(ext, cap if r_max is None else r_max, cap if s_max is None else s_max)
+    cells = _cells(ext, r_max, s_max)
     return _run_cells(ext, CheckReport("twist_equivalence"), "twist_eq", cells, _TWIST, count, seed)
 
 
@@ -536,7 +539,7 @@ def run_congruence_suite(p: int, r0: int, s0: int, r_max: int, s_max: int,
     ext = congruence_extension(p, r0, s0, cap=max(r_max, s_max))
     reports = [
         check_stable(ext, r_max, s_max, count, seed),
-        check_twist_equivalence(ext, count, seed, r_max, s_max),
+        check_twist_equivalence(ext, r_max, s_max, count, seed),
         *(product_filtration_check(ext, r, s, count, seed) for r, s in _cells(ext, r_max, s_max)),
         check_stably_lie_like(ext, r_max, s_max, count, seed),
         check_G_lie_like(ext, r_max, s_max, count, seed),
@@ -552,6 +555,6 @@ def run_poison_suite(count: int = 200, seed=1):
     stats are the extension's ``sampler_stats``."""
     ext = poison_extension()
     stable = check_stable(ext, 1, 1, count, seed)
-    lemma = check_twist_equivalence(ext, count, seed, 1, 1)
+    lemma = check_twist_equivalence(ext, 1, 1, count, seed)
     reports = [stable, lemma]
     return reports, all(rep.ok for rep in reports), ext.sampler_stats()

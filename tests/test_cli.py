@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import filtra
-from filtra.cli import MAX_NMAX, main
+from filtra.cli import MAX_NMAX, build_parser, main
 from filtra.filtration import MAX_JMAX, MAX_MODULUS_BITS
-from filtra.linrep import MAX_BALL_RADIUS
+from filtra.holomorph import MAX_IDENTITY_COUNT
+from filtra.linrep import MAX_BALL_RADIUS, MAX_FAITHFUL_SAMPLES, MAX_REP_N
 from filtra.stability import MAX_SAMPLE_COUNT, poison_extension, replay_failure
 
 
@@ -371,6 +373,43 @@ def test_ignored_flags_are_refused(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def _flags(*words):
+    """The dests of a subcommand's flags other than --help and --out."""
+    parser = build_parser()
+    for word in words:
+        parser = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices[word]
+    return {action.dest for action in parser._actions if action.option_strings} - {"help", "out"}
+
+
+_CONGRUENCE_FLAGS = {"p", "r0", "s0", "rmax", "smax"}
+
+
+@pytest.mark.parametrize("words, rest, absent, values", [
+    (["quotient"], ["--family", "gamma", "-p", "3", "-i", "1", "-j", "2"], set(), {}),
+    (["pcongruence"], ["--family", "gamma", "-p", "3", "--jmax", "2", "-e", "3", "--seed", "2"], set(), {}),
+    (["stability"], ["--example", "congruence", "--rmax", "1", "--count", "1", "--seed", "1"], set(),
+     {"p": 3, "r0": 1, "s0": 1, "rmax": 1, "smax": 3}),
+    (["stability"], ["--example", "poison", "--count", "1", "--seed", "1"], _CONGRUENCE_FLAGS, {}),
+    (["graded", "bracket"], ["-p", "3", "-q", "1", "-s", "1", "--c1", "1,0,0", "--c2", "0,1,0"], set(), {}),
+    (["graded", "verify"], ["-p", "3", "--qmax", "2"], set(), {"seed": 0}),
+    (["rep"], ["--gamma", "1,3;0,1", "--y", "1,0;3,1"], set(), {"mod": None, "seed": 0}),
+    (["rep-ball"], ["-p", "3", "--base", "1", "--target", "2", "--radius", "1", "--seed", "1"], set(), {}),
+    (["holomorph-identities"], ["--backend", "free", "--count", "2", "--seed", "1"], set(), {"p": 3}),
+    (["freegroup-fixtures"], ["--nmax", "2"], set(), {}),
+])
+def test_config_is_the_parsed_flags(tmp_path, capsys, words, rest, absent, values):
+    # config holds each flag of the command but --out, absent ones under
+    # their defaults, and only the values a handler fills besides; no other
+    # namespace entry (func, command, graded_command) reaches the report
+    code, report = run_cli(capsys, *words, *rest, "--out", str(tmp_path / "report.json"))
+    assert code == 0 or words == ["stability"]
+    config = report["config"]
+    assert set(config) == (_flags(*words) - absent) | set(values)
+    assert values.items() <= config.items()
+    assert report["command"] == "-".join(words)
+
+
 def test_absent_flags_keep_their_config_values(capsys):
     code, report = run_cli(capsys, "holomorph-identities", "--backend", "free", "--count", "5", "--seed", "1")
     assert code == 0 and report["config"]["p"] == 3
@@ -487,6 +526,35 @@ def test_stability_count_bound(capsys):
     assert time.perf_counter() - started < 0.5
     captured = capsys.readouterr()
     assert captured.out == "" and "--count must be at most %d" % MAX_SAMPLE_COUNT in captured.err
+
+
+def _identity_literal(n):
+    return ";".join(",".join("1" if i == j else "0" for j in range(n)) for i in range(n))
+
+
+def test_sample_size_bounds(capsys):
+    # holomorph-identities --count, rep --samples and rep's matrix size are
+    # bounded; the benchmark's sizes (1000, 500, n <= 3) stay accepted
+    assert (MAX_IDENTITY_COUNT, MAX_FAITHFUL_SAMPLES, MAX_REP_N) >= (1000, 500, 4)
+    edge = _identity_literal(MAX_REP_N)
+    code, report = run_cli(capsys, "rep", "--n", str(MAX_REP_N), "--gamma", edge, "--y", edge,
+                           "--samples", "1", "--seed", "1")
+    assert code == 0 and report["results"]["n_squared"] == MAX_REP_N ** 2
+    started = time.perf_counter()
+    for backend in ("congruence", "free"):
+        for count in (MAX_IDENTITY_COUNT + 1, 10 ** 9):
+            assert main(["holomorph-identities", "--backend", backend, "--count", str(count), "--seed", "1"]) == 2
+    rep = ["rep", "--mod", "9", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--seed", "1", "--samples"]
+    for samples in (MAX_FAITHFUL_SAMPLES + 1, 10 ** 9):
+        assert main(rep + [str(samples)]) == 2
+    wide = _identity_literal(MAX_REP_N + 1)
+    assert main(["rep", "--n", str(MAX_REP_N + 1), "--gamma", wide, "--y", wide]) == 2
+    assert main(["rep", "--n", "1000000", "--gamma", "1,3;0,1", "--y", "1,0;3,1"]) == 2
+    assert time.perf_counter() - started < 0.5
+    err = capsys.readouterr().err
+    assert err.count("--count must be at most %d" % MAX_IDENTITY_COUNT) == 4
+    assert err.count("--samples must be between 0 and %d" % MAX_FAITHFUL_SAMPLES) == 2
+    assert err.count("--n must be at most %d" % MAX_REP_N) == 2
 
 
 def test_stability_depth_bound(capsys):
@@ -712,7 +780,7 @@ SEEDS = st.integers(-3, 10 ** 20)
 PRIMES = st.one_of(st.sampled_from([2, 3, 5, 7]), st.sampled_from([-3, 0, 1, 4, 1048583]))
 MATRICES = st.one_of(
     st.sampled_from(["1,0;0,1", "1,3;0,1", "1,0;3,1", "2,0;0,1", "-1,0;0,-1", "1", "1,1,0;0,1,0;0,0,1",
-                     "1,0,0,0;0,1,0,0;0,0,1,0;0,0,1,1"]),
+                     "1,0,0,0;0,1,0,0;0,0,1,0;0,0,1,1", _identity_literal(MAX_REP_N + 1)]),
     st.text(alphabet="0123456789,; x", max_size=12),
 )
 MODULI = st.one_of(
@@ -729,6 +797,10 @@ RADII = st.one_of(st.integers(-1, 2), st.sampled_from([MAX_BALL_RADIUS + 1, 10 *
 NMAX = st.one_of(st.integers(-1, 3), st.sampled_from([MAX_NMAX + 1, 10 ** 6]))
 # stability sample counts, within and past their bound
 COUNTS = st.one_of(st.integers(-1, 5), st.sampled_from([MAX_SAMPLE_COUNT + 1, 10 ** 7]))
+IDENTITY_COUNTS = st.one_of(st.integers(-1, 5), st.sampled_from([MAX_IDENTITY_COUNT + 1, 10 ** 9]))
+SAMPLES = st.one_of(st.integers(-1, 3), st.sampled_from([MAX_FAITHFUL_SAMPLES + 1, 10 ** 9]))
+# rep's matrix sizes, within and past their bound, with literals to match
+SIZES = st.one_of(SMALL, st.sampled_from([MAX_REP_N + 1, 10 ** 6]))
 COORDS = st.one_of(st.lists(st.integers(0, 9), min_size=2, max_size=3).map(lambda v: ",".join(map(str, v))),
                    st.text(alphabet="0123456789, x", max_size=8))
 
@@ -747,11 +819,11 @@ CLI_ARGV = {
                                                     ("--c1", COORDS), ("--c2", COORDS)]),
     "graded-verify": _argv(["graded", "verify"], [("-p", PRIMES), ("--qmax", QMAX)], [("--seed", SEEDS)]),
     "rep": _argv(["rep"], [("--gamma", MATRICES), ("--y", MATRICES)],
-                 [("--n", SMALL), ("--mod", MODULI), ("--samples", st.integers(-1, 3)), ("--seed", SEEDS)]),
+                 [("--n", SIZES), ("--mod", MODULI), ("--samples", SAMPLES), ("--seed", SEEDS)]),
     "rep-ball": _argv(["rep-ball"], [("-p", PRIMES), ("--base", SMALL), ("--target", TARGETS), ("--seed", SEEDS)],
                       [("--radius", RADII)]),
     "holomorph-identities": _argv(["holomorph-identities"], [
-        ("--backend", st.sampled_from(["congruence", "free"])), ("--seed", SEEDS), ("--count", st.integers(-1, 5))],
+        ("--backend", st.sampled_from(["congruence", "free"])), ("--seed", SEEDS), ("--count", IDENTITY_COUNTS)],
         [("-p", PRIMES)]),
     "freegroup-fixtures": _argv(["freegroup-fixtures"], [], [("--nmax", NMAX)]),
 }

@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 
 from filtra.exactmat import MatrixError, parse_matrix
-from filtra.holomorph import Group, MatrixConjugation
+from filtra.freegroup import poison_action
+from filtra.holomorph import FreeGroupAction, Group, MatrixConjugation
 from filtra.stability import (
     _G_LIE_LIKE,
     _KINDS,
@@ -64,7 +65,7 @@ def test_sample_level_errors(cong, poison):
 
 def test_congruence_checks_pass(cong):
     assert check_stable(cong, 2, 2, COUNT, seed=9).ok
-    assert check_twist_equivalence(cong, COUNT, seed=9).ok
+    assert check_twist_equivalence(cong, 2, 2, COUNT, seed=9).ok
     rep = product_filtration_check(cong, 1, 1, COUNT, seed=9)
     assert rep.ok
     bound = rep.meta["generator_bound"]
@@ -92,7 +93,7 @@ def test_poison_fails_condition2_only(poison):
     kinds = {f["kind"] for f in report.failures}
     assert kinds == {"stable_condition2"}
     # the equivalence of the two phrasings holds even on failing samples
-    assert check_twist_equivalence(poison, 150, seed=1).ok
+    assert check_twist_equivalence(poison, 1, 1, 150, seed=1).ok
 
 
 def test_poison_handmade_counterexample(poison):
@@ -159,7 +160,7 @@ def test_trivial_action_always_stable():
         pi=Side(lambda x: level_of(x, pi_spec), gens, 2),
     )
     assert check_stable(ext, 2, 2, 30, seed=3).ok
-    assert check_twist_equivalence(ext, 30, seed=3).ok
+    assert check_twist_equivalence(ext, 2, 2, 30, seed=3).ok
 
 
 def test_product_filtration_cap_guard(cong):
@@ -286,13 +287,13 @@ class _ConjugatingCommutators(MatrixConjugation):
 # each check's draw order and the draws each failure kind reads, which a
 # passing run's payload cannot show
 _FAULTS = {
-    "apply f x f": (_ApplyFxF, {"stable_condition1", "product_normality", "stably_lie_like_mixed",
-                                "g_lie_like_commutator"},
-                    "6974b18d0a5703d6c41e848a036555eb975b053b7fbfade4f6b78b46ac5172fb"),
-    "lopsided action": (_Lopsided, {"stable_condition1", "stable_condition2", "twist_biconditional",
-                                    "product_closure", "product_normality", "stably_lie_like_mixed",
-                                    "g_lie_like_commutator"},
-                        "a228b1b1811a3ead207f66903cd3cd871b3a540bbb336a0314cdf51a155b9549"),
+    "apply f x f": (_ApplyFxF, {"stable_condition1", "action_hom", "product_normality",
+                                "stably_lie_like_mixed", "g_lie_like_commutator"},
+                    "c82c4cf601934ed627dc0d455f7352b0926178042d346b266d8927cda4b1e2c5"),
+    "lopsided action": (_Lopsided, {"stable_condition1", "stable_condition2", "action_hom",
+                                    "twist_biconditional", "product_closure", "product_normality",
+                                    "stably_lie_like_mixed", "g_lie_like_commutator"},
+                        "2ae303129b1a1618f39ce0fdcffb0980d967101417d4c3f4854b91bd9188ece6"),
     "conjugate for commutator": (_ConjugatingCommutators, {"stably_lie_like_gamma", "stably_lie_like_pi",
                                                            "g_lie_like_commutator"},
                                  "1f467fb3b5a4c2679416cbb25e44d6726902570dc200ff4eeaadf571f23944bb"),
@@ -303,7 +304,7 @@ _FAULTS = {
 def test_injected_faults_replay(fault):
     action, kinds, digest = _FAULTS[fault]
     ext = replace(congruence_extension(3, 1, 1, cap=2), act=action())
-    reports = [check_stable(ext, 2, 2, 30), check_twist_equivalence(ext, 30)]
+    reports = [check_stable(ext, 2, 2, 30), check_twist_equivalence(ext, 2, 2, 30)]
     reports += [product_filtration_check(ext, r, s, 30) for r in range(3) for s in range(3 - r)]
     reports += [check_stably_lie_like(ext, 2, 2, 30), check_G_lie_like(ext, 2, 2, 30)]
     failures = [failure for rep in reports for failure in rep.failures]
@@ -318,3 +319,26 @@ def test_every_failure_kind_is_reached():
     named = [kind for _, kinds in phases for kind in kinds]
     assert sorted(named) == sorted(_KINDS)
     assert set().union(*(kinds for _, kinds, _ in _FAULTS.values())) == set(_KINDS)
+
+
+class _ReverseComposing(FreeGroupAction):
+    """phi(w a) = phi(a) o phi(w): the leftmost letter acts first, so
+    Gamma acts by an anti-homomorphism."""
+
+    def _compose(self, letters):
+        endo = self._phi[letters[:1]]
+        for k in range(2, len(letters) + 1):
+            endo = self._phi[letters[:k]] = self._phi[letters[k - 1:k]].compose(endo)
+        return endo
+
+
+def test_anti_homomorphic_action_fails_action_hom():
+    # the level conditions pass an anti-homomorphism on the poison fixture
+    # (its failures stay stable_condition2); the homomorphism kind does not
+    ext = replace(poison_extension(), act=_ReverseComposing(2, 3, poison_action()))
+    failures = check_stable(ext, 1, 1, 200, 1).failures
+    hom = [failure for failure in failures if failure["kind"] == "action_hom"]
+    assert len(hom) == 365
+    assert {failure["kind"] for failure in failures} == {"action_hom", "stable_condition2"}
+    assert all(replay_failure(ext, failure) for failure in hom)
+    assert not any(replay_failure(poison_extension(), failure) for failure in hom)
