@@ -3,7 +3,8 @@
 Everything in this package computes with exact integers; there is no
 floating point anywhere in the arithmetic.  The submodules are
 
-- ``exactmat``   one n x n matrix type over Z or Z/p^r, and the flat 2x2 kernel
+- ``exactmat``   one n x n matrix type over Z or Z/p^r, stored flat and
+  row-major, whose 2x2 arithmetic is the flat 2x2 kernel
 - ``freegroup``  reduced words, endomorphisms, basis-conjugating fixtures
 - ``holomorph``  semidirect-product element arithmetic over a classified action
 - ``filtration`` congruence filtrations of (P)SL(2, Z) and their finite quotients

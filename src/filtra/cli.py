@@ -32,7 +32,8 @@ import time
 from . import __version__
 from .exactmat import _PRIME_BOUND, Mat, MatrixError, Modulus, check_prime, parse_matrix
 from .filtration import (
-    MAX_JMAX, FiltrationSpec, check_p_congruence, check_tower_depth, flat_congruence_basis, tower_invariants,
+    MAX_JMAX, MAX_MODULUS_BITS, FiltrationSpec, check_p_congruence, check_tower_depth, flat_congruence_basis,
+    tower_invariants,
 )
 from .graded import GradedClass, bracket, verify_relation_table
 
@@ -132,6 +133,8 @@ def _cmd_rep(args):
         raise CliUsageError("--seed seeds the faithfulness suite and needs --samples")
     if args.seed is None:
         args.seed = 0
+    if args.mod is not None and args.mod.bit_length() > MAX_MODULUS_BITS:
+        raise CliUsageError("--mod has more than %d bits" % MAX_MODULUS_BITS)
     modulus = None if args.mod is None else Modulus(*_factor_prime_power(args.mod))
     gamma = parse_matrix(args.gamma, modulus)
     y = parse_matrix(args.y, modulus)

@@ -373,7 +373,7 @@ def tower_invariants(p: int, i: int, j: int, family: str = "pgamma") -> dict:
     powers = lifts
     for q in range(i, j):
         basis = [layer_offset(x, p, q) for x in powers]
-        if None in basis or _det([n[:3] for n in basis]) % p == 0:
+        if None in basis or _det([e for n in basis for e in n[:3]]) % p == 0:
             raise RuntimeError("the powers of the lifts do not span layer %d" % q)
         powers = [_flat_pow(x, p, m) for x in powers]
     # 3. the lift of A has the largest order the power map allows

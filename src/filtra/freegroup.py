@@ -85,14 +85,6 @@ class Word:
     def inverse(self) -> "Word":
         return _word(self.rank, tuple(map(neg, reversed(self.letters))))
 
-    def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Word.identity(self.rank)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __len__(self):
         return len(self.letters)
 
@@ -197,7 +189,7 @@ class EndoSpec:
     def abelianize(self) -> Mat:
         """Induced matrix on H_1; column j is the exponent vector of images[j]."""
         cols = [exponent_vector(im) for im in self.images]
-        return Mat(tuple(tuple(cols[j][i] for j in range(self.rank)) for i in range(self.rank)))
+        return Mat(tuple(cols[j][i] for i in range(self.rank) for j in range(self.rank)))
 
 
 def verify_automorphism(e: EndoSpec, e_inv: EndoSpec) -> bool:

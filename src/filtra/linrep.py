@@ -98,16 +98,16 @@ def rho(u: DeltaElem):
     form rho(u) = (gamma y) kron (gamma^-1)^T: entry [i*n + j][k*n + l] is
     (gamma y)[i][k] * (gamma^-1)[l][j].
     """
-    a = (u.gamma * u.y).entries
-    b_cols = tuple(zip(*u.gamma_inv.entries))
-    rows = tuple(tuple(x * y for x in a_row for y in b_col) for a_row in a for b_col in b_cols)
-    return _mat(rows, u.gamma.modulus)
+    n, a, b = u.n, (u.gamma * u.y).entries, u.gamma_inv.entries
+    a_rows = [a[i:i + n] for i in range(0, n * n, n)]
+    b_cols = [b[j::n] for j in range(n)]
+    return _mat(tuple(x * y for a_row in a_rows for b_col in b_cols for x in a_row for y in b_col),
+                u.gamma.modulus)
 
 
 def is_scalar(mat) -> bool:
-    n = mat.n
-    lam = mat.entries[0][0]
-    return all(mat.entries[i][j] == (lam if i == j else 0) for i in range(n) for j in range(n))
+    lam, step = mat.entries[0], mat.n + 1
+    return all(e == (lam if k % step == 0 else 0) for k, e in enumerate(mat.entries))
 
 
 def center_scalars(n: int, modulus: Modulus | None):
@@ -140,7 +140,7 @@ def center_scalars(n: int, modulus: Modulus | None):
 
 
 def scale(mat, lam: int):
-    return Mat(tuple(tuple(lam * e for e in row) for row in mat.entries), mat.modulus)
+    return Mat(tuple(lam * e for e in mat.entries), mat.modulus)
 
 
 def delta_eq_mod_center(u: DeltaElem, v: DeltaElem, scalars) -> bool:
@@ -164,7 +164,7 @@ def random_sl(n: int, modulus: Modulus | None, rng: random.Random, length: int =
     exactly the stream of ``randrange(n)``, ``randrange(n)`` and
     ``randint(1, bound)``, at n = 1 and bound = 1 too."""
     getrandbits = rng.getrandbits
-    cols = [[1 if a == b else 0 for a in range(n)] for b in range(n)]
+    entries = [1 if i == j else 0 for i in range(n) for j in range(n)]
     bound = 3 if modulus is None else modulus.m - 1
     n_bits, c_bits = n.bit_length(), bound.bit_length()
     for _ in range(length):
@@ -179,8 +179,8 @@ def random_sl(n: int, modulus: Modulus | None, rng: random.Random, length: int =
         c = getrandbits(c_bits) + 1
         while c > bound:
             c = getrandbits(c_bits) + 1
-        cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
-    return _mat(tuple(zip(*cols)), modulus)
+        entries[j::n] = [x + c * y for x, y in zip(entries[j::n], entries[i::n])]
+    return _mat(tuple(entries), modulus)
 
 
 def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) -> dict:
@@ -258,7 +258,7 @@ def ball_injectivity(p: int, base_exp: int, target_exp: int, radius: int = 3,
     the ball may hold nontrivial scalars (-I mod 8 at p = 2, radius 3).
     """
     modulus = Modulus(p, target_exp)
-    gens = [Mat((x[:2], x[2:]), modulus) for x in flat_congruence_basis(p, base_exp)]
+    gens = [Mat(x, modulus) for x in flat_congruence_basis(p, base_exp)]
     gens += [g.inverse() for g in gens]
     ball = {Mat.identity(2, modulus)}
     frontier = list(ball)

@@ -550,8 +550,9 @@ def run_congruence_suite(p: int, r0: int, s0: int, r_max: int, s_max: int,
 def run_poison_suite(count: int = 200, seed=1):
     """The contrast fixture: the depth-compatibility check is expected to
     fail on its twist condition while the two-phrasing equivalence holds on
-    every sample.  Returns (reports, ok, stats) where ok means 'behaved as
-    a counterexample', i.e. the run carries replayable twist failures, and
+    every sample.  Returns (reports, ok, stats) where ok is true only when
+    both checks pass, so a run that shows the expected replayable twist
+    failures has ok false (and ``stability --example poison`` exits 1), and
     stats are the extension's ``sampler_stats``."""
     ext = poison_extension()
     stable = check_stable(ext, 1, 1, count, seed)

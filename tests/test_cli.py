@@ -104,6 +104,19 @@ def test_rep_refuses_modulus_without_small_prime_factor(capsys):
     assert elapsed < 1.0
 
 
+def test_rep_modulus_bound(capsys):
+    # --mod may have MAX_MODULUS_BITS bits; a longer one exits 2 before it
+    # is trial-divided
+    code, report = run_cli(capsys, "rep", "--mod", str(2 ** 511), "--gamma", "1,3;0,1", "--y", "1,0;3,1")
+    assert code == 0 and report["config"]["mod"] == 2 ** 511
+    started = time.perf_counter()
+    for mod in (2 ** 512, 2 ** 14000):
+        assert main(["rep", "--mod", str(mod), "--gamma", "1,3;0,1", "--y", "1,0;3,1"]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("more than %d bits" % MAX_MODULUS_BITS) == 2
+
+
 def test_bad_inputs_map_to_usage_errors(capsys):
     code = main(["graded", "bracket", "-p", "3", "-q", "1", "-s", "1", "--c1", "1,0", "--c2", "0,1,0"])
     assert code == 2
@@ -784,7 +797,8 @@ MATRICES = st.one_of(
     st.text(alphabet="0123456789,; x", max_size=12),
 )
 MODULI = st.one_of(
-    st.sampled_from([0, 1, 2, 4, 9, 12, 27, 3 ** 40, 1048573, 1048583, 1048583 ** 2, 2 ** 61 - 1, 10 ** 30]),
+    st.sampled_from([0, 1, 2, 4, 9, 12, 27, 3 ** 40, 1048573, 1048583, 1048583 ** 2, 2 ** 61 - 1, 10 ** 30,
+                     2 ** 512, 2 ** 14000]),
     st.integers(-10, 10 ** 40),
 )
 # stability exponents and relation-table depths, within and past their bounds

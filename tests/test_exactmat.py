@@ -14,20 +14,19 @@ from filtra.exactmat import (
     parse_matrix,
 )
 from filtra.exactmat import (
-    _adjugate, _adjugate_n, _det, _det_bareiss, _flat, _flat_mul, _flat_mul_z, _flat_pow, _mat_mul,
-    _mat_mul_n, _sign_normal,
+    _adjugate, _adjugate_n, _det, _det_bareiss, _flat_mul, _flat_mul_z, _flat_pow, _mat_mul, _sign_normal,
 )
 
 M9 = Modulus(3, 2)
 M27 = Modulus(3, 3)
 
 
-def imat(*rows):
-    return Mat(tuple(tuple(r) for r in rows))
+def imat(*entries):
+    return Mat(entries)
 
 
-def mmat(modulus, *rows):
-    return Mat(tuple(tuple(r) for r in rows), modulus)
+def mmat(modulus, *entries):
+    return Mat(entries, modulus)
 
 
 # -- elementary-word strategies for special (det 1) matrices -----------------
@@ -36,8 +35,8 @@ def special_word(rng, modulus=None, length=6):
     out = Mat.identity(2, modulus)
     for _ in range(length):
         c = rng.randint(-4, 4)
-        rows = ((1, c), (0, 1)) if rng.random() < 0.5 else ((1, 0), (c, 1))
-        out = out * Mat(rows, modulus)
+        entries = (1, c, 0, 1) if rng.random() < 0.5 else (1, 0, c, 1)
+        out = out * Mat(entries, modulus)
     return out
 
 
@@ -49,8 +48,8 @@ elementary_steps = st.lists(
 def build_special(steps, modulus=None):
     out = Mat.identity(2, modulus)
     for upper, c in steps:
-        rows = ((1, c), (0, 1)) if upper else ((1, 0), (c, 1))
-        out = out * Mat(rows, modulus)
+        entries = (1, c, 0, 1) if upper else (1, 0, c, 1)
+        out = out * Mat(entries, modulus)
     return out
 
 
@@ -65,21 +64,21 @@ def test_modulus_validation():
 
 
 def test_mul_identity_and_examples():
-    a1 = imat((1, 3), (0, 1))
+    a1 = imat(1, 3, 0, 1)
     assert Mat.identity(2) * a1 == a1
-    assert a1 * a1 == imat((1, 6), (0, 1))
+    assert a1 * a1 == imat(1, 6, 0, 1)
     # the mixed product lands on the diagonal coset representative mod 9
-    b1 = mmat(M9, (1, 0), (3, 1))
-    c1 = mmat(M9, (4, 3), (-3, -2))
-    a1m = mmat(M9, (1, 3), (0, 1))
-    assert b1 * c1 * a1m.inverse() == mmat(M9, (4, 0), (0, 7))
-    assert a1m * a1m == mmat(M9, (1, 6), (0, 1))
+    b1 = mmat(M9, 1, 0, 3, 1)
+    c1 = mmat(M9, 4, 3, -3, -2)
+    a1m = mmat(M9, 1, 3, 0, 1)
+    assert b1 * c1 * a1m.inverse() == mmat(M9, 4, 0, 0, 7)
+    assert a1m * a1m == mmat(M9, 1, 6, 0, 1)
     assert a1m * a1m * a1m == Mat.identity(2, M9)
 
 
 def test_mul_dimension_and_modulus_errors():
     with pytest.raises(DimensionMismatch):
-        imat((1, 0), (0, 1)) * Mat.identity(3)
+        imat(1, 0, 0, 1) * Mat.identity(3)
     with pytest.raises(ModulusMismatch):
         Mat.identity(2, M9) * Mat.identity(2, M27)
     # Z and Z/p^r are two rings too
@@ -89,20 +88,20 @@ def test_mul_dimension_and_modulus_errors():
 
 def test_inverse_examples():
     assert Mat.identity(2).inverse() == Mat.identity(2)
-    a = imat((1, 3), (0, 1))
-    assert a.inverse() == imat((1, -3), (0, 1))
-    am = mmat(M9, (1, 3), (0, 1))
+    a = imat(1, 3, 0, 1)
+    assert a.inverse() == imat(1, -3, 0, 1)
+    am = mmat(M9, 1, 3, 0, 1)
     inv = am.inverse()
-    assert inv == mmat(M9, (1, 6), (0, 1))
+    assert inv == mmat(M9, 1, 6, 0, 1)
     assert am * inv == Mat.identity(2, M9)
     assert inv * am == Mat.identity(2, M9)
     # a determinant -1 integer matrix is a unit too
-    flip = imat((0, 1), (1, 0))
+    flip = imat(0, 1, 1, 0)
     assert flip.inverse() == flip
     with pytest.raises(NonInvertible):
-        imat((2, 0), (0, 2)).inverse()
+        imat(2, 0, 0, 2).inverse()
     with pytest.raises(NonInvertible):
-        mmat(M9, (3, 0), (0, 3)).inverse()
+        mmat(M9, 3, 0, 0, 3).inverse()
 
 
 def test_inverse_two_sided_many_random():
@@ -119,9 +118,9 @@ def test_inverse_two_sided_many_random():
 
 def test_reduce_examples_and_homomorphism():
     # reducing mod p^r is re-reading the entries over the smaller ring
-    assert Mat(imat((1, 9), (0, 1)).entries, M9) == Mat.identity(2, M9)
-    assert Mat(imat((1, 3), (0, 1)).entries, M9) == mmat(M9, (1, 3), (0, 1))
-    assert Mat(imat((-1, 0), (0, -1)).entries, M9) == mmat(M9, (8, 0), (0, 8))
+    assert Mat(imat(1, 9, 0, 1).entries, M9) == Mat.identity(2, M9)
+    assert Mat(imat(1, 3, 0, 1).entries, M9) == mmat(M9, 1, 3, 0, 1)
+    assert Mat(imat(-1, 0, 0, -1).entries, M9) == mmat(M9, 8, 0, 0, 8)
     rng = random.Random("reducehom")
     for _ in range(300):
         a = special_word(rng)
@@ -147,8 +146,8 @@ def test_psl_examples():
 def test_psl_product_well_defined():
     rng = random.Random("pslprod")
     for _ in range(300):
-        a = _flat(special_word(rng))
-        b = _flat(special_word(rng))
+        a = special_word(rng).entries
+        b = special_word(rng).entries
         expected = _sign_normal(_flat_mul_z(a, b))
         for sa in (a, tuple(-e for e in a)):
             for sb in (b, tuple(-e for e in b)):
@@ -181,38 +180,70 @@ def test_det_bareiss_matches_cofactor():
     rng = random.Random("bareiss")
     for n in (2, 3, 4, 5, 6):
         for _ in range(30):
-            rows = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
-            assert _det_bareiss(rows) == _det_cofactor(rows)
+            entries = tuple(rng.randint(-9, 9) for _ in range(n * n))
+            rows = [entries[i:i + n] for i in range(0, n * n, n)]
+            assert _det_bareiss(entries) == _det_cofactor(rows)
 
 
-def test_pow_and_neg():
+def test_flat_pow():
     a = (1, 3, 0, 1)
     assert _flat_pow(a, 4, 9) == (1, 3, 0, 1)
     assert _flat_pow(a, 4, 100) == (1, 12, 0, 1)
     assert _flat_pow(a, 0, 9) == (1, 0, 0, 1)
-    assert -imat((1, 3), (0, 1)) == imat((-1, -3), (0, -1))
-    assert -mmat(M9, (1, 0), (0, 1)) == mmat(M9, (8, 0), (0, 8))
 
 
 def test_parse_format_roundtrip():
     text = "1,3;0,1"
-    assert format_matrix(parse_matrix(text)) == text
-    assert parse_matrix(text, M9) == mmat(M9, (1, 3), (0, 1))
-    assert format_matrix(parse_matrix("-1,0;0,-1", M9)) == "8,0;0,8"
+    assert format_matrix(parse_matrix(text).entries) == str(parse_matrix(text)) == text
+    assert parse_matrix(text, M9) == mmat(M9, 1, 3, 0, 1)
+    assert format_matrix(parse_matrix("-1,0;0,-1", M9).entries) == "8,0;0,8"
     with pytest.raises(MatrixError):
         parse_matrix("1,x;0,1")
     with pytest.raises(DimensionMismatch):
         parse_matrix("1,2,3;4,5,6")
+    # four entries in ragged rows are not read as a 2x2 matrix
+    for ragged in ("1,2,3;4", "1;2,3,4"):
+        with pytest.raises(DimensionMismatch):
+            parse_matrix(ragged)
+
+
+def test_format_parse_roundtrip_every_size():
+    rng = random.Random("roundtrip")
+    for n in range(1, 6):
+        for _ in range(20):
+            rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
+            text = ";".join(",".join(str(e) for e in row) for row in rows)
+            a = parse_matrix(text)
+            assert a.n == n and a.entries == tuple(e for row in rows for e in row)
+            assert format_matrix(a.entries) == str(a) == text
+
+
+def test_constructor_takes_only_flat_square_entries():
+    for entries in ((), (1, 2, 3), (1, 0, 0, 0, 1)):
+        with pytest.raises(DimensionMismatch):
+            Mat(entries)
+    # rows nested as tuples are refused, never read as a smaller matrix
+    with pytest.raises(DimensionMismatch):
+        Mat(((1, 0), (0, 1)))
+    with pytest.raises(DimensionMismatch):
+        Mat(((1, 0), (0, 1)), M9)
+    for nested in (((5,),), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))):
+        with pytest.raises(MatrixError):
+            Mat(nested)
+    for bad in ((1, 0, 0, 1.0), (1, "0", 0, 1), (1, None, 0, 1)):
+        with pytest.raises(MatrixError):
+            Mat(bad)
+    assert Mat([1, 2, 3, 4]).entries == (1, 2, 3, 4) and Mat((7,)).n == 1
 
 
 # -- differential test: n = 2 closed forms against the generic n x n paths ---
 
 def _sl2_word(rng, length):
-    out = ((1, 0), (0, 1))
+    out = (1, 0, 0, 1)
     for _ in range(length):
         c = rng.randint(-50, 50)
-        step = ((1, c), (0, 1)) if rng.random() < 0.5 else ((1, 0), (c, 1))
-        out = _mat_mul_n(out, step, 2)
+        step = (1, c, 0, 1) if rng.random() < 0.5 else (1, 0, c, 1)
+        out = _mat_mul(out, step)
     return out
 
 
@@ -220,9 +251,9 @@ def _assert_validated(x):
     # an arithmetic result must equal its fully validated re-construction
     if x.modulus is not None:
         m = x.modulus.m
-        assert all(0 <= e < m for row in x.entries for e in row)
+        assert all(0 <= e < m for e in x.entries)
     assert Mat(x.entries, x.modulus) == x
-    assert type(x.entries) is tuple and all(type(row) is tuple for row in x.entries)
+    assert type(x.entries) is tuple and all(type(e) is int for e in x.entries)
 
 
 def test_closed_forms_match_generic_2x2():
@@ -232,25 +263,29 @@ def test_closed_forms_match_generic_2x2():
         modulus = moduli[k % len(moduli)]
         a, b = _sl2_word(rng, rng.randint(0, 8)), _sl2_word(rng, rng.randint(0, 8))
         if rng.random() < 0.25:
-            a = _mat_mul_n(a, ((0, 1), (1, 0)), 2)   # det -1
-        assert _mat_mul(a, b, 2) == _mat_mul_n(a, b, 2)
+            a = _mat_mul(a, (0, 1, 1, 0))   # det -1
+        # the flat kernel against the generic n x n loop, over Z and mod m
+        product = _mat_mul(a, b)
+        assert _flat_mul_z(a, b) == product
+        if modulus is not None:
+            assert _flat_mul(a, b, modulus.m) == tuple(e % modulus.m for e in product)
         det = _det_bareiss(a)
         assert _det(a) == det
         assert _adjugate(a) == _adjugate_n(a)
         x, y = Mat(a, modulus), Mat(b, modulus)
         # det is +-1, its own inverse over Z
         dinv = det if modulus is None else pow(det, -1, modulus.m)
-        expected_inv = Mat(tuple(tuple(dinv * e for e in row) for row in _adjugate_n(a)), modulus)
-        expected_prod = Mat(_mat_mul_n(a, b, 2), modulus)
+        expected_inv = Mat(tuple(dinv * e for e in _adjugate_n(a)), modulus)
+        expected_prod = Mat(product, modulus)
         assert x.det() == (det if modulus is None else det % modulus.m)
-        results = [x * y, x.inverse(), -x]
+        results = [x * y, x.inverse()]
         assert results[0] == expected_prod
         assert results[1] == expected_inv
         assert x * results[1] == Mat.identity(2, modulus)
         if modulus is not None:
             m = modulus.m
-            cube = _flat_mul(_flat_mul(_flat(x), _flat(x), m), _flat(x), m)
-            assert _flat_pow(_flat(x), 3, m) == cube == _flat(x * x * x)
+            cube = _flat_mul(_flat_mul(x.entries, x.entries, m), x.entries, m)
+            assert _flat_pow(x.entries, 3, m) == cube == (x * x * x).entries
         for z in results:
             _assert_validated(z)
 
@@ -259,11 +294,9 @@ def test_generic_path_results_validated():
     rng = random.Random("generic-nxn")
     for modulus in (None, Modulus(2, 2), Modulus(3, 2)):
         for _ in range(20):
-            rows = tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3))
-            x = Mat(rows, modulus)
+            x = Mat(tuple(rng.randint(-9, 9) for _ in range(9)), modulus)
             _assert_validated(x * x)
-            _assert_validated(-x)
-        u, one = Mat(((1, 2, 0), (0, 1, 0), (3, 0, 1)), modulus), Mat.identity(3, modulus)
+        u, one = Mat((1, 2, 0, 0, 1, 0, 3, 0, 1), modulus), Mat.identity(3, modulus)
         _assert_validated(u.inverse())
         assert u * u.inverse() == one
 
@@ -274,10 +307,10 @@ def test_fast_paths_keep_their_errors():
     with pytest.raises(DimensionMismatch):
         Mat.identity(3, M9) * Mat.identity(2, M9)
     with pytest.raises(ModulusMismatch):
-        mmat(M9, (1, 3), (0, 1)) * mmat(M27, (1, 3), (0, 1))
+        mmat(M9, 1, 3, 0, 1) * mmat(M27, 1, 3, 0, 1)
     with pytest.raises(NonInvertible):
-        imat((2, 1), (1, 2)).inverse()
+        imat(2, 1, 1, 2).inverse()
     with pytest.raises(NonInvertible):
-        mmat(Modulus(5, 2), (5, 1), (0, 5)).inverse()
+        mmat(Modulus(5, 2), 5, 1, 0, 5).inverse()
     with pytest.raises(NonInvertible):
-        (imat((1, 0), (0, 1)) * imat((2, 0), (0, 1))).inverse()
+        (imat(1, 0, 0, 1) * imat(2, 0, 0, 1)).inverse()

@@ -46,7 +46,7 @@ def test_level_of_examples():
 def test_level_of_modular_inputs():
     # only flat SL2(Z) tuples have a level; matrix objects are refused
     deep = Modulus(3, PG3.r0 + PG3.depth_cap + 1)
-    for x in (Mat(((1, 9), (0, 1)), deep), Mat.identity(2), Mat.identity(3), [1, 0, 0, 1]):
+    for x in (Mat((1, 9, 0, 1), deep), Mat.identity(2), Mat.identity(3), [1, 0, 0, 1]):
         with pytest.raises(TypeError):
             level_of(x, PG3)
     with pytest.raises(ValueError):

@@ -55,11 +55,9 @@ def test_reduction_confluent(letters, seed):
     assert Word(3, tuple(letters)).letters == reduce_random_order(letters, rng)
 
 
-def test_inverse_and_pow():
+def test_inverse():
     u = w(2, 1, 2, -1)
     assert (u * u.inverse()).is_identity()
-    assert u ** 3 == u * u * u
-    assert u ** -1 == u.inverse()
 
 
 def test_rank_mismatch():
@@ -125,9 +123,9 @@ def test_abelianize_examples():
     (phi1, _), (phi2, _) = poison_action()
     m1 = phi1.abelianize()
     assert m1 != Mat.identity(3)
-    expected = ((1, 0, 1), (0, 1, 0), (0, 0, 1))
+    expected = (1, 0, 1, 0, 1, 0, 0, 0, 1)
     assert m1.entries == expected
-    assert phi2.abelianize().entries == ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+    assert phi2.abelianize().entries == (1, 0, 0, 0, 1, 1, 0, 0, 1)
     _, y = example_shift_action(3)
     assert y.abelianize() == Mat.identity(4)
 

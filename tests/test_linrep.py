@@ -19,14 +19,13 @@ from filtra.linrep import (
 )
 
 M9 = Modulus(3, 2)
-A1 = Mat(((1, 3), (0, 1)), M9)
-B1 = Mat(((1, 0), (3, 1)), M9)
+A1 = Mat((1, 3, 0, 1), M9)
+B1 = Mat((1, 0, 3, 1), M9)
 I2 = Mat.identity(2, M9)
 
 
 def matrix_unit(n, k, l, modulus):
-    rows = tuple(tuple(1 if (i, j) == (k, l) else 0 for j in range(n)) for i in range(n))
-    return Mat(rows, modulus)
+    return Mat(tuple(1 if (i, j) == (k, l) else 0 for i in range(n) for j in range(n)), modulus)
 
 
 def delta_inv(u):
@@ -73,18 +72,17 @@ def test_rho_identity_and_columns():
             e = matrix_unit(2, k, l, M9)
             image = A1 * e * A1.inverse()
             col = k * 2 + l
-            flat = [image.entries[i][j] for i in range(2) for j in range(2)]
-            assert [mat.entries[r][col] for r in range(4)] == flat
+            assert mat.entries[col::4] == image.entries
 
 
 def test_rho_golden_matrix():
     # row-major matrix-unit ordering pins the 4x4 matrix bit-exactly
     u = DeltaElem(A1, B1)
     expected = (
-        (1, 0, 3, 0),
-        (6, 1, 0, 3),
-        (3, 0, 1, 0),
-        (0, 3, 6, 1),
+        1, 0, 3, 0,
+        6, 1, 0, 3,
+        3, 0, 1, 0,
+        0, 3, 6, 1,
     )
     assert rho(u).entries == expected
 
@@ -99,9 +97,9 @@ def test_rho_at_identity_matrix_detects_y():
 
 def test_left_action_order_regression():
     # (u v)(M) = u(v(M)); the other composition order disagrees on this witness
-    u = DeltaElem(Mat(((3, 8), (7, 1)), M9), Mat(((3, 7), (8, 7)), M9))
-    v = DeltaElem(Mat(((1, 6), (2, 4)), M9), Mat(((1, 2), (0, 1)), M9))
-    m = Mat(((1, 2), (6, 4)), M9)
+    u = DeltaElem(Mat((3, 8, 7, 1), M9), Mat((3, 7, 8, 7), M9))
+    v = DeltaElem(Mat((1, 6, 2, 4), M9), Mat((1, 2, 0, 1), M9))
+    m = Mat((1, 2, 6, 4), M9)
     uv = delta_mul(u, v)
     assert act(uv, m) == act(u, act(v, m))
     assert act(uv, m) != act(v, act(u, m))
@@ -117,7 +115,7 @@ def test_verify_action_batches():
     # integral backend: entries built from words in the level-3 unipotents
     from filtra.filtration import flat_congruence_basis
 
-    a, b, _ = (Mat((x[:2], x[2:])) for x in flat_congruence_basis(3, 1))
+    a, b, _ = (Mat(x) for x in flat_congruence_basis(3, 1))
     gens = [a, b, a.inverse(), b.inverse()]
 
     def word():
@@ -164,7 +162,7 @@ def test_center_scalars():
 
 def test_scalar_center_probes():
     for lam in center_scalars(2, M9):
-        probe = DeltaElem(Mat(((lam, 0), (0, lam)), M9), I2)
+        probe = DeltaElem(Mat((lam, 0, 0, lam), M9), I2)
         assert rho(probe) == Mat.identity(4, M9)
         assert is_scalar(probe.gamma)
         assert delta_eq_mod_center(probe, delta_identity(2, M9), center_scalars(2, M9))
@@ -186,9 +184,9 @@ def test_ball_injectivity_small():
 
 def test_delta_rejects_non_sl_components():
     with pytest.raises(LinRepError):
-        DeltaElem(Mat(((2, 0), (0, 1)), M9), I2)
+        DeltaElem(Mat((2, 0, 0, 1), M9), I2)
     with pytest.raises(LinRepError):
-        DeltaElem(I2, Mat(((1, 1), (0, 4)), M9))
+        DeltaElem(I2, Mat((1, 1, 0, 4), M9))
     with pytest.raises(LinRepError):
-        DeltaElem(Mat(((-1, 0), (0, 1))), Mat.identity(2))
-    assert DeltaElem(Mat(((8, 0), (0, 8)), M9), I2).gamma.det() == 1
+        DeltaElem(Mat((-1, 0, 0, 1)), Mat.identity(2))
+    assert DeltaElem(Mat((8, 0, 0, 8), M9), I2).gamma.det() == 1

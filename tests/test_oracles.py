@@ -15,8 +15,7 @@ import pytest
 
 from filtra import filtration
 from filtra.exactmat import (
-    _FLAT_ID, Mat, Modulus, NonInvertible, _flat, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z,
-    _mat_mul_n,
+    _FLAT_ID, Mat, Modulus, NonInvertible, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z, _mat_mul,
 )
 from filtra.filtration import (
     FAMILIES,
@@ -354,14 +353,14 @@ def ref_class_of(m, q):
     pq = p ** q
 
     def offset(mat):
-        diffs = [mat.entries[i][j] - (1 if i == j else 0) for i in range(2) for j in range(2)]
+        diffs = [e - one for e, one in zip(mat.entries, (1, 0, 0, 1))]
         if all(d % pq == 0 for d in diffs):
             return tuple((d // pq) % p for d in diffs)
         return None
 
     n = offset(m)
     if n is None:
-        n = offset(-m)
+        n = offset(Mat(tuple(-e for e in m.entries), mod))
     if n is None:
         raise GradedError("matrix is not congruent to +-I mod %d^%d" % (p, q))
     n00, n01, n10, n11 = n
@@ -375,10 +374,10 @@ def ref_lift(c, t_exp):
     mod = Modulus(p, t_exp)
     pq = p ** q
     a, b, d = (c.coords + (0,)) if p == 2 else c.coords
-    out = Mat(((1, a * pq), (0, 1)), mod) * Mat(((1, 0), (b * pq, 1)), mod)
+    out = Mat((1, a * pq, 0, 1), mod) * Mat((1, 0, b * pq, 1), mod)
     if d:
         u = (1 + pq) % mod.m
-        out = out * _ref_pow(Mat(((u, 0), (0, pow(u, -1, mod.m))), mod), d)
+        out = out * _ref_pow(Mat((u, 0, 0, pow(u, -1, mod.m)), mod), d)
     return out
 
 
@@ -391,7 +390,7 @@ def ref_power_map(c):
 
 
 def _as_modmat(x, p, r):
-    return Mat((x[:2], x[2:]), Modulus(p, r))
+    return Mat(x, Modulus(p, r))
 
 
 def _all_classes(p, q):
@@ -442,15 +441,15 @@ def test_flat_graded_matches_modmat_graded_on_perturbed_lifts():
             assert class_of(x1, p, q) == ref_class_of(_as_modmat(x1, p, q + 1), q) == c1
 
 
-def brute_congruence_exponent(rows, p, cap, allow_sign):
+def brute_congruence_exponent(entries, p, cap, allow_sign):
     """Largest e <= cap with every entry of M - sI divisible by p^e for one
-    admissible sign s, tested entry by entry with %."""
-    n = len(rows)
+    admissible sign s, tested entry by entry with % on the flat entries."""
+    n = math.isqrt(len(entries))
     signs = (1, -1) if allow_sign else (1,)
     best = 0
     for e in range(cap + 1):
         q = p ** e
-        if any(all((rows[i][j] - (s if i == j else 0)) % q == 0 for i in range(n) for j in range(n))
+        if any(all((entries[i * n + j] - (s if i == j else 0)) % q == 0 for i in range(n) for j in range(n))
                for s in signs):
             best = e
     return best
@@ -459,12 +458,12 @@ def brute_congruence_exponent(rows, p, cap, allow_sign):
 def _sl2_words(rng, p):
     """A seeded SL2(Z) element: a word in the depth-q basis (q = 0 gives the
     unipotent generators of SL2(Z) itself), sometimes negated."""
-    basis = [Mat((x[:2], x[2:])) for x in flat_congruence_basis(p, rng.randint(0, 3))]
+    basis = [Mat(x) for x in flat_congruence_basis(p, rng.randint(0, 3))]
     alphabet = basis + [m.inverse() for m in basis]
     out = Mat.identity(2)
     for _ in range(rng.randint(0, 7)):
         out = out * rng.choice(alphabet)
-    return -out if rng.random() < 0.2 else out
+    return Mat(tuple(-e for e in out.entries)) if rng.random() < 0.2 else out
 
 
 def test_flat_backend_matches_intmat_backend():
@@ -473,11 +472,11 @@ def test_flat_backend_matches_intmat_backend():
     for k in range(500):
         p = (2, 3, 5)[k % 3]
         u, v = _sl2_words(rng, p), _sl2_words(rng, p)
-        fu, fv = _flat(u), _flat(v)
-        assert flat_act.gamma.mul(fu, fv) == flat_act.pi.mul(fu, fv) == _flat(u * v)
-        assert flat_act.gamma.inv(fu) == flat_act.pi.inv(fu) == _flat(u.inverse())
-        assert flat_act.apply(fu, fv) == _flat(u * v * u.inverse())
-        assert flat_act.pi.norm(fv) == _flat(min(v, -v, key=lambda a: a.entries))
+        fu, fv = u.entries, v.entries
+        assert flat_act.gamma.mul(fu, fv) == flat_act.pi.mul(fu, fv) == (u * v).entries
+        assert flat_act.gamma.inv(fu) == flat_act.pi.inv(fu) == u.inverse().entries
+        assert flat_act.apply(fu, fv) == (u * v * u.inverse()).entries
+        assert flat_act.pi.norm(fv) == min(fv, tuple(-e for e in fv))
         for family in ("gamma", "pgamma"):
             spec = FiltrationSpec(family, p, 1, 3)
             cap_exp = spec.r0 + spec.depth_cap + 1
@@ -487,7 +486,7 @@ def test_flat_backend_matches_intmat_backend():
     with pytest.raises(NonInvertible):
         _flat_inv_z((2, 0, 0, 1))
     with pytest.raises(NonInvertible):
-        Mat(((2, 0), (0, 1))).inverse()
+        Mat((2, 0, 0, 1)).inverse()
 
 
 def test_fused_conjugation_matches_two_products():
@@ -497,7 +496,7 @@ def test_fused_conjugation_matches_two_products():
     act = MatrixConjugation()
     for k in range(2000):
         p = (2, 3, 5)[k % 3]
-        f, x = _flat(_sl2_words(rng, p)), _flat(_sl2_words(rng, p))
+        f, x = _sl2_words(rng, p).entries, _sl2_words(rng, p).entries
         assert act.apply(f, x) == _flat_mul_z(_flat_mul_z(f, x), _flat_inv_z(f))
     for f in ((2, 0, 0, 1), (1, 1, 1, 1), (-1, 0, 0, 1)):
         with pytest.raises(NonInvertible) as fused:
@@ -515,17 +514,14 @@ def test_gcd_valuation_matches_bruteforce():
         sign = rng.choice((1, -1))
         depth = rng.randint(0, 7)
         noise = [[rng.choice((0, rng.randint(-20, 20))) for _ in range(2)] for _ in range(2)]
-        rows = tuple(
-            tuple((sign if i == j else 0) + p ** depth * noise[i][j] for j in range(2)) for i in range(2)
-        )
+        entries = tuple((sign if i == j else 0) + p ** depth * noise[i][j] for i in range(2) for j in range(2))
         for allow_sign in (False, True):
-            want = brute_congruence_exponent(rows, p, cap, allow_sign)
-            assert exact_congruence_exponent(_flat(Mat(rows)), p, allow_sign, bail=cap) == want
+            want = brute_congruence_exponent(entries, p, cap, allow_sign)
+            assert exact_congruence_exponent(entries, p, allow_sign, bail=cap) == want
 
 
 def matrix_unit(n, k, l, modulus):
-    rows = tuple(tuple(1 if (i, j) == (k, l) else 0 for j in range(n)) for i in range(n))
-    return Mat(rows, modulus)
+    return Mat(tuple(1 if (i, j) == (k, l) else 0 for i in range(n) for j in range(n)), modulus)
 
 
 def rho_by_matrix_units(u):
@@ -538,9 +534,8 @@ def rho_by_matrix_units(u):
     for k in range(n):
         for l in range(n):
             image = u.gamma * (u.y * matrix_unit(n, k, l, modulus)) * ginv
-            cols.append([image.entries[i][j] for i in range(n) for j in range(n)])
-    rows = tuple(tuple(cols[c][r] for c in range(n * n)) for r in range(n * n))
-    return Mat(rows, modulus)
+            cols.append(image.entries)
+    return Mat(tuple(cols[c][r] for r in range(n * n) for c in range(n * n)), modulus)
 
 
 def random_sl_by_transvections(n, modulus, rng, length=8):
@@ -553,11 +548,8 @@ def random_sl_by_transvections(n, modulus, rng, length=8):
         if i == j:
             continue
         c = rng.randint(1, max(bound, 1))
-        rows = tuple(
-            tuple((1 if a == b else 0) + (c if (a, b) == (i, j) else 0) for b in range(n))
-            for a in range(n)
-        )
-        out = out * Mat(rows, modulus)
+        entries = tuple((1 if a == b else 0) + (c if (a, b) == (i, j) else 0) for a in range(n) for b in range(n))
+        out = out * Mat(entries, modulus)
     return out
 
 
@@ -639,25 +631,24 @@ def test_pair_indices_sample_the_pairs_of_the_list():
 
 
 def mat_mul_by_loops(a, b, n):
-    out = [[0] * n for _ in range(n)]
+    out = [0] * (n * n)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                out[i][j] += a[i][k] * b[k][j]
-    return tuple(tuple(row) for row in out)
+                out[i * n + j] += a[i * n + k] * b[k * n + j]
+    return tuple(out)
 
 
 def test_mat_mul_n_matches_triple_loop():
     rng = random.Random("mat-mul-n")
-    for n in (3, 4, 5):
+    for n in (2, 3, 4, 5):
         for modulus in (None, Modulus(2, 3), Modulus(3, 2), Modulus(5, 1)):
             for _ in range(60):
                 bound = 10 ** 12 if modulus is None else modulus.m - 1
                 low = -bound if modulus is None else 0
-                a, b = (tuple(tuple(rng.randint(low, bound) for _ in range(n)) for _ in range(n))
-                        for _ in range(2))
+                a, b = (tuple(rng.randint(low, bound) for _ in range(n * n)) for _ in range(2))
                 want = mat_mul_by_loops(a, b, n)
-                assert _mat_mul_n(a, b, n) == want
+                assert _mat_mul(a, b) == want
                 assert (Mat(a, modulus) * Mat(b, modulus)).entries == Mat(want, modulus).entries
 
 
