@@ -8,12 +8,13 @@ recompute the same quantities by exhaustive enumeration over all pairs.
 import functools
 import hashlib
 import itertools
+import json
 import math
 import random
 
 import pytest
 
-from filtra import filtration
+from filtra import filtration, graded, holomorph
 from filtra.exactmat import (
     _FLAT_ID, Mat, Modulus, NonInvertible, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z, _mat_mul,
 )
@@ -30,10 +31,10 @@ from filtra.filtration import (
 )
 from filtra.freegroup import EndoSpec, Word, lcs_depth2, mccool_generator, mccool_inverse, poison_action
 from filtra.graded import (
-    GradedClass, GradedError, basis_class, bracket, bracket_from_lifts, class_add, class_of, lift, power_map,
-    zero_class,
+    GradedClass, GradedError, basis_class, bracket, bracket_from_lifts, class_add, class_neg, class_of, lift,
+    power_map, zero_class,
 )
-from filtra.holomorph import BackendMismatch, FreeGroupAction, MatrixConjugation
+from filtra.holomorph import BackendMismatch, FreeGroupAction, MatrixConjugation, SemiElem
 from filtra.linrep import DeltaElem, _sample_pairs, center_scalars, random_sl, rho
 from filtra.stability import CONSTRUCTIVE_LIMIT, congruence_extension, product_filtration_check, sample_level
 from quotient_tables import NotPGroup, QuotientTable, clear_table_cache, kernel_enumerate
@@ -1013,3 +1014,125 @@ def test_sample_level_counts_zero_and_one():
             assert sample_level(ext, side, level, 1, rng) == [(ident, cap + 1)]
             assert rng.random() == random.Random("counts").random()
     assert ext.sampler_stats() == {"samples_drawn": 0, "short_word_hits": 0}
+
+
+def _relation_mutations():
+    """name -> (graded attribute, broken stand-in, the relations that must fail)."""
+    pairing, power = graded.bracket, graded.power_map
+
+    def squared(c):
+        return GradedClass(c.p, c.q, tuple(x * x for x in c.coords))
+
+    def ordered(c1, c2):
+        return pairing(c1, c2) if (c1.q, c1.coords) <= (c2.q, c2.coords) else pairing(c2, c1)
+
+    return {
+        "bracket negated": ("bracket", lambda c1, c2: class_neg(pairing(c1, c2)), {"basis_brackets"}),
+        "bracket of squared coordinates": ("bracket", lambda c1, c2: pairing(squared(c1), squared(c2)),
+                                           {"bilinearity_on_bases"}),
+        "bracket symmetric": ("bracket", ordered, {"basis_brackets", "bilinearity_on_bases", "antisymmetry_on_bases"}),
+        "power map drops the diagonal": ("power_map", lambda c: GradedClass(c.p, c.q + 1, power(c).coords[:2] + (0,)),
+                                         {"power_map_shifts_basis"}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_relation_mutations()))
+def test_relation_table_refuses_mutations(monkeypatch, name):
+    attr, broken, laws = _relation_mutations()[name]
+    assert graded.verify_relation_table(3, 4)["ok"]
+    monkeypatch.setattr(graded, attr, broken)
+    report = graded.verify_relation_table(3, 4)
+    assert not report["ok"]
+    assert {rel["id"] for rel in report["relations"] if rel["failures"]} == laws
+    assert all(rel["pass"] == (not rel["failures"]) for rel in report["relations"])
+
+
+def _holomorph_backends():
+    """(action, Gamma generators, pi generators, radius) of both backends."""
+    gens = flat_congruence_basis(3, 1)
+    free = FreeGroupAction(2, 3, poison_action())
+    words = [Word.generator(2, 1), Word.generator(2, 2)], [Word.generator(3, i) for i in (1, 2, 3)]
+    return [(MatrixConjugation(), gens, gens, 4), (free, *words, 5)]
+
+
+def _identity_mutations():
+    """name -> (what to replace, broken stand-in built from the action and
+    the original, the laws that must fail on both backends)."""
+    def twisted_by_g(act, mul):
+        return lambda a, b, _: SemiElem(act.gamma.mul(a.f, b.f), act.pi.mul(act.apply(b.f, a.x), b.x))
+
+    def gamma_reversed(act, mul):
+        return lambda a, b, _: SemiElem(act.gamma.mul(b.f, a.f), mul(a, b, act).x)
+
+    def pi_reversed(act, mul):
+        return lambda a, b, _: SemiElem(mul(a, b, act).f, act.pi.mul(b.x, act.apply(act.gamma.inv(b.f), a.x)))
+
+    return {
+        "inverse without the action": (
+            "semi_inv", lambda act, inv: lambda a, _: SemiElem(act.gamma.inv(a.f), act.pi.inv(a.x)),
+            {"inverse_formula", "conjugation_closed_form", "commutator_closed_form"}),
+        "conjugation with the factors swapped": (
+            "semi_conj", lambda act, conj: lambda a, b, _: conj(b, a, act), {"conjugation_closed_form"}),
+        "commutator with the factors swapped": (
+            "semi_comm", lambda act, comm: lambda a, b, _: comm(b, a, act), {"commutator_closed_form"}),
+        "product twisted by g": ("semi_mul", twisted_by_g, {
+            "inverse_formula", "conjugation_by_inverse", "conjugation_closed_form", "commutator_closed_form",
+            "associativity"}),
+        "Gamma parts multiplied in reverse": ("semi_mul", gamma_reversed, {
+            "conjugation_closed_form", "commutator_closed_form", "associativity", "projection_hom"}),
+        "pi parts multiplied in reverse": ("semi_mul", pi_reversed, {
+            "conjugation_closed_form", "commutator_closed_form", "inclusion_hom"}),
+        "action by f^-1": ("apply", lambda act, apply: lambda f, x: apply(act.gamma.inv(f), x), {"associativity"}),
+        "action not multiplicative on pi": ("apply", lambda act, apply: lambda f, x: act.pi.mul(apply(f, x), x), {
+            "inverse_formula", "associativity", "inclusion_hom"}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_identity_mutations()))
+def test_holomorph_identities_refuse_mutations(monkeypatch, name):
+    attr, make, laws = _identity_mutations()[name]
+    for act, gamma_gens, pi_gens, radius in _holomorph_backends():
+        assert holomorph.verify_holomorph_identities(act, gamma_gens, pi_gens, 40, 7, radius)["ok"]
+        with monkeypatch.context() as patch:
+            if attr == "apply":
+                patch.setattr(act, "apply", make(act, act.apply))
+            else:
+                patch.setattr(holomorph, attr, make(act, getattr(holomorph, attr)))
+            report = holomorph.verify_holomorph_identities(act, gamma_gens, pi_gens, 40, 7, radius)
+        assert not report["ok"]
+        assert {check["id"] for check in report["checks"] if check["failures"]} == laws, type(act).__name__
+        assert all(check["pass"] == (not check["failures"]) for check in report["checks"])
+
+
+def test_every_law_has_a_mutant():
+    relations = {rel["id"] for rel in graded.verify_relation_table(3, 2)["relations"]}
+    assert set().union(*(laws for _, _, laws in _relation_mutations().values())) == relations
+    act, gamma_gens, pi_gens, radius = _holomorph_backends()[0]
+    checks = {check["id"] for check in holomorph.verify_holomorph_identities(act, gamma_gens, pi_gens, 0, 0)["checks"]}
+    assert len(relations) == 4 and len(checks) == 7
+    assert set().union(*(laws for _, _, laws in _identity_mutations().values())) == checks
+
+
+def _report_digest(out):
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+def test_law_and_tower_grids_keep_their_digests():
+    # digests of the relation tables, the identity reports and the tower
+    # certificates over a grid each, recorded before the relation table and
+    # the identities each read their laws from one table
+    tables = [graded.verify_relation_table(p, q) for p in (2, 3, 5) for q in range(2, 17)]
+    assert _report_digest(tables) == "d515c7972ad52fcab68cb2bc93077ae8036f7188ac984f079f113f1c38c9f939"
+    cong, free = _holomorph_backends()
+    for count, digest in ((300, "b019f0fd171fdf14d0166ac473e7e1c3715f02b44fe1933b5bcd4f38413ce01f"),
+                          (0, "c1effd5706812350bfc10e44be51c7e1af8e2ec87d9726f8c5443c73d9f5c1c3")):
+        reports = []
+        for seed in range(6):
+            for p in (2, 3, 5):
+                gens = flat_congruence_basis(p, 1)
+                reports.append(holomorph.verify_holomorph_identities(cong[0], gens, gens, count, seed))
+            reports.append(holomorph.verify_holomorph_identities(*free[:3], count, seed, free[3]))
+        assert _report_digest(reports) == digest, count
+    towers = [tower_invariants(p, i, j, family) for p in (2, 3, 5, 7, 1048573) for i in range(1, 6)
+              for j in range(i + 1, i + 8) for family in ("gamma", "pgamma")]
+    assert _report_digest(towers) == "d84bc0aaf1c5f342c7f5974a7bf589131ee172900fd356c81c0872f3446f5c91"
