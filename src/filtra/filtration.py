@@ -18,10 +18,10 @@ Elements of SL(2, Z) are flat (a, b, c, d) tuples, the form the samplers
 use (``flat_congruence_basis`` gives the generators that way).  Depth is a
 valuation: M = sI mod p^e exactly when p^e divides h = gcd(b, c, d - a,
 a - s, p^N), where N is the deepest exponent read.  That h is itself a
-power of p, so ``level_of`` and ``exact_congruence_exponent`` take one gcd
-per sign (the part gcd(b, c, d - a, p^N) is shared by both signs) and look
-its exponent up in a table {p^e: e}; a ``FiltrationSpec`` keeps p^N and the
-table, made on its first ``level_of`` call.  The truncation check of
+power of p, so ``level_of`` takes one gcd per sign (the part gcd(b, c,
+d - a, p^N) is shared by both signs) and looks its exponent up in a table
+{p^e: e}; a ``FiltrationSpec`` keeps p^N and the table, made on its first
+``level_of`` call.  The truncation check of
 ``check_p_congruence`` divides the entries themselves instead, so that it
 does not share that code with what it checks.
 
@@ -50,7 +50,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .exactmat import _det, _flat_inv_z, _flat_mul, _flat_mul_z, _flat_pow, check_prime, format_matrix
+from .exactmat import _FLAT_ID, _det, _flat_inv_z, _flat_mul, _flat_mul_z, _flat_pow, check_prime, format_matrix
 from .graded import layer_offset
 
 # The guard of the test oracle tests/quotient_tables.py; perfbench/layers.py imports enum_guard_limit.
@@ -179,13 +179,6 @@ def level_of(x: tuple, spec: FiltrationSpec):
     top, exponents, allow_sign = spec._level_table
     v = _valuation_to_identity(math.gcd(b, c, d - a, top), a, exponents, allow_sign)
     return v - spec.r0 if v >= spec.r0 else -1
-
-
-def exact_congruence_exponent(x: tuple, p: int, allow_sign: bool, bail: int) -> int:
-    """Congruence exponent of a flat 2x2 integer matrix, saturated at bail."""
-    a, b, c, d = x
-    top, exponents = _prime_powers(p, bail)
-    return _valuation_to_identity(math.gcd(b, c, d - a, top), a, exponents, allow_sign)
 
 
 def flat_congruence_basis(p: int, q: int) -> list:
@@ -346,8 +339,8 @@ def tower_invariants(p: int, i: int, j: int, family: str = "pgamma") -> dict:
        generate then meets every layer in all of it, so
        |H| >= p^{3(j-i)} >= |G|: H = G, |G| = p^{3(j-i)} and d(G) <= 3;
     3. (I + p^q N)^p = I mod p^{q+1} by the binomial theorem, so the
-       exponent is at most top = p^{j-i}, and the order of the lift of A,
-       measured with ``exact_congruence_exponent``, must attain it.
+       exponent is at most top = p^{j-i}, and the order of the lift of A
+       must attain it (its powers are reduced mod p^j, so I is (1, 0, 0, 1)).
 
     The pgamma quotient is G/Z for the central scalars Z of
     ``_scalar_subgroup``, trivial at odd p.  Its order is |G|/|Z|.  Steps
@@ -379,7 +372,7 @@ def tower_invariants(p: int, i: int, j: int, family: str = "pgamma") -> dict:
     # 3. the lift of A has the largest order the power map allows
     top = p ** (j - i)
     x, order = lifts[0], 1
-    while exact_congruence_exponent(x, p, False, j) < j:
+    while x != _FLAT_ID:
         if order == top:
             raise RuntimeError("the lift of A has order above p^(j-i)")
         last, x, order = x, _flat_pow(x, p, m), order * p
@@ -418,8 +411,7 @@ def _divisibility_exponent(x: tuple, p: int, allow_sign: bool, bail: int) -> int
     return best
 
 
-def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int,
-                       sample_count: int = 60, seed: int = 2715) -> dict:
+def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int, seed: int, sample_count: int = 60) -> dict:
     """Verify the finite p-group and bounded-generation conditions.
 
     For every 0 <= i < j <= j_max the quotient between levels i and j must

@@ -202,30 +202,23 @@ def verify_automorphism(e: EndoSpec, e_inv: EndoSpec) -> bool:
     )
 
 
-def mccool_generator(n: int, i: int, j: int) -> EndoSpec:
-    """The basis-conjugating automorphism a_i -> a_j a_i a_j^-1 of F_n."""
+def _basis_conjugation(n, i, j, e):
+    """a_i -> a_j^e a_i a_j^-e on F_n, for e = +-1, fixing the other generators."""
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise ValueError("need 1 <= i != j <= n, got i=%d j=%d n=%d" % (i, j, n))
-    images = []
-    for k in range(1, n + 1):
-        if k == i:
-            images.append(Word(n, (j, i, -j)))
-        else:
-            images.append(Word.generator(n, k))
+    images = [Word.generator(n, k) for k in range(1, n + 1)]
+    images[i - 1] = Word(n, (e * j, i, -e * j))
     return EndoSpec(n, tuple(images))
+
+
+def mccool_generator(n: int, i: int, j: int) -> EndoSpec:
+    """The basis-conjugating automorphism a_i -> a_j a_i a_j^-1 of F_n."""
+    return _basis_conjugation(n, i, j, 1)
 
 
 def mccool_inverse(n: int, i: int, j: int) -> EndoSpec:
     """Inverse witness a_i -> a_j^-1 a_i a_j for mccool_generator(n, i, j)."""
-    if not (1 <= i <= n and 1 <= j <= n) or i == j:
-        raise ValueError("need 1 <= i != j <= n, got i=%d j=%d n=%d" % (i, j, n))
-    images = []
-    for k in range(1, n + 1):
-        if k == i:
-            images.append(Word(n, (-j, i, j)))
-        else:
-            images.append(Word.generator(n, k))
-    return EndoSpec(n, tuple(images))
+    return _basis_conjugation(n, i, j, -1)
 
 
 def poison_action():

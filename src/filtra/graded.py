@@ -24,6 +24,7 @@ determinant exactly 1 in Z/p^T.  Lifts and kernel elements are flat
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .exactmat import _flat_inv, _flat_mul, _flat_pow, check_prime
 
@@ -80,10 +81,6 @@ def class_add(c1: GradedClass, c2: GradedClass) -> GradedClass:
 
 def class_neg(c: GradedClass) -> GradedClass:
     return GradedClass(c.p, c.q, tuple(-a for a in c.coords))
-
-
-def class_smul(k: int, c: GradedClass) -> GradedClass:
-    return GradedClass(c.p, c.q, tuple(k * a for a in c.coords))
 
 
 def layer_offset(x, p, q):
@@ -162,98 +159,69 @@ def power_map(c: GradedClass) -> GradedClass:
     return class_of(_flat_pow(lift(c, t), c.p, c.p ** t), c.p, c.q + 1)
 
 
-def _relation_cells(p, q_max):
-    return [(q, s) for q in range(1, q_max) for s in range(1, q_max) if q + s <= q_max]
+#: [X_q, Y_s] for basis classes X, Y, as coordinates at level q + s, keyed by
+#: the number of coordinates: sl_2's structure constants for odd p, each row
+#: a pair and its reverse, and zero at p = 2.
+_BASIS_BRACKETS = {
+    3: {
+        "AB": (0, 0, 1), "BA": (0, 0, -1),
+        "AD": (-2, 0, 0), "DA": (2, 0, 0),
+        "BD": (0, 2, 0), "DB": (0, -2, 0),
+        "AA": (0, 0, 0), "BB": (0, 0, 0), "DD": (0, 0, 0),
+    },
+    2: {"AB": (0, 0), "BA": (0, 0), "AA": (0, 0), "BB": (0, 0)},
+}
 
 
 def verify_relation_table(p: int, q_max: int) -> dict:
     """Exhaustively check the bracket/power relation table of the tower.
 
-    Odd p: [A_q, B_s] = D_{q+s}, [A_q, D_s] = A_{q+s}^{-2},
-    [B_q, D_s] = B_{q+s}^2, and the p-th power map shifts A, B, D one level.
-    p = 2: every basis bracket vanishes and squaring shifts A and B.
-    Bilinearity and antisymmetry of the bracket are checked on the
-    coordinate bases at every cell.
+    The basis brackets are ``_BASIS_BRACKETS``: for odd p [A_q, B_s] =
+    D_{q+s}, [A_q, D_s] = A_{q+s}^{-2} and [B_q, D_s] = B_{q+s}^2; at p = 2
+    every basis bracket vanishes.  The p-th power map shifts each basis
+    class one level.  Bilinearity and antisymmetry of the bracket are
+    checked on the coordinate bases at every cell.
     """
     names = ["A", "B"] if p == 2 else ["A", "B", "D"]
-    relations = []
-
-    def expected_pairs(q, s):
-        if p == 2:
-            return {
-                ("A", "B"): zero_class(p, q + s),
-                ("B", "A"): zero_class(p, q + s),
-                ("A", "A"): zero_class(p, q + s),
-                ("B", "B"): zero_class(p, q + s),
-            }
-        d = basis_class(p, q + s, "D")
-        a = basis_class(p, q + s, "A")
-        b = basis_class(p, q + s, "B")
-        return {
-            ("A", "B"): d,
-            ("B", "A"): class_neg(d),
-            ("A", "D"): class_smul(-2, a),
-            ("D", "A"): class_smul(2, a),
-            ("B", "D"): class_smul(2, b),
-            ("D", "B"): class_smul(-2, b),
-            ("A", "A"): zero_class(p, q + s),
-            ("B", "B"): zero_class(p, q + s),
-            ("D", "D"): zero_class(p, q + s),
-        }
-
-    cells = _relation_cells(p, q_max)
+    cells = [(q, s) for q in range(1, q_max) for s in range(1, q_max) if q + s <= q_max]
     bracket_failures = []
     for q, s in cells:
-        for (n1, n2), want in expected_pairs(q, s).items():
+        for (n1, n2), coords in _BASIS_BRACKETS[len(names)].items():
             got = bracket(basis_class(p, q, n1), basis_class(p, s, n2))
+            want = GradedClass(p, q + s, coords)
             if got != want:
                 bracket_failures.append({"cell": [q, s], "pair": [n1, n2], "got": str(got), "want": str(want)})
-    relations.append({"id": "basis_brackets", "cells": len(cells), "failures": bracket_failures,
-                      "pass": not bracket_failures})
 
     power_failures = []
-    for q in range(1, q_max):
-        for name in names:
-            got = power_map(basis_class(p, q, name))
-            want = basis_class(p, q + 1, name)
-            if got != want:
-                power_failures.append({"q": q, "name": name, "got": str(got), "want": str(want)})
-    relations.append({"id": "power_map_shifts_basis", "cells": q_max - 1, "failures": power_failures,
-                      "pass": not power_failures})
+    for q, name in product(range(1, q_max), names):
+        got = power_map(basis_class(p, q, name))
+        want = basis_class(p, q + 1, name)
+        if got != want:
+            power_failures.append({"q": q, "name": name, "got": str(got), "want": str(want)})
 
-    basis_vecs = [basis_class(p, 1, n) for n in names]
     bilin_failures = []
     anti_failures = []
     for q, s in cells:
-        at_q = [GradedClass(p, q, v.coords) for v in basis_vecs]
-        at_s = [GradedClass(p, s, v.coords) for v in basis_vecs]
-        for c1 in at_q:
-            for c1b in at_q:
-                for c2 in at_s:
-                    left = bracket(class_add(c1, c1b), c2)
-                    right = class_add(bracket(c1, c2), bracket(c1b, c2))
-                    if left != right:
-                        bilin_failures.append({"cell": [q, s], "slot": "left",
-                                               "args": [str(c1), str(c1b), str(c2)]})
-        for c1 in at_q:
-            for c2 in at_s:
-                for c2b in at_s:
-                    left = bracket(c1, class_add(c2, c2b))
-                    right = class_add(bracket(c1, c2), bracket(c1, c2b))
-                    if left != right:
-                        bilin_failures.append({"cell": [q, s], "slot": "right",
-                                               "args": [str(c1), str(c2), str(c2b)]})
-        for c1 in at_q:
-            for c2 in at_s:
-                lhs = bracket(c1, c2)
-                rhs = class_neg(GradedClass(p, q + s, bracket(c2, c1).coords))
-                if lhs != rhs:
-                    anti_failures.append({"cell": [q, s], "args": [str(c1), str(c2)]})
-    relations.append({"id": "bilinearity_on_bases", "cells": len(cells), "failures": bilin_failures,
-                      "pass": not bilin_failures})
-    relations.append({"id": "antisymmetry_on_bases", "cells": len(cells), "failures": anti_failures,
-                      "pass": not anti_failures})
+        at_q = [basis_class(p, q, n) for n in names]
+        at_s = [basis_class(p, s, n) for n in names]
+        for c1, c1b, c2 in product(at_q, at_q, at_s):
+            if bracket(class_add(c1, c1b), c2) != class_add(bracket(c1, c2), bracket(c1b, c2)):
+                bilin_failures.append({"cell": [q, s], "slot": "left", "args": [str(c1), str(c1b), str(c2)]})
+        for c1, c2, c2b in product(at_q, at_s, at_s):
+            if bracket(c1, class_add(c2, c2b)) != class_add(bracket(c1, c2), bracket(c1, c2b)):
+                bilin_failures.append({"cell": [q, s], "slot": "right", "args": [str(c1), str(c2), str(c2b)]})
+        for c1, c2 in product(at_q, at_s):
+            if bracket(c1, c2) != class_neg(bracket(c2, c1)):
+                anti_failures.append({"cell": [q, s], "args": [str(c1), str(c2)]})
 
+    relations = [
+        {"id": "basis_brackets", "cells": len(cells), "failures": bracket_failures},
+        {"id": "power_map_shifts_basis", "cells": q_max - 1, "failures": power_failures},
+        {"id": "bilinearity_on_bases", "cells": len(cells), "failures": bilin_failures},
+        {"id": "antisymmetry_on_bases", "cells": len(cells), "failures": anti_failures},
+    ]
+    for rel in relations:
+        rel["pass"] = not rel["failures"]
     return {
         "p": p,
         "q_max": q_max,

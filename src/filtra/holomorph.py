@@ -21,8 +21,8 @@ compares up to sign.  The free backend composes phi(f) into one
 for the action's lifetime, so each application is one substitution pass.
 
 Closed forms for inverse, conjugation, and commutator are provided and can
-be cross-checked against first-principles products (see
-``verify_holomorph_identities``).
+be cross-checked against first-principles products: ``_LAWS`` is the table
+of those laws, which ``verify_holomorph_identities`` checks on samples.
 
 The identity checks draw their words with ``filtration.WordSampler``, the
 package's one seeded word sampler.
@@ -207,71 +207,57 @@ class FreeGroupAction(ActionSpec):
         return endo
 
 
-def verify_holomorph_identities(act, gamma_gens, pi_gens, count, seed, radius=4):
-    """Check the four closed-form identities against products built from
-    semi_mul/semi_inv alone, on ``count`` seeded samples.
+def _inverse_formula(act, a, b, c):
+    """a a^-1 = a^-1 a = 1 for a^-1 from ``semi_inv``."""
+    e, ainv = semi_id(act), semi_inv(a, act)
+    return semi_eq(semi_mul(a, ainv, act), e, act) and semi_eq(semi_mul(ainv, a, act), e, act)
 
-    Also samples associativity and the two structural homomorphisms
-    (projection to Gamma, inclusion of pi).  Returns a report dict.
-    """
+
+def _conjugation_by_inverse(act, a, b, c):
+    """(f, 1)^-1 (1, y) (f, 1) = (1, f^-1(y)) for a = (f, x), b = (g, y)."""
+    f_only = SemiElem(a.f, act.pi.identity)
+    lhs = semi_mul(semi_mul(semi_inv(f_only, act), SemiElem(act.gamma.identity, b.x), act), f_only, act)
+    return semi_eq(lhs, SemiElem(act.gamma.identity, act.apply(act.gamma.inv(a.f), b.x)), act)
+
+
+def _inclusion_hom(act, a, b, c):
+    """(1, x)(1, y) = (1, x y) for a = (f, x), b = (g, y)."""
+    one = act.gamma.identity
+    incl = semi_mul(SemiElem(one, a.x), SemiElem(one, b.x), act)
+    return semi_eq(incl, SemiElem(one, act.pi.mul(a.x, b.x)), act)
+
+
+#: The laws each sample (a, b, c) is checked on, by name: the four closed forms
+#: against products built from semi_mul/semi_inv alone, associativity, and the
+#: two structural homomorphisms (projection to Gamma, inclusion of pi).
+_LAWS = {
+    "inverse_formula": _inverse_formula,
+    "conjugation_by_inverse": _conjugation_by_inverse,
+    "conjugation_closed_form": lambda act, a, b, c: semi_eq(semi_conj(a, b, act), conj_via_mul(a, b, act), act),
+    "commutator_closed_form": lambda act, a, b, c: semi_eq(semi_comm(a, b, act), comm_via_mul(a, b, act), act),
+    "associativity": lambda act, a, b, c: semi_eq(semi_mul(semi_mul(a, b, act), c, act),
+                                                  semi_mul(a, semi_mul(b, c, act), act), act),
+    "projection_hom": lambda act, a, b, c: act.gamma.eq(semi_mul(a, b, act).f, act.gamma.mul(a.f, b.f)),
+    "inclusion_hom": _inclusion_hom,
+}
+
+
+def verify_holomorph_identities(act, gamma_gens, pi_gens, count, seed, radius=4):
+    """Count the failures of each law of ``_LAWS`` on ``count`` seeded samples."""
     rng = random.Random("holomorph:%s" % seed)
-    names = [
-        "inverse_formula",
-        "conjugation_by_inverse",
-        "conjugation_closed_form",
-        "commutator_closed_form",
-        "associativity",
-        "projection_hom",
-        "inclusion_hom",
-    ]
-    failures = {name: 0 for name in names}
     gamma, pi = act.gamma, act.pi
     gamma_words = WordSampler(list(gamma_gens) + [gamma.inv(g) for g in gamma_gens], gamma.mul, radius)
     pi_words = WordSampler(list(pi_gens) + [pi.inv(x) for x in pi_gens], pi.mul, radius)
-
-    def g_sample():
-        return gamma_words.draw(rng, 1)[0][0]
-
-    def p_sample():
-        return pi_words.draw(rng, 1)[0][0]
-
+    failures = dict.fromkeys(_LAWS, 0)
     for _ in range(count):
-        f, g = g_sample(), g_sample()
-        x, y = p_sample(), p_sample()
-        a = SemiElem(f, x)
-        b = SemiElem(g, y)
-        e = semi_id(act)
-
-        ainv = semi_inv(a, act)
-        if not (semi_eq(semi_mul(a, ainv, act), e, act) and semi_eq(semi_mul(ainv, a, act), e, act)):
-            failures["inverse_formula"] += 1
-
-        lhs = semi_mul(semi_mul(semi_inv(SemiElem(f, pi.identity), act), SemiElem(gamma.identity, y), act),
-                       SemiElem(f, pi.identity), act)
-        rhs = SemiElem(gamma.identity, act.apply(gamma.inv(f), y))
-        if not semi_eq(lhs, rhs, act):
-            failures["conjugation_by_inverse"] += 1
-
-        if not semi_eq(semi_conj(a, b, act), conj_via_mul(a, b, act), act):
-            failures["conjugation_closed_form"] += 1
-
-        if not semi_eq(semi_comm(a, b, act), comm_via_mul(a, b, act), act):
-            failures["commutator_closed_form"] += 1
-
-        c = SemiElem(g_sample(), p_sample())
-        if not semi_eq(semi_mul(semi_mul(a, b, act), c, act), semi_mul(a, semi_mul(b, c, act), act), act):
-            failures["associativity"] += 1
-
-        prod = semi_mul(a, b, act)
-        if not gamma.eq(prod.f, gamma.mul(a.f, b.f)):
-            failures["projection_hom"] += 1
-
-        incl = semi_mul(SemiElem(gamma.identity, x), SemiElem(gamma.identity, y), act)
-        if not semi_eq(incl, SemiElem(gamma.identity, pi.mul(x, y)), act):
-            failures["inclusion_hom"] += 1
-
+        (f, _), (g, _) = gamma_words.draw(rng, 2)
+        (x, _), (y, _) = pi_words.draw(rng, 2)
+        [(h, _)], [(z, _)] = gamma_words.draw(rng, 1), pi_words.draw(rng, 1)
+        a, b, c = SemiElem(f, x), SemiElem(g, y), SemiElem(h, z)
+        for name, law in _LAWS.items():
+            failures[name] += not law(act, a, b, c)
     return {
         "samples": count,
-        "checks": [{"id": name, "failures": failures[name], "pass": failures[name] == 0} for name in names],
-        "ok": all(v == 0 for v in failures.values()),
+        "checks": [{"id": name, "failures": n, "pass": n == 0} for name, n in failures.items()],
+        "ok": not any(failures.values()),
     }

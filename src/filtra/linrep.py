@@ -43,6 +43,11 @@ MAX_BALL_RADIUS = 6
 MAX_FAITHFUL_SAMPLES = 5000
 MAX_REP_N = 5
 
+#: The transvections drawn for one ``random_sl`` matrix, and the most pairs
+#: ``ball_injectivity`` checks (of a ball with more pairs it samples this many).
+_TRANSVECTIONS = 8
+_BALL_PAIRS = 4000
+
 
 class LinRepError(ValueError):
     pass
@@ -150,8 +155,9 @@ def delta_eq_mod_center(u: DeltaElem, v: DeltaElem, scalars) -> bool:
     return any(scale(u.gamma, lam) == v.gamma for lam in scalars)
 
 
-def random_sl(n: int, modulus: Modulus | None, rng: random.Random, length: int = 8):
-    """A pseudo-random determinant-one matrix: a word in transvections.
+def random_sl(n: int, modulus: Modulus | None, rng: random.Random):
+    """A pseudo-random determinant-one matrix: a word of ``_TRANSVECTIONS``
+    transvections.
 
     Not a ``filtration.WordSampler`` word: each factor draws a position
     and a coefficient, not a letter, and these draws fix the
@@ -167,7 +173,7 @@ def random_sl(n: int, modulus: Modulus | None, rng: random.Random, length: int =
     entries = [1 if i == j else 0 for i in range(n) for j in range(n)]
     bound = 3 if modulus is None else modulus.m - 1
     n_bits, c_bits = n.bit_length(), bound.bit_length()
-    for _ in range(length):
+    for _ in range(_TRANSVECTIONS):
         i = getrandbits(n_bits)
         while i >= n:
             i = getrandbits(n_bits)
@@ -248,8 +254,7 @@ def _sample_pairs(ball, cap, rng):
     return [(ball[i], ball[j]) for i, j in (divmod(k, n) for k in rng.sample(range(n * n), cap))]
 
 
-def ball_injectivity(p: int, base_exp: int, target_exp: int, radius: int = 3,
-                     pair_cap: int = 4000, seed=0) -> dict:
+def ball_injectivity(p: int, base_exp: int, target_exp: int, radius: int, seed) -> dict:
     """Injectivity of rho modulo the scalar center on pairs drawn from the
     ball of words in the level-p^base generators, reduced mod p^target.
 
@@ -272,7 +277,7 @@ def ball_injectivity(p: int, base_exp: int, target_exp: int, radius: int = 3,
                     nxt.append(y)
         frontier = nxt
     ball = sorted(ball, key=lambda m: m.entries)
-    pairs = _sample_pairs(ball, pair_cap, random.Random("ball:%s" % seed))
+    pairs = _sample_pairs(ball, _BALL_PAIRS, random.Random("ball:%s" % seed))
     scalars = center_scalars(2, modulus)
     seen = {}
     collisions = 0

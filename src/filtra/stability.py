@@ -117,8 +117,8 @@ class Side:
     level: object
     gens: object                 # level -> list of elements
     cap: int
-    text: object = str
-    parse: object = None
+    text: object
+    parse: object
 
 
 @dataclass
@@ -142,7 +142,7 @@ class ExtensionSpec:
                 "short_word_hits": sum(s.hits for s in samplers)}
 
 
-def congruence_extension(p: int, r0: int = 1, s0: int = 1, cap: int = 4) -> ExtensionSpec:
+def congruence_extension(p: int, r0: int, s0: int, cap: int) -> ExtensionSpec:
     """Conjugation of the exponent-(s0+j) chain on the sign-class
     exponent-(r0+j) chain, with generator triples at every level."""
     def side(family, base):
@@ -445,7 +445,7 @@ def _cells(ext, r_max, s_max):
     return [(r, s) for r in range(r_max + 1) for s in range(s_max + 1) if r + s <= _sample_cap(ext)]
 
 
-def check_stable(ext: ExtensionSpec, r_max: int, s_max: int, count: int, seed=0) -> CheckReport:
+def check_stable(ext: ExtensionSpec, r_max: int, s_max: int, count: int, seed) -> CheckReport:
     """Depth compatibility of the action: for (f, x) at measured level r and
     (g, y) at measured level t >= r, f(y) and g^-1(x) x^-1 must sit at
     level >= t.  The same samples check that Gamma acts by a homomorphism,
@@ -453,7 +453,7 @@ def check_stable(ext: ExtensionSpec, r_max: int, s_max: int, count: int, seed=0)
     return _run_cells(ext, CheckReport("stable"), "stable", _cells(ext, r_max, s_max), _STABLE, count, seed)
 
 
-def check_twist_equivalence(ext: ExtensionSpec, r_max: int, s_max: int, count: int, seed=0) -> CheckReport:
+def check_twist_equivalence(ext: ExtensionSpec, r_max: int, s_max: int, count: int, seed) -> CheckReport:
     """The two phrasings of depth compatibility for the twist condition are
     equivalent on every sample: g(x) differs from x by depth t iff
     g^-1(x) does."""
@@ -461,7 +461,7 @@ def check_twist_equivalence(ext: ExtensionSpec, r_max: int, s_max: int, count: i
     return _run_cells(ext, CheckReport("twist_equivalence"), "twist_eq", cells, _TWIST, count, seed)
 
 
-def product_filtration_check(ext: ExtensionSpec, r: int, s: int, count: int, seed=0) -> CheckReport:
+def product_filtration_check(ext: ExtensionSpec, r: int, s: int, count: int, seed) -> CheckReport:
     """The product filtration at (r, s): closure of the level-(r+s) pairs,
     normality of depth r+s under conjugation by depth r (with the six-step
     decomposition checked), and the c+d generator bound on the finite
@@ -514,7 +514,7 @@ def _generator_bound(ext, r, s):
     return out
 
 
-def check_stably_lie_like(ext: ExtensionSpec, r_max: int, s_max: int, count: int, seed=0) -> CheckReport:
+def check_stably_lie_like(ext: ExtensionSpec, r_max: int, s_max: int, count: int, seed) -> CheckReport:
     """Bracket compatibility: commutators on the Gamma side add levels, the
     mixed expression f(x * g(y)) with both inner elements at depth r+s stays
     at depth r+s, and commutators on the pi side add levels."""
@@ -522,7 +522,7 @@ def check_stably_lie_like(ext: ExtensionSpec, r_max: int, s_max: int, count: int
     return _run_cells(ext, CheckReport("stably_lie_like"), "stably_lie_like", cells, _STABLY_LIE_LIKE, count, seed)
 
 
-def check_G_lie_like(ext: ExtensionSpec, r_max: int, s_max: int, count: int, seed=0) -> CheckReport:
+def check_G_lie_like(ext: ExtensionSpec, r_max: int, s_max: int, count: int, seed) -> CheckReport:
     """Commutators of pairs add levels in the product filtration: for
     a at measured level ta and b at tb, both components of [a, b] sit at
     level >= ta + tb (saturated at the caps); the closed form is also
@@ -531,8 +531,7 @@ def check_G_lie_like(ext: ExtensionSpec, r_max: int, s_max: int, count: int, see
     return _run_cells(ext, CheckReport("G_lie_like"), "g_lie_like", cells, _G_LIE_LIKE, count, seed)
 
 
-def run_congruence_suite(p: int, r0: int, s0: int, r_max: int, s_max: int,
-                         count: int = 500, seed=42):
+def run_congruence_suite(p: int, r0: int, s0: int, r_max: int, s_max: int, count: int, seed):
     """All five checks on the congruence extension, over the cells
     r <= r_max, s <= s_max, r + s <= max(r_max, s_max); returns (reports,
     ok, stats), where stats are the extension's ``sampler_stats``."""
@@ -547,7 +546,7 @@ def run_congruence_suite(p: int, r0: int, s0: int, r_max: int, s_max: int,
     return reports, all(rep.ok for rep in reports), ext.sampler_stats()
 
 
-def run_poison_suite(count: int = 200, seed=1):
+def run_poison_suite(count: int, seed):
     """The contrast fixture: the depth-compatibility check is expected to
     fail on its twist condition while the two-phrasing equivalence holds on
     every sample.  Returns (reports, ok, stats) where ok is true only when

@@ -145,8 +145,8 @@ def test_criterion_08_bounded_generation():
     ok = True
     for family in ("pgamma", "gamma"):
         spec = FiltrationSpec(family, 3, 1, 3)
-        ok = ok and check_p_congruence(spec, 3, 3)["ok"]
-    report = check_p_congruence(FiltrationSpec("pgamma", 3, 1, 3), 3, 2)
+        ok = ok and check_p_congruence(spec, 3, 3, seed=2715)["ok"]
+    report = check_p_congruence(FiltrationSpec("pgamma", 3, 1, 3), 3, 2, seed=2715)
     failing = [pair for pair in report["pairs"] if not pair["pass"]]
     ok = ok and not report["ok"] and failing and failing[0]["levels"] == [0, 1]
     _criterion(8, "both chains bounded with e=3; e=2 fails at (0,1)", ok)

@@ -174,10 +174,10 @@ def test_subgroup_and_normality_invariants():
 
 def test_check_p_congruence_bound():
     for spec in (PG3, G3):
-        report = check_p_congruence(spec, 3, 3)
+        report = check_p_congruence(spec, 3, 3, seed=2715)
         assert report["ok"], report
         assert all(pair["d"] == 3 for pair in report["pairs"])
-    report = check_p_congruence(PG3, 3, 2)
+    report = check_p_congruence(PG3, 3, 2, seed=2715)
     assert not report["ok"]
     failing = [pair for pair in report["pairs"] if not pair["pass"]]
     assert failing[0]["levels"] == [0, 1]

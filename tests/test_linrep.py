@@ -177,9 +177,10 @@ def test_verify_faithful_small():
 
 
 def test_ball_injectivity_small():
-    report = ball_injectivity(3, 1, 3, radius=2, pair_cap=2000, seed=3)
+    report = ball_injectivity(3, 1, 3, radius=2, seed=3)
     assert report["ok"] and report["collisions"] == 0
-    assert report["ball_size"] > 10
+    # 37 elements: all 1,369 pairs are under the pair cap and checked
+    assert report["ball_size"] == 37 and report["pairs"] == 37 ** 2
 
 
 def test_delta_rejects_non_sl_components():

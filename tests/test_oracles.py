@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from filtra import filtration, graded, holomorph
+from filtra import filtration, graded, holomorph, linrep
 from filtra.exactmat import (
     _FLAT_ID, Mat, Modulus, NonInvertible, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z, _mat_mul,
 )
@@ -23,11 +23,12 @@ from filtra.filtration import (
     FiltrationSpec,
     WordSampler,
     check_p_congruence,
-    exact_congruence_exponent,
     flat_congruence_basis,
     level_of,
     tower_invariants,
+    _prime_powers,
     _scalar_subgroup,
+    _valuation_to_identity,
 )
 from filtra.freegroup import EndoSpec, Word, lcs_depth2, mccool_generator, mccool_inverse, poison_action
 from filtra.graded import (
@@ -516,9 +517,11 @@ def test_gcd_valuation_matches_bruteforce():
         depth = rng.randint(0, 7)
         noise = [[rng.choice((0, rng.randint(-20, 20))) for _ in range(2)] for _ in range(2)]
         entries = tuple((sign if i == j else 0) + p ** depth * noise[i][j] for i in range(2) for j in range(2))
+        a, b, c, d = entries
+        top, exponents = _prime_powers(p, cap)
         for allow_sign in (False, True):
             want = brute_congruence_exponent(entries, p, cap, allow_sign)
-            assert exact_congruence_exponent(entries, p, allow_sign, bail=cap) == want
+            assert _valuation_to_identity(math.gcd(b, c, d - a, top), a, exponents, allow_sign) == want
 
 
 def matrix_unit(n, k, l, modulus):
@@ -565,15 +568,16 @@ def test_kronecker_rho_matches_matrix_units():
             assert rho(u) == rho_by_matrix_units(u)
 
 
-def test_column_op_random_sl_matches_transvection_product():
+def test_column_op_random_sl_matches_transvection_product(monkeypatch):
     # n = 1 and Z/2 draw from ranges of one value, which still consume bits
     edge = ((1, None), (1, Modulus(2, 1)), (2, Modulus(2, 1)), (3, Modulus(2, 1)))
     for n, modulus in REP_RINGS + ((2, None), (4, None)) + edge:
         for length in (1, 8, 20):
+            monkeypatch.setattr(linrep, "_TRANSVECTIONS", length)
             fast = random.Random("sl:%s:%s" % (n, length))
             slow = random.Random("sl:%s:%s" % (n, length))
             for _ in range(100):
-                assert random_sl(n, modulus, fast, length) == random_sl_by_transvections(n, modulus, slow, length)
+                assert random_sl(n, modulus, fast) == random_sl_by_transvections(n, modulus, slow, length)
                 assert fast.getstate() == slow.getstate()
 
 
@@ -780,7 +784,7 @@ def test_certified_constructive_block_matches_closure():
             ext = congruence_extension(p, r0, s0, cap=3)
             for r in range(3):
                 for s in range(1, 4 - r):
-                    bound = product_filtration_check(ext, r, s, 1).meta["generator_bound"]
+                    bound = product_filtration_check(ext, r, s, 1, 0).meta["generator_bound"]
                     gamma_q, pi_q = ext.quotients(r, s)
                     if bound["gamma_order"] * bound["pi_order"] > CONSTRUCTIVE_LIMIT or gamma_q[2] < pi_q[2]:
                         assert bound["constructive"] is None and "pass" not in bound
@@ -816,7 +820,7 @@ def _mutations():
         "power map x -> x^(p^2)": ("_flat_pow", lambda x, k, m: power(power(x, k, m), k, m)),
         "layer map drops the diagonal": ("layer_offset", reread(lambda c, p: c[:2] + (0, 0))),
         "layer map not additive": ("layer_offset", reread(lambda c, p: (c[0], c[1], (c[2] + c[0] * c[1]) % p, c[3]))),
-        "exponent misread": ("exact_congruence_exponent", lambda x, p, sign, bail=64: bail),
+        "identity not reduced mod p^j": ("_FLAT_ID", (-1, 0, 0, -1)),
     }
 
 
@@ -850,8 +854,8 @@ def _valuation_mutations():
     ("sign ignored", "pgamma", 2),
 ])
 def test_truncation_check_refuses_broken_level_of(monkeypatch, name, family, p):
-    # level_of and exact_congruence_exponent share _valuation_to_identity;
-    # the truncation check divides the entries itself, so a broken helper
+    # level_of reads its exponent with _valuation_to_identity; the
+    # truncation check divides the entries itself, so a broken helper
     # shows as failures (j_max = 0 leaves the tower certificate out).  The
     # first run fills the spec's table of powers, which the broken helper
     # then reads: the spec caches constants, never the helper
@@ -920,7 +924,8 @@ def test_table_level_matches_factor_loop():
                     for x in elements:
                         a, b, c, d = x
                         for bail in (0, 1, deepest - 1, deepest, deepest + 2):
-                            got = exact_congruence_exponent(x, p, spec.allow_sign, bail)
+                            top, exponents = _prime_powers(p, bail)
+                            got = _valuation_to_identity(math.gcd(b, c, d - a, top), a, exponents, spec.allow_sign)
                             assert got == valuation_by_factor_loop(math.gcd(b, c, d - a), a, p, bail, spec.allow_sign)
                     checked += len(elements)
     assert checked > 4000

@@ -156,8 +156,8 @@ def test_trivial_action_always_stable():
     ext = ExtensionSpec(
         name="trivial",
         act=TrivialConjugation(),
-        gamma=Side(lambda f: level_of(f, gamma_spec), gens, 2),
-        pi=Side(lambda x: level_of(x, pi_spec), gens, 2),
+        gamma=Side(lambda f: level_of(f, gamma_spec), gens, 2, str, None),
+        pi=Side(lambda x: level_of(x, pi_spec), gens, 2, str, None),
     )
     assert check_stable(ext, 2, 2, 30, seed=3).ok
     assert check_twist_equivalence(ext, 2, 2, 30, seed=3).ok
@@ -304,9 +304,9 @@ _FAULTS = {
 def test_injected_faults_replay(fault):
     action, kinds, digest = _FAULTS[fault]
     ext = replace(congruence_extension(3, 1, 1, cap=2), act=action())
-    reports = [check_stable(ext, 2, 2, 30), check_twist_equivalence(ext, 2, 2, 30)]
-    reports += [product_filtration_check(ext, r, s, 30) for r in range(3) for s in range(3 - r)]
-    reports += [check_stably_lie_like(ext, 2, 2, 30), check_G_lie_like(ext, 2, 2, 30)]
+    reports = [check_stable(ext, 2, 2, 30, 0), check_twist_equivalence(ext, 2, 2, 30, 0)]
+    reports += [product_filtration_check(ext, r, s, 30, 0) for r in range(3) for s in range(3 - r)]
+    reports += [check_stably_lie_like(ext, 2, 2, 30, 0), check_G_lie_like(ext, 2, 2, 30, 0)]
     failures = [failure for rep in reports for failure in rep.failures]
     assert {failure["kind"] for failure in failures} == kinds
     assert all(replay_failure(ext, failure) for failure in failures)
