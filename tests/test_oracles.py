@@ -1146,3 +1146,12 @@ def test_law_and_tower_grids_keep_their_digests():
     towers = [tower_invariants(p, i, j, family) for p in (2, 3, 5, 7, 1048573) for i in range(1, 6)
               for j in range(i + 1, i + 8) for family in ("gamma", "pgamma")]
     assert _report_digest(towers) == "d84bc0aaf1c5f342c7f5974a7bf589131ee172900fd356c81c0872f3446f5c91"
+
+
+def test_rep_grid_keeps_its_digest():
+    # faithfulness reports and ball checks over a grid of rings, recorded
+    # before the rep's pairs became holomorph pairs under RingConjugation
+    rings = (None, Modulus(2, 2), Modulus(2, 3), Modulus(3, 2), Modulus(5, 1))
+    out = {"faithful": [linrep.verify_faithful(n, m, 40, seed) for n in (1, 2, 3) for m in rings for seed in (0, 1)],
+           "ball": [linrep.ball_injectivity(p, 1, t, 2, 0) for p in (2, 3, 5) for t in (2, 3, 4)]}
+    assert _report_digest(out) == "9e9e230897d1957e3aecc8906004e0d85e9ad1870c74c46b6e2710955fde117f"
