@@ -123,7 +123,7 @@ def _cmd_graded_verify(args):
 
 
 def _cmd_rep(args):
-    from .linrep import MAX_FAITHFUL_SAMPLES, MAX_REP_N, DeltaElem, rho, verify_faithful
+    from .linrep import MAX_FAITHFUL_SAMPLES, MAX_REP_N, pair, rho, verify_faithful
 
     if not 0 <= args.samples <= MAX_FAITHFUL_SAMPLES:
         raise CliUsageError("--samples must be between 0 and %d" % MAX_FAITHFUL_SAMPLES)
@@ -140,7 +140,7 @@ def _cmd_rep(args):
     y = parse_matrix(args.y, modulus)
     if gamma.n != args.n:
         raise CliUsageError("--n %d does not match the %dx%d gamma" % (args.n, gamma.n, gamma.n))
-    mat = rho(DeltaElem(gamma, y))
+    mat = rho(pair(gamma, y))
     results = {"rho": str(mat), "n_squared": mat.n}
     if not args.samples:
         return results, True

@@ -260,7 +260,12 @@ class Mat:
         return _mat(_mat_mul(a, b), modulus)
 
     def inverse(self) -> "Mat":
-        """The inverse; over Z the determinant must be +-1, mod m a unit."""
+        """The inverse; over Z the determinant must be +-1, mod m a unit.
+        It is kept, with this matrix as its inverse, outside the fields that
+        equality, hash and repr read, so a matrix is inverted at most once."""
+        inv = self.__dict__.get("_inverse")
+        if inv is not None:
+            return inv
         d = _det(self.entries)
         if self.modulus is None:
             if d not in (1, -1):
@@ -276,7 +281,10 @@ class Mat:
         adj = _adjugate(self.entries)
         if dinv != 1:
             adj = tuple(dinv * e for e in adj)
-        return _mat(adj, self.modulus)
+        inv = _mat(adj, self.modulus)
+        object.__setattr__(inv, "_inverse", self)
+        object.__setattr__(self, "_inverse", inv)
+        return inv
 
     def __str__(self):
         return format_matrix(self.entries)

@@ -79,6 +79,10 @@ MAX_MODULUS_BITS = 512
 #: 0.4 s at p = 3 or 5, qmax = 80 took 11 s.
 MAX_JMAX = 16
 
+#: The generator words ``check_p_congruence`` draws to check level_of's
+#: truncation against the exact congruence exponent.
+TRUNCATION_SAMPLES = 60
+
 FAMILIES = ("pgamma", "gamma")
 
 
@@ -102,8 +106,8 @@ class FiltrationSpec:
 
     family: str
     p: int
-    r0: int = 1
-    depth_cap: int = 4
+    r0: int
+    depth_cap: int
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -411,18 +415,18 @@ def _divisibility_exponent(x: tuple, p: int, allow_sign: bool, bail: int) -> int
     return best
 
 
-def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int, seed: int, sample_count: int = 60) -> dict:
+def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int, seed: int) -> dict:
     """Verify the finite p-group and bounded-generation conditions.
 
     For every 0 <= i < j <= j_max the quotient between levels i and j must
     be a finite p-group with d <= bound_e.  Each pair is answered by the
     tower certificate (``tower_invariants``) at any depth and without
-    building a table.  Additionally a seeded sample of generator words is
-    checked for consistency between the truncated level_of and the exact
-    congruence exponent (no element shallower than the cap may report
-    cap + 1); the exact exponent is taken one past the cap, as deep as
-    level_of reads, by ``_divisibility_exponent``, which shares no code
-    with level_of.
+    building a table.  Additionally a seeded sample of
+    ``TRUNCATION_SAMPLES`` generator words is checked for consistency
+    between the truncated level_of and the exact congruence exponent (no
+    element shallower than the cap may report cap + 1); the exact exponent
+    is taken one past the cap, as deep as level_of reads, by
+    ``_divisibility_exponent``, which shares no code with level_of.
 
     The result's ``stats`` entry counts the certified pairs; it describes
     the run, not the group, and the CLI reports it under ``timings``.
@@ -444,7 +448,7 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int, seed: int
     gens += [_flat_inv_z(m) for m in gens]
     bail = spec.r0 + spec.depth_cap + 1
     truncation_failures = []
-    for w, _ in WordSampler(gens, _flat_mul_z, MAX_RADIUS).draw(rng, sample_count):
+    for w, _ in WordSampler(gens, _flat_mul_z, MAX_RADIUS).draw(rng, TRUNCATION_SAMPLES):
         exact = _divisibility_exponent(w, spec.p, spec.allow_sign, bail)
         reported = level_of(w, spec)
         expected = -1 if exact < spec.r0 else min(exact - spec.r0, spec.depth_cap + 1)
@@ -458,7 +462,7 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int, seed: int
         "j_max": j_max,
         "bound_e": bound_e,
         "pairs": pairs,
-        "truncation_check": {"samples": sample_count, "failures": truncation_failures},
+        "truncation_check": {"samples": TRUNCATION_SAMPLES, "failures": truncation_failures},
         "ok": ok,
         "stats": {"pairs_certified": len(pairs)},
     }

@@ -1,17 +1,19 @@
 """The conjugation extension of SL(n, A) and its faithful n^2-dimensional
 linear representation.
 
-Elements of the extension are pairs (gamma, y) of determinant-one matrices
-multiplied by (alpha, x)(beta, y) = (alpha beta, beta^-1 x beta y); the pair
-acts on the full matrix ring by M -> gamma (y M) gamma^-1, which is a left
-action, and writing that action in the matrix-unit basis gives a
-homomorphism rho into GL(n^2, A).
+Elements of the extension are ``holomorph.SemiElem`` pairs (gamma, y) of
+determinant-one matrices under ``RingConjugation``, so ``semi_mul`` gives
+(alpha, x)(beta, y) = (alpha beta, beta^-1 x beta y); the pair acts on the
+full matrix ring by M -> gamma (y M) gamma^-1, which is a left action, and
+writing that action in the matrix-unit basis gives a homomorphism rho into
+GL(n^2, A).
 
 The outer component is a representative of its class modulo scalar
 matrices; over A = Z/m the scalars lambda with lambda^n = 1 form the center
 of SL(n, A) and faithfulness holds modulo that center (its order is
-reported).  The matrix-unit basis is ordered row-major (E_00, E_01, ...),
-which pins every rho matrix bit-exactly: with vec(M)[k*n + l] = M[k][l],
+reported), so ``RingConjugation`` compares it up to a central scalar.
+The matrix-unit basis is ordered row-major (E_00, E_01, ...), which pins
+every rho matrix bit-exactly: with vec(M)[k*n + l] = M[k][l],
 vec(A M B) = (A kron B^T) vec(M), so rho(gamma, y) is the Kronecker product
 (gamma y) kron (gamma^-1)^T, built from one product and one inverse.
 
@@ -23,12 +25,12 @@ coefficient bound of ``random_sl`` and the ring label of the report.
 
 from __future__ import annotations
 
-import functools
+import operator
 import random
-from dataclasses import dataclass
 
 from .exactmat import Mat, Modulus, _mat
 from .filtration import flat_congruence_basis
+from .holomorph import ActionSpec, Group, SemiElem, semi_eq, semi_id, semi_mul
 
 #: The largest ``rep-ball --radius``.  The ball grows about 5x per radius: at
 #: p = 3, base 1, target 323 (the deepest 512-bit modulus) radius 6 (23,437
@@ -53,49 +55,41 @@ class LinRepError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DeltaElem:
-    """A pair (gamma, y) of determinant-one matrices over one ring; gamma is
-    a chosen representative of its scalar class."""
-
-    gamma: object
-    y: object
-
-    def __post_init__(self):
-        if self.gamma.modulus != self.y.modulus:
-            raise LinRepError("components must share a ring")
-        if self.gamma.n != self.y.n:
-            raise LinRepError("components must share a dimension")
-        if self.gamma.det() != 1 or self.y.det() != 1:
-            raise LinRepError("components must have determinant 1")
-
-    @property
-    def n(self) -> int:
-        return self.gamma.n
-
-    @functools.cached_property
-    def gamma_inv(self):
-        """gamma^-1, computed on first use and kept: ``rho``, ``act`` and
-        ``delta_mul`` each need it, often for the same pair."""
-        return self.gamma.inverse()
+def pair(gamma, y) -> SemiElem:
+    """The ``SemiElem`` (gamma, y) of determinant-one matrices over one ring,
+    or ``LinRepError``; gamma is a chosen representative of its scalar class."""
+    if gamma.modulus != y.modulus:
+        raise LinRepError("components must share a ring")
+    if gamma.n != y.n:
+        raise LinRepError("components must share a dimension")
+    if gamma.det() != 1 or y.det() != 1:
+        raise LinRepError("components must have determinant 1")
+    return SemiElem(gamma, y)
 
 
-def delta_identity(n: int, modulus: Modulus | None = None) -> DeltaElem:
-    one = Mat.identity(n, modulus)
-    return DeltaElem(one, one)
+class RingConjugation(ActionSpec):
+    """SL(n, A) acting on itself by f(x) = f x f^-1.  Gamma compares modulo
+    the center, by the least entries of the matrix times a central scalar:
+    the scalars form a group, so two matrices share them exactly when they
+    differ by one.  pi compares exactly."""
+
+    def __init__(self, n: int, modulus: Modulus | None):
+        self.scalars = scalars = center_scalars(n, modulus)
+        one = Mat.identity(n, modulus)
+        self.gamma = Group(operator.mul, Mat.inverse, one,
+                           norm=lambda g: min(scale(g, lam).entries for lam in scalars))
+        self.pi = Group(operator.mul, Mat.inverse, one)
+
+    def apply(self, f, x):
+        return f * x * f.inverse()
 
 
-def delta_mul(u: DeltaElem, v: DeltaElem) -> DeltaElem:
-    """(alpha, x)(beta, y) = (alpha beta, beta^-1 x beta y)."""
-    return DeltaElem(u.gamma * v.gamma, v.gamma_inv * u.y * v.gamma * v.y)
-
-
-def act(u: DeltaElem, m) -> object:
+def act(u: SemiElem, m) -> object:
     """The left action (gamma, y)(M) = gamma (y M) gamma^-1."""
-    return u.gamma * (u.y * m) * u.gamma_inv
+    return u.f * (u.x * m) * u.f.inverse()
 
 
-def rho(u: DeltaElem):
+def rho(u: SemiElem):
     """The n^2 x n^2 matrix of M -> gamma (y M) gamma^-1 on matrix units.
 
     Column k*n + l holds the image of E_kl flattened row-major, so
@@ -103,11 +97,11 @@ def rho(u: DeltaElem):
     form rho(u) = (gamma y) kron (gamma^-1)^T: entry [i*n + j][k*n + l] is
     (gamma y)[i][k] * (gamma^-1)[l][j].
     """
-    n, a, b = u.n, (u.gamma * u.y).entries, u.gamma_inv.entries
+    n, a, b = u.f.n, (u.f * u.x).entries, u.f.inverse().entries
     a_rows = [a[i:i + n] for i in range(0, n * n, n)]
     b_cols = [b[j::n] for j in range(n)]
     return _mat(tuple(x * y for a_row in a_rows for b_col in b_cols for x in a_row for y in b_col),
-                u.gamma.modulus)
+                u.f.modulus)
 
 
 def is_scalar(mat) -> bool:
@@ -146,13 +140,6 @@ def center_scalars(n: int, modulus: Modulus | None):
 
 def scale(mat, lam: int):
     return Mat(tuple(lam * e for e in mat.entries), mat.modulus)
-
-
-def delta_eq_mod_center(u: DeltaElem, v: DeltaElem, scalars) -> bool:
-    """Pair equality with the outer component read modulo scalar matrices."""
-    if u.y != v.y:
-        return False
-    return any(scale(u.gamma, lam) == v.gamma for lam in scalars)
 
 
 def random_sl(n: int, modulus: Modulus | None, rng: random.Random):
@@ -198,16 +185,17 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) ->
     trivial modulo the scalar center, whose order is reported.
     """
     rng = random.Random("linrep:%s:%s:%s" % (n, modulus, seed))
-    ident = rho(delta_identity(n, modulus))
-    one = Mat.identity(n, modulus)
+    conj = RingConjugation(n, modulus)
+    e = semi_id(conj)
+    ident, one = rho(e), e.x
     hom_failures = 0
     left_action_failures = 0
     kernel_violations = 0
     kernel_hits = 0
     for _ in range(sample_count):
-        u = DeltaElem(random_sl(n, modulus, rng), random_sl(n, modulus, rng))
-        v = DeltaElem(random_sl(n, modulus, rng), random_sl(n, modulus, rng))
-        ru, rv, uv = rho(u), rho(v), delta_mul(u, v)
+        u = pair(random_sl(n, modulus, rng), random_sl(n, modulus, rng))
+        v = pair(random_sl(n, modulus, rng), random_sl(n, modulus, rng))
+        ru, rv, uv = rho(u), rho(v), pair(*semi_mul(u, v, conj))
         if rho(uv) != ru * rv:
             hom_failures += 1
         m = random_sl(n, modulus, rng)
@@ -215,20 +203,19 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) ->
             left_action_failures += 1
         if ru == ident:
             kernel_hits += 1
-            if u.y != one or not is_scalar(u.gamma):
+            if u.x != one or not is_scalar(u.f):
                 kernel_violations += 1
 
-    scalars = center_scalars(n, modulus)
     probe_failures = 0
-    for lam in scalars:
-        probe = DeltaElem(scale(one, lam), one)
+    for lam in conj.scalars:
+        probe = pair(scale(one, lam), one)
         if rho(probe) != ident:
             probe_failures += 1
             continue
         # rho(u) = I forces y = I (evaluate at M = I) and scalar gamma
-        if act(probe, one) != one or not is_scalar(probe.gamma):
+        if act(probe, one) != one or not is_scalar(probe.f):
             probe_failures += 1
-        if not delta_eq_mod_center(probe, delta_identity(n, modulus), scalars):
+        if not semi_eq(probe, e, conj):
             probe_failures += 1
 
     ok = hom_failures == 0 and left_action_failures == 0 and kernel_violations == 0 and probe_failures == 0
@@ -238,7 +225,7 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) ->
         "samples": sample_count,
         "hom_failures": hom_failures,
         "left_action_failures": left_action_failures,
-        "kernel_probes": {"center_order": len(scalars), "hits": kernel_hits + len(scalars),
+        "kernel_probes": {"center_order": len(conj.scalars), "hits": kernel_hits + len(conj.scalars),
                           "violations": kernel_violations + probe_failures},
         "ok": ok,
     }
@@ -278,13 +265,13 @@ def ball_injectivity(p: int, base_exp: int, target_exp: int, radius: int, seed) 
         frontier = nxt
     ball = sorted(ball, key=lambda m: m.entries)
     pairs = _sample_pairs(ball, _BALL_PAIRS, random.Random("ball:%s" % seed))
-    scalars = center_scalars(2, modulus)
+    conj = RingConjugation(2, modulus)
     seen = {}
     collisions = 0
     for g, y in pairs:
-        u = DeltaElem(g, y)
+        u = pair(g, y)
         key = rho(u).entries
-        if key in seen and not delta_eq_mod_center(seen[key], u, scalars):
+        if key in seen and not semi_eq(seen[key], u, conj):
             collisions += 1
         seen[key] = u
     return {

@@ -666,8 +666,9 @@ print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] =
     (["pcongruence", "--family", "pgamma", "-p", "3", "--jmax", "2", "-e", "3", "--seed", "1"], set()),
     (["graded", "verify", "-p", "3", "--qmax", "2"], set()),
     (["graded", "bracket", "-p", "3", "-q", "1", "-s", "1", "--c1", "1,0,0", "--c2", "0,1,0"], set()),
-    (["rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--samples", "2", "--seed", "1"], {"linrep"}),
-    (["rep-ball", "-p", "3", "--base", "1", "--target", "2", "--radius", "1", "--seed", "1"], {"linrep"}),
+    (["rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--samples", "2", "--seed", "1"], {"linrep", "holomorph"}),
+    (["rep-ball", "-p", "3", "--base", "1", "--target", "2", "--radius", "1", "--seed", "1"],
+     {"linrep", "holomorph"}),
     (["holomorph-identities", "--backend", "congruence", "--count", "2", "--seed", "1"], {"holomorph"}),
     (["holomorph-identities", "--backend", "free", "--count", "2", "--seed", "1"], {"holomorph", "freegroup"}),
     (["stability", "--example", "congruence", "--rmax", "1", "--smax", "1", "--count", "2", "--seed", "1"],

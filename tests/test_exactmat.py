@@ -116,6 +116,20 @@ def test_inverse_two_sided_many_random():
             assert m * inv == one and inv * m == one
 
 
+def test_inverse_is_kept_and_invisible():
+    # a matrix is inverted once: its inverse is kept, keeps the matrix as its
+    # own inverse, and equals a fresh inverse; equality, hash and repr do
+    # not see what is kept
+    for modulus in (None, M9, Modulus(2, 2)):
+        for entries in ((1, 3, 0, 1), (1, 2, 0, 0, 1, 0, 3, 0, 1)):
+            a, twin = Mat(entries, modulus), Mat(entries, modulus)
+            inv = a.inverse()
+            assert a.inverse() is inv and inv.inverse() is a
+            assert inv == Mat(entries, modulus).inverse()
+            assert a == twin and hash(a) == hash(twin) and repr(a) == repr(twin)
+            assert repr(inv) == repr(Mat(inv.entries, modulus))
+
+
 def test_reduce_examples_and_homomorphism():
     # reducing mod p^r is re-reading the entries over the smaller ring
     assert Mat(imat(1, 9, 0, 1).entries, M9) == Mat.identity(2, M9)

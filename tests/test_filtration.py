@@ -18,11 +18,13 @@ G3 = FiltrationSpec("gamma", 3, 1, 3)
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        FiltrationSpec("other", 3)
+        FiltrationSpec("other", 3, 1, 4)
     with pytest.raises(ValueError):
-        FiltrationSpec("gamma", 4)
+        FiltrationSpec("gamma", 4, 1, 4)
     with pytest.raises(ValueError):
-        FiltrationSpec("gamma", 3, 0)
+        FiltrationSpec("gamma", 3, 0, 4)
+    with pytest.raises(ValueError):
+        FiltrationSpec("gamma", 3, 1, -1)
 
 
 def _is_saturated(level, spec):

@@ -3,16 +3,15 @@ import random
 import pytest
 
 from filtra.exactmat import Mat, Modulus
+from filtra.holomorph import _LAWS, semi_eq, semi_id, semi_inv, semi_mul
 from filtra.linrep import (
-    DeltaElem,
     LinRepError,
+    RingConjugation,
     act,
     ball_injectivity,
     center_scalars,
-    delta_eq_mod_center,
-    delta_identity,
-    delta_mul,
     is_scalar,
+    pair,
     random_sl,
     rho,
     verify_faithful,
@@ -22,50 +21,46 @@ M9 = Modulus(3, 2)
 A1 = Mat((1, 3, 0, 1), M9)
 B1 = Mat((1, 0, 3, 1), M9)
 I2 = Mat.identity(2, M9)
+CONJ = RingConjugation(2, M9)
 
 
 def matrix_unit(n, k, l, modulus):
     return Mat(tuple(1 if (i, j) == (k, l) else 0 for i in range(n) for j in range(n)), modulus)
 
 
-def delta_inv(u):
-    """(alpha, x)^-1 = (alpha^-1, alpha x^-1 alpha^-1)."""
-    ainv = u.gamma.inverse()
-    return DeltaElem(ainv, u.gamma * u.y.inverse() * ainv)
-
-
-def verify_action(u, v, mats):
+def verify_action(u, v, mats, conj):
     """Check (u v)(M) = u(v(M)) pointwise on the given test matrices."""
-    uv = delta_mul(u, v)
+    uv = semi_mul(u, v, conj)
     failures = sum(1 for m in mats if act(uv, m) != act(u, act(v, m)))
     return {"samples": len(mats), "failures": failures, "ok": failures == 0}
 
 
-def test_delta_mul_examples():
-    u = DeltaElem(A1, B1)
-    assert delta_mul(delta_identity(2, M9), u) == u
-    v = DeltaElem(B1, A1)
-    prod = delta_mul(u, v)
-    assert prod.gamma == A1 * B1
-    assert prod.y == B1.inverse() * B1 * B1 * A1  # beta^-1 x beta y with x = B1, beta = B1
-    inv = delta_inv(u)
-    assert inv == DeltaElem(A1.inverse(), A1 * B1.inverse() * A1.inverse())
-    assert delta_mul(u, inv) == delta_identity(2, M9)
-    assert delta_mul(inv, u) == delta_identity(2, M9)
+def test_pair_product_examples():
+    u = pair(A1, B1)
+    assert semi_mul(semi_id(CONJ), u, CONJ) == u
+    v = pair(B1, A1)
+    prod = semi_mul(u, v, CONJ)
+    assert prod.f == A1 * B1
+    assert prod.x == B1.inverse() * B1 * B1 * A1  # beta^-1 x beta y with x = B1, beta = B1
+    # (alpha, x)^-1 = (alpha^-1, alpha x^-1 alpha^-1)
+    inv = semi_inv(u, CONJ)
+    assert inv == pair(A1.inverse(), A1 * B1.inverse() * A1.inverse())
+    assert semi_mul(u, inv, CONJ) == semi_id(CONJ)
+    assert semi_mul(inv, u, CONJ) == semi_id(CONJ)
 
 
 def test_delta_backend_mismatch():
     with pytest.raises(LinRepError):
-        DeltaElem(A1, Mat.identity(2))
+        pair(A1, Mat.identity(2))
     with pytest.raises(LinRepError):
-        DeltaElem(A1, Mat.identity(3, M9))
+        pair(A1, Mat.identity(3, M9))
     with pytest.raises(LinRepError):
-        DeltaElem(A1, Mat.identity(2, Modulus(3, 3)))
+        pair(A1, Mat.identity(2, Modulus(3, 3)))
 
 
 def test_rho_identity_and_columns():
-    assert rho(delta_identity(2, M9)) == Mat.identity(4, M9)
-    u = DeltaElem(A1, I2)
+    assert rho(semi_id(CONJ)) == Mat.identity(4, M9)
+    u = pair(A1, I2)
     mat = rho(u)
     for k in range(2):
         for l in range(2):
@@ -77,7 +72,7 @@ def test_rho_identity_and_columns():
 
 def test_rho_golden_matrix():
     # row-major matrix-unit ordering pins the 4x4 matrix bit-exactly
-    u = DeltaElem(A1, B1)
+    u = pair(A1, B1)
     expected = (
         1, 0, 3, 0,
         6, 1, 0, 3,
@@ -88,19 +83,19 @@ def test_rho_golden_matrix():
 
 
 def test_rho_at_identity_matrix_detects_y():
-    u = DeltaElem(A1, B1)
+    u = pair(A1, B1)
     assert act(u, I2) == A1 * B1 * A1.inverse()
     assert act(u, I2) != I2
-    v = DeltaElem(A1, I2)
+    v = pair(A1, I2)
     assert act(v, I2) == I2
 
 
 def test_left_action_order_regression():
     # (u v)(M) = u(v(M)); the other composition order disagrees on this witness
-    u = DeltaElem(Mat((3, 8, 7, 1), M9), Mat((3, 7, 8, 7), M9))
-    v = DeltaElem(Mat((1, 6, 2, 4), M9), Mat((1, 2, 0, 1), M9))
+    u = pair(Mat((3, 8, 7, 1), M9), Mat((3, 7, 8, 7), M9))
+    v = pair(Mat((1, 6, 2, 4), M9), Mat((1, 2, 0, 1), M9))
     m = Mat((1, 2, 6, 4), M9)
-    uv = delta_mul(u, v)
+    uv = semi_mul(u, v, CONJ)
     assert act(uv, m) == act(u, act(v, m))
     assert act(uv, m) != act(v, act(u, m))
     assert rho(uv) == rho(u) * rho(v)
@@ -109,9 +104,9 @@ def test_left_action_order_regression():
 def test_verify_action_batches():
     rng = random.Random("linrep-action")
     mats = [random_sl(2, M9, rng) for _ in range(500)]
-    u = DeltaElem(random_sl(2, M9, rng), random_sl(2, M9, rng))
-    v = DeltaElem(random_sl(2, M9, rng), random_sl(2, M9, rng))
-    assert verify_action(u, v, mats)["ok"]
+    u = pair(random_sl(2, M9, rng), random_sl(2, M9, rng))
+    v = pair(random_sl(2, M9, rng), random_sl(2, M9, rng))
+    assert verify_action(u, v, mats, CONJ)["ok"]
     # integral backend: entries built from words in the level-3 unipotents
     from filtra.filtration import flat_congruence_basis
 
@@ -125,31 +120,34 @@ def test_verify_action_batches():
         return out
 
     ints = [word() for _ in range(100)]
-    ui = DeltaElem(word(), word())
-    vi = DeltaElem(word(), word())
-    assert verify_action(ui, vi, ints)["ok"]
+    ui = pair(word(), word())
+    vi = pair(word(), word())
+    assert verify_action(ui, vi, ints, RingConjugation(2, None))["ok"]
 
 
-def test_delta_mul_associative_on_samples():
-    rng = random.Random("delta-assoc")
-    for _ in range(200):
-        u, v, w = (
-            DeltaElem(random_sl(2, M9, rng), random_sl(2, M9, rng)) for _ in range(3)
-        )
-        assert delta_mul(delta_mul(u, v), w) == delta_mul(u, delta_mul(v, w))
+def test_ring_conjugation_obeys_the_holomorph_laws():
+    # the seven laws of holomorph-identities, associativity among them, on
+    # the rep's extension over two modular rings and over Z
+    for n, modulus in ((2, M9), (3, Modulus(2, 2)), (2, None), (3, None)):
+        conj = RingConjugation(n, modulus)
+        rng = random.Random("ring-laws:%d:%s" % (n, modulus))
+        for _ in range(100):
+            a, b, c = (pair(random_sl(n, modulus, rng), random_sl(n, modulus, rng)) for _ in range(3))
+            failed = [name for name, law in _LAWS.items() if not law(conj, a, b, c)]
+            assert not failed, (n, modulus, failed)
 
 
 def test_scalar_commutation_equivalence():
     # rho(gamma, I) is the identity exactly when gamma commutes with every
     # matrix unit, i.e. when gamma is scalar
     rng = random.Random("scalar-comm")
-    ident = rho(delta_identity(2, M9))
+    ident = rho(semi_id(CONJ))
     units = [matrix_unit(2, k, l, M9) for k in range(2) for l in range(2)]
     for _ in range(100):
         g = random_sl(2, M9, rng)
         fixes_units = all(g * e == e * g for e in units)
         assert fixes_units == is_scalar(g)
-        assert (rho(DeltaElem(g, I2)) == ident) == fixes_units
+        assert (rho(pair(g, I2)) == ident) == fixes_units
 
 
 def test_center_scalars():
@@ -162,10 +160,10 @@ def test_center_scalars():
 
 def test_scalar_center_probes():
     for lam in center_scalars(2, M9):
-        probe = DeltaElem(Mat((lam, 0, 0, lam), M9), I2)
+        probe = pair(Mat((lam, 0, 0, lam), M9), I2)
         assert rho(probe) == Mat.identity(4, M9)
-        assert is_scalar(probe.gamma)
-        assert delta_eq_mod_center(probe, delta_identity(2, M9), center_scalars(2, M9))
+        assert is_scalar(probe.f)
+        assert semi_eq(probe, semi_id(CONJ), CONJ)
 
 
 def test_verify_faithful_small():
@@ -185,9 +183,9 @@ def test_ball_injectivity_small():
 
 def test_delta_rejects_non_sl_components():
     with pytest.raises(LinRepError):
-        DeltaElem(Mat((2, 0, 0, 1), M9), I2)
+        pair(Mat((2, 0, 0, 1), M9), I2)
     with pytest.raises(LinRepError):
-        DeltaElem(I2, Mat((1, 1, 0, 4), M9))
+        pair(I2, Mat((1, 1, 0, 4), M9))
     with pytest.raises(LinRepError):
-        DeltaElem(Mat((-1, 0, 0, 1)), Mat.identity(2))
-    assert DeltaElem(Mat((8, 0, 0, 8), M9), I2).gamma.det() == 1
+        pair(Mat((-1, 0, 0, 1)), Mat.identity(2))
+    assert pair(Mat((8, 0, 0, 8), M9), I2).f.det() == 1

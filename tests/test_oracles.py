@@ -36,7 +36,7 @@ from filtra.graded import (
     power_map, zero_class,
 )
 from filtra.holomorph import BackendMismatch, FreeGroupAction, MatrixConjugation, SemiElem
-from filtra.linrep import DeltaElem, _sample_pairs, center_scalars, random_sl, rho
+from filtra.linrep import _sample_pairs, center_scalars, pair, random_sl, rho
 from filtra.stability import CONSTRUCTIVE_LIMIT, congruence_extension, product_filtration_check, sample_level
 from quotient_tables import NotPGroup, QuotientTable, clear_table_cache, kernel_enumerate
 from test_graded import _neg, random_kernel_element
@@ -531,13 +531,13 @@ def matrix_unit(n, k, l, modulus):
 def rho_by_matrix_units(u):
     """rho(u) column by column: column k*n + l is gamma (y E_kl) gamma^-1
     flattened row-major, with 2n^2 generic products."""
-    n = u.n
-    modulus = u.gamma.modulus
-    ginv = u.gamma.inverse()
+    gamma, y = u
+    n, modulus = gamma.n, gamma.modulus
+    ginv = Mat(gamma.entries, modulus).inverse()   # a fresh copy, so no kept inverse is read
     cols = []
     for k in range(n):
         for l in range(n):
-            image = u.gamma * (u.y * matrix_unit(n, k, l, modulus)) * ginv
+            image = gamma * (y * matrix_unit(n, k, l, modulus)) * ginv
             cols.append(image.entries)
     return Mat(tuple(cols[c][r] for r in range(n * n) for c in range(n * n)), modulus)
 
@@ -564,7 +564,7 @@ def test_kronecker_rho_matches_matrix_units():
     for n, modulus in REP_RINGS:
         rng = random.Random("kron:%s:%s" % (n, modulus))
         for _ in range(300):
-            u = DeltaElem(random_sl(n, modulus, rng), random_sl(n, modulus, rng))
+            u = pair(random_sl(n, modulus, rng), random_sl(n, modulus, rng))
             assert rho(u) == rho_by_matrix_units(u)
 
 
@@ -858,11 +858,13 @@ def test_truncation_check_refuses_broken_level_of(monkeypatch, name, family, p):
     # truncation check divides the entries itself, so a broken helper
     # shows as failures (j_max = 0 leaves the tower certificate out).  The
     # first run fills the spec's table of powers, which the broken helper
-    # then reads: the spec caches constants, never the helper
+    # then reads: the spec caches constants, never the helper.  400 words
+    # instead of the check's 60 make every mutant show
     spec = FiltrationSpec(family, p, 1, 3)
-    assert check_p_congruence(spec, 0, 3, sample_count=400, seed=1)["ok"]
+    monkeypatch.setattr(filtration, "TRUNCATION_SAMPLES", 400)
+    assert check_p_congruence(spec, 0, 3, seed=1)["ok"]
     monkeypatch.setattr(filtration, "_valuation_to_identity", _valuation_mutations()[name])
-    result = check_p_congruence(spec, 0, 3, sample_count=400, seed=1)
+    result = check_p_congruence(spec, 0, 3, seed=1)
     assert not result["ok"] and result["truncation_check"]["failures"]
 
 
@@ -1155,3 +1157,32 @@ def test_rep_grid_keeps_its_digest():
     out = {"faithful": [linrep.verify_faithful(n, m, 40, seed) for n in (1, 2, 3) for m in rings for seed in (0, 1)],
            "ball": [linrep.ball_injectivity(p, 1, t, 2, 0) for p in (2, 3, 5) for t in (2, 3, 4)]}
     assert _report_digest(out) == "9e9e230897d1957e3aecc8906004e0d85e9ad1870c74c46b6e2710955fde117f"
+
+
+def _faithful_mutations():
+    """name -> (owner, attribute, broken stand-in for it)."""
+    def product(pi_part):
+        return lambda a, b, act: SemiElem(act.gamma.mul(a.f, b.f), pi_part(a, b, act))
+
+    return {
+        "twist on the right": (linrep, "semi_mul", product(
+            lambda a, b, act: act.pi.mul(b.x, act.apply(act.gamma.inv(b.f), a.x)))),
+        "untwisted": (linrep, "semi_mul", product(lambda a, b, act: act.pi.mul(a.x, b.x))),
+        "twist by g": (linrep, "semi_mul", product(lambda a, b, act: act.pi.mul(act.apply(b.f, a.x), b.x))),
+        "conjugation by f^-1": (linrep.RingConjugation, "apply", lambda self, f, x: f.inverse() * x * f),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_faithful_mutations()))
+def test_faithfulness_suite_refuses_mutations(monkeypatch, name):
+    # rho and act read the pair itself, the product comes from
+    # holomorph.semi_mul under RingConjugation: a wrong product law breaks
+    # both the homomorphism and the left action
+    owner, attr, broken = _faithful_mutations()[name]
+    for n, modulus in ((2, Modulus(3, 2)), (3, Modulus(2, 2)), (2, None)):
+        assert linrep.verify_faithful(n, modulus, 60, 1)["ok"]
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, attr, broken)
+            report = linrep.verify_faithful(n, modulus, 60, 1)
+        assert report["hom_failures"] > 0 and report["left_action_failures"] > 0, (n, modulus)
+        assert not report["ok"]
