@@ -70,8 +70,7 @@ def _cmd_pcongruence(args):
     check_tower_depth(args.p, args.r0 + args.jmax)
     spec = FiltrationSpec(args.family, args.p, args.r0, args.jmax)
     result = check_p_congruence(spec, args.jmax, args.e, seed=args.seed)
-    stats = result.pop("stats")
-    return result, result["ok"], stats
+    return result, result["ok"], {"pairs_certified": len(result["pairs"])}
 
 
 def _check_count(count, most):

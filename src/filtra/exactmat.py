@@ -17,8 +17,9 @@ the entries are n^2 exact integers for some n >= 1, so rows nested as tuples
 are refused, and ``parse_matrix`` that a literal is square.  Products and
 inverses of validated matrices are flat integer tuples by construction, so
 they are built by a private constructor that skips that scan (entries mod
-p^r are still reduced into [0, p^r)).  The determinant and unit checks of
-``inverse`` stay: over Z the determinant must be +-1, mod p^r any unit.
+p^r are still reduced into [0, p^r)).  The determinant check of
+``inverse`` stays: it inverts determinant-one matrices only, by their
+adjugate, over Z and mod p^r alike.
 
 The 2x2 arithmetic is written once, as the flat kernel that every 2x2
 computation uses (levels, the congruence extension, the quotient tables, the
@@ -260,28 +261,17 @@ class Mat:
         return _mat(_mat_mul(a, b), modulus)
 
     def inverse(self) -> "Mat":
-        """The inverse; over Z the determinant must be +-1, mod m a unit.
-        It is kept, with this matrix as its inverse, outside the fields that
-        equality, hash and repr read, so a matrix is inverted at most once."""
+        """The inverse of a determinant-one matrix, its adjugate; any other
+        determinant raises ``NonInvertible``.  It is kept, with this matrix
+        as its inverse, outside the fields that equality, hash and repr
+        read, so a matrix is inverted at most once."""
         inv = self.__dict__.get("_inverse")
         if inv is not None:
             return inv
-        d = _det(self.entries)
-        if self.modulus is None:
-            if d not in (1, -1):
-                raise NonInvertible("determinant %d is not a unit in Z" % d)
-            dinv = d
-        else:
-            m = self.modulus.m
-            d %= m
-            try:
-                dinv = pow(d, -1, m)
-            except ValueError:
-                raise NonInvertible("determinant %d is not a unit mod %d" % (d, m)) from None
-        adj = _adjugate(self.entries)
-        if dinv != 1:
-            adj = tuple(dinv * e for e in adj)
-        inv = _mat(adj, self.modulus)
+        d = self.det()
+        if d != 1:
+            raise NonInvertible("expected determinant 1, got %d" % d)
+        inv = _mat(_adjugate(self.entries), self.modulus)
         object.__setattr__(inv, "_inverse", self)
         object.__setattr__(self, "_inverse", inv)
         return inv

@@ -48,7 +48,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .exactmat import _FLAT_ID, _det, _flat_inv_z, _flat_mul, _flat_mul_z, _flat_pow, check_prime, format_matrix
 from .graded import layer_offset
@@ -134,11 +134,10 @@ class FiltrationSpec:
         return _prime_powers(self.p, self.r0 + self.depth_cap + 1) + (self.allow_sign,)
 
 
-@lru_cache(maxsize=32)
 def _prime_powers(p, n):
     """(p^n, {p^e: e for 0 <= e <= n}).  The gcd of anything with p^n is
-    p^e for some e <= n, so the table reads e off it.  The table is shared
-    between callers and never written after it is built."""
+    p^e for some e <= n, so the table reads e off it.  Each
+    ``FiltrationSpec`` keeps its own table (``_level_table``)."""
     pe, exponents = 1, {1: 0}
     for e in range(1, n + 1):
         pe *= p
@@ -325,7 +324,7 @@ def _enumeration_size(p, i, j):
     return p ** (3 * (j - i))
 
 
-def tower_invariants(p: int, i: int, j: int, family: str = "pgamma") -> dict:
+def tower_invariants(p: int, i: int, j: int, family: str) -> dict:
     """The invariants of the quotient between congruence levels p^i and
     p^j, certified on the graded tower instead of enumerated.  Raises
     RuntimeError when a step of the certificate fails.
@@ -427,9 +426,6 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int, seed: int
     element shallower than the cap may report cap + 1); the exact exponent
     is taken one past the cap, as deep as level_of reads, by
     ``_divisibility_exponent``, which shares no code with level_of.
-
-    The result's ``stats`` entry counts the certified pairs; it describes
-    the run, not the group, and the CLI reports it under ``timings``.
     """
     pairs = []
     ok = True
@@ -464,5 +460,4 @@ def check_p_congruence(spec: FiltrationSpec, j_max: int, bound_e: int, seed: int
         "pairs": pairs,
         "truncation_check": {"samples": TRUNCATION_SAMPLES, "failures": truncation_failures},
         "ok": ok,
-        "stats": {"pairs_certified": len(pairs)},
     }

@@ -104,11 +104,6 @@ def rho(u: SemiElem):
                 u.f.modulus)
 
 
-def is_scalar(mat) -> bool:
-    lam, step = mat.entries[0], mat.n + 1
-    return all(e == (lam if k % step == 0 else 0) for k, e in enumerate(mat.entries))
-
-
 def center_scalars(n: int, modulus: Modulus | None):
     """Scalars lambda with lambda^n = 1 (the scalar center of SL(n, A)),
     ascending.
@@ -181,8 +176,10 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) ->
 
     (i) rho(u v) = rho(u) rho(v) on seeded pairs (exact matrix equality);
     (ii) constructed kernel probes (lambda I, I) map to the identity and
-    every sampled u with rho(u) = I has y = I and scalar gamma, i.e. u is
-    trivial modulo the scalar center, whose order is reported.
+    every sampled u with rho(u) = I is trivial modulo the scalar center
+    (``semi_eq`` with the identity under ``RingConjugation``), whose order
+    is reported.  A determinant-one gamma is scalar exactly when it is a
+    central scalar, since lambda I in SL(n, A) forces lambda^n = 1.
     """
     rng = random.Random("linrep:%s:%s:%s" % (n, modulus, seed))
     conj = RingConjugation(n, modulus)
@@ -203,20 +200,12 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) ->
             left_action_failures += 1
         if ru == ident:
             kernel_hits += 1
-            if u.x != one or not is_scalar(u.f):
-                kernel_violations += 1
+            kernel_violations += not semi_eq(u, e, conj)
 
     probe_failures = 0
     for lam in conj.scalars:
         probe = pair(scale(one, lam), one)
-        if rho(probe) != ident:
-            probe_failures += 1
-            continue
-        # rho(u) = I forces y = I (evaluate at M = I) and scalar gamma
-        if act(probe, one) != one or not is_scalar(probe.f):
-            probe_failures += 1
-        if not semi_eq(probe, e, conj):
-            probe_failures += 1
+        probe_failures += rho(probe) != ident or not semi_eq(probe, e, conj)
 
     ok = hom_failures == 0 and left_action_failures == 0 and kernel_violations == 0 and probe_failures == 0
     return {

@@ -287,23 +287,24 @@ def _eval_normality(ext, elems):
     t = min(lg, ly)
     greq = _req(ext.gamma, t)
     preq = _req(ext.pi, t)
-    gx = apply(gamma.inv(g), x)
-    part1 = apply(f, gx)
+    a, b = SemiElem(f, x), SemiElem(g, y)
+    conj = semi_conj(a, b, act)
+    conj_level = ext.gamma.level(conj.f)
+    part1 = apply(f, apply(gamma.inv(g), x))
     part2 = apply(f, y)
     part3 = apply(f, pi.inv(x))
     parts = pi.mul(pi.mul(part1, part2), part3)
     twist_pair = pi.mul(part1, part3)
     conjugated_y = pi.mul(pi.mul(apply(f, x), part2), part3)
-    conj = semi_conj(SemiElem(f, x), SemiElem(g, y), act)
     steps = {
-        "s1_gamma_conj": ext.gamma.level(gamma.mul(gamma.mul(f, g), gamma.inv(f))) >= greq,
-        "s2_action_hom": pi.eq(pi.mul(apply(f, pi.mul(gx, y)), part3), parts),
+        "s1_gamma_conj": conj_level >= greq,
+        "s2_action_hom": pi.eq(conj.x, parts),
         "s3_twist_pair": ext.pi.level(twist_pair) >= preq,
         "s4_f_of_y": ext.pi.level(part2) >= preq,
         "s5_conjugated_y": ext.pi.level(conjugated_y) >= preq,
         "s6_recombination": pi.eq(parts, pi.mul(twist_pair, conjugated_y)),
-        "s7_conj_in_subgroup": ext.gamma.level(conj.f) >= greq and ext.pi.level(conj.x) >= preq,
-        "s8_closed_form_agrees": semi_eq(conj, conj_via_mul(SemiElem(f, x), SemiElem(g, y), act), act),
+        "s7_conj_in_subgroup": conj_level >= greq and ext.pi.level(conj.x) >= preq,
+        "s8_closed_form_agrees": semi_eq(conj, conj_via_mul(a, b, act), act),
     }
     return all(steps.values()), {"required": t, "steps": steps}
 

@@ -759,6 +759,35 @@ def test_benchmark_commands_run(capsys):
             capsys.readouterr()
 
 
+def test_benchmark_reads_existing_names():
+    # every function a per-layer metric of perfbench/run.py wraps, and the
+    # guard perfbench/layers.py imports, is a name in filtra, apart from the
+    # keys layers.py builds itself and the names ROADMAP item 5 retires
+    import importlib
+    import pathlib
+    import re
+
+    text = (pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text()
+    names = {"filtration.enum_guard_limit", re.search(r'^_KE = "([\w.]+)"', text, re.M).group(1)}
+    for args in re.findall(r"\b_(?:calls|self|total)\(([^)]*)\)", text):
+        names.update(re.findall(r'"([\w.]+)"', args))
+
+    def resolves(name):
+        module, *path = name.split(".")
+        obj = importlib.import_module("filtra." + module)
+        for part in path:
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+
+    built_by_layers = {"exactmat.det", "exactmat.mul2", "exactmat.inv2", "exactmat.mulN", "exactmat.invN"}
+    retired = {"filtration.kernel_enumerate", "filtration.QuotientTable.minimal_generators",
+               "filtration.QuotientTable.generating_set", "filtration.QuotientTable.exponent",
+               "filtration.minimal_generators", "linrep.delta_mul"}
+    assert {name for name in names if not resolves(name)} == built_by_layers | retired
+
+
 def test_benchmark_replay_child_reproduces_poison_failures(tmp_path, capsys):
     # the benchmark calls the library directly in one place, its replay
     # child: every stable_condition2 failure of a poison report reproduces

@@ -95,9 +95,12 @@ def test_inverse_examples():
     assert inv == mmat(M9, 1, 6, 0, 1)
     assert am * inv == Mat.identity(2, M9)
     assert inv * am == Mat.identity(2, M9)
-    # a determinant -1 integer matrix is a unit too
+    # only determinant one is inverted: not det -1 over Z, nor the unit det 2 mod 9
     flip = imat(0, 1, 1, 0)
-    assert flip.inverse() == flip
+    with pytest.raises(NonInvertible):
+        flip.inverse()
+    with pytest.raises(NonInvertible):
+        mmat(M9, 2, 0, 0, 1).inverse()
     with pytest.raises(NonInvertible):
         imat(2, 0, 0, 2).inverse()
     with pytest.raises(NonInvertible):
@@ -287,15 +290,18 @@ def test_closed_forms_match_generic_2x2():
         assert _det(a) == det
         assert _adjugate(a) == _adjugate_n(a)
         x, y = Mat(a, modulus), Mat(b, modulus)
-        # det is +-1, its own inverse over Z
-        dinv = det if modulus is None else pow(det, -1, modulus.m)
-        expected_inv = Mat(tuple(dinv * e for e in _adjugate_n(a)), modulus)
         expected_prod = Mat(product, modulus)
         assert x.det() == (det if modulus is None else det % modulus.m)
-        results = [x * y, x.inverse()]
+        results = [x * y]
         assert results[0] == expected_prod
-        assert results[1] == expected_inv
-        assert x * results[1] == Mat.identity(2, modulus)
+        if x.det() != 1:
+            # a det -1 draw (mod 2 its determinant is 1, and it is inverted)
+            with pytest.raises(NonInvertible):
+                x.inverse()
+        else:
+            results.append(x.inverse())
+            assert results[1] == Mat(_adjugate_n(a), modulus)
+            assert x * results[1] == Mat.identity(2, modulus)
         if modulus is not None:
             m = modulus.m
             cube = _flat_mul(_flat_mul(x.entries, x.entries, m), x.entries, m)

@@ -10,7 +10,6 @@ from filtra.linrep import (
     act,
     ball_injectivity,
     center_scalars,
-    is_scalar,
     pair,
     random_sl,
     rho,
@@ -146,7 +145,7 @@ def test_scalar_commutation_equivalence():
     for _ in range(100):
         g = random_sl(2, M9, rng)
         fixes_units = all(g * e == e * g for e in units)
-        assert fixes_units == is_scalar(g)
+        assert fixes_units == CONJ.gamma.eq(g, I2)
         assert (rho(pair(g, I2)) == ident) == fixes_units
 
 
@@ -162,7 +161,7 @@ def test_scalar_center_probes():
     for lam in center_scalars(2, M9):
         probe = pair(Mat((lam, 0, 0, lam), M9), I2)
         assert rho(probe) == Mat.identity(4, M9)
-        assert is_scalar(probe.f)
+        assert CONJ.gamma.eq(probe.f, I2)
         assert semi_eq(probe, semi_id(CONJ), CONJ)
 
 
