@@ -19,7 +19,7 @@ Imports follow the paper's split.  The congruence tower (``exactmat``,
 tower commands (``quotient``, ``pcongruence``, ``graded``) import nothing
 more.  Each other handler imports the split-extension modules it runs
 (``stability``, ``holomorph``, ``freegroup``, ``linrep``) when it is
-called, so a command loads only what it needs.
+called, and ``main`` adds the named command's subparser alone.
 """
 
 from __future__ import annotations
@@ -236,15 +236,7 @@ def _cmd_ball(args):
     return result, result["ok"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="filtra",
-        description="Exact verification suites for congruence filtrations and split extensions.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="also write the JSON report to this path")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_quotient(sub, common):
     q = sub.add_parser("quotient", parents=[common], help="certify the invariants of a finite congruence quotient")
     q.add_argument("--family", choices=["pgamma", "gamma"], required=True)
     q.add_argument("-p", type=int, required=True)
@@ -252,6 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-j", type=int, required=True)
     q.set_defaults(func=_cmd_quotient)
 
+
+def _add_pcongruence(sub, common):
     pc = sub.add_parser("pcongruence", parents=[common], help="finite p-group and bounded-generation checks")
     pc.add_argument("--family", choices=["pgamma", "gamma"], required=True)
     pc.add_argument("-p", type=int, required=True)
@@ -261,6 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--seed", type=int, required=True)
     pc.set_defaults(func=_cmd_pcongruence)
 
+
+def _add_stability(sub, common):
     st = sub.add_parser("stability", parents=[common], help="stability / Lie-like sampling suites")
     st.add_argument("--example", choices=["congruence", "poison"], required=True)
     # the congruence example's flags, absent when not given (defaults in _CONGRUENCE_DEFAULTS)
@@ -270,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--seed", type=int, required=True)
     st.set_defaults(func=_cmd_stability)
 
+
+def _add_graded(sub, common):
     gr = sub.add_parser("graded", help="graded layer bracket and relation table")
     gr_sub = gr.add_subparsers(dest="graded_command", required=True)
     grb = gr_sub.add_parser("bracket", parents=[common])
@@ -284,16 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
     grv.add_argument("--qmax", type=int, required=True)
     grv.set_defaults(func=_cmd_graded_verify)
 
+
+def _add_rep(sub, common):
     rp = sub.add_parser("rep", parents=[common], help="the n^2-dimensional conjugation representation")
     rp.add_argument("--n", type=int, default=2)
     rp.add_argument("--mod", type=int, help="prime-power modulus; omit for Z")
     rp.add_argument("--gamma", required=True)
     rp.add_argument("--y", required=True)
-    rp.add_argument("--samples", type=int, default=0,
-                    help="also run the faithfulness suite on this many seeded pairs")
+    rp.add_argument("--samples", type=int, default=0, help="also run the faithfulness suite on this many seeded pairs")
     rp.add_argument("--seed", type=int, help="seed of the faithfulness suite (default 0); needs --samples")
     rp.set_defaults(func=_cmd_rep)
 
+
+def _add_ball(sub, common):
     rb = sub.add_parser("rep-ball", parents=[common], help="injectivity of rho on a congruence generator ball")
     rb.add_argument("-p", type=int, required=True)
     rb.add_argument("--base", type=int, required=True)
@@ -302,6 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     rb.add_argument("--seed", type=int, required=True)
     rb.set_defaults(func=_cmd_ball)
 
+
+def _add_holomorph(sub, common):
     ho = sub.add_parser("holomorph-identities", parents=[common], help="closed forms vs first-principles products")
     ho.add_argument("--backend", choices=["congruence", "free"], required=True)
     ho.add_argument("-p", type=int, help="prime of the congruence backend (default 3)")
@@ -309,10 +312,31 @@ def build_parser() -> argparse.ArgumentParser:
     ho.add_argument("--seed", type=int, required=True)
     ho.set_defaults(func=_cmd_holomorph)
 
+
+def _add_freegroup(sub, common):
     fg = sub.add_parser("freegroup-fixtures", parents=[common], help="automorphism witnesses and homology actions")
     fg.add_argument("--nmax", type=int, default=4)
     fg.set_defaults(func=_cmd_freegroup)
 
+
+#: Each command and the function adding its subparser, in the order of ``filtra -h``.
+_SUBPARSERS = {"quotient": _add_quotient, "pcongruence": _add_pcongruence, "stability": _add_stability,
+               "graded": _add_graded, "rep": _add_rep, "rep-ball": _add_ball,
+               "holomorph-identities": _add_holomorph, "freegroup-fixtures": _add_freegroup}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Every command's subparser, or only that of ``command`` if it names one."""
+    parser = argparse.ArgumentParser(
+        prog="filtra", description="Exact verification suites for congruence filtrations and split extensions.")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="also write the JSON report to this path")
+    one = command in _SUBPARSERS
+    # a lone subparser keeps the usage line, which lists every command
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(_SUBPARSERS) if one else None)
+    for add in [_SUBPARSERS[command]] if one else _SUBPARSERS.values():
+        add(sub, common)
     return parser
 
 
@@ -326,7 +350,8 @@ def main(argv=None) -> int:
     ``ok`` inside the envelope built here, with the parsed flags as config.
     Returns 0 when ``ok``, 1 when not, and 2 on a usage error, which prints
     no report."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     started = time.monotonic()
     try:
         results, ok, *stats = args.func(args)

@@ -23,7 +23,8 @@ determinant exactly 1 in Z/p^T.  Lifts and kernel elements are flat
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import cache
 from itertools import product
 
 from .exactmat import _flat_inv, _flat_mul, _flat_pow, check_prime
@@ -33,29 +34,31 @@ class GradedError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GradedClass:
+class GradedClass(namedtuple("GradedClass", "p q coords")):
     """A class in the level-q layer, as coordinates mod p.
 
     p is a prime below 2^20 (``exactmat.check_prime``, the rule for every
     modulus); coords is (a, b, d) for odd p and (a, b) for p = 2.
     """
 
-    p: int
-    q: int
-    coords: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_prime(self.p, GradedError)
-        want = 2 if self.p == 2 else 3
-        if self.q < 1:
-            raise GradedError("level must be >= 1, got %d" % self.q)
-        if len(self.coords) != want:
-            raise GradedError("expected %d coordinates for p=%d" % (want, self.p))
-        object.__setattr__(self, "coords", tuple(c % self.p for c in self.coords))
+    def __new__(cls, p: int, q: int, coords: tuple):
+        check_prime(p, GradedError)
+        want = 2 if p == 2 else 3
+        if q < 1:
+            raise GradedError("level must be >= 1, got %d" % q)
+        if len(coords) != want:
+            raise GradedError("expected %d coordinates for p=%d" % (want, p))
+        return _graded(p, q, coords)
 
     def __str__(self):
         return ",".join(str(c) for c in self.coords)
+
+
+def _graded(p: int, q: int, coords) -> GradedClass:
+    """A class from a checked p, q and coordinate count: reduces, checks nothing."""
+    return tuple.__new__(GradedClass, (p, q, tuple([c % p for c in coords])))
 
 
 def zero_class(p: int, q: int) -> GradedClass:
@@ -76,11 +79,11 @@ def basis_class(p: int, q: int, name: str) -> GradedClass:
 def class_add(c1: GradedClass, c2: GradedClass) -> GradedClass:
     if (c1.p, c1.q) != (c2.p, c2.q):
         raise GradedError("classes live at different (p, q)")
-    return GradedClass(c1.p, c1.q, tuple(a + b for a, b in zip(c1.coords, c2.coords)))
+    return _graded(c1.p, c1.q, [a + b for a, b in zip(c1.coords, c2.coords)])
 
 
 def class_neg(c: GradedClass) -> GradedClass:
-    return GradedClass(c.p, c.q, tuple(-a for a in c.coords))
+    return _graded(c.p, c.q, [-a for a in c.coords])
 
 
 def layer_offset(x, p, q):
@@ -180,14 +183,16 @@ def verify_relation_table(p: int, q_max: int) -> dict:
     D_{q+s}, [A_q, D_s] = A_{q+s}^{-2} and [B_q, D_s] = B_{q+s}^2; at p = 2
     every basis bracket vanishes.  The p-th power map shifts each basis
     class one level.  Bilinearity and antisymmetry of the bracket are
-    checked on the coordinate bases at every cell.
+    checked on the coordinate bases at every cell.  Each distinct pair is
+    bracketed once, by the ``bracket`` the module holds when the call starts.
     """
     names = ["A", "B"] if p == 2 else ["A", "B", "D"]
     cells = [(q, s) for q in range(1, q_max) for s in range(1, q_max) if q + s <= q_max]
+    bracket_once = cache(bracket)
     bracket_failures = []
     for q, s in cells:
         for (n1, n2), coords in _BASIS_BRACKETS[len(names)].items():
-            got = bracket(basis_class(p, q, n1), basis_class(p, s, n2))
+            got = bracket_once(basis_class(p, q, n1), basis_class(p, s, n2))
             want = GradedClass(p, q + s, coords)
             if got != want:
                 bracket_failures.append({"cell": [q, s], "pair": [n1, n2], "got": str(got), "want": str(want)})
@@ -205,13 +210,13 @@ def verify_relation_table(p: int, q_max: int) -> dict:
         at_q = [basis_class(p, q, n) for n in names]
         at_s = [basis_class(p, s, n) for n in names]
         for c1, c1b, c2 in product(at_q, at_q, at_s):
-            if bracket(class_add(c1, c1b), c2) != class_add(bracket(c1, c2), bracket(c1b, c2)):
+            if bracket_once(class_add(c1, c1b), c2) != class_add(bracket_once(c1, c2), bracket_once(c1b, c2)):
                 bilin_failures.append({"cell": [q, s], "slot": "left", "args": [str(c1), str(c1b), str(c2)]})
         for c1, c2, c2b in product(at_q, at_s, at_s):
-            if bracket(c1, class_add(c2, c2b)) != class_add(bracket(c1, c2), bracket(c1, c2b)):
+            if bracket_once(c1, class_add(c2, c2b)) != class_add(bracket_once(c1, c2), bracket_once(c1, c2b)):
                 bilin_failures.append({"cell": [q, s], "slot": "right", "args": [str(c1), str(c2), str(c2b)]})
         for c1, c2 in product(at_q, at_s):
-            if bracket(c1, c2) != class_neg(bracket(c2, c1)):
+            if bracket_once(c1, c2) != class_neg(bracket_once(c2, c1)):
                 anti_failures.append({"cell": [q, s], "args": [str(c1), str(c2)]})
 
     relations = [

@@ -386,13 +386,46 @@ def test_ignored_flags_are_refused(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def _subparsers(parser):
+    """A parser's subcommand names and their parsers."""
+    return next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def _flags(*words):
     """The dests of a subcommand's flags other than --help and --out."""
     parser = build_parser()
     for word in words:
-        parser = next(action for action in parser._actions
-                      if isinstance(action, argparse._SubParsersAction)).choices[word]
+        parser = _subparsers(parser)[word]
     return {action.dest for action in parser._actions if action.option_strings} - {"help", "out"}
+
+
+def _outcome(capsys, parse, argv):
+    """Exit code, stdout and stderr of parse(argv) or of an argparse exit."""
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_subparser_matches_the_full_parser(capsys):
+    # a command builds its own subparser alone; it and the usage and help
+    # a user can reach are those of the full parser
+    full = _subparsers(build_parser())
+    for name, parser in full.items():
+        one = _subparsers(build_parser(name))
+        assert list(one) == [name]
+        assert one[name].format_help() == parser.format_help(), name
+    for name in ("bracket", "verify"):
+        one = _subparsers(_subparsers(build_parser("graded"))["graded"])[name]
+        assert one.format_help() == _subparsers(full["graded"])[name].format_help(), name
+    quotient = ["quotient", "--family", "gamma", "-p", "3", "-i", "1", "-j", "2"]
+    for argv in ([], ["-h"], ["bogus"], ["quotient"], quotient + ["--bogus", "1"], ["graded"],
+                 ["graded", "verify", "-p", "3"]):
+        want = _outcome(capsys, build_parser().parse_args, argv)
+        assert want[0] == (0 if argv == ["-h"] else 2)
+        assert _outcome(capsys, main, argv) == want, argv
 
 
 _CONGRUENCE_FLAGS = {"p", "r0", "s0", "rmax", "smax"}

@@ -97,6 +97,29 @@ def test_graded_class_rejects_bad_primes(p):
         GradedClass(p, 1, (1, 0, 0))
 
 
+@pytest.mark.parametrize("p", [4, 9, 1048583])
+def test_class_of_rejects_bad_primes(p):
+    # I is in every kernel, so only the prime check can refuse it
+    with pytest.raises(GradedError, match="prime below 2"):
+        class_of(_FLAT_ID, p, 1)
+
+
+def test_combined_classes_match_the_checked_constructor():
+    # class_add and class_neg skip the constructor's checks; their results
+    # are still reduced GradedClasses equal to the checked ones
+    rng = random.Random("combined")
+    for p, q in ((2, 1), (2, 3), (3, 1), (5, 2), (7, 4), (1048573, 1)):
+        size = 2 if p == 2 else 3
+        for _ in range(30):
+            v1 = [rng.randrange(-3 * p, 3 * p) for _ in range(size)]
+            v2 = [rng.randrange(-3 * p, 3 * p) for _ in range(size)]
+            c1, c2 = GradedClass(p, q, v1), GradedClass(p, q, v2)
+            for got, want in ((class_add(c1, c2), GradedClass(p, q, [a + b for a, b in zip(v1, v2)])),
+                              (class_neg(c1), GradedClass(p, q, [-a for a in v1]))):
+                assert type(got) is GradedClass and got == want
+                assert all(0 <= c < p for c in got.coords) and str(got) == str(want)
+
+
 def test_lift_examples():
     assert lift(zero_class(3, 1), 2) == _FLAT_ID
     assert lift(basis_class(3, 1, "A"), 4) == (1, 3, 0, 1)

@@ -1057,6 +1057,73 @@ def test_relation_table_refuses_mutations(monkeypatch, name):
     assert all(rel["pass"] == (not rel["failures"]) for rel in report["relations"])
 
 
+def unshared_relation_table(p, q_max):
+    """``verify_relation_table`` with every bracket computed where it is
+    used, by ``graded.bracket``: the loops as they were before the table
+    bracketed each distinct pair once."""
+    names = ["A", "B"] if p == 2 else ["A", "B", "D"]
+    cells = [(q, s) for q in range(1, q_max) for s in range(1, q_max) if q + s <= q_max]
+    bracket_failures = []
+    for q, s in cells:
+        for (n1, n2), coords in graded._BASIS_BRACKETS[len(names)].items():
+            got = graded.bracket(basis_class(p, q, n1), basis_class(p, s, n2))
+            want = GradedClass(p, q + s, coords)
+            if got != want:
+                bracket_failures.append({"cell": [q, s], "pair": [n1, n2], "got": str(got), "want": str(want)})
+    power_failures = []
+    for q, name in itertools.product(range(1, q_max), names):
+        got = graded.power_map(basis_class(p, q, name))
+        want = basis_class(p, q + 1, name)
+        if got != want:
+            power_failures.append({"q": q, "name": name, "got": str(got), "want": str(want)})
+    bilin_failures = []
+    anti_failures = []
+    for q, s in cells:
+        at_q = [basis_class(p, q, n) for n in names]
+        at_s = [basis_class(p, s, n) for n in names]
+        for c1, c1b, c2 in itertools.product(at_q, at_q, at_s):
+            if graded.bracket(class_add(c1, c1b), c2) != class_add(graded.bracket(c1, c2), graded.bracket(c1b, c2)):
+                bilin_failures.append({"cell": [q, s], "slot": "left", "args": [str(c1), str(c1b), str(c2)]})
+        for c1, c2, c2b in itertools.product(at_q, at_s, at_s):
+            if graded.bracket(c1, class_add(c2, c2b)) != class_add(graded.bracket(c1, c2), graded.bracket(c1, c2b)):
+                bilin_failures.append({"cell": [q, s], "slot": "right", "args": [str(c1), str(c2), str(c2b)]})
+        for c1, c2 in itertools.product(at_q, at_s):
+            if graded.bracket(c1, c2) != class_neg(graded.bracket(c2, c1)):
+                anti_failures.append({"cell": [q, s], "args": [str(c1), str(c2)]})
+    relations = [
+        {"id": "basis_brackets", "cells": len(cells), "failures": bracket_failures},
+        {"id": "power_map_shifts_basis", "cells": q_max - 1, "failures": power_failures},
+        {"id": "bilinearity_on_bases", "cells": len(cells), "failures": bilin_failures},
+        {"id": "antisymmetry_on_bases", "cells": len(cells), "failures": anti_failures},
+    ]
+    for rel in relations:
+        rel["pass"] = not rel["failures"]
+    return {"p": p, "q_max": q_max, "relations": relations, "ok": all(rel["pass"] for rel in relations)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_relation_table_matches_unshared_brackets(monkeypatch, p):
+    for q_max in (2, 3, 5, 6):
+        assert graded.verify_relation_table(p, q_max) == unshared_relation_table(p, q_max), q_max
+    # each distinct pair is bracketed once: 12 (p = 2) or 45 pairs at the
+    # one cell of q_max 2, and 120 or 450 over the ten cells of q_max 5
+    calls = []
+    pairing = graded.bracket
+    with monkeypatch.context() as patch:
+        patch.setattr(graded, "bracket", lambda c1, c2: calls.append((c1, c2)) or pairing(c1, c2))
+        for q_max, want in ((2, 12 if p == 2 else 45), (5, 120 if p == 2 else 450)):
+            calls.clear()
+            graded.verify_relation_table(p, q_max)
+            assert len(calls) == len(set(calls)) == want, q_max
+    if p == 2:
+        return   # the mutants build three coordinates
+    # each mutant's failures are reported alike, in the same order
+    for attr, broken, _ in _relation_mutations().values():
+        with monkeypatch.context() as patch:
+            patch.setattr(graded, attr, broken)
+            assert graded.verify_relation_table(p, 3) == unshared_relation_table(p, 3), attr
+
+
 def _holomorph_backends():
     """(action, Gamma generators, pi generators, radius) of both backends."""
     gens = flat_congruence_basis(3, 1)
