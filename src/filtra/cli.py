@@ -4,7 +4,7 @@ Each handler checks its flags, runs its suite and returns ``(results, ok)``
 or ``(results, ok, stats)``; ``main`` alone builds the report around them.
 The report's ``config`` is the parsed flags other than ``--out``, with the
 values a handler fills in because the parser cannot know them: the
-congruence example's defaults, the seed 0 that ``rep`` and ``graded verify``
+``--example`` entry's defaults, the seed 0 that ``rep`` and ``graded verify``
 report without ``--seed``, and the prime 3 that ``holomorph-identities``
 reports without ``-p``.  Exit codes: 0 all checks passed, 1 at least one
 check failed (the JSON report carries the counterexamples), 2 usage error;
@@ -20,6 +20,8 @@ tower commands (``quotient``, ``pcongruence``, ``graded``) import nothing
 more.  Each other handler imports the split-extension modules it runs
 (``stability``, ``holomorph``, ``freegroup``, ``linrep``) when it is
 called, and ``main`` adds the named command's subparser alone.
+``stability`` and ``holomorph-identities`` build their fixture from its
+``stability.EXAMPLES`` entry, and name no fixture but in their flags.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ import sys
 import time
 
 from . import __version__
-from .exactmat import _PRIME_BOUND, Mat, MatrixError, Modulus, check_prime, parse_matrix
+from .exactmat import _PRIME_BOUND, Mat, MatrixError, Modulus, parse_matrix
 from .filtration import (
-    MAX_JMAX, MAX_MODULUS_BITS, FiltrationSpec, check_p_congruence, check_tower_depth, flat_congruence_basis,
-    tower_invariants,
+    MAX_JMAX, MAX_MODULUS_BITS, FiltrationSpec, check_p_congruence, check_tower_depth, tower_invariants,
 )
 from .graded import GradedClass, bracket, verify_relation_table
 
@@ -43,6 +44,12 @@ SCHEMA_VERSION = 1
 #: nmax^4: nmax = 16 takes about 0.3 s and writes a 145 kB report, 32 took
 #: 5.6 s.
 MAX_NMAX = 16
+
+#: The flags of the ``stability.EXAMPLES`` entries by name, and the entry
+#: each ``holomorph-identities --backend`` builds.  They are spelled here, so
+#: that building the parser loads no ``stability``.
+_FIXTURE_FLAGS = {"p": "-p", "r0": "--r0", "s0": "--s0", "rmax": "--rmax", "smax": "--smax"}
+_BACKENDS = {"congruence": "congruence", "free": "poison"}
 
 
 class CliUsageError(Exception):
@@ -65,6 +72,8 @@ def _cmd_quotient(args):
 
 
 def _cmd_pcongruence(args):
+    if args.jmax < 1:
+        raise CliUsageError("--jmax must be at least 1")
     if args.jmax > MAX_JMAX:
         raise CliUsageError("--jmax must be at most %d" % MAX_JMAX)
     check_tower_depth(args.p, args.r0 + args.jmax)
@@ -80,26 +89,17 @@ def _check_count(count, most):
         raise CliUsageError("--count must be at most %d" % most)
 
 
-_CONGRUENCE_DEFAULTS = {"p": 3, "r0": 1, "s0": 1, "rmax": 3, "smax": 3}
-
-
 def _cmd_stability(args):
-    from .stability import MAX_SAMPLE_COUNT, run_congruence_suite, run_poison_suite
+    from .stability import EXAMPLES, MAX_SAMPLE_COUNT, run_suite
 
     _check_count(args.count, MAX_SAMPLE_COUNT)
-    if args.example == "poison":
-        if _CONGRUENCE_DEFAULTS.keys() & vars(args).keys():
-            raise CliUsageError("-p, --r0, --s0, --rmax and --smax apply to --example congruence only")
-        reports, ok, stats = run_poison_suite(count=args.count, seed=args.seed)
-    else:
-        for key, value in _CONGRUENCE_DEFAULTS.items():
-            vars(args).setdefault(key, value)
-        if min(args.rmax, args.smax) < 0:
-            raise CliUsageError("--rmax and --smax must be at least 0")
-        # level_of reads exponents up to r0 + cap + 1 on the pi side, s0 + cap + 1 on Gamma
-        check_tower_depth(args.p, max(args.r0, args.s0) + max(args.rmax, args.smax) + 1)
-        reports, ok, stats = run_congruence_suite(args.p, args.r0, args.s0, args.rmax, args.smax,
-                                                  count=args.count, seed=args.seed)
+    flags = EXAMPLES[args.example].flags
+    stray = sorted(vars(args).keys() & _FIXTURE_FLAGS.keys() - flags.keys())
+    if stray:
+        raise CliUsageError("--example %s takes no %s" % (args.example, ", ".join(_FIXTURE_FLAGS[k] for k in stray)))
+    for key, value in flags.items():
+        vars(args).setdefault(key, value)
+    reports, ok, stats = run_suite(args.example, args.count, args.seed, **{key: vars(args)[key] for key in flags})
     return [rep.to_dict() for rep in reports], ok, stats
 
 
@@ -163,25 +163,18 @@ def _factor_prime_power(m):
 
 
 def _cmd_holomorph(args):
-    from .holomorph import MAX_IDENTITY_COUNT, FreeGroupAction, MatrixConjugation, verify_holomorph_identities
+    from .holomorph import MAX_IDENTITY_COUNT, verify_holomorph_identities
+    from .stability import EXAMPLES
 
     _check_count(args.count, MAX_IDENTITY_COUNT)
+    example = EXAMPLES[_BACKENDS[args.backend]]
     if args.p is None:
         args.p = 3   # reported by the free backend too, which takes no prime; the digests keep it
-    elif args.backend == "free":
-        raise CliUsageError("-p applies to --backend congruence only")
-    if args.backend == "congruence":
-        check_prime(args.p, ValueError)
-        gens = flat_congruence_basis(args.p, 1)
-        result = verify_holomorph_identities(MatrixConjugation(), gens, gens, args.count, args.seed)
-    else:
-        from .freegroup import Word, poison_action
-
-        act = FreeGroupAction(2, 3, poison_action())
-        gamma_gens = [Word.generator(2, 1), Word.generator(2, 2)]
-        pi_gens = [Word.generator(3, i) for i in (1, 2, 3)]
-        result = verify_holomorph_identities(act, gamma_gens, pi_gens, args.count, args.seed,
-                                             radius=5)
+    elif "p" not in example.flags:
+        raise CliUsageError("--backend %s takes no -p" % args.backend)
+    ext, _, _ = example.build(**{key: args.p if key == "p" else value for key, value in example.flags.items()})
+    result = verify_holomorph_identities(ext.act, ext.gamma.gens(0), ext.pi.gens(0), args.count, args.seed,
+                                         radius=example.radius)
     return result, result["ok"]
 
 
@@ -259,8 +252,8 @@ def _add_pcongruence(sub, common):
 def _add_stability(sub, common):
     st = sub.add_parser("stability", parents=[common], help="stability / Lie-like sampling suites")
     st.add_argument("--example", choices=["congruence", "poison"], required=True)
-    # the congruence example's flags, absent when not given (defaults in _CONGRUENCE_DEFAULTS)
-    for flag in ("-p", "--r0", "--s0", "--rmax", "--smax"):
+    # absent when not given: the example's entry holds their defaults
+    for flag in _FIXTURE_FLAGS.values():
         st.add_argument(flag, type=int, default=argparse.SUPPRESS)
     st.add_argument("--count", type=int, default=500)
     st.add_argument("--seed", type=int, required=True)
@@ -306,7 +299,7 @@ def _add_ball(sub, common):
 
 def _add_holomorph(sub, common):
     ho = sub.add_parser("holomorph-identities", parents=[common], help="closed forms vs first-principles products")
-    ho.add_argument("--backend", choices=["congruence", "free"], required=True)
+    ho.add_argument("--backend", choices=list(_BACKENDS), required=True)
     ho.add_argument("-p", type=int, help="prime of the congruence backend (default 3)")
     ho.add_argument("--count", type=int, default=1000)
     ho.add_argument("--seed", type=int, required=True)

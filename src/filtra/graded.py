@@ -44,16 +44,20 @@ class GradedClass(namedtuple("GradedClass", "p q coords")):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int, coords: tuple):
-        check_prime(p, GradedError)
+        _check_layer(p, q)
         want = 2 if p == 2 else 3
-        if q < 1:
-            raise GradedError("level must be >= 1, got %d" % q)
         if len(coords) != want:
             raise GradedError("expected %d coordinates for p=%d" % (want, p))
         return _graded(p, q, coords)
 
     def __str__(self):
         return ",".join(str(c) for c in self.coords)
+
+
+def _check_layer(p: int, q: int) -> None:
+    check_prime(p, GradedError)
+    if q < 1:
+        raise GradedError("level must be >= 1, got %d" % q)
 
 
 def _graded(p: int, q: int, coords) -> GradedClass:
@@ -105,6 +109,7 @@ def layer_offset(x, p, q):
 def class_of(x: tuple, p: int, q: int) -> GradedClass:
     """Coordinates of a kernel element: x is a flat determinant-one matrix
     mod p^{q+1} congruent to (+-)I mod p^q."""
+    _check_layer(p, q)
     m = p ** (q + 1)
     a, b, c, d = x
     det = (a * d - b * c) % m
@@ -117,7 +122,7 @@ def class_of(x: tuple, p: int, q: int) -> GradedClass:
         raise GradedError("matrix is not congruent to +-I mod %d^%d" % (p, q))
     if (n[2] + n[3]) % p != 0:
         raise GradedError("trace of the kernel offset is nonzero mod %d" % p)  # pragma: no cover
-    return GradedClass(p, q, n[:2] if p == 2 else n[:3])
+    return _graded(p, q, n[:2] if p == 2 else n[:3])
 
 
 def lift(c: GradedClass, t_exp: int) -> tuple:

@@ -30,32 +30,35 @@ and so one table of short words with their measured levels, per (side,
 level), so every check of a run reuses the products and levels of the
 words it has drawn before.
 
-Two extensions ship here:
+Two fixtures ship here, each named once as an entry of ``EXAMPLES``, which
+``run_suite`` runs by its ``--example`` name:
 
-- ``congruence_extension``: the determinant-one congruence chain at
-  exponents s0, s0+1, ... acting by conjugation on the sign-class chain at
-  exponents r0, r0+1, ...; every check passes (and is expected to).  Its
-  elements are flat (a, b, c, d) tuples over Z, multiplied and inverted by
-  the closed-form kernel of ``exactmat``; their text form is the matrix
+- ``congruence``: the determinant-one congruence chain at exponents s0,
+  s0+1, ... acting by conjugation on the sign-class chain at exponents r0,
+  r0+1, ...; every check passes (and is expected to).  Its elements are
+  flat (a, b, c, d) tuples over Z, multiplied and inverted by the
+  closed-form kernel of ``exactmat``; their text form is the matrix
   literal ``"a,b;c,d"``, and parsing it back refuses anything but a 2x2
   matrix of determinant 1.
-- ``poison_extension``: the rank-2 group of automorphisms of F_3 fixing
-  a_1, a_2 and multiplying a_3 by a_1 or a_2, with lower-central-series
-  levels truncated at class 2 on F_3.  Its action is nontrivial on
-  homology, and the depth-compatibility condition fails; the failing
-  samples are the point of the fixture.
+- ``poison``: the rank-2 group of automorphisms of F_3 fixing a_1, a_2 and
+  multiplying a_3 by a_1 or a_2, with lower-central-series levels
+  truncated at class 2 on F_3.  Its action is nontrivial on homology, and
+  the depth-compatibility check fails on its twist condition while its
+  two phrasings agree; the failing samples are the point of the fixture.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 
 from .exactmat import _parse_flat_sl2, format_matrix
 from .filtration import (
-    MAX_RADIUS, FiltrationSpec, GuardError, WordSampler, flat_congruence_basis, level_of, tower_invariants,
+    MAX_RADIUS, FiltrationSpec, GuardError, WordSampler, check_tower_depth, flat_congruence_basis, level_of,
+    tower_invariants,
 )
 from .holomorph import (
     FreeGroupAction,
@@ -532,30 +535,44 @@ def check_G_lie_like(ext: ExtensionSpec, r_max: int, s_max: int, count: int, see
     return _run_cells(ext, CheckReport("G_lie_like"), "g_lie_like", cells, _G_LIE_LIKE, count, seed)
 
 
-def run_congruence_suite(p: int, r0: int, s0: int, r_max: int, s_max: int, count: int, seed):
-    """All five checks on the congruence extension, over the cells
-    r <= r_max, s <= s_max, r + s <= max(r_max, s_max); returns (reports,
-    ok, stats), where stats are the extension's ``sampler_stats``."""
-    ext = congruence_extension(p, r0, s0, cap=max(r_max, s_max))
-    reports = [
+def _all_checks(ext, r_max, s_max, count, seed):
+    return [
         check_stable(ext, r_max, s_max, count, seed),
         check_twist_equivalence(ext, r_max, s_max, count, seed),
         *(product_filtration_check(ext, r, s, count, seed) for r, s in _cells(ext, r_max, s_max)),
         check_stably_lie_like(ext, r_max, s_max, count, seed),
         check_G_lie_like(ext, r_max, s_max, count, seed),
     ]
-    return reports, all(rep.ok for rep in reports), ext.sampler_stats()
 
 
-def run_poison_suite(count: int, seed):
-    """The contrast fixture: the depth-compatibility check is expected to
-    fail on its twist condition while the two-phrasing equivalence holds on
-    every sample.  Returns (reports, ok, stats) where ok is true only when
-    both checks pass, so a run that shows the expected replayable twist
-    failures has ok false (and ``stability --example poison`` exits 1), and
-    stats are the extension's ``sampler_stats``."""
-    ext = poison_extension()
-    stable = check_stable(ext, 1, 1, count, seed)
-    lemma = check_twist_equivalence(ext, 1, 1, count, seed)
-    reports = [stable, lemma]
+def _congruence(p, r0, s0, rmax, smax):
+    if min(rmax, smax) < 0:
+        raise ValueError("rmax and smax must be at least 0")
+    # level_of reads exponents up to r0 + cap + 1 on the pi side, s0 + cap + 1 on Gamma
+    check_tower_depth(p, max(r0, s0) + max(rmax, smax) + 1)
+    return congruence_extension(p, r0, s0, cap=max(rmax, smax)), rmax, smax
+
+
+#: A fixture: ``build(**flags)`` checks its flags (``flags`` maps each to
+#: its default) and returns (extension, r_max, s_max), and ``suite`` runs
+#: its checks on them, each called by its name when it runs, so that a
+#: rebound module global (a tracer) sees it.
+Example = namedtuple("Example", "build flags suite radius")
+
+#: The fixtures by ``--example`` name.
+EXAMPLES = {
+    "congruence": Example(_congruence, {"p": 3, "r0": 1, "s0": 1, "rmax": 3, "smax": 3}, _all_checks, radius=4),
+    "poison": Example(lambda: (poison_extension(), 1, 1), {},
+                      lambda ext, *run: [check_stable(ext, *run), check_twist_equivalence(ext, *run)], radius=5),
+}
+
+
+def run_suite(name: str, count: int, seed, **flags):
+    """Build ``EXAMPLES[name]`` from ``flags``, every flag of the entry, and
+    run its suite.  Returns (reports, ok, stats), where ok is true when
+    every check passes (so a poison run has ok false) and stats are the
+    extension's ``sampler_stats``."""
+    example = EXAMPLES[name]
+    ext, r_max, s_max = example.build(**flags)
+    reports = example.suite(ext, r_max, s_max, count, seed)
     return reports, all(rep.ok for rep in reports), ext.sampler_stats()

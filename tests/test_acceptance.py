@@ -31,7 +31,7 @@ from filtra.graded import (
 )
 from filtra.holomorph import FreeGroupAction, MatrixConjugation, verify_holomorph_identities
 from filtra.linrep import verify_faithful
-from filtra.stability import poison_extension, replay_failure, run_congruence_suite
+from filtra.stability import poison_extension, replay_failure, run_suite
 from quotient_tables import clear_table_cache, kernel_enumerate
 from test_graded import random_kernel_element
 
@@ -116,7 +116,7 @@ def test_criterion_05_holomorph_identities():
 
 def test_criterion_06_congruence_stability_suite():
     started = time.monotonic()
-    reports, ok, _ = run_congruence_suite(3, 1, 1, 3, 3, count=500, seed=42)
+    reports, ok, _ = run_suite("congruence", count=500, seed=42, p=3, r0=1, s0=1, rmax=3, smax=3)
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 60.0
     ok = ok and all(rep.ok for rep in reports)

@@ -145,6 +145,42 @@ def test_congruence_holomorph_report_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("backend, p", [("congruence", 2), ("congruence", 3), ("congruence", 5), ("free", None)])
+def test_holomorph_identities_draw_from_the_fixture_generators(monkeypatch, capsys, backend, p):
+    # the report holds failure counts alone, so no digest sees a changed
+    # draw: the identities' arguments pin it instead
+    import inspect
+
+    import filtra.holomorph
+    from filtra.filtration import flat_congruence_basis
+    from filtra.freegroup import Word, poison_action
+    from filtra.holomorph import FreeGroupAction, MatrixConjugation
+
+    verify = filtra.holomorph.verify_holomorph_identities
+    calls = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(verify).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(filtra.holomorph, "verify_holomorph_identities", spy)
+    prime = [] if p is None else ["-p", str(p)]
+    code, _ = run_cli(capsys, "holomorph-identities", "--backend", backend, *prime, "--count", "5", "--seed", "1")
+    assert code == 0
+    [call] = calls
+    act = call["act"]
+    if backend == "free":
+        assert type(act) is FreeGroupAction and act.ranks == (2, 3) and act.pairs == tuple(poison_action())
+        want = [Word.generator(2, i) for i in (1, 2)], [Word.generator(3, i) for i in (1, 2, 3)], 5
+    else:
+        assert type(act) is MatrixConjugation
+        want = flat_congruence_basis(p, 1), flat_congruence_basis(p, 1), 4
+    assert (call["gamma_gens"], call["pi_gens"], call["radius"]) == want
+    assert (call["count"], call["seed"]) == (5, 1)
+
+
 def _pinned_digest(report):
     report.pop("timings")
     report.pop("version")
@@ -369,6 +405,22 @@ def test_stability_congruence_flags_default(capsys):
                                 "p": 3, "r0": 1, "s0": 1, "rmax": 3, "smax": 3}
 
 
+def test_cli_spellings_match_the_fixture_table():
+    # the argparse spellings stay in cli, so that the parser loads no
+    # stability module; they name exactly the EXAMPLES entries and flags
+    from filtra.cli import _BACKENDS
+    from filtra.stability import EXAMPLES
+
+    commands = _subparsers(build_parser())
+    stability = {action.dest: action for action in commands["stability"]._actions}
+    assert set(stability["example"].choices) == set(EXAMPLES)
+    suppressed = {dest for dest, action in stability.items()
+                  if action.option_strings and action.default is argparse.SUPPRESS} - {"help"}
+    assert suppressed == set().union(*(entry.flags for entry in EXAMPLES.values()))
+    backend = next(action for action in commands["holomorph-identities"]._actions if action.dest == "backend")
+    assert all(_BACKENDS[name] in EXAMPLES for name in backend.choices)
+
+
 @pytest.mark.parametrize("argv", [
     ["holomorph-identities", "--backend", "free", "--count", "5", "--seed", "1", "-p", "3"],
     ["rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--seed", "1"],
@@ -512,6 +564,7 @@ def test_out_path(tmp_path, capsys):
     ["holomorph-identities", "--backend", "congruence", "-p", "4", "--seed", "1"],
     ["stability", "--example", "congruence", "--rmax", "-1", "--smax", "0", "--count", "5", "--seed", "1"],
     ["stability", "--example", "congruence", "--rmax", "0", "--smax", "-1", "--count", "5", "--seed", "1"],
+    ["pcongruence", "--family", "gamma", "-p", "3", "--jmax", "0", "-e", "3", "--seed", "1"],
 ])
 def test_vacuous_sizes_are_refused(capsys, argv):
     # each size one short of checking anything exits 2 instead of reporting
@@ -702,8 +755,9 @@ print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] =
     (["rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--samples", "2", "--seed", "1"], {"linrep", "holomorph"}),
     (["rep-ball", "-p", "3", "--base", "1", "--target", "2", "--radius", "1", "--seed", "1"],
      {"linrep", "holomorph"}),
-    (["holomorph-identities", "--backend", "congruence", "--count", "2", "--seed", "1"], {"holomorph"}),
-    (["holomorph-identities", "--backend", "free", "--count", "2", "--seed", "1"], {"holomorph", "freegroup"}),
+    (["holomorph-identities", "--backend", "congruence", "--count", "2", "--seed", "1"], {"holomorph", "stability"}),
+    (["holomorph-identities", "--backend", "free", "--count", "2", "--seed", "1"],
+     {"holomorph", "freegroup", "stability"}),
     (["stability", "--example", "congruence", "--rmax", "1", "--smax", "1", "--count", "2", "--seed", "1"],
      {"stability", "holomorph"}),
     (["stability", "--example", "poison", "--count", "2", "--seed", "1"], {"stability", "holomorph", "freegroup"}),
@@ -836,6 +890,27 @@ def test_benchmark_replay_child_reproduces_poison_failures(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(result.read_text())
     assert counts["replayed"] == counts["reproduced"] == 103
+
+
+@pytest.mark.parametrize("example, checks", [
+    (["congruence", "--rmax", "1", "--smax", "1"], ["check_stable", "check_twist_equivalence",
+                                                    "product_filtration_check", "check_stably_lie_like",
+                                                    "check_G_lie_like"]),
+    (["poison"], ["check_stable", "check_twist_equivalence"]),
+])
+def test_benchmark_trace_spans_every_check(tmp_path, example, checks):
+    # the benchmark's tracer rebinds module globals, so the fixture table
+    # must call each check by its name when it runs for the check's span to
+    # record anything
+    child = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "child.py")
+    result = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(filtra.__file__)))
+    argv = ["stability", "--example", *example, "--count", "5", "--seed", "1"]
+    proc = subprocess.run([sys.executable, child, "trace", str(result), "--", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode in (0, 1), proc.stderr
+    spans = json.loads(result.read_text())["layers"]["spans"]
+    assert {"stability." + name for name in checks} <= spans.keys()
 
 
 # -- the CLI boundary under arbitrary arguments -------------------------------

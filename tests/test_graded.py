@@ -97,7 +97,7 @@ def test_graded_class_rejects_bad_primes(p):
         GradedClass(p, 1, (1, 0, 0))
 
 
-@pytest.mark.parametrize("p", [4, 9, 1048583])
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 1048583])
 def test_class_of_rejects_bad_primes(p):
     # I is in every kernel, so only the prime check can refuse it
     with pytest.raises(GradedError, match="prime below 2"):

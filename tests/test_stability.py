@@ -9,6 +9,7 @@ from filtra.exactmat import MatrixError, parse_matrix
 from filtra.freegroup import poison_action
 from filtra.holomorph import FreeGroupAction, Group, MatrixConjugation
 from filtra.stability import (
+    EXAMPLES,
     _G_LIE_LIKE,
     _KINDS,
     _PRODUCT,
@@ -23,8 +24,7 @@ from filtra.stability import (
     poison_extension,
     product_filtration_check,
     replay_failure,
-    run_congruence_suite,
-    run_poison_suite,
+    run_suite,
     sample_level,
 )
 
@@ -131,14 +131,14 @@ def test_determinism(cong):
 
 
 def test_poison_suite_shape():
-    reports, ok, _ = run_poison_suite(count=60, seed=1)
+    reports, ok, _ = run_suite("poison", count=60, seed=1)
     assert not ok
     assert reports[0].condition == "stable" and not reports[0].ok
     assert reports[1].condition == "twist_equivalence" and reports[1].ok
 
 
 def test_congruence_suite_small():
-    reports, ok, _ = run_congruence_suite(3, 1, 1, 2, 2, count=40, seed=12)
+    reports, ok, _ = run_suite("congruence", count=40, seed=12, p=3, r0=1, s0=1, rmax=2, smax=2)
     assert ok
     names = [rep.condition for rep in reports]
     assert "stable" in names and "G_lie_like" in names
@@ -184,7 +184,7 @@ def test_top_levels_saturate(cong, poison):
 def test_poison_sampler_stream_pinned():
     # The poison report's failure texts depend on the exact draw order of
     # the word sampler; these values pin that stream.
-    (stable, lemma), _, _ = run_poison_suite(count=200, seed=1)
+    (stable, lemma), _, _ = run_suite("poison", count=200, seed=1)
     assert stable.samples == 600 and len(stable.failures) == 103
     assert {f["kind"] for f in stable.failures} == {"stable_condition2"}
     first = stable.failures[0]
@@ -194,15 +194,26 @@ def test_poison_sampler_stream_pinned():
     assert lemma.samples == 600 and not lemma.failures
 
 
+_CONGRUENCE_DIGEST = "8d076b003f381dfc1e30a9bab284388b9aaed2ae62c307e06ffc63b706f46b7a"
+
+
 def test_congruence_suite_payload_pinned():
     # sha256 of the suite's report payload, taken with the generic 2x2 matrix backend;
     # the flat SL2(Z) backend must reproduce it byte for byte.
-    reports, ok, _ = run_congruence_suite(3, 1, 1, 2, 2, count=40, seed=12)
+    reports, ok, _ = run_suite("congruence", count=40, seed=12, p=3, r0=1, s0=1, rmax=2, smax=2)
     payload = json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
     assert ok
-    assert hashlib.sha256(payload.encode()).hexdigest() == (
-        "8d076b003f381dfc1e30a9bab284388b9aaed2ae62c307e06ffc63b706f46b7a"
-    )
+    assert hashlib.sha256(payload.encode()).hexdigest() == _CONGRUENCE_DIGEST
+
+
+def test_a_fixture_is_one_table_entry(monkeypatch):
+    # the congruence entry under a second name runs with no other edit and
+    # reproduces the pinned payload
+    monkeypatch.setitem(EXAMPLES, "congruence-copy", EXAMPLES["congruence"])
+    reports, ok, _ = run_suite("congruence-copy", 40, 12, p=3, r0=1, s0=1, rmax=2, smax=2)
+    payload = json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
+    assert ok
+    assert hashlib.sha256(payload.encode()).hexdigest() == _CONGRUENCE_DIGEST
 
 
 def test_replay_round_trips_flat_texts(cong):
