@@ -12,7 +12,9 @@ check failed (the JSON report carries the counterexamples), 2 usage error;
 comes from the tower certificate, so no command builds an enumeration
 table or reaches its guard.  Re-running with an identical config
 (including the seed, which is mandatory for every sampling command)
-reproduces the same report except for the wall-clock timings.
+reproduces the same report except for the wall-clock timings.  An
+``--out`` path that cannot be written is a usage error, refused before the
+command runs.
 
 Imports follow the paper's split.  The congruence tower (``exactmat``,
 ``graded``, ``filtration``) is imported at the top of this module, and the
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -54,6 +57,14 @@ _BACKENDS = {"congruence": "congruence", "free": "poison"}
 
 class CliUsageError(Exception):
     pass
+
+
+def _check_out(path):
+    """Refuse an ``--out`` path that cannot be written, before the command runs."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(
+            path if os.path.exists(path) else folder, os.W_OK):
+        raise CliUsageError("cannot write --out %s" % path)
 
 
 def _emit(report, out_path):
@@ -345,8 +356,10 @@ def main(argv=None) -> int:
     no report."""
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
-    started = time.monotonic()
     try:
+        if args.out:
+            _check_out(args.out)
+        started = time.monotonic()
         results, ok, *stats = args.func(args)
     except (CliUsageError, MatrixError, ValueError) as exc:
         # bad literals, coordinates out of shape, invalid moduli, ...

@@ -10,7 +10,11 @@ None, with entries that may grow without bound, and over Z/p^r otherwise,
 with entries normalized into [0, p^r); it serves the n x n representation.
 The ring is a value: a product of matrices over different rings raises
 ``ModulusMismatch``, and ``Mat(a.entries, modulus)`` reduces a matrix over Z
-mod p^r.
+mod p^r.  A ``Mat`` is a named tuple, like ``holomorph.SemiElem``, so a
+product or inverse is one ``tuple.__new__`` and equality and hashing run in
+C; it refuses the ``+`` and the repetition by an int that a tuple allows.  ``Modulus``
+stays a frozen dataclass: a command builds one, so a tuple would save
+nothing, and ``"%s" % modulus`` must read it as one value.
 
 Validation happens where a matrix enters: the public constructor checks that
 the entries are n^2 exact integers for some n >= 1, so rows nested as tuples
@@ -39,6 +43,7 @@ by ','.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from math import isqrt
 from operator import mul
@@ -111,7 +116,7 @@ def _mat_mul(a, b):
     n = isqrt(len(a))
     rows = [a[i:i + n] for i in range(0, n * n, n)]
     cols = [b[j::n] for j in range(n)]
-    return tuple(sum(map(mul, row, col)) for row in rows for col in cols)
+    return tuple([sum(map(mul, row, col)) for row in rows for col in cols])
 
 
 def _flat_mul(x, y, m):
@@ -205,34 +210,27 @@ def _adjugate_n(entries):
         return (1,)
 
     def cofactor(i, j):
-        minor = tuple(entries[k * n + l] for k in range(n) if k != i for l in range(n) if l != j)
+        minor = tuple([entries[k * n + l] for k in range(n) if k != i for l in range(n) if l != j])
         c = _det(minor)
         return c if (i + j) % 2 == 0 else -c
 
-    return tuple(cofactor(j, i) for i in range(n) for j in range(n))
+    return tuple([cofactor(j, i) for i in range(n) for j in range(n)])
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(namedtuple("Mat", "entries modulus")):
     """Immutable square matrix over Z (``modulus`` None) or over Z/p^r
     (entries normalized into [0, p^r)).  ``entries`` is the flat row-major
     tuple of its n^2 entries: entry (i, j) is ``entries[i * n + j]``."""
 
-    entries: tuple
-    modulus: Modulus | None = None
-
-    def __post_init__(self):
-        entries = tuple(self.entries)
+    def __new__(cls, entries, modulus: Modulus | None = None):
+        entries = tuple(entries)
         n = isqrt(len(entries))
         if n < 1 or n * n != len(entries):
             raise DimensionMismatch("entries must be n^2 integers for some n >= 1, got %d" % len(entries))
         for e in entries:
             if not isinstance(e, int):
                 raise MatrixError("entries must be exact integers, got %r" % (e,))
-        if self.modulus is not None:
-            m = self.modulus.m
-            entries = tuple(e % m for e in entries)
-        object.__setattr__(self, "entries", entries)
+        return _mat(entries, modulus)
 
     @staticmethod
     def identity(n: int, modulus: Modulus | None = None) -> "Mat":
@@ -249,10 +247,10 @@ class Mat:
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented
-        modulus = self.modulus
-        if other.modulus != modulus:
-            raise ModulusMismatch("moduli differ: %s vs %s" % (modulus, other.modulus))
-        a, b = self.entries, other.entries
+        a, modulus = self
+        b, other_modulus = other
+        if other_modulus is not modulus and other_modulus != modulus:
+            raise ModulusMismatch("moduli differ: %s vs %s" % (modulus, other_modulus))
         if len(a) != len(b):
             n, k = self.n, other.n
             raise DimensionMismatch("cannot multiply %dx%d by %dx%d" % (n, n, k, k))
@@ -260,35 +258,40 @@ class Mat:
             return _reduced_mat(_flat_mul_z(a, b) if modulus is None else _flat_mul(a, b, modulus.m), modulus)
         return _mat(_mat_mul(a, b), modulus)
 
+    def __rmul__(self, other):
+        # the tuple's repetition and concatenation are no operations on matrices
+        return NotImplemented
+
+    __add__ = __rmul__
+
     def inverse(self) -> "Mat":
         """The inverse of a determinant-one matrix, its adjugate; any other
         determinant raises ``NonInvertible``.  It is kept, with this matrix
-        as its inverse, outside the fields that equality, hash and repr
-        read, so a matrix is inverted at most once."""
-        inv = self.__dict__.get("_inverse")
+        as its inverse, in the instance ``__dict__``, outside the fields that
+        equality, hash and repr read, so a matrix is inverted at most once."""
+        inv = getattr(self, "_inverse", None)
         if inv is not None:
             return inv
         d = self.det()
         if d != 1:
             raise NonInvertible("expected determinant 1, got %d" % d)
         inv = _mat(_adjugate(self.entries), self.modulus)
-        object.__setattr__(inv, "_inverse", self)
-        object.__setattr__(self, "_inverse", inv)
+        inv._inverse = self
+        self._inverse = inv
         return inv
 
     def __str__(self):
         return format_matrix(self.entries)
 
 
-# Arithmetic results skip the constructor's validation: a product or
-# adjugate of validated matrices is already a flat square tuple of ints.
+# A Mat is a named tuple: _reduced_mat builds one with a single
+# tuple.__new__, skipping the constructor's checks, for arithmetic results;
+# a product or adjugate of validated matrices is already a flat square
+# tuple of ints.
 
 def _reduced_mat(entries, modulus: Modulus | None) -> Mat:
     """A Mat from entries already reduced into [0, p^r) (or over Z)."""
-    out = object.__new__(Mat)
-    object.__setattr__(out, "entries", entries)
-    object.__setattr__(out, "modulus", modulus)
-    return out
+    return tuple.__new__(Mat, (entries, modulus))
 
 
 def _mat(entries, modulus: Modulus | None) -> Mat:

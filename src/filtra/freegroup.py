@@ -1,9 +1,11 @@
 """Reduced words in free groups and endomorphisms given on generators.
 
 Words are stored as tuples of signed generator indices (+i for the i-th
-generator, -i for its inverse) and are always freely reduced.  The public
-``Word`` constructor checks every letter and reduces; products, inverses and
-substitution images of checked words are built by a private constructor
+generator, -i for its inverse) and are always freely reduced.  A ``Word`` is
+the named tuple (rank, letters), compared and hashed in C; ``len`` is its
+letter count, and it refuses the ``+`` and ``*`` by an int of a tuple.  The
+public ``Word`` constructor checks every letter and reduces; products,
+inverses and substitution images of checked words are one ``tuple.__new__``
 that skips the letter scan (a product cancels only at the junction of its
 two reduced factors), but keeps the rank check and the ``WORD_CAP`` check.
 Endomorphisms are given by the images of the generators; automorphisms are
@@ -17,6 +19,7 @@ the shift/conjugation action on F_{n+1} (generators a_1..a_n, b).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from operator import neg
 
@@ -45,20 +48,18 @@ def _reduce(letters):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "rank letters")):
     """A freely reduced word in the free group of the given rank."""
 
-    rank: int
-    letters: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.letters) > WORD_CAP:
-            raise WordLengthError("word length %d exceeds cap %d" % (len(self.letters), WORD_CAP))
-        for a in self.letters:
-            if not isinstance(a, int) or a == 0 or abs(a) > self.rank:
-                raise ValueError("letter %r out of range for rank %d" % (a, self.rank))
-        object.__setattr__(self, "letters", _reduce(self.letters))
+    def __new__(cls, rank: int, letters: tuple):
+        if len(letters) > WORD_CAP:
+            raise WordLengthError("word length %d exceeds cap %d" % (len(letters), WORD_CAP))
+        for a in letters:
+            if not isinstance(a, int) or a == 0 or abs(a) > rank:
+                raise ValueError("letter %r out of range for rank %d" % (a, rank))
+        return _word(rank, _reduce(letters))
 
     @staticmethod
     def identity(rank: int) -> "Word":
@@ -71,19 +72,27 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        if other.rank != self.rank:
-            raise RankMismatch("ranks differ: %d vs %d" % (self.rank, other.rank))
-        a, b = self.letters, other.letters
+        rank, a = self
+        other_rank, b = other
+        if other_rank != rank:
+            raise RankMismatch("ranks differ: %d vs %d" % (rank, other_rank))
         if len(a) + len(b) > WORD_CAP:
             raise WordLengthError("word length %d exceeds cap %d" % (len(a) + len(b), WORD_CAP))
         k = 0
         top = min(len(a), len(b))
         while k < top and a[-1 - k] == -b[k]:
             k += 1
-        return _word(self.rank, a[:len(a) - k] + b[k:] if k else a + b)
+        return _word(rank, a[:len(a) - k] + b[k:] if k else a + b)
+
+    def __rmul__(self, other):
+        # the tuple's repetition and concatenation are no operations on words
+        return NotImplemented
+
+    __add__ = __rmul__
 
     def inverse(self) -> "Word":
-        return _word(self.rank, tuple(map(neg, reversed(self.letters))))
+        rank, letters = self
+        return _word(rank, tuple(map(neg, reversed(letters))))
 
     def __len__(self):
         return len(self.letters)
@@ -97,10 +106,7 @@ class Word:
 
 def _word(rank: int, letters: tuple) -> Word:
     """A Word from letters already known to be in range and freely reduced."""
-    out = object.__new__(Word)
-    object.__setattr__(out, "rank", rank)
-    object.__setattr__(out, "letters", letters)
-    return out
+    return tuple.__new__(Word, (rank, letters))
 
 
 def exponent_vector(w: Word) -> tuple:

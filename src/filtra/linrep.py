@@ -100,7 +100,7 @@ def rho(u: SemiElem):
     n, a, b = u.f.n, (u.f * u.x).entries, u.f.inverse().entries
     a_rows = [a[i:i + n] for i in range(0, n * n, n)]
     b_cols = [b[j::n] for j in range(n)]
-    return _mat(tuple(x * y for a_row in a_rows for b_col in b_cols for x in a_row for y in b_col),
+    return _mat(tuple([x * y for a_row in a_rows for b_col in b_cols for x in a_row for y in b_col]),
                 u.f.modulus)
 
 

@@ -125,6 +125,22 @@ def test_bad_inputs_map_to_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_refused_before_the_run(monkeypatch, tmp_path, capsys, where):
+    import filtra.linrep
+
+    def run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(filtra.linrep, "ball_injectivity", run)
+    out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    code = main(["rep-ball", "-p", "3", "--base", "1", "--target", "3", "--radius", "3", "--seed", "1",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "usage error: cannot write --out %s\n" % out
+
+
 def test_holomorph_identities_command(capsys):
     code, report = run_cli(
         capsys, "holomorph-identities", "--backend", "free", "--count", "50", "--seed", "4"

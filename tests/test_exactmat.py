@@ -334,3 +334,23 @@ def test_fast_paths_keep_their_errors():
         mmat(Modulus(5, 2), 5, 1, 0, 5).inverse()
     with pytest.raises(NonInvertible):
         (imat(1, 0, 0, 1) * imat(2, 0, 0, 1)).inverse()
+
+
+# -- the value contract of a Mat ----------------------------------------------
+
+@pytest.mark.parametrize("modulus", [None, M9])
+@pytest.mark.parametrize("entries, over_z, mod_9", [
+    ((10,), "10", "1"), ((1, 3, 0, 1), "1,3;0,1", "1,3;0,1"),
+    ((1, 2, 0, 0, 1, 10, 3, 0, 1), "1,2,0;0,1,10;3,0,1", "1,2,0;0,1,1;3,0,1"),
+])
+def test_value_contract(modulus, entries, over_z, mod_9):
+    a, twin = Mat(entries, modulus), Mat(list(entries), modulus)
+    assert a == twin and hash(a) == hash(twin)
+    assert a != Mat(entries, M27 if modulus is None else None)
+    assert str(a) == (over_z if modulus is None else mod_9)
+    for field in ("entries", "modulus"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(twin, field))
+    for refused in (lambda: a + twin, lambda: 3 * a, lambda: a * 3):
+        with pytest.raises(TypeError):
+            refused()

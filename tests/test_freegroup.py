@@ -177,3 +177,19 @@ def test_parse_format():
     assert parse_word("b a1 b^-1", 3, ["a1", "a2", "b"]) == w(3, 3, 1, -3)
     with pytest.raises(ValueError):
         parse_word("zz", 3)
+
+
+@pytest.mark.parametrize("rank, letters, text", [
+    (1, (1, 1, -1, 1), "a1 a1"), (2, (1, -2, 2, 2, -1), "a1 a2 a1^-1"), (3, (3, -1, 2), "a3 a1^-1 a2"),
+])
+def test_value_contract(rank, letters, text):
+    u, twin = Word(rank, letters), Word(rank, list(letters))
+    assert u == twin and hash(u) == hash(twin)
+    assert u != Word(rank + 1, letters)
+    assert len(u) == len(u.letters) == len(text.split()) and str(u) == text
+    for field in ("rank", "letters"):
+        with pytest.raises(AttributeError):
+            setattr(u, field, getattr(twin, field))
+    for refused in (lambda: u + twin, lambda: 2 * u, lambda: u * 2, lambda: Mat.identity(rank) * u):
+        with pytest.raises(TypeError):
+            refused()

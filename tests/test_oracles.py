@@ -17,7 +17,7 @@ import pytest
 
 from filtra import filtration, graded, holomorph, linrep
 from filtra.exactmat import (
-    _FLAT_ID, Mat, Modulus, NonInvertible, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z, _mat_mul,
+    _FLAT_ID, Mat, Modulus, NonInvertible, _adjugate_n, _flat_inv, _flat_inv_z, _flat_mul, _flat_mul_z, _mat_mul,
 )
 from filtra.filtration import (
     FAMILIES,
@@ -645,17 +645,67 @@ def mat_mul_by_loops(a, b, n):
     return tuple(out)
 
 
+# -- the n x n kernels on seeded random_sl draws, n = 1..5 ---------------------
+
+KERNEL_RINGS = [(n, modulus) for n in range(1, 6) for modulus in (None, Modulus(2, 3), Modulus(3, 2), Modulus(5, 1))]
+
+
+def sl_draws(label, n, modulus, count):
+    rng = random.Random("%s:%s:%s" % (label, n, modulus))
+    return [random_sl(n, modulus, rng) for _ in range(count)]
+
+
+def det_by_permutations(entries, n):
+    """The Leibniz sum over the permutations of range(n); 1 at n = 0."""
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(entries[i * n + perm[i]] for i in range(n))
+    return total
+
+
+def adjugate_by_cofactors(entries, n):
+    """adj[i][j] = (-1)^(i+j) times the determinant of the matrix without
+    row j and column i."""
+    return tuple((-1) ** (i + j) * det_by_permutations(
+        [entries[k * n + l] for k in range(n) if k != j for l in range(n) if l != i], n - 1)
+        for i in range(n) for j in range(n))
+
+
 def test_mat_mul_n_matches_triple_loop():
+    # on random entries, then on consecutive seeded random_sl draws
     rng = random.Random("mat-mul-n")
-    for n in (2, 3, 4, 5):
-        for modulus in (None, Modulus(2, 3), Modulus(3, 2), Modulus(5, 1)):
-            for _ in range(60):
-                bound = 10 ** 12 if modulus is None else modulus.m - 1
-                low = -bound if modulus is None else 0
-                a, b = (tuple(rng.randint(low, bound) for _ in range(n * n)) for _ in range(2))
-                want = mat_mul_by_loops(a, b, n)
-                assert _mat_mul(a, b) == want
-                assert (Mat(a, modulus) * Mat(b, modulus)).entries == Mat(want, modulus).entries
+    for n, modulus in KERNEL_RINGS:
+        bound = 10 ** 12 if modulus is None else modulus.m - 1
+        low = -bound if modulus is None else 0
+        pairs = [[tuple(rng.randint(low, bound) for _ in range(n * n)) for _ in range(2)] for _ in range(60)]
+        draws = [m.entries for m in sl_draws("mul", n, modulus, 30)]
+        for a, b in pairs + list(zip(draws, draws[1:])):
+            want = mat_mul_by_loops(a, b, n)
+            assert _mat_mul(a, b) == want
+            assert (Mat(a, modulus) * Mat(b, modulus)).entries == Mat(want, modulus).entries
+
+
+def test_adjugate_matches_cofactors_on_sl_draws():
+    for n, modulus in KERNEL_RINGS:
+        for m in sl_draws("adj", n, modulus, 20):
+            adj = _adjugate_n(m.entries)
+            assert adj == adjugate_by_cofactors(m.entries, n)
+            det = det_by_permutations(m.entries, n)
+            scalar = tuple(det if i == j else 0 for i in range(n) for j in range(n))
+            assert mat_mul_by_loops(adj, m.entries, n) == scalar == mat_mul_by_loops(m.entries, adj, n)
+
+
+def test_rho_matches_its_entry_formula_on_sl_draws():
+    # [i*n + j][k*n + l] = (gamma y)[i][k] * (gamma^-1)[l][j], with gamma y by
+    # the triple loop and gamma^-1 its cofactor adjugate (det gamma = 1)
+    for n, modulus in KERNEL_RINGS:
+        draws = sl_draws("rho", n, modulus, 20)
+        for gamma, y in zip(draws[::2], draws[1::2]):
+            a = mat_mul_by_loops(gamma.entries, y.entries, n)
+            b = adjugate_by_cofactors(gamma.entries, n)
+            want = tuple(a[i * n + k] * b[l * n + j] for i, j, k, l in itertools.product(range(n), repeat=4))
+            assert rho(pair(gamma, y)) == Mat(want, modulus)
 
 
 def _random_word(rng, rank):
