@@ -12,9 +12,9 @@ The ring is a value: a product of matrices over different rings raises
 ``ModulusMismatch``, and ``Mat(a.entries, modulus)`` reduces a matrix over Z
 mod p^r.  A ``Mat`` is a named tuple, like ``holomorph.SemiElem``, so a
 product or inverse is one ``tuple.__new__`` and equality and hashing run in
-C; it refuses the ``+`` and the repetition by an int that a tuple allows.  ``Modulus``
-stays a frozen dataclass: a command builds one, so a tuple would save
-nothing, and ``"%s" % modulus`` must read it as one value.
+C; it refuses a tuple's ``+``, repetition and ordering (``_ValueTuple``).
+``Modulus`` stays a frozen dataclass: a command builds one, so a tuple
+would save nothing, and ``"%s" % modulus`` must read it as one value.
 
 Validation happens where a matrix enters: the public constructor checks that
 the entries are n^2 exact integers for some n >= 1, so rows nested as tuples
@@ -217,7 +217,21 @@ def _adjugate_n(entries):
     return tuple([cofactor(j, i) for i in range(n) for j in range(n)])
 
 
-class Mat(namedtuple("Mat", "entries modulus")):
+class _ValueTuple:
+    """Mixin of the named tuples ``Mat`` and ``freegroup.Word``: refuses a
+    tuple's ``+`` on either side, repetition by an int and ordering.  Each
+    raises: a reflected ``+`` returning ``NotImplemented`` lets
+    ``tuple.__add__`` concatenate."""
+
+    __slots__ = ()
+
+    def _refuse(self, other):
+        raise TypeError("a %s takes no +, repetition or ordering" % type(self).__name__)
+
+    __add__ = __radd__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+
+class Mat(_ValueTuple, namedtuple("Mat", "entries modulus")):
     """Immutable square matrix over Z (``modulus`` None) or over Z/p^r
     (entries normalized into [0, p^r)).  ``entries`` is the flat row-major
     tuple of its n^2 entries: entry (i, j) is ``entries[i * n + j]``."""
@@ -257,12 +271,6 @@ class Mat(namedtuple("Mat", "entries modulus")):
         if len(a) == 4:
             return _reduced_mat(_flat_mul_z(a, b) if modulus is None else _flat_mul(a, b, modulus.m), modulus)
         return _mat(_mat_mul(a, b), modulus)
-
-    def __rmul__(self, other):
-        # the tuple's repetition and concatenation are no operations on matrices
-        return NotImplemented
-
-    __add__ = __rmul__
 
     def inverse(self) -> "Mat":
         """The inverse of a determinant-one matrix, its adjugate; any other

@@ -3,11 +3,12 @@
 Words are stored as tuples of signed generator indices (+i for the i-th
 generator, -i for its inverse) and are always freely reduced.  A ``Word`` is
 the named tuple (rank, letters), compared and hashed in C; ``len`` is its
-letter count, and it refuses the ``+`` and ``*`` by an int of a tuple.  The
-public ``Word`` constructor checks every letter and reduces; products,
-inverses and substitution images of checked words are one ``tuple.__new__``
-that skips the letter scan (a product cancels only at the junction of its
-two reduced factors), but keeps the rank check and the ``WORD_CAP`` check.
+letter count, and like ``Mat`` it refuses a tuple's ``+``, repetition and
+ordering (``exactmat._ValueTuple``).  The public ``Word`` constructor checks
+every letter and reduces; products, inverses and substitution images of
+checked words are one ``tuple.__new__`` that skips the letter scan (a
+product cancels only at the junction of its two reduced factors), but keeps
+the rank check and the ``WORD_CAP`` check.
 Endomorphisms are given by the images of the generators; automorphisms are
 certified by an explicit inverse witness, never by a decision procedure.
 
@@ -23,7 +24,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from operator import neg
 
-from .exactmat import Mat
+from .exactmat import Mat, _ValueTuple
 
 #: Hard cap on word length; composed substitutions hitting this are a bug
 #: in the caller, not something to silently truncate.
@@ -48,7 +49,7 @@ def _reduce(letters):
     return tuple(out)
 
 
-class Word(namedtuple("Word", "rank letters")):
+class Word(_ValueTuple, namedtuple("Word", "rank letters")):
     """A freely reduced word in the free group of the given rank."""
 
     __slots__ = ()
@@ -83,12 +84,6 @@ class Word(namedtuple("Word", "rank letters")):
         while k < top and a[-1 - k] == -b[k]:
             k += 1
         return _word(rank, a[:len(a) - k] + b[k:] if k else a + b)
-
-    def __rmul__(self, other):
-        # the tuple's repetition and concatenation are no operations on words
-        return NotImplemented
-
-    __add__ = __rmul__
 
     def inverse(self) -> "Word":
         rank, letters = self

@@ -20,9 +20,11 @@ compares up to sign.  The free backend composes phi(f) into one
 ``EndoSpec`` once per distinct Gamma word (and its prefixes) and keeps it
 for the action's lifetime, so each application is one substitution pass.
 
-Closed forms for inverse, conjugation, and commutator are provided and can
-be cross-checked against first-principles products: ``_LAWS`` is the table
-of those laws, which ``verify_holomorph_identities`` checks on samples.
+Closed forms for inverse, conjugation, and commutator are provided and are
+cross-checked against first-principles products: ``_LAWS`` is the table of
+those laws, which ``verify_holomorph_identities`` checks on samples.  It is
+the one place the closed forms are checked; the stability suite takes
+``semi_conj`` and ``semi_comm`` as given and checks levels only.
 
 The identity checks draw their words with ``filtration.WordSampler``, the
 package's one seeded word sampler.
@@ -242,7 +244,7 @@ _LAWS = {
 }
 
 
-def verify_holomorph_identities(act, gamma_gens, pi_gens, count, seed, radius=4):
+def verify_holomorph_identities(act, gamma_gens, pi_gens, count, seed, radius):
     """Count the failures of each law of ``_LAWS`` on ``count`` seeded samples."""
     rng = random.Random("holomorph:%s" % seed)
     gamma, pi = act.gamma, act.pi

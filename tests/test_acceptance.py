@@ -106,7 +106,7 @@ def test_criterion_04_bracket_well_defined():
 def test_criterion_05_holomorph_identities():
     act = MatrixConjugation()
     gens = flat_congruence_basis(3, 1)
-    ok = verify_holomorph_identities(act, gens, gens, 1000, seed=42)["ok"]
+    ok = verify_holomorph_identities(act, gens, gens, 1000, seed=42, radius=4)["ok"]
     act2 = FreeGroupAction(2, 3, poison_action())
     gamma_gens = [Word.generator(2, 1), Word.generator(2, 2)]
     pi_gens = [Word.generator(3, i) for i in (1, 2, 3)]

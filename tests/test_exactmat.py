@@ -351,6 +351,8 @@ def test_value_contract(modulus, entries, over_z, mod_9):
     for field in ("entries", "modulus"):
         with pytest.raises(AttributeError):
             setattr(a, field, getattr(twin, field))
-    for refused in (lambda: a + twin, lambda: 3 * a, lambda: a * 3):
+    for refused in (lambda: a + twin, lambda: 3 * a, lambda: a * 3, lambda: (0,) + a, lambda: a + (0,),
+                    lambda: a < twin, lambda: a <= twin, lambda: a > twin, lambda: a >= twin,
+                    lambda: sorted([a, twin])):
         with pytest.raises(TypeError):
             refused()

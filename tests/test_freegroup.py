@@ -190,6 +190,9 @@ def test_value_contract(rank, letters, text):
     for field in ("rank", "letters"):
         with pytest.raises(AttributeError):
             setattr(u, field, getattr(twin, field))
-    for refused in (lambda: u + twin, lambda: 2 * u, lambda: u * 2, lambda: Mat.identity(rank) * u):
+    for refused in (lambda: u + twin, lambda: 2 * u, lambda: u * 2, lambda: Mat.identity(rank) * u,
+                    lambda: (0,) + u, lambda: u + (0,), lambda: u < twin, lambda: u <= twin, lambda: u > twin,
+                    lambda: u >= twin, lambda: sorted([u, twin])):
         with pytest.raises(TypeError):
             refused()
+    assert not hasattr(u, "__dict__")

@@ -96,7 +96,7 @@ def test_semi_comm_examples():
 
 def test_identities_congruence_backend():
     gens = flat_congruence_basis(3, 1)
-    report = verify_holomorph_identities(ACT, gens, gens, 200, seed=11)
+    report = verify_holomorph_identities(ACT, gens, gens, 200, seed=11, radius=4)
     assert report["ok"], report
 
 

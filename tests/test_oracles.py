@@ -1235,7 +1235,7 @@ def test_every_law_has_a_mutant():
     relations = {rel["id"] for rel in graded.verify_relation_table(3, 2)["relations"]}
     assert set().union(*(laws for _, _, laws in _relation_mutations().values())) == relations
     act, gamma_gens, pi_gens, radius = _holomorph_backends()[0]
-    report = holomorph.verify_holomorph_identities(act, gamma_gens, pi_gens, 0, 0)
+    report = holomorph.verify_holomorph_identities(act, gamma_gens, pi_gens, 0, 0, radius=4)
     checks = {check["id"] for check in report["checks"]}
     assert len(relations) == 4 and len(checks) == 7
     assert set().union(*(laws for _, _, laws in _identity_mutations().values())) == checks
@@ -1260,7 +1260,7 @@ def test_law_and_tower_grids_keep_their_digests():
         for seed in range(6):
             for p in (2, 3, 5):
                 gens = flat_congruence_basis(p, 1)
-                reports.append(holomorph.verify_holomorph_identities(cong[0], gens, gens, count, seed))
+                reports.append(holomorph.verify_holomorph_identities(cong[0], gens, gens, count, seed, radius=4))
             reports.append(holomorph.verify_holomorph_identities(*free[:3], count, seed, free[3]))
         assert _report_digest(reports) == digest, count
     towers = [tower_invariants(p, i, j, family) for p in (2, 3, 5, 7, 1048573) for i in range(1, 6)

@@ -7,7 +7,8 @@ import pytest
 
 from filtra.exactmat import MatrixError, parse_matrix
 from filtra.freegroup import poison_action
-from filtra.holomorph import FreeGroupAction, Group, MatrixConjugation
+from filtra.filtration import flat_congruence_basis
+from filtra.holomorph import FreeGroupAction, Group, MatrixConjugation, verify_holomorph_identities
 from filtra.stability import (
     EXAMPLES,
     _G_LIE_LIKE,
@@ -294,26 +295,28 @@ class _ConjugatingCommutators(MatrixConjugation):
     pi = _ConjugateForCommutator(**vars(MatrixConjugation.pi))
 
 
-# fault -> (action, failure kinds, sha256 of the reports); the digests pin
-# each check's draw order and the draws each failure kind reads, which a
-# passing run's payload cannot show
+_BROKEN_PRODUCT = {"inverse_formula", "conjugation_by_inverse", "associativity"}
+
+# fault -> (action, failure kinds, failing holomorph laws, sha256 of the
+# reports); the digests pin each check's draw order and the draws each
+# failure kind reads, which a passing run's payload cannot show
 _FAULTS = {
     "apply f x f": (_ApplyFxF, {"stable_condition1", "action_hom", "product_normality",
-                                "stably_lie_like_mixed", "g_lie_like_commutator"},
-                    "c82c4cf601934ed627dc0d455f7352b0926178042d346b266d8927cda4b1e2c5"),
+                                "stably_lie_like_mixed", "g_lie_like_commutator"}, _BROKEN_PRODUCT,
+                    "9a91c356a4b3dfa4b6c4de24a68234fc55624269442e7f37e3b1fae717a7a999"),
     "lopsided action": (_Lopsided, {"stable_condition1", "stable_condition2", "action_hom",
                                     "twist_biconditional", "product_closure", "product_normality",
-                                    "stably_lie_like_mixed", "g_lie_like_commutator"},
-                        "2ae303129b1a1618f39ce0fdcffb0980d967101417d4c3f4854b91bd9188ece6"),
+                                    "stably_lie_like_mixed", "g_lie_like_commutator"}, _BROKEN_PRODUCT,
+                        "9c1e98e0e86b717a5e7b14b62b2de14bf6c5e74cd37090f4e2a6699729f27158"),
     "conjugate for commutator": (_ConjugatingCommutators, {"stably_lie_like_gamma", "stably_lie_like_pi",
-                                                           "g_lie_like_commutator"},
-                                 "1f467fb3b5a4c2679416cbb25e44d6726902570dc200ff4eeaadf571f23944bb"),
+                                                           "g_lie_like_commutator"}, {"commutator_closed_form"},
+                                 "1e02ec871bf43c24ebf34d1a8c82eaa8f978d6b88d885dfecd97a8ea3944b56a"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
 def test_injected_faults_replay(fault):
-    action, kinds, digest = _FAULTS[fault]
+    action, kinds, _, digest = _FAULTS[fault]
     ext = replace(congruence_extension(3, 1, 1, cap=2), act=action())
     reports = [check_stable(ext, 2, 2, 30, 0), check_twist_equivalence(ext, 2, 2, 30, 0)]
     reports += [product_filtration_check(ext, r, s, 30, 0) for r in range(3) for s in range(3 - r)]
@@ -329,7 +332,17 @@ def test_every_failure_kind_is_reached():
     phases = _STABLE + _TWIST + _PRODUCT + _STABLY_LIE_LIKE + _G_LIE_LIKE
     named = [kind for _, kinds in phases for kind in kinds]
     assert sorted(named) == sorted(_KINDS)
-    assert set().union(*(kinds for _, kinds, _ in _FAULTS.values())) == set(_KINDS)
+    assert set().union(*(kinds for _, kinds, _, _ in _FAULTS.values())) == set(_KINDS)
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_holomorph_laws_catch_each_fault(fault):
+    # the stability checks test levels only; the closed forms they take as
+    # given are checked in holomorph._LAWS, which fails under every fault
+    action, _, laws, _ = _FAULTS[fault]
+    basis = flat_congruence_basis(3, 1)
+    report = verify_holomorph_identities(action(), basis, basis, 300, 0, radius=4)
+    assert {check["id"] for check in report["checks"] if check["failures"]} == laws
 
 
 class _ReverseComposing(FreeGroupAction):
