@@ -17,13 +17,13 @@ reproduces the same report except for the wall-clock timings.  An
 command runs.
 
 Imports follow the paper's split.  The congruence tower (``exactmat``,
-``graded``, ``filtration``) is imported at the top of this module, and the
-tower commands (``quotient``, ``pcongruence``, ``graded``) import nothing
-more.  Each other handler imports the split-extension modules it runs
-(``stability``, ``holomorph``, ``freegroup``, ``linrep``) when it is
-called, and ``main`` adds the named command's subparser alone.
-``stability`` and ``holomorph-identities`` build their fixture from its
-``stability.EXAMPLES`` entry, and name no fixture but in their flags.
+``graded``, ``filtration``) is imported at the top of this module, and
+``main`` adds the named command's subparser alone, so the tower commands
+(``quotient``, ``pcongruence``, ``graded``) import nothing more.  Each
+other command imports the split-extension modules it runs (``stability``,
+``holomorph``, ``freegroup``, ``linrep``) when it runs; ``stability`` and
+``holomorph-identities`` import ``stability`` while their subparser is
+built, to read their choices and fixture flags from ``stability.EXAMPLES``.
 """
 
 from __future__ import annotations
@@ -47,13 +47,6 @@ SCHEMA_VERSION = 1
 #: nmax^4: nmax = 16 takes about 0.3 s and writes a 145 kB report, 32 took
 #: 5.6 s.
 MAX_NMAX = 16
-
-#: The flags of the ``stability.EXAMPLES`` entries by name, and the entry
-#: each ``holomorph-identities --backend`` builds.  They are spelled here, so
-#: that building the parser loads no ``stability``.
-_FIXTURE_FLAGS = {"p": "-p", "r0": "--r0", "s0": "--s0", "rmax": "--rmax", "smax": "--smax"}
-_BACKENDS = {"congruence": "congruence", "free": "poison"}
-
 
 class CliUsageError(Exception):
     pass
@@ -82,32 +75,36 @@ def _cmd_quotient(args):
     return result, True
 
 
+def _check_size(flag, value, most):
+    if value < 1:
+        raise CliUsageError("%s must be at least 1" % flag)
+    if value > most:
+        raise CliUsageError("%s must be at most %d" % (flag, most))
+
+
 def _cmd_pcongruence(args):
-    if args.jmax < 1:
-        raise CliUsageError("--jmax must be at least 1")
-    if args.jmax > MAX_JMAX:
-        raise CliUsageError("--jmax must be at most %d" % MAX_JMAX)
+    _check_size("--jmax", args.jmax, MAX_JMAX)
     check_tower_depth(args.p, args.r0 + args.jmax)
     spec = FiltrationSpec(args.family, args.p, args.r0, args.jmax)
     result = check_p_congruence(spec, args.jmax, args.e, seed=args.seed)
     return result, result["ok"], {"pairs_certified": len(result["pairs"])}
 
 
-def _check_count(count, most):
-    if count < 1:
-        raise CliUsageError("--count must be at least 1")
-    if count > most:
-        raise CliUsageError("--count must be at most %d" % most)
+def _fixture_flags(examples):
+    """The flags of the ``stability.EXAMPLES`` entries by name, with their
+    spellings: ``-p`` for a one-letter name, ``--name`` otherwise."""
+    return {key: ("-" if len(key) == 1 else "--") + key for example in examples.values() for key in example.flags}
 
 
 def _cmd_stability(args):
     from .stability import EXAMPLES, MAX_SAMPLE_COUNT, run_suite
 
-    _check_count(args.count, MAX_SAMPLE_COUNT)
+    _check_size("--count", args.count, MAX_SAMPLE_COUNT)
     flags = EXAMPLES[args.example].flags
-    stray = sorted(vars(args).keys() & _FIXTURE_FLAGS.keys() - flags.keys())
+    spelled = _fixture_flags(EXAMPLES)
+    stray = sorted(vars(args).keys() & spelled.keys() - flags.keys())
     if stray:
-        raise CliUsageError("--example %s takes no %s" % (args.example, ", ".join(_FIXTURE_FLAGS[k] for k in stray)))
+        raise CliUsageError("--example %s takes no %s" % (args.example, ", ".join(spelled[k] for k in stray)))
     for key, value in flags.items():
         vars(args).setdefault(key, value)
     reports, ok, stats = run_suite(args.example, args.count, args.seed, **{key: vars(args)[key] for key in flags})
@@ -177,8 +174,8 @@ def _cmd_holomorph(args):
     from .holomorph import MAX_IDENTITY_COUNT, verify_holomorph_identities
     from .stability import EXAMPLES
 
-    _check_count(args.count, MAX_IDENTITY_COUNT)
-    example = EXAMPLES[_BACKENDS[args.backend]]
+    _check_size("--count", args.count, MAX_IDENTITY_COUNT)
+    [example] = [entry for entry in EXAMPLES.values() if entry.backend == args.backend]
     if args.p is None:
         args.p = 3   # reported by the free backend too, which takes no prime; the digests keep it
     elif "p" not in example.flags:
@@ -198,8 +195,7 @@ def _cmd_freegroup(args):
     if not 2 <= args.nmax <= MAX_NMAX:
         raise CliUsageError("--nmax must be between 2 and %d" % MAX_NMAX)
     checks = []
-    phi_pairs = poison_action()
-    for idx, (endo, inv) in enumerate(phi_pairs, start=1):
+    for idx, (endo, inv) in enumerate(poison_action(), start=1):
         abel = endo.abelianize()
         checks.append({
             "id": "fp_generator_%d" % idx,
@@ -261,10 +257,12 @@ def _add_pcongruence(sub, common):
 
 
 def _add_stability(sub, common):
+    from .stability import EXAMPLES
+
     st = sub.add_parser("stability", parents=[common], help="stability / Lie-like sampling suites")
-    st.add_argument("--example", choices=["congruence", "poison"], required=True)
+    st.add_argument("--example", choices=list(EXAMPLES), required=True)
     # absent when not given: the example's entry holds their defaults
-    for flag in _FIXTURE_FLAGS.values():
+    for flag in _fixture_flags(EXAMPLES).values():
         st.add_argument(flag, type=int, default=argparse.SUPPRESS)
     st.add_argument("--count", type=int, default=500)
     st.add_argument("--seed", type=int, required=True)
@@ -309,9 +307,11 @@ def _add_ball(sub, common):
 
 
 def _add_holomorph(sub, common):
+    from .stability import EXAMPLES
+
     ho = sub.add_parser("holomorph-identities", parents=[common], help="closed forms vs first-principles products")
-    ho.add_argument("--backend", choices=list(_BACKENDS), required=True)
-    ho.add_argument("-p", type=int, help="prime of the congruence backend (default 3)")
+    ho.add_argument("--backend", choices=[entry.backend for entry in EXAMPLES.values() if entry.backend], required=True)
+    ho.add_argument("-p", type=int, help="prime of a backend that takes one (default 3)")
     ho.add_argument("--count", type=int, default=1000)
     ho.add_argument("--seed", type=int, required=True)
     ho.set_defaults(func=_cmd_holomorph)

@@ -78,6 +78,11 @@ CONSTRUCTIVE_LIMIT = 10 ** 5
 #: (extrapolated, not run).
 MAX_SAMPLE_COUNT = 5000
 
+#: The largest ``stability --rmax`` or ``--smax``.  At this bound, p = 3,
+#: r0 = s0 = 1 and ``MAX_SAMPLE_COUNT`` the congruence suite (28 cells) took
+#: 32.3 s and peaked at 25.2 MB RSS; at the default 3 (10 cells) 10.0 s, 24.4 MB.
+MAX_DEPTH_CAP = 6
+
 
 @dataclass
 class CheckReport:
@@ -92,16 +97,12 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.failures
 
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.ok else "fail"
-
     def to_dict(self) -> dict:
         return {
             "condition": self.condition,
             "samples": self.samples,
             "failures": self.failures,
-            "verdict": self.verdict,
+            "verdict": "pass" if self.ok else "fail",
             **({"meta": self.meta} if self.meta else {}),
         }
 
@@ -162,10 +163,6 @@ def congruence_extension(p: int, r0: int, s0: int, cap: int) -> ExtensionSpec:
     )
 
 
-_GAMMA_NAMES = ["phi1", "phi2"]
-_PI_NAMES = ["a1", "a2", "a3"]
-
-
 def poison_extension() -> ExtensionSpec:
     """The contrast fixture: lower-central-series levels truncated at
     class 2 on F_3, and on the rank-2 side the central series with the
@@ -186,9 +183,9 @@ def poison_extension() -> ExtensionSpec:
         act=act,
         # levels: F_0 = F_1 = whole group, F_2 = commutator subgroup,
         # 3 = cap + 1 = third lower central subgroup and deeper
-        gamma=side(_GAMMA_NAMES, lcs_depth2, {0: phi, 1: phi, 2: [act.gamma.comm(*phi)]}.get, 2),
+        gamma=side(["phi1", "phi2"], lcs_depth2, {0: phi, 1: phi, 2: [act.gamma.comm(*phi)]}.get, 2),
         # L_0 = F_3, L_1 = commutator subgroup, 2 = cap + 1 = class >= 3
-        pi=side(_PI_NAMES, lambda w: lcs_depth2(w) - 1,
+        pi=side(["a1", "a2", "a3"], lambda w: lcs_depth2(w) - 1,
                 {0: a, 1: [act.pi.comm(u, v) for u, v in combinations(a, 2)]}.get, 1),
     )
 
@@ -265,14 +262,18 @@ def _eval_twist_biconditional(ext, elems):
     return ok, {"required": required, "forward": forward, "backward": backward}
 
 
-def _eval_closure(ext, elems):
-    (f, lf), (x, lx), (g, lg), (y, ly) = elems
-    level = min(lf, lx, lg, ly)
-    prod = semi_mul(SemiElem(f, x), SemiElem(g, y), ext.act)
-    got_gamma = ext.gamma.level(prod.f)
-    got_pi = ext.pi.level(prod.x)
+def _pair_reaches(ext, pair, level):
+    """Whether both components of ``pair`` reach ``level``, saturated at each
+    side's cap + 1, with the levels they measure."""
+    got_gamma = ext.gamma.level(pair.f)
+    got_pi = ext.pi.level(pair.x)
     ok = got_gamma >= _req(ext.gamma, level) and got_pi >= _req(ext.pi, level)
     return ok, {"required": level, "gamma": got_gamma, "pi": got_pi}
+
+
+def _eval_closure(ext, elems):
+    (f, lf), (x, lx), (g, lg), (y, ly) = elems
+    return _pair_reaches(ext, semi_mul(SemiElem(f, x), SemiElem(g, y), ext.act), min(lf, lx, lg, ly))
 
 
 def _eval_normality(ext, elems):
@@ -321,14 +322,8 @@ def _eval_stably_lie_like_pi(ext, elems):
 
 
 def _eval_g_lie_like(ext, elems):
-    act = ext.act
     (f, lf), (x, lx), (g, lg), (y, ly) = elems
-    level = min(lf, lx) + min(lg, ly)
-    comm = semi_comm(SemiElem(f, x), SemiElem(g, y), act)
-    got_gamma = ext.gamma.level(comm.f)
-    got_pi = ext.pi.level(comm.x)
-    ok = got_gamma >= _req(ext.gamma, level) and got_pi >= _req(ext.pi, level)
-    return ok, {"required": level, "gamma": got_gamma, "pi": got_pi}
+    return _pair_reaches(ext, semi_comm(SemiElem(f, x), SemiElem(g, y), ext.act), min(lf, lx) + min(lg, ly))
 
 
 _FXGY = ("f", "x", "g", "y")
@@ -483,9 +478,7 @@ def _generator_bound(ext, r, s):
     order is at most ``CONSTRUCTIVE_LIMIT`` and the Gamma modulus p^j is at
     least the pi modulus.
     """
-    if ext.quotients is None:
-        return None
-    levels = ext.quotients(r, s)
+    levels = ext.quotients and ext.quotients(r, s)
     if levels is None:
         return None
     gamma_q, pi_q = levels
@@ -539,6 +532,8 @@ def _all_checks(ext, r_max, s_max, count, seed):
 def _congruence(p, r0, s0, rmax, smax):
     if min(rmax, smax) < 0:
         raise ValueError("rmax and smax must be at least 0")
+    if max(rmax, smax) > MAX_DEPTH_CAP:
+        raise ValueError("rmax and smax must be at most %d" % MAX_DEPTH_CAP)
     # level_of reads exponents up to r0 + cap + 1 on the pi side, s0 + cap + 1 on Gamma
     check_tower_depth(p, max(r0, s0) + max(rmax, smax) + 1)
     return congruence_extension(p, r0, s0, cap=max(rmax, smax)), rmax, smax
@@ -547,14 +542,17 @@ def _congruence(p, r0, s0, rmax, smax):
 #: A fixture: ``build(**flags)`` checks its flags (``flags`` maps each to
 #: its default) and returns (extension, r_max, s_max), and ``suite`` runs
 #: its checks on them, each called by its name when it runs, so that a
-#: rebound module global (a tracer) sees it.
-Example = namedtuple("Example", "build flags suite radius")
+#: rebound module global (a tracer) sees it; ``holomorph-identities
+#: --backend BACKEND`` builds it and draws its words up to ``radius``.
+Example = namedtuple("Example", "build flags suite radius backend")
 
-#: The fixtures by ``--example`` name.
+#: The fixtures by ``--example`` name, and the CLI's only list of them.
 EXAMPLES = {
-    "congruence": Example(_congruence, {"p": 3, "r0": 1, "s0": 1, "rmax": 3, "smax": 3}, _all_checks, radius=4),
+    "congruence": Example(_congruence, {"p": 3, "r0": 1, "s0": 1, "rmax": 3, "smax": 3}, _all_checks, radius=4,
+                          backend="congruence"),
     "poison": Example(lambda: (poison_extension(), 1, 1), {},
-                      lambda ext, *run: [check_stable(ext, *run), check_twist_equivalence(ext, *run)], radius=5),
+                      lambda ext, *run: [check_stable(ext, *run), check_twist_equivalence(ext, *run)], radius=5,
+                      backend="free"),
 }
 
 

@@ -16,7 +16,7 @@ from filtra.cli import MAX_NMAX, build_parser, main
 from filtra.filtration import MAX_JMAX, MAX_MODULUS_BITS
 from filtra.holomorph import MAX_IDENTITY_COUNT
 from filtra.linrep import MAX_BALL_RADIUS, MAX_FAITHFUL_SAMPLES, MAX_REP_N
-from filtra.stability import MAX_SAMPLE_COUNT, poison_extension, replay_failure
+from filtra.stability import EXAMPLES, MAX_DEPTH_CAP, MAX_SAMPLE_COUNT, poison_extension, replay_failure
 
 
 def run_cli(capsys, *args):
@@ -421,20 +421,20 @@ def test_stability_congruence_flags_default(capsys):
                                 "p": 3, "r0": 1, "s0": 1, "rmax": 3, "smax": 3}
 
 
-def test_cli_spellings_match_the_fixture_table():
-    # the argparse spellings stay in cli, so that the parser loads no
-    # stability module; they name exactly the EXAMPLES entries and flags
-    from filtra.cli import _BACKENDS
-    from filtra.stability import EXAMPLES
-
-    commands = _subparsers(build_parser())
-    stability = {action.dest: action for action in commands["stability"]._actions}
-    assert set(stability["example"].choices) == set(EXAMPLES)
-    suppressed = {dest for dest, action in stability.items()
-                  if action.option_strings and action.default is argparse.SUPPRESS} - {"help"}
-    assert suppressed == set().union(*(entry.flags for entry in EXAMPLES.values()))
-    backend = next(action for action in commands["holomorph-identities"]._actions if action.dest == "backend")
-    assert all(_BACKENDS[name] in EXAMPLES for name in backend.choices)
+def test_a_fixture_is_one_entry_for_the_cli(monkeypatch, capsys):
+    # an entry added to the table alone is a --example choice and a
+    # --backend choice, with its flags, and runs as the entry it copies
+    copy = EXAMPLES["congruence"]._replace(backend="congruence-copy")
+    monkeypatch.setitem(EXAMPLES, "congruence-copy", copy)
+    runs = {}
+    for name in ("congruence", "congruence-copy"):
+        runs[name] = [run_cli(capsys, "stability", "--example", name, "-p", "2", "--rmax", "1", "--smax", "1",
+                              "--count", "20", "--seed", "3"),
+                      run_cli(capsys, "holomorph-identities", "--backend", name, "-p", "5", "--count", "20",
+                              "--seed", "3")]
+    for (code, report), (copy_code, copy_report) in zip(runs["congruence"], runs["congruence-copy"]):
+        assert code == copy_code == 0
+        assert copy_report["results"] == report["results"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -635,7 +635,7 @@ def test_stability_count_bound(capsys):
     assert 500 <= MAX_SAMPLE_COUNT
     args = ["stability", "--seed", "1", "--count"]
     started = time.perf_counter()
-    for example in ("congruence", "poison"):
+    for example in EXAMPLES:
         for count in (MAX_SAMPLE_COUNT + 1, 10 ** 7):
             assert main(args + [str(count), "--example", example]) == 2
     assert time.perf_counter() - started < 0.5
@@ -686,6 +686,22 @@ def test_stability_depth_bound(capsys):
     assert time.perf_counter() - started < 0.5
     captured = capsys.readouterr()
     assert captured.out == "" and "more than %d bits" % MAX_MODULUS_BITS in captured.err
+
+
+def test_stability_cap_bound(capsys):
+    # the congruence suite runs (cap + 1)(cap + 2)/2 cells at cap =
+    # max(rmax, smax), so both are bounded; the default 3 stays accepted
+    assert 3 <= MAX_DEPTH_CAP
+    args = ["stability", "--example", "congruence", "--count", "1", "--seed", "1"]
+    code, report = run_cli(capsys, *args, "--rmax", str(MAX_DEPTH_CAP), "--smax", str(MAX_DEPTH_CAP))
+    assert code == 0 and report["config"]["rmax"] == MAX_DEPTH_CAP
+    started = time.perf_counter()
+    for flag in ("--rmax", "--smax"):
+        for cap in (MAX_DEPTH_CAP + 1, 400, 10 ** 9):
+            assert main(args + [flag, str(cap)]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("rmax and smax must be at most %d" % MAX_DEPTH_CAP) == 6
 
 
 def test_graded_verify_qmax_bound(capsys):
@@ -862,6 +878,23 @@ def test_benchmark_commands_run(capsys):
             capsys.readouterr()
 
 
+def test_benchmark_payloads_match_their_digests(capsys):
+    # every command of the benchmark at seed 1, uncapped, exits as the
+    # benchmark expects and keeps the payload digest perfbench/digests.json
+    # records for it: the SHA-256 of the report without timings, compact
+    import pathlib
+
+    digests = json.loads((pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text())
+    for name, commands in _benchmark_workloads().items():
+        for index, command in enumerate(commands):
+            argv = command.argv(1)
+            assert main(argv) == command.expect_code, (name, argv)
+            report = json.loads(capsys.readouterr().out)
+            report.pop("timings")
+            text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(text.encode()).hexdigest() == digests[name]["1"][index], (name, argv)
+
+
 def test_benchmark_reads_existing_names():
     # every function a per-layer metric of perfbench/run.py wraps, and the
     # guard perfbench/layers.py imports, is a name in filtra, apart from the
@@ -979,7 +1012,7 @@ CLI_ARGV = {
     "pcongruence": _argv(["pcongruence"], [("--family", st.sampled_from(["pgamma", "gamma"])), ("-p", PRIMES),
                                            ("--jmax", SMALL), ("-e", SMALL), ("--seed", SEEDS)],
                          [("--r0", SMALL)]),
-    "stability": _argv(["stability"], [("--example", st.sampled_from(["congruence", "poison"])), ("--seed", SEEDS),
+    "stability": _argv(["stability"], [("--example", st.sampled_from(list(EXAMPLES))), ("--seed", SEEDS),
                                        ("--count", COUNTS)],
                        [("-p", st.sampled_from([2, 3, -1, 0, 4])), ("--r0", DEPTHS), ("--s0", DEPTHS),
                         ("--rmax", st.integers(-1, 2)), ("--smax", st.integers(-1, 2))]),
@@ -991,7 +1024,8 @@ CLI_ARGV = {
     "rep-ball": _argv(["rep-ball"], [("-p", PRIMES), ("--base", SMALL), ("--target", TARGETS), ("--seed", SEEDS)],
                       [("--radius", RADII)]),
     "holomorph-identities": _argv(["holomorph-identities"], [
-        ("--backend", st.sampled_from(["congruence", "free"])), ("--seed", SEEDS), ("--count", IDENTITY_COUNTS)],
+        ("--backend", st.sampled_from([entry.backend for entry in EXAMPLES.values() if entry.backend])),
+        ("--seed", SEEDS), ("--count", IDENTITY_COUNTS)],
         [("-p", PRIMES)]),
     "freegroup-fixtures": _argv(["freegroup-fixtures"], [], [("--nmax", NMAX)]),
 }
