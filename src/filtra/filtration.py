@@ -18,10 +18,10 @@ Elements of SL(2, Z) are flat (a, b, c, d) tuples, the form the samplers
 use (``flat_congruence_basis`` gives the generators that way).  Depth is a
 valuation: M = sI mod p^e exactly when p^e divides h = gcd(b, c, d - a,
 a - s, p^N), where N is the deepest exponent read.  That h is itself a
-power of p, so ``level_of`` takes one gcd per sign (the part gcd(b, c,
-d - a, p^N) is shared by both signs) and looks its exponent up in a table
-{p^e: e}; a ``FiltrationSpec`` keeps p^N and the table, made on its first
-``level_of`` call.  The truncation check of
+power of p, so a level is one gcd per sign (the part gcd(b, c, d - a,
+p^N) is shared by both signs) and a lookup in a table {p^e: e}.  The level
+function ``FiltrationSpec.level`` binds p^N and the table on first use;
+``level_of(x, spec)`` is ``spec.level(x)``.  The truncation check of
 ``check_p_congruence`` divides the entries themselves instead, so that it
 does not share that code with what it checks.
 
@@ -126,18 +126,30 @@ class FiltrationSpec:
         return self.r0 + level
 
     @cached_property
-    def _level_table(self):
-        """(p^N, {p^e: e for e <= N}, allow_sign) for the deepest exponent
-        ``level_of`` reads, N = r0 + depth_cap + 1.  Made on the first
-        ``level_of`` call rather than with the spec, so that building a
-        spec never takes a power."""
-        return _prime_powers(self.p, self.r0 + self.depth_cap + 1) + (self.allow_sign,)
+    def level(self):
+        """x -> ``level_of(x, self)``, with p^N (N = r0 + depth_cap + 1), its
+        table, the sign flag and r0 bound on first use, so that building a
+        spec takes no power.  ``_valuation_to_identity`` is read per call."""
+        top, exponents = _prime_powers(self.p, self.r0 + self.depth_cap + 1)
+        allow_sign, r0, gcd = self.allow_sign, self.r0, math.gcd
+
+        def level(x):
+            if type(x) is not tuple:
+                raise TypeError("level_of expects a flat 2x2 tuple (a, b, c, d), got %r" % type(x))
+            a, b, c, d = x
+            det = a * d - b * c
+            if det != 1:
+                raise ValueError("expected determinant 1, got %d" % det)
+            v = _valuation_to_identity(gcd(b, c, d - a, top), a, exponents, allow_sign)
+            return v - r0 if v >= r0 else -1
+
+        return level
 
 
 def _prime_powers(p, n):
     """(p^n, {p^e: e for 0 <= e <= n}).  The gcd of anything with p^n is
     p^e for some e <= n, so the table reads e off it.  Each
-    ``FiltrationSpec`` keeps its own table (``_level_table``)."""
+    ``FiltrationSpec`` binds its own table into ``level``."""
     pe, exponents = 1, {1: 0}
     for e in range(1, n + 1):
         pe *= p
@@ -170,18 +182,10 @@ def level_of(x: tuple, spec: FiltrationSpec):
     Returns -1 when x is not even in the level-0 group and depth_cap + 1
     when x is congruent to (+-)I one exponent beyond the cap, i.e. deeper
     than the truncation can distinguish.  The exponent is one gcd per sign
-    with the spec's p^(r0 + depth_cap + 1), read off the spec's table of
-    powers (``_valuation_to_identity``).
+    with the spec's p^(r0 + depth_cap + 1), read off its table of powers
+    (``_valuation_to_identity``) by ``spec.level``.
     """
-    if type(x) is not tuple:
-        raise TypeError("level_of expects a flat 2x2 tuple (a, b, c, d), got %r" % type(x))
-    a, b, c, d = x
-    det = a * d - b * c
-    if det != 1:
-        raise ValueError("expected determinant 1, got %d" % det)
-    top, exponents, allow_sign = spec._level_table
-    v = _valuation_to_identity(math.gcd(b, c, d - a, top), a, exponents, allow_sign)
-    return v - spec.r0 if v >= spec.r0 else -1
+    return spec.level(x)
 
 
 def flat_congruence_basis(p: int, q: int) -> list:

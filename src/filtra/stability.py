@@ -6,14 +6,17 @@ and pi: its level function, per-level generator lists, depth cap, and the
 text form and parser of its elements.  Code that works on either side
 looks it up by name, so each operation is written once.  The checks sample
 words in the level generators and verify the quantified conditions on each
-sample, always measuring levels with ``level_of``-style functions rather
+sample, always measuring levels with the side's level function (on a
+congruence chain ``FiltrationSpec.level``, one call a measurement) rather
 than trusting the nominal sampling level.  The checks are one table: each
 is a list of phases, which name their draws (role, which fixes the side,
 and level a*r + b*s) and the failure kinds evaluated on every tuple of
 them, run by one loop over the cells, and ``_KINDS`` maps each kind to
-its evaluator for that loop and for ``replay_failure`` alike.  The
-sampler measures each element once and hands the evaluators (element,
-level) pairs; ``replay_failure`` measures the elements it parses afresh.
+its evaluator for that loop and for ``replay_failure`` alike.  An
+evaluator returns None for a passing sample, building nothing, and the
+failure's detail otherwise.  The sampler measures each element once and
+hands the evaluators (element, level) pairs; ``replay_failure`` measures
+the elements it parses afresh.
 A level is an int in [-1, cap + 1], where cap + 1 means deeper than the
 truncation; required output levels saturate at cap + 1, which is the
 strongest statement a truncated filtration can certify.
@@ -61,8 +64,7 @@ from operator import itemgetter
 
 from .exactmat import _parse_flat_sl2, format_matrix
 from .filtration import (
-    MAX_RADIUS, FiltrationSpec, GuardError, WordSampler, check_tower_depth, flat_congruence_basis, level_of,
-    tower_invariants,
+    MAX_RADIUS, FiltrationSpec, GuardError, WordSampler, check_tower_depth, flat_congruence_basis, tower_invariants,
 )
 from .holomorph import FreeGroupAction, MatrixConjugation, SemiElem, semi_comm, semi_conj, semi_mul
 
@@ -82,6 +84,17 @@ MAX_SAMPLE_COUNT = 5000
 #: r0 = s0 = 1 and ``MAX_SAMPLE_COUNT`` the congruence suite (28 cells) took
 #: 32.3 s and peaked at 25.2 MB RSS; at the default 3 (10 cells) 10.0 s, 24.4 MB.
 MAX_DEPTH_CAP = 6
+
+#: The largest number of congruence suite cells times the bit length of the
+#: deepest modulus its level functions read, p^(max(r0, s0) + cap + 1).  A
+#: sample costs about 20 us plus 1.5 to 1.9 us a bit (p = 3), so the time
+#: grows with both, and ``MAX_DEPTH_CAP`` and the 512-bit rule did not bound
+#: it together: cap 6 at r0 = s0 = 316 (28 cells at 512 bits) took 36.7 s at
+#: count 200.  At this bound and ``MAX_SAMPLE_COUNT`` the suite took 55.1 s
+#: and peaked at 44.8 MB RSS with 2 cells at 512 bits (r0 = s0 = 321, rmax 1,
+#: smax 0), the deepest flags a test runs, and 41.7 s and 27.3 MB with 28
+#: cells at 35 bits (r0 = s0 = 15, cap 6); in process, 2 shared vCPUs.
+MAX_CELL_BITS = 1024
 
 
 @dataclass
@@ -107,16 +120,9 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
-class Side:
-    """One filtered side of the extension: its level function, generator
-    lists and depth cap, and the text form of its elements."""
-
-    level: object
-    gens: object                 # level -> list of elements
-    cap: int
-    text: object
-    parse: object
+#: One filtered side of the extension: its level function, generator lists
+#: (level -> list of elements) and depth cap, and the text form of its elements.
+Side = namedtuple("Side", "level gens cap text parse")
 
 
 @dataclass
@@ -144,8 +150,7 @@ def congruence_extension(p: int, r0: int, s0: int, cap: int) -> ExtensionSpec:
     """Conjugation of the exponent-(s0+j) chain on the sign-class
     exponent-(r0+j) chain, with generator triples at every level."""
     def side(family, base):
-        spec = FiltrationSpec(family, p, base, cap)
-        return Side(level=lambda el: level_of(el, spec),
+        return Side(level=FiltrationSpec(family, p, base, cap).level,
                     gens=lambda level: flat_congruence_basis(p, base + level),
                     cap=cap, text=format_matrix, parse=_parse_flat_sl2)
 
@@ -209,9 +214,8 @@ def sample_level(ext: ExtensionSpec, side: str, level: int, count: int, rng) -> 
     if count < 1:
         return []
     pairs = [(group.identity, spec.level(group.identity))] + sampler.draw(rng, count - 1)
-    for _, got in pairs:
-        if got < level:
-            raise RuntimeError("sampler produced an element below its level")  # pragma: no cover
+    if min(map(itemgetter(1), pairs)) < level:
+        raise RuntimeError("sampler produced an element below its level")  # pragma: no cover
     return pairs
 
 
@@ -221,7 +225,8 @@ def _req(side, *levels):
 
 
 def _reaches(observed, required):
-    return observed >= required, {"required": required, "observed": observed}
+    if observed < required:
+        return {"required": required, "observed": observed}
 
 
 # --- sample evaluators (shared between the checks and replay) ---------------
@@ -229,6 +234,7 @@ def _reaches(observed, required):
 # Each evaluator takes ``elems``, the (element, measured level) pairs of its
 # kind's roles in the order ``_KINDS`` lists them ("f", "g" on the Gamma
 # side, "x", "y" on the pi side), and measures only the elements it derives.
+# It returns None for a passing sample and the failure's detail otherwise.
 
 def _twist_level(ext, g, x):
     """The level of g(x) x^-1."""
@@ -250,7 +256,8 @@ def _eval_action_hom(ext, elems):
     """Gamma acts by a homomorphism: (f g)(y) = f(g(y))."""
     act = ext.act
     (f, _), (g, _), (y, _) = elems
-    return act.pi.eq(act.apply(act.gamma.mul(f, g), y), act.apply(f, act.apply(g, y))), {}
+    if not act.pi.eq(act.apply(act.gamma.mul(f, g), y), act.apply(f, act.apply(g, y))):
+        return {}
 
 
 def _eval_twist_biconditional(ext, elems):
@@ -258,22 +265,26 @@ def _eval_twist_biconditional(ext, elems):
     required = _req(ext.pi, lg, ly)
     forward = _twist_level(ext, g, x)
     backward = _twist_level(ext, ext.act.gamma.inv(g), x)
-    ok = (forward >= required) == (backward >= required)
-    return ok, {"required": required, "forward": forward, "backward": backward}
+    if (forward >= required) != (backward >= required):
+        return {"required": required, "forward": forward, "backward": backward}
 
 
 def _pair_reaches(ext, pair, level):
-    """Whether both components of ``pair`` reach ``level``, saturated at each
-    side's cap + 1, with the levels they measure."""
+    """None when both components of ``pair`` reach ``level``, saturated at
+    each side's cap + 1, and otherwise the levels they measure."""
     got_gamma = ext.gamma.level(pair.f)
     got_pi = ext.pi.level(pair.x)
-    ok = got_gamma >= _req(ext.gamma, level) and got_pi >= _req(ext.pi, level)
-    return ok, {"required": level, "gamma": got_gamma, "pi": got_pi}
+    if got_gamma < _req(ext.gamma, level) or got_pi < _req(ext.pi, level):
+        return {"required": level, "gamma": got_gamma, "pi": got_pi}
 
 
 def _eval_closure(ext, elems):
     (f, lf), (x, lx), (g, lg), (y, ly) = elems
     return _pair_reaches(ext, semi_mul(SemiElem(f, x), SemiElem(g, y), ext.act), min(lf, lx, lg, ly))
+
+
+_NORMALITY_STEPS = ("s1_gamma_conj", "s2_action_hom", "s3_twist_pair", "s4_f_of_y", "s5_conjugated_y",
+                    "s6_recombination", "s7_conj_in_subgroup")
 
 
 def _eval_normality(ext, elems):
@@ -293,16 +304,17 @@ def _eval_normality(ext, elems):
     parts = pi.mul(pi.mul(part1, part2), part3)
     twist_pair = pi.mul(part1, part3)
     conjugated_y = pi.mul(pi.mul(apply(f, x), part2), part3)
-    steps = {
-        "s1_gamma_conj": conj_level >= greq,
-        "s2_action_hom": pi.eq(conj.x, parts),
-        "s3_twist_pair": ext.pi.level(twist_pair) >= preq,
-        "s4_f_of_y": ext.pi.level(part2) >= preq,
-        "s5_conjugated_y": ext.pi.level(conjugated_y) >= preq,
-        "s6_recombination": pi.eq(parts, pi.mul(twist_pair, conjugated_y)),
-        "s7_conj_in_subgroup": conj_level >= greq and ext.pi.level(conj.x) >= preq,
-    }
-    return all(steps.values()), {"required": t, "steps": steps}
+    steps = (
+        conj_level >= greq,
+        pi.eq(conj.x, parts),
+        ext.pi.level(twist_pair) >= preq,
+        ext.pi.level(part2) >= preq,
+        ext.pi.level(conjugated_y) >= preq,
+        pi.eq(parts, pi.mul(twist_pair, conjugated_y)),
+        conj_level >= greq and ext.pi.level(conj.x) >= preq,
+    )
+    if not all(steps):
+        return {"required": t, "steps": dict(zip(_NORMALITY_STEPS, steps))}
 
 
 def _eval_stably_lie_like_gamma(ext, elems):
@@ -349,12 +361,6 @@ _KINDS = {
 _ELEMENT_SIDES = {"f": "gamma", "g": "gamma", "x": "pi", "y": "pi"}
 
 
-def _record_failure(report, ext, kind, cell, roles, elems, detail):
-    texts = {name[0]: getattr(ext, _ELEMENT_SIDES[name[0]]).text(value)
-             for name, (value, _) in zip(roles, elems)}
-    report.failures.append({"kind": kind, "cell": list(cell), "elements": texts, "detail": detail})
-
-
 def replay_failure(ext: ExtensionSpec, failure: dict) -> bool:
     """Re-parse a serialized counterexample and confirm it still violates
     its condition.  Returns True when the failure reproduces.  The parsed
@@ -375,8 +381,7 @@ def replay_failure(ext: ExtensionSpec, failure: dict) -> bool:
     missing = sorted({name[0] for name in roles} - parsed.keys())
     if missing:
         raise ValueError("a %s failure needs element %s" % (kind, ", ".join(missing)))
-    ok, _ = evaluate(ext, tuple(parsed[name[0]] for name in roles))
-    return not ok
+    return evaluate(ext, tuple(parsed[name[0]] for name in roles)) is not None
 
 
 # --- the checks as data -------------------------------------------------------
@@ -417,13 +422,15 @@ def _run_cells(ext, report, label, cells, phases, count, seed):
             columns = [sample_level(ext, _ELEMENT_SIDES[name[0]], a * r + b * s, count, rng) for name, a, b in draws]
             runs = [(kind, evaluate, roles, itemgetter(*map(names.index, roles)))
                     for kind in kinds for evaluate, roles in [_KINDS[kind]]]
+            report.samples += len(columns[0])
             for sample in zip(*columns):
-                report.samples += 1
                 for kind, evaluate, roles, pick in runs:
                     elems = pick(sample)
-                    ok, detail = evaluate(ext, elems)
-                    if not ok:
-                        _record_failure(report, ext, kind, (r, s), roles, elems, detail)
+                    detail = evaluate(ext, elems)
+                    if detail is not None:
+                        texts = {name[0]: getattr(ext, _ELEMENT_SIDES[name[0]]).text(value)
+                                 for name, (value, _) in zip(roles, elems)}
+                        report.failures.append({"kind": kind, "cell": [r, s], "elements": texts, "detail": detail})
     return report
 
 
@@ -530,13 +537,20 @@ def _all_checks(ext, r_max, s_max, count, seed):
 
 
 def _congruence(p, r0, s0, rmax, smax):
+    cap = max(rmax, smax)
     if min(rmax, smax) < 0:
         raise ValueError("rmax and smax must be at least 0")
-    if max(rmax, smax) > MAX_DEPTH_CAP:
+    if cap > MAX_DEPTH_CAP:
         raise ValueError("rmax and smax must be at most %d" % MAX_DEPTH_CAP)
-    # level_of reads exponents up to r0 + cap + 1 on the pi side, s0 + cap + 1 on Gamma
-    check_tower_depth(p, max(r0, s0) + max(rmax, smax) + 1)
-    return congruence_extension(p, r0, s0, cap=max(rmax, smax)), rmax, smax
+    # the level functions read exponents up to r0 + cap + 1 on the pi side, s0 + cap + 1 on Gamma
+    deepest = max(r0, s0) + cap + 1
+    check_tower_depth(p, deepest)
+    ext = congruence_extension(p, r0, s0, cap)
+    cells, bits = len(_cells(ext, rmax, smax)), (p ** deepest).bit_length()
+    if cells * bits > MAX_CELL_BITS:
+        raise ValueError("%d cells at a %d-bit modulus: cells x bits must be at most %d"
+                         % (cells, bits, MAX_CELL_BITS))
+    return ext, rmax, smax
 
 
 #: A fixture: ``build(**flags)`` checks its flags (``flags`` maps each to

@@ -16,7 +16,9 @@ from filtra.cli import MAX_NMAX, build_parser, main
 from filtra.filtration import MAX_JMAX, MAX_MODULUS_BITS
 from filtra.holomorph import MAX_IDENTITY_COUNT
 from filtra.linrep import MAX_BALL_RADIUS, MAX_FAITHFUL_SAMPLES, MAX_REP_N
-from filtra.stability import EXAMPLES, MAX_DEPTH_CAP, MAX_SAMPLE_COUNT, poison_extension, replay_failure
+from filtra.stability import (
+    EXAMPLES, MAX_CELL_BITS, MAX_DEPTH_CAP, MAX_SAMPLE_COUNT, poison_extension, replay_failure,
+)
 
 
 def run_cli(capsys, *args):
@@ -702,6 +704,28 @@ def test_stability_cap_bound(capsys):
     assert time.perf_counter() - started < 0.5
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("rmax and smax must be at most %d" % MAX_DEPTH_CAP) == 6
+
+
+def test_stability_cell_bits_bound(capsys):
+    # the suite's cells times the bit length of p^(max(r0, s0) + cap + 1)
+    # is bounded: cap 6 at r0 = s0 = 316 (28 cells at 512 bits) ran 36.7 s
+    # at count 200.  The deepest flags test_stability_depth_bound runs
+    # (2 cells at 512 bits) and the default flags at every prime below 2^20
+    # (10 cells at 100 bits or fewer: 1048573 is the largest prime below 2^20)
+    # stay accepted
+    assert 2 * MAX_MODULUS_BITS <= MAX_CELL_BITS and 10 * (1048573 ** 5).bit_length() <= MAX_CELL_BITS
+    args = ["stability", "--example", "congruence", "--rmax", "6", "--smax", "6", "--count", "1", "--seed", "1"]
+    code, report = run_cli(capsys, *args, "--r0", "15", "--s0", "15")   # 28 cells at 35 bits
+    assert code == 0 and report["ok"]
+    started = time.perf_counter()
+    assert main(args + ["--r0", "16", "--s0", "16"]) == 2   # 28 cells at 37 bits
+    assert main(args[:-4] + ["--r0", "316", "--s0", "316", "--count", "200", "--seed", "1"]) == 2
+    assert main(args[:-4] + ["--r0", "316", "--s0", "316", "--count", "10", "--seed", "1"]) == 2
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "28 cells at a 37-bit modulus: cells x bits must be at most %d" % MAX_CELL_BITS in captured.err
+    assert captured.err.count("28 cells at a 512-bit modulus") == 2
 
 
 def test_graded_verify_qmax_bound(capsys):

@@ -959,7 +959,9 @@ def test_table_level_matches_factor_loop():
     # p in {2, 3, 5, 7}, both families, several r0 and caps: every exponent
     # from 0 (outside the level-0 group) to two past the deepest one read,
     # r0 + cap + 1, so elements exactly at the cap and at cap + 1 are among
-    # them, each sign, and +-I, where the gcd of the off-identity entries is 0
+    # them, each sign, and +-I, where the gcd of the off-identity entries is 0.
+    # The bound level function spec.level, and each side of the congruence
+    # extension on its own family, measure the same levels
     rng = random.Random("table-level")
     checked = 0
     for p in (2, 3, 5, 7):
@@ -969,10 +971,14 @@ def test_table_level_matches_factor_loop():
                 elements = [(1, 0, 0, 1), (-1, 0, 0, -1), (2, 1, 1, 1), (-3, -2, -1, -1)]
                 for e in range(deepest + 3):
                     elements += _elements_at_exponent(p, e, rng)
+                ext = congruence_extension(p, r0, r0, cap)
                 for family in FAMILIES:
                     spec = FiltrationSpec(family, p, r0, cap)
                     levels = [level_of(x, spec) for x in elements]
                     assert levels == [level_by_factor_loop(x, spec) for x in elements], (p, r0, cap, family)
+                    assert levels == [spec.level(x) for x in elements], (p, r0, cap, family)
+                    side = ext.gamma if family == "gamma" else ext.pi
+                    assert levels == [side.level(x) for x in elements], (p, r0, cap, family)
                     assert {cap, cap + 1, -1} <= set(levels)
                     for x in elements:
                         a, b, c, d = x
@@ -982,6 +988,13 @@ def test_table_level_matches_factor_loop():
                             assert got == valuation_by_factor_loop(math.gcd(b, c, d - a), a, p, bail, spec.allow_sign)
                     checked += len(elements)
     assert checked > 4000
+    # the bound level function refuses what level_of refuses, with its messages
+    spec = FiltrationSpec("pgamma", 3, 1, 3)
+    for measure in (functools.partial(level_of, spec=spec), spec.level):
+        with pytest.raises(TypeError, match=r"level_of expects a flat 2x2 tuple \(a, b, c, d\), got <class 'list'>"):
+            measure([1, 0, 0, 1])
+        with pytest.raises(ValueError, match="expected determinant 1, got 2"):
+            measure((2, 0, 0, 1))
 
 
 def random_element(alphabet, mul, rng, radius):

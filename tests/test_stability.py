@@ -12,11 +12,14 @@ from filtra.holomorph import FreeGroupAction, Group, MatrixConjugation, verify_h
 from filtra.stability import (
     EXAMPLES,
     _G_LIE_LIKE,
+    _ELEMENT_SIDES,
     _KINDS,
     _PRODUCT,
     _STABLE,
     _STABLY_LIE_LIKE,
     _TWIST,
+    CheckReport,
+    _run_cells,
     check_G_lie_like,
     check_twist_equivalence,
     check_stable,
@@ -262,6 +265,25 @@ def test_replay_rejects_malformed_failures(cong, kind, elements, problem):
     # refused rather than evaluated
     with pytest.raises(ValueError, match=problem):
         replay_failure(cong, {"kind": kind, "cell": [0, 1], "elements": elements})
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_a_passing_sample_returns_none(cong, kind):
+    # an evaluator returns None for a passing sample, and only then: the
+    # identity in every role passes every kind, so its replay reproduces
+    # nothing and a run of one sample a cell (sample_level's identity) records
+    # nothing.  action_hom fails with the empty detail {}, so a caller that
+    # read the detail's truth would miss its failures
+    evaluate, roles = _KINDS[kind]
+    ident = {"gamma": cong.act.gamma.identity, "pi": cong.act.pi.identity}
+    elems = tuple((ident[_ELEMENT_SIDES[name[0]]], cong.gamma.cap + 1) for name in roles)
+    assert evaluate(cong, elems) is None
+    texts = {name[0]: "1,0;0,1" for name in roles}
+    assert replay_failure(cong, {"kind": kind, "cell": [0, 1], "elements": texts}) is False
+    cells = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    phases = [(tuple((name, 1, 0) for name in roles), (kind,))]
+    report = _run_cells(cong, CheckReport(kind), kind, cells, phases, 1, 0)
+    assert report.samples == len(cells) and report.failures == []
 
 
 # -- injected faults: every failure kind occurs and replays --------------------
