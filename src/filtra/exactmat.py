@@ -83,9 +83,9 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime(p: int, error: type) -> None:
-    """Raise ``error`` unless p is a prime below 2^20, the rule for every
-    prime a modulus or a graded layer is built on."""
-    if p >= _PRIME_BOUND or not is_prime(p):
+    """Raise ``error`` unless p is an ``int`` prime below 2^20, the rule for
+    every prime a modulus or a graded layer is built on."""
+    if not isinstance(p, int) or p >= _PRIME_BOUND or not is_prime(p):
         raise error("p must be a prime below 2^20, got %r" % (p,))
 
 
@@ -98,8 +98,8 @@ class Modulus:
 
     def __post_init__(self):
         check_prime(self.p, ValueError)
-        if self.r < 1:
-            raise ValueError("exponent must be >= 1, got %r" % (self.r,))
+        if not isinstance(self.r, int) or self.r < 1:
+            raise ValueError("exponent must be an integer >= 1, got %r" % (self.r,))
         object.__setattr__(self, "_m", self.p ** self.r)
 
     @property

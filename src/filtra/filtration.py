@@ -113,10 +113,10 @@ class FiltrationSpec:
         if self.family not in FAMILIES:
             raise ValueError("family must be one of %s, got %r" % (FAMILIES, self.family))
         check_prime(self.p, ValueError)
-        if self.r0 < 1:
-            raise ValueError("base exponent must be >= 1")
-        if self.depth_cap < 0:
-            raise ValueError("depth cap must be >= 0")
+        if not isinstance(self.r0, int) or self.r0 < 1:
+            raise ValueError("base exponent must be an integer >= 1, got %r" % (self.r0,))
+        if not isinstance(self.depth_cap, int) or self.depth_cap < 0:
+            raise ValueError("depth cap must be an integer >= 0, got %r" % (self.depth_cap,))
 
     @property
     def allow_sign(self) -> bool:

@@ -1,53 +1,60 @@
 """The graded restricted Lie algebra of the principal congruence tower.
 
 Each layer of the tower of sign-class congruence subgroups of PSL(2, Z) at
-levels p, p^2, ... is elementary abelian; a kernel element at level q is
-I + p^q N mod p^{q+1} and its class is coordinatized by N.  For odd p the
-trace of N vanishes mod p, giving coordinates (a, b, d) with
+levels p, p^2, ... is elementary abelian: a kernel element at level q is
+I + p^q N mod p^{q+1}, and ``read`` takes N = [[d, a], [b, -d]] mod p (its
+trace vanishes mod p) to the coordinates (a, b, d).  For p = 2 the sign
+ambiguity shifts the diagonal of N, so the layer keeps (a, b); ``rank`` is
+the one rule for the number of coordinates.
 
-    N = [[d, a], [b, -d]]  mod p,
+The layers form sl_2(F_p) (x) tF_p[t] (Lazard; Dixon, du Sautoy, Mann and
+Segal, *Analytic pro-p groups*, ch. 4).  For x = I + p^q N1, y = I + p^s N2,
+[x, y] = I + p^{q+s}[N1, N2] mod p^{q+s+1}, as xy = yx + p^{q+s}[N1, N2] and
+(yx)^{-1} = I mod p.  The p-th power is multiplication by t:
+(I + p^q N)^p = I + p^{q+1} N mod p^{q+2}, as each binomial term
+C(p, k) p^{kq} N^k with k >= 2 carries p^{q+2} (at p = 2 from q = 2; at
+q = 1 the extra 4N^2 is scalar mod 8, which the rank-2 read does not see).
 
-so the unipotent basis matrices map to (1,0,0) and (0,1,0) and the diagonal
-direction to (0,0,1).  For p = 2 the sign ambiguity shifts the diagonal of
-N, so only the off-diagonal coordinates (a, b) are well defined and the
-layer has rank 2.
-
-The bracket is induced by the group commutator after lifting classes one
-level up; the p-th power map sends level q to level q+1.  ``lift`` uses the
-unipotent basis matrices for the off-diagonal directions and
-diag(u, u^{-1}) with u = 1 + p^q for the diagonal direction, which has
-determinant exactly 1 in Z/p^T.  Lifts and kernel elements are flat
-(a, b, c, d) tuples mod p^T, multiplied with the closed-form kernel of
-``exactmat``.
+``bracket`` and ``power_map`` compute the group side on flat (a, b, c, d)
+tuples mod p^T with the kernel of ``exactmat``: ``lift`` a class by the
+unipotent basis matrices and diag(u, u^{-1}), u = 1 + p^q, of determinant
+exactly 1, commutate or power, and ``class_of``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 
-from .exactmat import _flat_inv, _flat_mul, _flat_pow, check_prime
+from .exactmat import _flat_inv, _flat_mul, _flat_mul_z, _flat_pow, check_prime
 
 
 class GradedError(ValueError):
     pass
 
 
-class GradedClass(namedtuple("GradedClass", "p q coords")):
-    """A class in the level-q layer, as coordinates mod p.
+#: sl_2's basis matrices N_A, N_B, N_D, flat row-major (rank 2 keeps two).
+SL2_BASIS = {"A": (0, 1, 0, 0), "B": (0, 0, 1, 0), "D": (1, 0, 0, -1)}
 
-    p is a prime below 2^20 (``exactmat.check_prime``, the rule for every
-    modulus); coords is (a, b, d) for odd p and (a, b) for p = 2.
-    """
+
+def rank(p: int) -> int:
+    """The number of coordinates of each layer: 2 at p = 2, otherwise 3."""
+    return 2 if p == 2 else 3
+
+
+class GradedClass(namedtuple("GradedClass", "p q coords")):
+    """A class in the level-q layer: p is a prime below 2^20
+    (``exactmat.check_prime``) and coords are (a, b, d) mod p, cut to ``rank(p)``."""
 
     __slots__ = ()
 
     def __new__(cls, p: int, q: int, coords: tuple):
         _check_layer(p, q)
-        want = 2 if p == 2 else 3
-        if len(coords) != want:
-            raise GradedError("expected %d coordinates for p=%d" % (want, p))
+        if len(coords) != rank(p):
+            raise GradedError("expected %d coordinates for p=%d" % (rank(p), p))
+        if not all(isinstance(c, int) for c in coords):
+            raise GradedError("coordinates must be exact integers, got %r" % (coords,))
         return _graded(p, q, coords)
 
     def __str__(self):
@@ -56,8 +63,8 @@ class GradedClass(namedtuple("GradedClass", "p q coords")):
 
 def _check_layer(p: int, q: int) -> None:
     check_prime(p, GradedError)
-    if q < 1:
-        raise GradedError("level must be >= 1, got %d" % q)
+    if not isinstance(q, int) or q < 1:
+        raise GradedError("level must be >= 1, got %r" % (q,))
 
 
 def _graded(p: int, q: int, coords) -> GradedClass:
@@ -65,19 +72,27 @@ def _graded(p: int, q: int, coords) -> GradedClass:
     return tuple.__new__(GradedClass, (p, q, tuple([c % p for c in coords])))
 
 
+def read(n, p: int, q: int) -> GradedClass:
+    """The class of I + p^q N for a flat N over Z: (N01, N10, N00), the
+    prefix of ``layer_offset``, cut to ``rank(p)``.  Checks nothing."""
+    return _graded(p, q, (n[1], n[2], n[0])[:rank(p)])
+
+
 def zero_class(p: int, q: int) -> GradedClass:
-    return GradedClass(p, q, (0,) * (2 if p == 2 else 3))
+    return GradedClass(p, q, (0,) * rank(p))
 
 
 def basis_class(p: int, q: int, name: str) -> GradedClass:
-    """The coordinate basis classes: 'A' -> e1, 'B' -> e2, 'D' -> e3 (odd p)."""
-    if p == 2:
-        vecs = {"A": (1, 0), "B": (0, 1)}
-    else:
-        vecs = {"A": (1, 0, 0), "B": (0, 1, 0), "D": (0, 0, 1)}
-    if name not in vecs:
+    """The class of ``SL2_BASIS[name]``: 'A' -> e1, 'B' -> e2, 'D' -> e3 (odd p)."""
+    _check_layer(p, q)
+    if name not in tuple(SL2_BASIS)[:rank(p)]:
         raise GradedError("no basis class %r for p=%d" % (name, p))
-    return GradedClass(p, q, vecs[name])
+    return read(SL2_BASIS[name], p, q)
+
+
+def matrix_bracket(n1: tuple, n2: tuple) -> tuple:
+    """The commutator N1 N2 - N2 N1 of two flat 2x2 integer matrices."""
+    return tuple([u - v for u, v in zip(_flat_mul_z(n1, n2), _flat_mul_z(n2, n1))])
 
 
 def class_add(c1: GradedClass, c2: GradedClass) -> GradedClass:
@@ -120,24 +135,20 @@ def class_of(x: tuple, p: int, q: int) -> GradedClass:
         n = layer_offset((-a, -b, -c, -d), p, q)
     if n is None:
         raise GradedError("matrix is not congruent to +-I mod %d^%d" % (p, q))
-    if (n[2] + n[3]) % p != 0:
+    n01, n10, n00, n11 = n
+    if (n00 + n11) % p != 0:
         raise GradedError("trace of the kernel offset is nonzero mod %d" % p)  # pragma: no cover
-    return _graded(p, q, n[:2] if p == 2 else n[:3])
+    return read((n00, n01, n10, n11), p, q)
 
 
 def lift(c: GradedClass, t_exp: int) -> tuple:
-    """A flat determinant-one representative of c mod p^t_exp
-    (t_exp >= q + 1)."""
+    """A flat determinant-one representative of c mod p^t_exp, t_exp > q."""
     p, q = c.p, c.q
     if t_exp < q + 1:
         raise GradedError("target exponent %d too small for level %d" % (t_exp, q))
     m = p ** t_exp
     pq = p ** q
-    if p == 2:
-        a, b = c.coords
-        d = 0
-    else:
-        a, b, d = c.coords
+    a, b, d = c.coords + (0,) * (3 - rank(p))
     out = _flat_mul((1, a * pq, 0, 1), (1, 0, b * pq, 1), m)
     if d:
         u = 1 + pq
@@ -146,8 +157,7 @@ def lift(c: GradedClass, t_exp: int) -> tuple:
 
 
 def bracket_from_lifts(x1: tuple, x2: tuple, p: int, q: int, s: int) -> GradedClass:
-    """Class of the group commutator of two flat lifts mod p^{q+s+1}, read
-    at level q + s."""
+    """Class at level q + s of the group commutator of two flat lifts mod p^{q+s+1}."""
     m = p ** (q + s + 1)
     comm = _flat_mul(_flat_mul(x1, x2, m), _flat_mul(_flat_inv(x1, m), _flat_inv(x2, m), m), m)
     return class_of(comm, p, q + s)
@@ -167,38 +177,27 @@ def power_map(c: GradedClass) -> GradedClass:
     return class_of(_flat_pow(lift(c, t), c.p, c.p ** t), c.p, c.q + 1)
 
 
-#: [X_q, Y_s] for basis classes X, Y, as coordinates at level q + s, keyed by
-#: the number of coordinates: sl_2's structure constants for odd p, each row
-#: a pair and its reverse, and zero at p = 2.
-_BASIS_BRACKETS = {
-    3: {
-        "AB": (0, 0, 1), "BA": (0, 0, -1),
-        "AD": (-2, 0, 0), "DA": (2, 0, 0),
-        "BD": (0, 2, 0), "DB": (0, -2, 0),
-        "AA": (0, 0, 0), "BB": (0, 0, 0), "DD": (0, 0, 0),
-    },
-    2: {"AB": (0, 0), "BA": (0, 0), "AA": (0, 0), "BB": (0, 0)},
-}
-
-
 def verify_relation_table(p: int, q_max: int) -> dict:
     """Exhaustively check the bracket/power relation table of the tower.
 
-    The basis brackets are ``_BASIS_BRACKETS``: for odd p [A_q, B_s] =
-    D_{q+s}, [A_q, D_s] = A_{q+s}^{-2} and [B_q, D_s] = B_{q+s}^2; at p = 2
-    every basis bracket vanishes.  The p-th power map shifts each basis
-    class one level.  Bilinearity and antisymmetry of the bracket are
-    checked on the coordinate bases at every cell.  Each distinct pair is
-    bracketed once, by the ``bracket`` the module holds when the call starts.
+    Each basis bracket [X_q, Y_s] is predicted as the ``read`` at level
+    q + s of the ``matrix_bracket`` of the basis matrices, taken once per
+    pair: for odd p [A, B] = D, [A, D] = A^{-2} and [B, D] = B^2, and at
+    p = 2 every basis bracket reads as zero.  The p-th power map shifts each
+    basis class one level.  Bilinearity and antisymmetry are checked on the
+    coordinate bases at every cell.  Each distinct pair is bracketed once,
+    by the ``bracket`` the module holds when the call starts.
     """
-    names = ["A", "B"] if p == 2 else ["A", "B", "D"]
+    names = tuple(SL2_BASIS)[:rank(p)]
+    pairs = [pair for x, y in combinations(names, 2) for pair in ((x, y), (y, x))] + [(x, x) for x in names]
+    predicted = {(n1, n2): matrix_bracket(SL2_BASIS[n1], SL2_BASIS[n2]) for n1, n2 in pairs}
     cells = [(q, s) for q in range(1, q_max) for s in range(1, q_max) if q + s <= q_max]
     bracket_once = cache(bracket)
     bracket_failures = []
     for q, s in cells:
-        for (n1, n2), coords in _BASIS_BRACKETS[len(names)].items():
+        for (n1, n2), n in predicted.items():
             got = bracket_once(basis_class(p, q, n1), basis_class(p, s, n2))
-            want = GradedClass(p, q + s, coords)
+            want = read(n, p, q + s)
             if got != want:
                 bracket_failures.append({"cell": [q, s], "pair": [n1, n2], "got": str(got), "want": str(want)})
 

@@ -61,6 +61,10 @@ def test_modulus_validation():
         Modulus(3, 0)
     with pytest.raises(ValueError):
         Modulus(1 << 21, 1)
+    # only exact integers: Modulus(3.0, 2) would build m = 9.0 and print float entries
+    for p, r in ((3.0, 2), (3.0, 1), (3, 2.0), (3, "2")):
+        with pytest.raises(ValueError, match="prime below 2|exponent must be an integer"):
+            Modulus(p, r)
 
 
 def test_mul_identity_and_examples():

@@ -25,6 +25,10 @@ def test_spec_validation():
         FiltrationSpec("gamma", 3, 0, 4)
     with pytest.raises(ValueError):
         FiltrationSpec("gamma", 3, 1, -1)
+    # only exact integers: a float p, r0 or depth cap would reach the levels
+    for args in ((3.0, 1, 4), (3, 1.0, 4), (3, 1, 4.0)):
+        with pytest.raises(ValueError, match="prime below 2|must be an integer"):
+            FiltrationSpec("gamma", *args)
 
 
 def _is_saturated(level, spec):

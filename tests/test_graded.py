@@ -88,9 +88,16 @@ def test_class_of_errors():
         GradedClass(3, 0, (0, 0, 0))
     with pytest.raises(GradedError):
         GradedClass(2, 1, (0, 0, 0))
+    # only exact integers: a float level or coordinate would reach bracket
+    # as a misleading determinant failure
+    for q, coords in ((1.0, (1, 0, 0)), (1, (1.5, 0, 0)), (1, (1, 0.0, 0))):
+        with pytest.raises(GradedError, match="level must be|exact integers"):
+            GradedClass(3, q, coords)
+    with pytest.raises(GradedError, match="level must be"):
+        class_of(_FLAT_ID, 3, 1.0)
 
 
-@pytest.mark.parametrize("p", [0, 1, 4, -3, 1048583])
+@pytest.mark.parametrize("p", [0, 1, 4, -3, 1048583, 3.0])
 def test_graded_class_rejects_bad_primes(p):
     # the rule of exactmat.Modulus: a prime below 2^20
     with pytest.raises(GradedError, match="prime below 2"):

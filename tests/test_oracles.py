@@ -1087,12 +1087,66 @@ def test_sample_level_counts_zero_and_one():
     assert ext.sampler_stats() == {"samples_drawn": 0, "short_word_hits": 0}
 
 
+#: [X_q, Y_s] for basis classes X, Y, as coordinates at level q + s, keyed by
+#: the number of coordinates: sl_2's structure constants for odd p, each row
+#: a pair and its reverse, and zero at p = 2.  Written out by hand, as the
+#: reference for the commutators of ``graded.SL2_BASIS``.
+_BASIS_BRACKETS = {
+    3: {
+        "AB": (0, 0, 1), "BA": (0, 0, -1),
+        "AD": (-2, 0, 0), "DA": (2, 0, 0),
+        "BD": (0, 2, 0), "DB": (0, -2, 0),
+        "AA": (0, 0, 0), "BB": (0, 0, 0), "DD": (0, 0, 0),
+    },
+    2: {"AB": (0, 0), "BA": (0, 0), "AA": (0, 0), "BB": (0, 0)},
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_matrix_brackets_reproduce_the_hand_written_table(p):
+    table = _BASIS_BRACKETS[graded.rank(p)]
+    for q in (1, 2, 5):
+        predicted = {(n1, n2): graded.read(graded.matrix_bracket(graded.SL2_BASIS[n1], graded.SL2_BASIS[n2]), p, q)
+                     for n1, n2 in table}
+        assert predicted == {(n1, n2): GradedClass(p, q, coords) for (n1, n2), coords in table.items()}
+
+
+def _offset(c):
+    """N for a class c: its coordinates times the matrices ``graded.SL2_BASIS``."""
+    return tuple(sum(x * n[i] for x, n in zip(c.coords, graded.SL2_BASIS.values())) for i in range(4))
+
+
+def _bracket_rule_mismatches():
+    """The seeded class pairs, about a thousand over p in {2, 3, 5, 7} and
+    q, s <= 3, whose group bracket is not the class of the matrix
+    commutator [N(c1), N(c2)] at level q + s."""
+    rng = random.Random("sl2 rule")
+    mismatches = []
+    for p, q, s in itertools.product((2, 3, 5, 7), (1, 2, 3), (1, 2, 3)):
+        for _ in range(28):
+            c1, c2 = (GradedClass(p, level, [rng.randrange(p) for _ in range(graded.rank(p))]) for level in (q, s))
+            if graded.bracket(c1, c2) != graded.read(graded.matrix_bracket(_offset(c1), _offset(c2)), p, q + s):
+                mismatches.append((c1, c2))
+    return mismatches
+
+
+def test_bracket_is_the_matrix_commutator_on_random_classes(monkeypatch):
+    assert _bracket_rule_mismatches() == []
+    # a commutator read as N2 N1 - N1 N2 is negated, which odd p sees
+    pairing = graded.matrix_bracket
+    monkeypatch.setattr(graded, "matrix_bracket", lambda n1, n2: pairing(n2, n1))
+    assert {c1.p for c1, _ in _bracket_rule_mismatches()} == {3, 5, 7}
+
+
 def _relation_mutations():
     """name -> (graded attribute, broken stand-in, the relations that must fail)."""
-    pairing, power = graded.bracket, graded.power_map
+    pairing, power, predict = graded.bracket, graded.power_map, graded.matrix_bracket
 
     def squared(c):
         return GradedClass(c.p, c.q, tuple(x * x for x in c.coords))
+
+    def swapped(n):
+        return (n[0], n[2], n[1], n[3])
 
     def ordered(c1, c2):
         return pairing(c1, c2) if (c1.q, c1.coords) <= (c2.q, c2.coords) else pairing(c2, c1)
@@ -1106,6 +1160,8 @@ def _relation_mutations():
         "power map drops the diagonal": ("power_map",
                                          lambda c: GradedClass(c.p, c.q + 1, power(c).coords[:2] + (0,)),
                                          {"power_map_shifts_basis"}),
+        "prediction with N01 and N10 swapped": ("matrix_bracket",
+                                                lambda n1, n2: swapped(predict(n1, n2)), {"basis_brackets"}),
     }
 
 
@@ -1128,7 +1184,7 @@ def unshared_relation_table(p, q_max):
     cells = [(q, s) for q in range(1, q_max) for s in range(1, q_max) if q + s <= q_max]
     bracket_failures = []
     for q, s in cells:
-        for (n1, n2), coords in graded._BASIS_BRACKETS[len(names)].items():
+        for (n1, n2), coords in _BASIS_BRACKETS[len(names)].items():
             got = graded.bracket(basis_class(p, q, n1), basis_class(p, s, n2))
             want = GradedClass(p, q + s, coords)
             if got != want:
@@ -1182,6 +1238,8 @@ def test_relation_table_matches_unshared_brackets(monkeypatch, p):
         return   # the mutants build three coordinates
     # each mutant's failures are reported alike, in the same order
     for attr, broken, _ in _relation_mutations().values():
+        if attr == "matrix_bracket":
+            continue   # the oracle reads its own table, not the prediction
         with monkeypatch.context() as patch:
             patch.setattr(graded, attr, broken)
             assert graded.verify_relation_table(p, 3) == unshared_relation_table(p, 3), attr
