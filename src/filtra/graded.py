@@ -125,8 +125,10 @@ def class_of(x: tuple, p: int, q: int) -> GradedClass:
     """Coordinates of a kernel element: x is a flat determinant-one matrix
     mod p^{q+1} congruent to (+-)I mod p^q."""
     _check_layer(p, q)
-    m = p ** (q + 1)
     a, b, c, d = x
+    if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and isinstance(d, int)):
+        raise GradedError("matrix entries must be exact integers, got %r" % (x,))
+    m = p ** (q + 1)
     det = (a * d - b * c) % m
     if det != 1:
         raise GradedError("expected det = 1 mod %d, got %d" % (m, det))
@@ -144,6 +146,8 @@ def class_of(x: tuple, p: int, q: int) -> GradedClass:
 def lift(c: GradedClass, t_exp: int) -> tuple:
     """A flat determinant-one representative of c mod p^t_exp, t_exp > q."""
     p, q = c.p, c.q
+    if not isinstance(t_exp, int):
+        raise GradedError("target exponent must be an exact integer, got %r" % (t_exp,))
     if t_exp < q + 1:
         raise GradedError("target exponent %d too small for level %d" % (t_exp, q))
     m = p ** t_exp

@@ -37,6 +37,19 @@ and so one table of short words with their measured levels, per (side,
 level), so every check of a run reuses the products and levels of the
 words it has drawn before.
 
+``run_suite`` samples a suite on P processes, where P is the number of
+CPUs the process may run on (its affinity mask, else ``os.cpu_count()``),
+capped at the suite's unit count; a unit is one cell of one check call.
+It builds the extension, forks P - 1 children before any sampling, and
+every process runs the whole suite, sampling only the units whose number
+is its own modulo P (``Share``).  Each cell seeds its own RNG, so the
+children's (samples, failures), merged in unit order, give reports,
+failures and failure order that do not depend on P: they are those of one
+process.  P is 1, in process and with no fork, on one CPU, where
+``os.fork`` is missing, while another thread is alive, or for a suite of
+one unit.  Each process keeps its own samplers, so ``short_word_hits``
+varies with P while ``samples_drawn`` does not.
+
 Two fixtures ship here, each named once as an entry of ``EXAMPLES``, which
 ``run_suite`` runs by its ``--example`` name:
 
@@ -56,7 +69,11 @@ Two fixtures ship here, each named once as an entry of ``EXAMPLES``, which
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import signal
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -72,17 +89,21 @@ from .holomorph import FreeGroupAction, MatrixConjugation, SemiElem, semi_comm, 
 #: ``constructive`` block.
 CONSTRUCTIVE_LIMIT = 10 ** 5
 
+# The figures below were taken with ``run_suite`` on 2 processes (2 shared
+# vCPUs), from the CLI in process; an RSS figure is the parent's peak, and
+# the child's peak was 2.4 to 6.2 MB lower.
+
 #: The largest ``stability --count``.  ``sample_level`` holds each draw's
 #: whole column, so memory grows with the count as well as time.  At this
-#: bound the default congruence suite (p = 3, r, s <= 3) took 12.1 s and
-#: peaked at 24.4 MB RSS (17.8 MB at the default 500), and the poison suite
-#: 2.3 s and 29.7 MB with a 1.2 MB report; 10^7 would hold about 14 GB
+#: bound the default congruence suite (p = 3, r, s <= 3) took 2.5 s and
+#: peaked at 24.6 MB RSS (17.9 MB at the default 500), and the poison suite
+#: 0.8 s and 30.7 MB with a 1.1 MB report; 10^7 would hold about 14 GB
 #: (extrapolated, not run).
 MAX_SAMPLE_COUNT = 5000
 
 #: The largest ``stability --rmax`` or ``--smax``.  At this bound, p = 3,
 #: r0 = s0 = 1 and ``MAX_SAMPLE_COUNT`` the congruence suite (28 cells) took
-#: 32.3 s and peaked at 25.2 MB RSS; at the default 3 (10 cells) 10.0 s, 24.4 MB.
+#: 7.9 s and peaked at 25.2 MB RSS; at the default 3 (10 cells) 2.5 s, 24.6 MB.
 MAX_DEPTH_CAP = 6
 
 #: The largest number of congruence suite cells times the bit length of the
@@ -90,10 +111,10 @@ MAX_DEPTH_CAP = 6
 #: sample costs about 20 us plus 1.5 to 1.9 us a bit (p = 3), so the time
 #: grows with both, and ``MAX_DEPTH_CAP`` and the 512-bit rule did not bound
 #: it together: cap 6 at r0 = s0 = 316 (28 cells at 512 bits) took 36.7 s at
-#: count 200.  At this bound and ``MAX_SAMPLE_COUNT`` the suite took 55.1 s
-#: and peaked at 44.8 MB RSS with 2 cells at 512 bits (r0 = s0 = 321, rmax 1,
-#: smax 0), the deepest flags a test runs, and 41.7 s and 27.3 MB with 28
-#: cells at 35 bits (r0 = s0 = 15, cap 6); in process, 2 shared vCPUs.
+#: count 200 in one process.  At this bound and ``MAX_SAMPLE_COUNT`` the
+#: suite took 20.6 s and peaked at 35.3 MB RSS with 2 cells at 512 bits
+#: (r0 = s0 = 321, rmax 1, smax 0), the deepest flags a test runs, and 14.1 s
+#: and 27.4 MB with 28 cells at 35 bits (r0 = s0 = 15, cap 6).
 MAX_CELL_BITS = 1024
 
 
@@ -125,6 +146,37 @@ class CheckReport:
 Side = namedtuple("Side", "level gens cap text parse")
 
 
+class Share:
+    """The units of a suite run that one process samples.  A unit is one
+    cell of one check call, numbered in the order the suite visits them,
+    and unit n belongs to process n mod ``processes``; ``index`` is this
+    process's number (None samples no unit, which counts them)."""
+
+    def __init__(self, index=0, processes=1):
+        self.index, self.processes = index, processes
+        self.units = 0       # the units numbered so far
+        self.done = {}       # unit -> (samples, failures) of the units sampled here
+        self.pending = []    # (report, failure position, unit) of the units left to other processes
+
+    def claim(self, report):
+        """The next unit's number when this process samples it; otherwise
+        None, noting where in ``report`` the unit's failures go."""
+        unit = self.units
+        self.units += 1
+        if unit % self.processes == self.index:
+            return unit
+        self.pending.append((report, len(report.failures), unit))
+        return None
+
+    def fill(self, results):
+        """Add each pending unit's (samples, failures), from ``results`` by
+        unit, to its report, so each report reads as one process's."""
+        for report, position, unit in reversed(self.pending):
+            samples, failures = results[unit]
+            report.samples += samples
+            report.failures[position:position] = failures
+
+
 @dataclass
 class ExtensionSpec:
     """A filtered split extension: an action and its two filtered sides,
@@ -137,6 +189,8 @@ class ExtensionSpec:
     quotients: object = None         # (r, s) -> ((p, i, j, family) of Gamma, of pi) or None
     # (side, level) -> WordSampler, made by the first sample_level call
     samplers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the units this process samples; run_suite sets one per process
+    share: Share = field(default_factory=Share, init=False, repr=False, compare=False)
 
     def sampler_stats(self) -> dict:
         """Words drawn by ``sample_level`` so far, and how many of them the
@@ -413,16 +467,22 @@ _G_LIE_LIKE = [(
 
 
 def _run_cells(ext, report, label, cells, phases, count, seed):
-    """Run ``phases`` on every cell (r, s) of ``cells``, with the cell's RNG
-    seeded by ``label``, and add their samples and failures to ``report``."""
+    """Run ``phases`` on every cell (r, s) of ``cells`` that ``ext.share``
+    gives this process, with the cell's RNG seeded by ``label``, and add
+    their samples and failures to ``report``."""
+    share = ext.share
     for r, s in cells:
+        unit = share.claim(report)
+        if unit is None:
+            continue
         rng = random.Random("%s|%s|%s|%d|%d" % (ext.name, label, seed, r, s))
+        samples, failures = 0, []
         for draws, kinds in phases:
             names = [name for name, _, _ in draws]
             columns = [sample_level(ext, _ELEMENT_SIDES[name[0]], a * r + b * s, count, rng) for name, a, b in draws]
             runs = [(kind, evaluate, roles, itemgetter(*map(names.index, roles)))
                     for kind in kinds for evaluate, roles in [_KINDS[kind]]]
-            report.samples += len(columns[0])
+            samples += len(columns[0])
             for sample in zip(*columns):
                 for kind, evaluate, roles, pick in runs:
                     elems = pick(sample)
@@ -430,7 +490,10 @@ def _run_cells(ext, report, label, cells, phases, count, seed):
                     if detail is not None:
                         texts = {name[0]: getattr(ext, _ELEMENT_SIDES[name[0]]).text(value)
                                  for name, (value, _) in zip(roles, elems)}
-                        report.failures.append({"kind": kind, "cell": [r, s], "elements": texts, "detail": detail})
+                        failures.append({"kind": kind, "cell": [r, s], "elements": texts, "detail": detail})
+        share.done[unit] = samples, failures
+        report.samples += samples
+        report.failures += failures
     return report
 
 
@@ -570,12 +633,136 @@ EXAMPLES = {
 }
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _process_count(count_units) -> int:
+    """P: one process per CPU this process may use, capped at the suite's
+    unit count ``count_units()``; 1 without ``os.fork`` or while another
+    thread is alive, since a forked child holds only the calling thread."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = _cpu_count()
+    return 1 if cpus < 2 else max(1, min(cpus, count_units()))
+
+
+def _fork(ext, run, index, processes, children):
+    """Start a process that samples share ``index`` of ``processes`` and
+    sends its units' (samples, failures) and its sampler stats back as JSON,
+    and set ``children[index]`` to (pid, the read end of its pipe), or to
+    None when no process could be started.
+
+    The share runs in a forked copy of this process, not in a fresh
+    interpreter (the ``spawn`` start method): filtra starts no thread, and
+    ``run_suite`` runs in one process while another thread is alive; a
+    fresh interpreter that imports ``filtra.cli`` took 65 ms (median of 40
+    runs, 2 shared vCPUs), a large share of each process's half of the
+    0.5 s default congruence suite and most of the 0.08 s poison suite; and
+    it would lose any action or evaluator the caller has rebound in
+    process, such as an injected fault."""
+    read, write = os.pipe()
+    # SIGINT stays blocked until the child is inside its try and the parent
+    # has recorded it, so the child never raises into the caller's stack
+    # and the parent never loses a child it started
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        try:
+            pid = os.fork()
+        except OSError:
+            children[index] = None
+            os.close(read)
+            return
+        if pid == 0:
+            code = 1
+            try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(read)
+                _, share = run(index, processes)
+                with open(write, "w") as pipe:
+                    json.dump([list(share.done.items()), ext.sampler_stats()], pipe)
+                code = 0
+            finally:
+                # leave without unwinding into the caller, flushing stdout
+                # or running exit handlers; the parent re-runs a failed share
+                os._exit(code)
+        children[index] = pid, open(read)
+    finally:
+        os.close(write)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _collect(children, index):
+    """Read child ``index``'s pipe to its end, reap the child, and return
+    its payload, or None when it did not finish its share."""
+    if children[index] is None:
+        del children[index]
+        return None
+    pid, pipe = children[index]
+    with pipe:
+        data = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    del children[index]
+    return json.loads(data) if status == 0 else None
+
+
+def _stop(children):
+    """Kill and reap every child not yet collected."""
+    for child in children.values():
+        if child is not None:
+            pid, pipe = child
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped already
+                pass
+    children.clear()
+
+
 def run_suite(name: str, count: int, seed, **flags):
     """Build ``EXAMPLES[name]`` from ``flags``, every flag of the entry, and
     run its suite.  Returns (reports, ok, stats), where ok is true when
     every check passes (so a poison run has ok false) and stats are the
-    extension's ``sampler_stats``."""
+    extension's ``sampler_stats`` summed over its processes, with their
+    number, ``processes``.
+
+    The suite's units (one cell of one check call each) are split over
+    ``_process_count`` processes: P - 1 forked children and this one each
+    run the whole suite, calling each check by its name, and sample only
+    the units ``Share`` gives them.  Each cell has its own seeded RNG, so a
+    unit's samples and failures do not depend on the process that drew
+    them, and merging them in unit order gives the reports of one process.
+    A child that fails has its share re-run here, so an exception reaches
+    the caller as it would in one process."""
     example = EXAMPLES[name]
     ext, r_max, s_max = example.build(**flags)
-    reports = example.suite(ext, r_max, s_max, count, seed)
-    return reports, all(rep.ok for rep in reports), ext.sampler_stats()
+
+    def run(index, processes):
+        ext.share = Share(index, processes)
+        return example.suite(ext, r_max, s_max, count, seed), ext.share
+
+    processes = _process_count(lambda: run(None, 1)[1].units)
+    children = {}
+    try:
+        for index in range(1, processes):
+            _fork(ext, run, index, processes, children)
+        reports, share = run(0, processes)
+        results, stats = {}, []
+        for index in range(1, processes):
+            payload = _collect(children, index)
+            if payload is None:
+                results.update(run(index, processes)[1].done)
+            else:
+                results.update(payload[0])
+                stats.append(payload[1])
+        share.fill(results)
+    finally:
+        _stop(children)
+    stats.append(ext.sampler_stats())  # this process's, with any share it re-ran
+    totals = {key: sum(part[key] for part in stats) for key in stats[0]}
+    return reports, all(rep.ok for rep in reports), {**totals, "processes": processes}

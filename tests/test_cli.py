@@ -273,6 +273,20 @@ def test_huge_prime_refused_at_once(command):
     assert "usage error" in proc.stderr and "below 2^20" in proc.stderr
 
 
+def test_split_stability_run_leaves_nothing_open():
+    # the poison suite runs on one process per CPU; under -X dev and -W error
+    # a pipe or file left open would print a ResourceWarning, and a child
+    # that wrote to stdout would break its one JSON document
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(filtra.__file__)))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "filtra.cli", "stability",
+                           "--example", "poison", "--count", "40", "--seed", "1"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert "ResourceWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    from filtra.stability import _cpu_count
+    assert json.loads(proc.stdout)["timings"]["stats"]["processes"] == min(_cpu_count(), 8)
+
+
 def test_rep_n4_is_cheap(capsys):
     started = time.perf_counter()
     code, report = run_cli(capsys, "rep", "--n", "4", "--mod", "5",
@@ -537,17 +551,19 @@ def test_absent_flags_keep_their_config_values(capsys):
     assert code == 0 and report["config"]["seed"] == 0
 
 
-def test_stability_reports_sampler_stats(capsys):
+def test_stability_reports_sampler_stats(capsys, monkeypatch):
     # three cells, with 4 sample_level calls each in the stable check and 3
     # in the twist check, draw count - 1 words per call; the poison tables
-    # answer some words whole
+    # answer some words whole.  The suite runs on one process per CPU
+    monkeypatch.setattr("filtra.stability._cpu_count", lambda: 2)
     code, report = run_cli(capsys, "stability", "--example", "poison", "--count", "40", "--seed", "1")
     stats = report["timings"]["stats"]
     assert code == 1
     assert stats["samples_drawn"] == (3 * 4 + 3 * 3) * 39
     assert 0 < stats["short_word_hits"] < stats["samples_drawn"]
+    assert stats["processes"] == 2
     code, report = run_cli(capsys, "stability", "--example", "congruence", "--count", "1", "--seed", "1")
-    assert code == 0 and report["timings"]["stats"] == {"samples_drawn": 0, "short_word_hits": 0}
+    assert code == 0 and report["timings"]["stats"] == {"samples_drawn": 0, "short_word_hits": 0, "processes": 2}
 
 
 def test_stability_congruence_command_deterministic(capsys):

@@ -95,6 +95,14 @@ def test_class_of_errors():
             GradedClass(3, q, coords)
     with pytest.raises(GradedError, match="level must be"):
         class_of(_FLAT_ID, 3, 1.0)
+    # nor a float matrix entry or target exponent, which would print as a
+    # float class or return a float lift
+    with pytest.raises(GradedError, match="entries must be exact integers"):
+        class_of((1.0, 3, 0, 1), 3, 1)
+    with pytest.raises(GradedError, match="target exponent must be an exact integer"):
+        lift(basis_class(3, 1, "A"), 3.0)
+    with pytest.raises(GradedError, match="too small"):
+        lift(basis_class(3, 1, "A"), 1)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, -3, 1048583, 3.0])

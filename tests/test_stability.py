@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
 import random
+import threading
 from dataclasses import replace
 
 import pytest
 
+import filtra.stability
 from filtra.exactmat import MatrixError, parse_matrix
 from filtra.freegroup import poison_action
 from filtra.filtration import flat_congruence_basis
@@ -388,3 +391,108 @@ def test_anti_homomorphic_action_fails_action_hom():
     assert {failure["kind"] for failure in failures} == {"action_hom", "stable_condition2"}
     assert all(replay_failure(ext, failure) for failure in hom)
     assert not any(replay_failure(poison_extension(), failure) for failure in hom)
+
+
+# -- the suite's units split over processes -------------------------------------
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_run(monkeypatch, cpus, *args, **flags):
+    """``run_suite(*args, **flags)`` as if this process could use ``cpus``
+    CPUs: (report dicts, ok, stats), after checking that no child is left."""
+    monkeypatch.setattr(filtra.stability, "_cpu_count", lambda: cpus)
+    try:
+        reports, ok, stats = run_suite(*args, **flags)
+    finally:
+        _no_child_left()
+    return [rep.to_dict() for rep in reports], ok, stats
+
+
+def _digest(reports):
+    return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+
+
+def _fault_entry(action):
+    return EXAMPLES["congruence"]._replace(
+        build=lambda: (replace(congruence_extension(3, 1, 1, cap=2), act=action()), 2, 2), flags={})
+
+
+_SPLIT_RUNS = {
+    "congruence": (("congruence", 40, 12), {"p": 3, "r0": 1, "s0": 1, "rmax": 2, "smax": 2}),
+    "poison": (("poison", 40, 1), {}),
+    **{fault: (("fault: " + fault, 30, 0), {}) for fault in _FAULTS},
+}
+
+
+@pytest.mark.parametrize("run", sorted(_SPLIT_RUNS))
+def test_reports_do_not_depend_on_the_process_count(monkeypatch, run):
+    # 4 processes are more than the host's cores; each count gives the
+    # one-process reports, failure for failure and in order, and draws as
+    # many words
+    args, flags = _SPLIT_RUNS[run]
+    if run in _FAULTS:
+        monkeypatch.setitem(EXAMPLES, args[0], _fault_entry(_FAULTS[run][0]))
+    runs = {cpus: _split_run(monkeypatch, cpus, *args, **flags) for cpus in (1, 2, 4)}
+    reports, ok, stats = runs[1]
+    for cpus, (split_reports, split_ok, split_stats) in runs.items():
+        assert split_reports == reports and split_ok == ok
+        assert split_stats["samples_drawn"] == stats["samples_drawn"]
+        assert split_stats["processes"] == cpus
+    failures = [failure for rep in reports for failure in rep["failures"]]
+    if run == "congruence":
+        assert ok and _digest(reports) == _CONGRUENCE_DIGEST
+    elif run == "poison":
+        ext = poison_extension()
+        assert failures and all(replay_failure(ext, failure) for failure in failures)
+    else:
+        action, kinds, _, digest = _FAULTS[run]
+        ext = replace(congruence_extension(3, 1, 1, cap=2), act=action())
+        assert {failure["kind"] for failure in failures} == kinds
+        assert all(replay_failure(ext, failure) for failure in failures)
+        assert _digest(reports) == digest
+
+
+def _raise(ext, elems):
+    raise ValueError("evaluator fault")
+
+
+@pytest.mark.parametrize("owner", [0, 1])
+def test_an_evaluator_error_reaches_the_caller(monkeypatch, owner):
+    # a suite of two units, the first sampled by this process and the second
+    # by a child: an evaluator that raises in either unit raises here, as in
+    # one process, and leaves no child behind
+    monkeypatch.setitem(_KINDS, "raises", (_raise, ("f",)))
+    checks = [_STABLE, [((("f", 1, 0),), ("raises",))]]
+    if owner == 0:
+        checks.reverse()
+
+    def suite(ext, r_max, s_max, count, seed):
+        return [_run_cells(ext, CheckReport(str(n)), str(n), [(0, 0)], phases, count, seed)
+                for n, phases in enumerate(checks)]
+
+    monkeypatch.setitem(EXAMPLES, "raising", EXAMPLES["congruence"]._replace(
+        build=lambda: (congruence_extension(3, 1, 1, cap=2), 0, 0), flags={}, suite=suite))
+    for cpus in (1, 2):
+        with pytest.raises(ValueError, match="evaluator fault"):
+            _split_run(monkeypatch, cpus, "raising", 10, 0)
+    checks[:] = [_STABLE]
+    assert _split_run(monkeypatch, 2, "raising", 10, 0)[2]["processes"] == 1  # one unit, one process
+
+
+def test_a_second_thread_keeps_one_process(monkeypatch):
+    # a forked child would hold only the calling thread, so the suite runs in
+    # this process while another thread is alive
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        reports, ok, stats = _split_run(monkeypatch, 4, "poison", 40, 1)
+    finally:
+        release.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
+    assert stats["processes"] == 1
+    assert (reports, ok) == _split_run(monkeypatch, 4, "poison", 40, 1)[:2]
