@@ -12,6 +12,7 @@ floating point anywhere in the arithmetic.  The submodules are
 - ``graded``     the graded restricted Lie algebra of the congruence tower
 - ``linrep``     the conjugation extension of SL(n, A) and its n^2-dimensional
   faithful representation
+- ``split``      one sampled run split over the CPUs the process may use
 - ``cli``        the ``filtra`` command line front end
 """
 

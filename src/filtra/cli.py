@@ -21,7 +21,8 @@ Imports follow the paper's split.  The congruence tower (``exactmat``,
 ``main`` adds the named command's subparser alone, so the tower commands
 (``quotient``, ``pcongruence``, ``graded``) import nothing more.  Each
 other command imports the split-extension modules it runs (``stability``,
-``holomorph``, ``freegroup``, ``linrep``) when it runs; ``stability`` and
+``holomorph``, ``freegroup``, ``linrep``, and with them ``split``, which
+runs the sampled ones on every CPU) when it runs; ``stability`` and
 ``holomorph-identities`` import ``stability`` while their subparser is
 built, to read their choices and fixture flags from ``stability.EXAMPLES``.
 """
@@ -151,8 +152,9 @@ def _cmd_rep(args):
     results = {"rho": str(mat), "n_squared": mat.n}
     if not args.samples:
         return results, True
-    results["faithfulness"] = suite = verify_faithful(gamma.n, modulus, args.samples, args.seed)
-    return results, suite["ok"]
+    stats = {}
+    results["faithfulness"] = suite = verify_faithful(gamma.n, modulus, args.samples, args.seed, stats=stats)
+    return results, suite["ok"], stats
 
 
 def _factor_prime_power(m):
@@ -181,9 +183,10 @@ def _cmd_holomorph(args):
     elif "p" not in example.flags:
         raise CliUsageError("--backend %s takes no -p" % args.backend)
     ext, _, _ = example.build(**{key: args.p if key == "p" else value for key, value in example.flags.items()})
+    stats = {}
     result = verify_holomorph_identities(ext.act, ext.gamma.gens(0), ext.pi.gens(0), args.count, args.seed,
-                                         radius=example.radius)
-    return result, result["ok"]
+                                         radius=example.radius, stats=stats)
+    return result, result["ok"], stats
 
 
 def _cmd_freegroup(args):

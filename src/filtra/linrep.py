@@ -21,6 +21,11 @@ The ring A is one value, ``modulus``: None for Z, a ``Modulus`` for Z/p^r.
 Every matrix is an ``exactmat.Mat`` over it, so the code takes no branch on
 the ring except where the mathematics differs: the scalar center, the
 coefficient bound of ``random_sl`` and the ring label of the report.
+
+``verify_faithful`` runs its samples on the processes of
+``split.run_split``: each process draws every sample and checks its own
+share of them, and the four counters are summed, so the report does not
+depend on the process count.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import random
 from .exactmat import Mat, Modulus, _mat
 from .filtration import flat_congruence_basis
 from .holomorph import ActionSpec, Group, SemiElem, semi_eq, semi_id, semi_mul
+from .split import run_split
 
 #: The largest ``rep-ball --radius``.  The ball grows about 5x per radius: at
 #: p = 3, base 1, target 323 (the deepest 512-bit modulus) radius 6 (23,437
@@ -39,9 +45,10 @@ MAX_BALL_RADIUS = 6
 
 #: The largest ``rep --samples`` and ``rep`` matrix size n.  rho has n^4
 #: entries and one faithfulness sample costs about n^6, in flat memory (all
-#: under 17 MB RSS): 5000 samples took 0.63 s at n = 2 mod 9, 7.3 s at
-#: n = 4 mod 4, and 11.8 s at n = 5 mod 4 (12.4 s over Z); 5 samples took
-#: 4.4 s at n = 16.
+#: under 17 MB RSS in the parent and 14 MB in the child).  From the CLI in
+#: process on 2 processes (2 shared vCPUs), 5000 samples took 0.39 s at
+#: n = 2 mod 9, 2.1 s at n = 4 mod 4, and 4.0 s at n = 5 mod 4 (4.0 s over
+#: Z); 5 samples took 1.7 s at n = 16 mod 4 (20 MB in the parent).
 MAX_FAITHFUL_SAMPLES = 5000
 MAX_REP_N = 5
 
@@ -171,7 +178,7 @@ def random_sl(n: int, modulus: Modulus | None, rng: random.Random):
     return _mat(tuple(entries), modulus)
 
 
-def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) -> dict:
+def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed, stats=None) -> dict:
     """Homomorphism and kernel checks for rho over SL(n, A).
 
     (i) rho(u v) = rho(u) rho(v) on seeded pairs (exact matrix equality);
@@ -180,27 +187,35 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed) ->
     (``semi_eq`` with the identity under ``RingConjugation``), whose order
     is reported.  A determinant-one gamma is scalar exactly when it is a
     central scalar, since lambda I in SL(n, A) forces lambda^n = 1.
+
+    The samples are split over processes by ``split.run_split``: every
+    process draws all of them, in order, and checks those whose number is
+    its own modulo P.  ``stats``, when given, gets ``processes``, that P.
     """
-    rng = random.Random("linrep:%s:%s:%s" % (n, modulus, seed))
     conj = RingConjugation(n, modulus)
     e = semi_id(conj)
     ident, one = rho(e), e.x
-    hom_failures = 0
-    left_action_failures = 0
-    kernel_violations = 0
-    kernel_hits = 0
-    for _ in range(sample_count):
-        u = pair(random_sl(n, modulus, rng), random_sl(n, modulus, rng))
-        v = pair(random_sl(n, modulus, rng), random_sl(n, modulus, rng))
-        ru, rv, uv = rho(u), rho(v), pair(*semi_mul(u, v, conj))
-        if rho(uv) != ru * rv:
-            hom_failures += 1
-        m = random_sl(n, modulus, rng)
-        if act(uv, m) != act(u, act(v, m)):
-            left_action_failures += 1
-        if ru == ident:
-            kernel_hits += 1
-            kernel_violations += not semi_eq(u, e, conj)
+
+    def run(index, processes):
+        rng = random.Random("linrep:%s:%s:%s" % (n, modulus, seed))
+        hom_failures = left_action_failures = kernel_violations = kernel_hits = 0
+        for sample in range(sample_count):
+            draws = [random_sl(n, modulus, rng) for _ in range(5)]
+            if sample % processes != index:
+                continue
+            u, v, m = pair(*draws[:2]), pair(*draws[2:4]), draws[4]
+            ru, rv, uv = rho(u), rho(v), pair(*semi_mul(u, v, conj))
+            hom_failures += rho(uv) != ru * rv
+            left_action_failures += act(uv, m) != act(u, act(v, m))
+            if ru == ident:
+                kernel_hits += 1
+                kernel_violations += not semi_eq(u, e, conj)
+        return hom_failures, left_action_failures, kernel_violations, kernel_hits
+
+    results, processes = run_split(run, lambda: sample_count)
+    if stats is not None:
+        stats["processes"] = processes
+    hom_failures, left_action_failures, kernel_violations, kernel_hits = map(sum, zip(*results))
 
     probe_failures = 0
     for lam in conj.scalars:

@@ -1,0 +1,143 @@
+"""One sampled run split over the CPUs the process may use.
+
+``run_split(run, units)`` runs ``run(index, P)`` for every index below P
+and returns the results by index.  P is the number of CPUs the process may
+run on (its affinity mask, else ``os.cpu_count()``), capped at the run's
+number of independent units, ``units()``, which is called only when there
+are two CPUs or more.  The split forks P - 1 children before any work;
+child i runs ``run(i, P)`` and sends the result back as JSON over a pipe,
+while this process runs ``run(0, P)`` itself.  A caller's ``run`` does the
+units n with n mod P == index, and the caller merges the results, so what
+it reports does not depend on P.  P is 1, in process and with no fork, on
+one CPU, where ``os.fork`` is missing, while another thread is alive, or
+for fewer than two units.
+
+The callers split their work the same way: each process runs the whole
+seeded computation, with every draw in its order, and does only the work
+of its own units, so the results of all processes, merged, are those of
+one process.  ``stability.run_suite`` splits a suite's cells (a unit is
+one cell of one check call, each with its own seeded RNG);
+``holomorph.verify_holomorph_identities`` and ``linrep.verify_faithful``
+split their samples, every process replaying the one seeded stream and
+evaluating the samples whose number is its own modulo P.
+
+A child that does not finish its share has that share re-run in this
+process, so an exception reaches the caller as it would in one process.
+Every child is killed and reaped before ``run_split`` returns or raises.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import signal
+import threading
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _process_count(units) -> int:
+    """P: one process per CPU this process may use, capped at ``units()``;
+    1 without ``os.fork`` or while another thread is alive, since a forked
+    child holds only the calling thread."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = _cpu_count()
+    return 1 if cpus < 2 else max(1, min(cpus, units()))
+
+
+def _fork(run, index, processes, children):
+    """Start a process that runs share ``index`` of ``processes`` and sends
+    its result back as JSON, and set ``children[index]`` to (pid, the read
+    end of its pipe), or to None when no process could be started.
+
+    The share runs in a forked copy of this process, not in a fresh
+    interpreter (the ``spawn`` start method): filtra starts no thread, and
+    a split runs in one process while another thread is alive; a fresh
+    interpreter that imports ``filtra.cli`` took 65 ms (median of 40 runs,
+    2 shared vCPUs), a large share of each process's half of the 0.5 s
+    default congruence suite and more than the 0.08 s poison suite; and it
+    would lose any action, law or evaluator the caller has rebound in
+    process, such as an injected fault."""
+    read, write = os.pipe()
+    # SIGINT stays blocked until the child is inside its try and the parent
+    # has recorded it, so the child never raises into the caller's stack
+    # and the parent never loses a child it started
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        try:
+            pid = os.fork()
+        except OSError:
+            children[index] = None
+            os.close(read)
+            return
+        if pid == 0:
+            code = 1
+            try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(read)
+                result = run(index, processes)
+                with open(write, "w") as pipe:
+                    json.dump(result, pipe)
+                code = 0
+            finally:
+                # leave without unwinding into the caller, flushing stdout
+                # or running exit handlers; the parent re-runs a failed share
+                os._exit(code)
+        children[index] = pid, open(read)
+    finally:
+        os.close(write)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _collect(children, index):
+    """Read child ``index``'s pipe to its end, reap the child, and return
+    its JSON text, or None when it did not finish its share."""
+    if children[index] is None:
+        del children[index]
+        return None
+    pid, pipe = children[index]
+    with pipe:
+        data = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    del children[index]
+    return data if status == 0 else None
+
+
+def _stop(children):
+    """Kill and reap every child not yet collected."""
+    for child in children.values():
+        if child is not None:
+            pid, pipe = child
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped already
+                pass
+    children.clear()
+
+
+def run_split(run, units):
+    """([run(0, P), ..., run(P - 1, P)], P), each share run in its own
+    process; a child's result comes back through JSON, so its tuples read
+    as lists.  ``units`` is a function returning the number of independent
+    units the shares divide."""
+    processes = _process_count(units)
+    children = {}
+    try:
+        for index in range(1, processes):
+            _fork(run, index, processes, children)
+        results = [run(0, processes)]
+        for index in range(1, processes):
+            data = _collect(children, index)
+            results.append(run(index, processes) if data is None else json.loads(data))
+    finally:
+        _stop(children)
+    return results, processes

@@ -37,18 +37,14 @@ and so one table of short words with their measured levels, per (side,
 level), so every check of a run reuses the products and levels of the
 words it has drawn before.
 
-``run_suite`` samples a suite on P processes, where P is the number of
-CPUs the process may run on (its affinity mask, else ``os.cpu_count()``),
-capped at the suite's unit count; a unit is one cell of one check call.
-It builds the extension, forks P - 1 children before any sampling, and
-every process runs the whole suite, sampling only the units whose number
-is its own modulo P (``Share``).  Each cell seeds its own RNG, so the
-children's (samples, failures), merged in unit order, give reports,
-failures and failure order that do not depend on P: they are those of one
-process.  P is 1, in process and with no fork, on one CPU, where
-``os.fork`` is missing, while another thread is alive, or for a suite of
-one unit.  Each process keeps its own samplers, so ``short_word_hits``
-varies with P while ``samples_drawn`` does not.
+``run_suite`` samples a suite on the P processes of ``split.run_split``,
+where a unit is one cell of one check call: every process runs the whole
+suite, sampling only the units whose number is its own modulo P
+(``Share``).  Each cell seeds its own RNG, so the processes' (samples,
+failures), merged in unit order, give reports, failures and failure order
+that do not depend on P: they are those of one process.  Each process
+keeps its own samplers, so ``short_word_hits`` varies with P while
+``samples_drawn`` does not.
 
 Two fixtures ship here, each named once as an entry of ``EXAMPLES``, which
 ``run_suite`` runs by its ``--example`` name:
@@ -69,11 +65,7 @@ Two fixtures ship here, each named once as an entry of ``EXAMPLES``, which
 
 from __future__ import annotations
 
-import json
-import os
 import random
-import signal
-import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -84,6 +76,7 @@ from .filtration import (
     MAX_RADIUS, FiltrationSpec, GuardError, WordSampler, check_tower_depth, flat_congruence_basis, tower_invariants,
 )
 from .holomorph import FreeGroupAction, MatrixConjugation, SemiElem, semi_comm, semi_conj, semi_mul
+from .split import run_split
 
 #: The largest product order whose generator bound carries a
 #: ``constructive`` block.
@@ -633,97 +626,6 @@ EXAMPLES = {
 }
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _process_count(count_units) -> int:
-    """P: one process per CPU this process may use, capped at the suite's
-    unit count ``count_units()``; 1 without ``os.fork`` or while another
-    thread is alive, since a forked child holds only the calling thread."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    cpus = _cpu_count()
-    return 1 if cpus < 2 else max(1, min(cpus, count_units()))
-
-
-def _fork(ext, run, index, processes, children):
-    """Start a process that samples share ``index`` of ``processes`` and
-    sends its units' (samples, failures) and its sampler stats back as JSON,
-    and set ``children[index]`` to (pid, the read end of its pipe), or to
-    None when no process could be started.
-
-    The share runs in a forked copy of this process, not in a fresh
-    interpreter (the ``spawn`` start method): filtra starts no thread, and
-    ``run_suite`` runs in one process while another thread is alive; a
-    fresh interpreter that imports ``filtra.cli`` took 65 ms (median of 40
-    runs, 2 shared vCPUs), a large share of each process's half of the
-    0.5 s default congruence suite and most of the 0.08 s poison suite; and
-    it would lose any action or evaluator the caller has rebound in
-    process, such as an injected fault."""
-    read, write = os.pipe()
-    # SIGINT stays blocked until the child is inside its try and the parent
-    # has recorded it, so the child never raises into the caller's stack
-    # and the parent never loses a child it started
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        try:
-            pid = os.fork()
-        except OSError:
-            children[index] = None
-            os.close(read)
-            return
-        if pid == 0:
-            code = 1
-            try:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                os.close(read)
-                _, share = run(index, processes)
-                with open(write, "w") as pipe:
-                    json.dump([list(share.done.items()), ext.sampler_stats()], pipe)
-                code = 0
-            finally:
-                # leave without unwinding into the caller, flushing stdout
-                # or running exit handlers; the parent re-runs a failed share
-                os._exit(code)
-        children[index] = pid, open(read)
-    finally:
-        os.close(write)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _collect(children, index):
-    """Read child ``index``'s pipe to its end, reap the child, and return
-    its payload, or None when it did not finish its share."""
-    if children[index] is None:
-        del children[index]
-        return None
-    pid, pipe = children[index]
-    with pipe:
-        data = pipe.read()
-    status = os.waitpid(pid, 0)[1]
-    del children[index]
-    return json.loads(data) if status == 0 else None
-
-
-def _stop(children):
-    """Kill and reap every child not yet collected."""
-    for child in children.values():
-        if child is not None:
-            pid, pipe = child
-            pipe.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):  # reaped already
-                pass
-    children.clear()
-
-
 def run_suite(name: str, count: int, seed, **flags):
     """Build ``EXAMPLES[name]`` from ``flags``, every flag of the entry, and
     run its suite.  Returns (reports, ok, stats), where ok is true when
@@ -731,38 +633,29 @@ def run_suite(name: str, count: int, seed, **flags):
     extension's ``sampler_stats`` summed over its processes, with their
     number, ``processes``.
 
-    The suite's units (one cell of one check call each) are split over
-    ``_process_count`` processes: P - 1 forked children and this one each
-    run the whole suite, calling each check by its name, and sample only
-    the units ``Share`` gives them.  Each cell has its own seeded RNG, so a
-    unit's samples and failures do not depend on the process that drew
-    them, and merging them in unit order gives the reports of one process.
-    A child that fails has its share re-run here, so an exception reaches
-    the caller as it would in one process."""
+    The suite's units (one cell of one check call each) are split by
+    ``split.run_split``: every process runs the whole suite, calling each
+    check by its name, and samples only the units ``Share`` gives it.  Each
+    cell has its own seeded RNG, so a unit's samples and failures do not
+    depend on the process that drew them, and merging them in unit order
+    gives the reports of one process."""
     example = EXAMPLES[name]
     ext, r_max, s_max = example.build(**flags)
+    runs = {}   # index -> (reports, share) of each share run in this process
 
     def run(index, processes):
+        before = ext.sampler_stats()
         ext.share = Share(index, processes)
-        return example.suite(ext, r_max, s_max, count, seed), ext.share
+        runs[index] = example.suite(ext, r_max, s_max, count, seed), ext.share
+        after = ext.sampler_stats()
+        return list(ext.share.done.items()), {key: after[key] - before[key] for key in after}
 
-    processes = _process_count(lambda: run(None, 1)[1].units)
-    children = {}
-    try:
-        for index in range(1, processes):
-            _fork(ext, run, index, processes, children)
-        reports, share = run(0, processes)
-        results, stats = {}, []
-        for index in range(1, processes):
-            payload = _collect(children, index)
-            if payload is None:
-                results.update(run(index, processes)[1].done)
-            else:
-                results.update(payload[0])
-                stats.append(payload[1])
-        share.fill(results)
-    finally:
-        _stop(children)
-    stats.append(ext.sampler_stats())  # this process's, with any share it re-ran
-    totals = {key: sum(part[key] for part in stats) for key in stats[0]}
+    def units():
+        run(None, 1)
+        return runs[None][1].units
+
+    results, processes = run_split(run, units)
+    reports, share = runs[0]
+    share.fill({unit: done for items, _ in results for unit, done in items})
+    totals = {key: sum(stats[key] for _, stats in results) for key in results[0][1]}
     return reports, all(rep.ok for rep in reports), {**totals, "processes": processes}

@@ -274,17 +274,23 @@ def test_huge_prime_refused_at_once(command):
 
 
 def test_split_stability_run_leaves_nothing_open():
-    # the poison suite runs on one process per CPU; under -X dev and -W error
-    # a pipe or file left open would print a ResourceWarning, and a child
-    # that wrote to stdout would break its one JSON document
+    # each sampled command runs on one process per CPU; under -X dev and
+    # -W error a pipe or file left open would print a ResourceWarning, and a
+    # child that wrote to stdout would break its one JSON document
+    from filtra.split import _cpu_count
+
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(filtra.__file__)))
-    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "filtra.cli", "stability",
-                           "--example", "poison", "--count", "40", "--seed", "1"],
-                          capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == 1
-    assert "ResourceWarning" not in proc.stderr and "Traceback" not in proc.stderr
-    from filtra.stability import _cpu_count
-    assert json.loads(proc.stdout)["timings"]["stats"]["processes"] == min(_cpu_count(), 8)
+    for argv, code, units in [
+        (["stability", "--example", "poison", "--count", "40", "--seed", "1"], 1, 8),
+        (["holomorph-identities", "--backend", "free", "--count", "40", "--seed", "1"], 0, 40),
+        (["rep", "--n", "2", "--mod", "9", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--samples", "40",
+          "--seed", "1"], 0, 40),
+    ]:
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "filtra.cli", *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == code, argv
+        assert "ResourceWarning" not in proc.stderr and "Traceback" not in proc.stderr, argv
+        assert json.loads(proc.stdout)["timings"]["stats"]["processes"] == min(_cpu_count(), units), argv
 
 
 def test_rep_n4_is_cheap(capsys):
@@ -555,7 +561,7 @@ def test_stability_reports_sampler_stats(capsys, monkeypatch):
     # three cells, with 4 sample_level calls each in the stable check and 3
     # in the twist check, draw count - 1 words per call; the poison tables
     # answer some words whole.  The suite runs on one process per CPU
-    monkeypatch.setattr("filtra.stability._cpu_count", lambda: 2)
+    monkeypatch.setattr("filtra.split._cpu_count", lambda: 2)
     code, report = run_cli(capsys, "stability", "--example", "poison", "--count", "40", "--seed", "1")
     stats = report["timings"]["stats"]
     assert code == 1
@@ -564,6 +570,23 @@ def test_stability_reports_sampler_stats(capsys, monkeypatch):
     assert stats["processes"] == 2
     code, report = run_cli(capsys, "stability", "--example", "congruence", "--count", "1", "--seed", "1")
     assert code == 0 and report["timings"]["stats"] == {"samples_drawn": 0, "short_word_hits": 0, "processes": 2}
+
+
+def test_sampled_commands_report_their_processes(capsys, monkeypatch):
+    # holomorph-identities and rep --samples split their samples over one
+    # process per CPU and report their number as stability does; one sample
+    # runs on one process, and rep without samples runs no suite
+    monkeypatch.setattr("filtra.split._cpu_count", lambda: 2)
+    rep = ["rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1"]
+    for argv, processes in [
+        (["holomorph-identities", "--backend", "free", "--count", "5", "--seed", "1"], 2),
+        (["holomorph-identities", "--backend", "congruence", "--count", "1", "--seed", "1"], 1),
+        (rep + ["--samples", "5", "--seed", "1"], 2),
+    ]:
+        code, report = run_cli(capsys, *argv)
+        assert code == 0 and report["timings"]["stats"] == {"processes": processes}, argv
+    code, report = run_cli(capsys, *rep, "--samples", "0")
+    assert code == 0 and "stats" not in report["timings"]
 
 
 def test_stability_congruence_command_deterministic(capsys):
@@ -824,15 +847,18 @@ print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] =
     (["pcongruence", "--family", "pgamma", "-p", "3", "--jmax", "2", "-e", "3", "--seed", "1"], set()),
     (["graded", "verify", "-p", "3", "--qmax", "2"], set()),
     (["graded", "bracket", "-p", "3", "-q", "1", "-s", "1", "--c1", "1,0,0", "--c2", "0,1,0"], set()),
-    (["rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--samples", "2", "--seed", "1"], {"linrep", "holomorph"}),
+    (["rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--samples", "2", "--seed", "1"],
+     {"linrep", "holomorph", "split"}),
     (["rep-ball", "-p", "3", "--base", "1", "--target", "2", "--radius", "1", "--seed", "1"],
-     {"linrep", "holomorph"}),
-    (["holomorph-identities", "--backend", "congruence", "--count", "2", "--seed", "1"], {"holomorph", "stability"}),
+     {"linrep", "holomorph", "split"}),
+    (["holomorph-identities", "--backend", "congruence", "--count", "2", "--seed", "1"],
+     {"holomorph", "stability", "split"}),
     (["holomorph-identities", "--backend", "free", "--count", "2", "--seed", "1"],
-     {"holomorph", "freegroup", "stability"}),
+     {"holomorph", "freegroup", "stability", "split"}),
     (["stability", "--example", "congruence", "--rmax", "1", "--smax", "1", "--count", "2", "--seed", "1"],
-     {"stability", "holomorph"}),
-    (["stability", "--example", "poison", "--count", "2", "--seed", "1"], {"stability", "holomorph", "freegroup"}),
+     {"stability", "holomorph", "split"}),
+    (["stability", "--example", "poison", "--count", "2", "--seed", "1"],
+     {"stability", "holomorph", "freegroup", "split"}),
     (["freegroup-fixtures", "--nmax", "2"], {"freegroup"}),
 ])
 def test_commands_load_only_their_modules(argv, added):

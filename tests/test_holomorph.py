@@ -1,9 +1,12 @@
+import threading
+
 import pytest
 
 from filtra.exactmat import _FLAT_ID, _flat_inv_z, _flat_mul_z
 from filtra.filtration import flat_congruence_basis
 from filtra.freegroup import Word, poison_action
 from filtra.holomorph import (
+    _LAWS,
     FreeGroupAction,
     MatrixConjugation,
     SemiElem,
@@ -164,3 +167,77 @@ def test_matrix_backend_needs_one_element_type():
     x = (1, 3, 0, 1)
     assert flat.pi.eq(flat.apply((0, -1, 1, 0), x), (1, 0, -3, 1))
     assert flat.pi.eq(x, (-1, -3, 0, -1))
+
+
+# -- the samples split over processes -------------------------------------------
+
+ASSOCIATIVITY = _LAWS["associativity"]
+
+
+def _matrix_run(count=200):
+    gens = flat_congruence_basis(3, 1)
+    return ACT, gens, gens, count, 11, 4
+
+
+def _free_run(count=200):
+    gamma_gens, pi_gens = [Word.generator(2, i) for i in (1, 2)], [Word.generator(3, i) for i in (1, 2, 3)]
+    return FreeGroupAction(2, 3, poison_action()), gamma_gens, pi_gens, count, 11, 5
+
+
+#: backend -> (its run, an associativity law that also fails on a subset of
+#: the draws, that law's failures at one process before the split)
+_DRAWN_FAULTS = {
+    "matrix": (_matrix_run, lambda act, a, b, c: (a.f[1] + b.x[2]) % 5 != 0 and ASSOCIATIVITY(act, a, b, c), 52),
+    "free": (_free_run, lambda act, a, b, c: a.f.letters[:1] != (2,) and ASSOCIATIVITY(act, a, b, c), 53),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(_DRAWN_FAULTS))
+def test_split_samples_keep_the_stream(monkeypatch, on_cpus, backend):
+    # every process replays the one seeded stream: a law that fails on some
+    # draws fails as often on 1, 2 and 4 processes, as often as before the
+    # split, so a reseeded or shifted share would show
+    make, law, failures = _DRAWN_FAULTS[backend]
+    monkeypatch.setitem(_LAWS, "associativity", law)
+    for cpus in (1, 2, 4):
+        report, processes = on_cpus(cpus, verify_holomorph_identities, *make())
+        counts = {check["id"]: check["failures"] for check in report["checks"]}
+        assert processes == cpus
+        assert counts == {**dict.fromkeys(_LAWS, 0), "associativity": failures} and not report["ok"]
+
+
+@pytest.mark.parametrize("owner", [0, 1])
+def test_a_law_error_reaches_the_caller(monkeypatch, on_cpus, owner):
+    # of two samples on two processes, this one checks the first and a child
+    # the second: a law that raises on either raises here, as in one
+    # process, and leaves no child behind
+    seen = []
+    monkeypatch.setitem(_LAWS, "inverse_formula", lambda act, a, b, c: seen.append(a) or True)
+    on_cpus(1, verify_holomorph_identities, *_matrix_run(2))
+    assert len(seen) == 2 and seen[0] != seen[1]
+
+    def law(act, a, b, c):
+        if a == seen[owner]:
+            raise ValueError("law fault")
+        return True
+
+    monkeypatch.setitem(_LAWS, "inverse_formula", law)
+    for cpus in (1, 2):
+        with pytest.raises(ValueError, match="law fault"):
+            on_cpus(cpus, verify_holomorph_identities, *_matrix_run(2))
+
+
+def test_a_second_thread_keeps_one_process(on_cpus):
+    # a forked child would hold only the calling thread, so the laws are
+    # checked in this process while another thread is alive
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        report, processes = on_cpus(4, verify_holomorph_identities, *_free_run(40))
+    finally:
+        release.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
+    assert processes == 1
+    assert report == on_cpus(4, verify_holomorph_identities, *_free_run(40))[0]

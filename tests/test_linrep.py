@@ -1,7 +1,9 @@
 import random
+import threading
 
 import pytest
 
+import filtra.linrep
 from filtra.exactmat import Mat, Modulus
 from filtra.holomorph import _LAWS, semi_eq, semi_id, semi_inv, semi_mul
 from filtra.linrep import (
@@ -188,3 +190,76 @@ def test_delta_rejects_non_sl_components():
     with pytest.raises(LinRepError):
         pair(Mat((-1, 0, 0, 1)), Mat.identity(2))
     assert pair(Mat((8, 0, 0, 8), M9), I2).f.det() == 1
+
+
+# -- the samples split over processes -------------------------------------------
+
+RHO, ACT = rho, act
+
+#: (n, ring) -> the counters hom_failures, left_action_failures and
+#: kernel_probes of 120 samples at seed 5 under the draw-dependent faults of
+#: ``test_split_samples_keep_the_stream``, at one process before the split
+_DRAWN_FAULT_COUNTS = {
+    (2, M9): (74, 23, {"center_order": 2, "hits": 33, "violations": 31}),
+    (3, Modulus(2, 2)): (62, 21, {"center_order": 1, "hits": 27, "violations": 26}),
+    (2, None): (72, 19, {"center_order": 2, "hits": 44, "violations": 42}),
+}
+
+
+@pytest.mark.parametrize("ring", list(_DRAWN_FAULT_COUNTS), ids=["n2-Z/9", "n3-Z/4", "n2-Z"])
+def test_split_samples_keep_the_stream(monkeypatch, on_cpus, ring):
+    # every process replays the one seeded stream: a rho and an action that
+    # fail on some draws move all four counters by as much on 1, 2 and 4
+    # processes as before the split, so a reseeded or shifted share would show
+    monkeypatch.setattr(filtra.linrep, "rho", lambda u: (
+        Mat.identity(u.f.n ** 2, u.f.modulus) if u.x.entries[1] % 3 == 1 else RHO(u)))
+    monkeypatch.setattr(filtra.linrep, "act", lambda u, m: m if m.entries[0] % 4 == 2 else ACT(u, m))
+    for cpus in (1, 2, 4):
+        report, processes = on_cpus(cpus, verify_faithful, *ring, 120, 5)
+        assert processes == cpus and not report["ok"]
+        assert (report["hom_failures"], report["left_action_failures"], report["kernel_probes"]) == \
+            _DRAWN_FAULT_COUNTS[ring]
+
+
+def test_no_sample_runs_on_one_process(on_cpus):
+    report, processes = on_cpus(4, verify_faithful, 2, M9, 0, 5)
+    assert report["ok"] and report["samples"] == 0 and processes == 1
+
+
+@pytest.mark.parametrize("owner", [0, 1])
+def test_a_rho_error_reaches_the_caller(monkeypatch, on_cpus, owner):
+    # of two samples on two processes, this one checks the first and a child
+    # the second: a rho that raises on either sample's u raises here, as in
+    # one process, and leaves no child behind.  rho sees the identity, then
+    # u, v and uv of each sample
+    seen = []
+    monkeypatch.setattr(filtra.linrep, "rho", lambda u: seen.append(u) or RHO(u))
+    on_cpus(1, verify_faithful, 2, M9, 2, 5)
+    assert seen[1] != seen[4]
+    target = seen[1 + 3 * owner]
+
+    def raising(u):
+        if u == target:
+            raise ValueError("rho fault")
+        return RHO(u)
+
+    monkeypatch.setattr(filtra.linrep, "rho", raising)
+    for cpus in (1, 2):
+        with pytest.raises(ValueError, match="rho fault"):
+            on_cpus(cpus, verify_faithful, 2, M9, 2, 5)
+
+
+def test_a_second_thread_keeps_one_process(on_cpus):
+    # a forked child would hold only the calling thread, so the samples are
+    # checked in this process while another thread is alive
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        report, processes = on_cpus(4, verify_faithful, 2, M9, 40, 5)
+    finally:
+        release.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
+    assert processes == 1
+    assert report == on_cpus(4, verify_faithful, 2, M9, 40, 5)[0]

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-import filtra.stability
+import filtra.split
 from filtra.exactmat import MatrixError, parse_matrix
 from filtra.freegroup import poison_action
 from filtra.filtration import flat_congruence_basis
@@ -403,7 +403,7 @@ def _no_child_left():
 def _split_run(monkeypatch, cpus, *args, **flags):
     """``run_suite(*args, **flags)`` as if this process could use ``cpus``
     CPUs: (report dicts, ok, stats), after checking that no child is left."""
-    monkeypatch.setattr(filtra.stability, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(filtra.split, "_cpu_count", lambda: cpus)
     try:
         reports, ok, stats = run_suite(*args, **flags)
     finally:
