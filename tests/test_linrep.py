@@ -206,7 +206,7 @@ _DRAWN_FAULT_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("ring", list(_DRAWN_FAULT_COUNTS), ids=["n2-Z/9", "n3-Z/4", "n2-Z"])
+@pytest.mark.parametrize("ring", list(_DRAWN_FAULT_COUNTS), ids=["n2-mod9", "n3-mod4", "n2-Z"])
 def test_split_samples_keep_the_stream(monkeypatch, on_cpus, ring):
     # every process replays the one seeded stream: a rho and an action that
     # fail on some draws move all four counters by as much on 1, 2 and 4
