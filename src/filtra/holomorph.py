@@ -27,10 +27,9 @@ the one place the closed forms are checked; the stability suite takes
 ``semi_conj`` and ``semi_comm`` as given and checks levels only.
 
 The identity checks draw their words with ``filtration.WordSampler``, the
-package's one seeded word sampler, and run on the processes of
-``split.run_split``: each process draws every sample and checks the laws on
-its own share of them, and the per-law failure counts are summed, so the
-report does not depend on the process count.
+package's one seeded word sampler, and split their samples over processes
+as ``split`` describes: a unit is one sample, and the per-law failure
+counts of the shares are summed.
 """
 
 from __future__ import annotations
@@ -252,30 +251,29 @@ _LAWS = {
 
 def verify_holomorph_identities(act, gamma_gens, pi_gens, count, seed, radius, stats=None):
     """Count the failures of each law of ``_LAWS`` on ``count`` seeded
-    samples, split over processes by ``split.run_split``: every process
-    draws all the samples, in order, and checks the laws on those whose
-    number is its own modulo P.  ``stats``, when given, gets ``processes``,
-    that P."""
+    samples, split over processes as ``split`` describes (every process
+    draws all the samples, in order, and checks the laws on its own).
+    ``stats``, when given, gets ``processes``, their number."""
     gamma, pi = act.gamma, act.pi
     gamma_words = WordSampler(list(gamma_gens) + [gamma.inv(g) for g in gamma_gens], gamma.mul, radius)
     pi_words = WordSampler(list(pi_gens) + [pi.inv(x) for x in pi_gens], pi.mul, radius)
     laws = list(_LAWS.values())
 
-    def run(index, processes):
+    def run(mine):
         rng = random.Random("holomorph:%s" % seed)
         failures = [0] * len(laws)
         for sample in range(count):
             (f, _), (g, _) = gamma_words.draw(rng, 2)
             (x, _), (y, _) = pi_words.draw(rng, 2)
             [(h, _)], [(z, _)] = gamma_words.draw(rng, 1), pi_words.draw(rng, 1)
-            if sample % processes != index:
+            if not mine(sample):
                 continue
             a, b, c = SemiElem(f, x), SemiElem(g, y), SemiElem(h, z)
             for k, law in enumerate(laws):
                 failures[k] += not law(act, a, b, c)
         return failures
 
-    results, processes = run_split(run, lambda: count)
+    results, processes = run_split(run, count)
     if stats is not None:
         stats["processes"] = processes
     failures = dict(zip(_LAWS, map(sum, zip(*results))))

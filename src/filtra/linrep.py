@@ -22,10 +22,9 @@ Every matrix is an ``exactmat.Mat`` over it, so the code takes no branch on
 the ring except where the mathematics differs: the scalar center, the
 coefficient bound of ``random_sl`` and the ring label of the report.
 
-``verify_faithful`` runs its samples on the processes of
-``split.run_split``: each process draws every sample and checks its own
-share of them, and the four counters are summed, so the report does not
-depend on the process count.
+``verify_faithful`` splits its samples over processes as ``split``
+describes: a unit is one sample, and the four counters of the shares are
+summed.
 """
 
 from __future__ import annotations
@@ -188,20 +187,20 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed, st
     is reported.  A determinant-one gamma is scalar exactly when it is a
     central scalar, since lambda I in SL(n, A) forces lambda^n = 1.
 
-    The samples are split over processes by ``split.run_split``: every
-    process draws all of them, in order, and checks those whose number is
-    its own modulo P.  ``stats``, when given, gets ``processes``, that P.
+    The samples are split over processes as ``split`` describes (every
+    process draws all of them, in order, and checks its own).  ``stats``,
+    when given, gets ``processes``, their number.
     """
     conj = RingConjugation(n, modulus)
     e = semi_id(conj)
     ident, one = rho(e), e.x
 
-    def run(index, processes):
+    def run(mine):
         rng = random.Random("linrep:%s:%s:%s" % (n, modulus, seed))
         hom_failures = left_action_failures = kernel_violations = kernel_hits = 0
         for sample in range(sample_count):
             draws = [random_sl(n, modulus, rng) for _ in range(5)]
-            if sample % processes != index:
+            if not mine(sample):
                 continue
             u, v, m = pair(*draws[:2]), pair(*draws[2:4]), draws[4]
             ru, rv, uv = rho(u), rho(v), pair(*semi_mul(u, v, conj))
@@ -212,7 +211,7 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed, st
                 kernel_violations += not semi_eq(u, e, conj)
         return hom_failures, left_action_failures, kernel_violations, kernel_hits
 
-    results, processes = run_split(run, lambda: sample_count)
+    results, processes = run_split(run, sample_count)
     if stats is not None:
         stats["processes"] = processes
     hom_failures, left_action_failures, kernel_violations, kernel_hits = map(sum, zip(*results))

@@ -1,29 +1,35 @@
 """One sampled run split over the CPUs the process may use.
 
-``run_split(run, units)`` runs ``run(index, P)`` for every index below P
-and returns the results by index.  P is the number of CPUs the process may
-run on (its affinity mask, else ``os.cpu_count()``), capped at the run's
-number of independent units, ``units()``, which is called only when there
-are two CPUs or more.  The split forks P - 1 children before any work;
-child i runs ``run(i, P)`` and sends the result back as JSON over a pipe,
-while this process runs ``run(0, P)`` itself.  A caller's ``run`` does the
-units n with n mod P == index, and the caller merges the results, so what
-it reports does not depend on P.  P is 1, in process and with no fork, on
-one CPU, where ``os.fork`` is missing, while another thread is alive, or
-for fewer than two units.
+``run_split(run, units)`` splits ``units`` independent units, numbered from
+0, over P processes and returns ([run(mine) for each share], P).  P is the
+number of CPUs the process may run on (its affinity mask, else
+``os.cpu_count()``), capped at ``units``; it is 1, in process and with no
+fork, on one CPU, where ``os.fork`` is missing, while another thread is
+alive, or for fewer than two units.
 
-The callers split their work the same way: each process runs the whole
+A share is its ``mine``: ``mine(n)`` is true for the units n that the
+share owns, those with n mod P equal to its index, so every unit belongs to
+exactly one share.  This is the one place that rule is written; a caller's
+``run`` sees only ``mine``.
+
+Every caller splits its work the same way.  Each process replays the whole
 seeded computation, with every draw in its order, and does only the work
-of its own units, so the results of all processes, merged, are those of
-one process.  ``stability.run_suite`` splits a suite's cells (a unit is
-one cell of one check call, each with its own seeded RNG);
+of the units its ``mine`` owns, so a unit's result does not depend on the
+process that computed it.  The caller then assembles its report from the
+results of every unit, as one process would, so what it reports does not
+depend on P.  ``stability.run_suite`` splits a suite's cells (a unit is one
+cell of one check call, seeded by its own RNG) and builds its reports in a
+last pass over the suite in which every unit is known and none is sampled;
 ``holomorph.verify_holomorph_identities`` and ``linrep.verify_faithful``
-split their samples, every process replaying the one seeded stream and
-evaluating the samples whose number is its own modulo P.
+split their samples (a unit is one sample) and sum the counts of the
+shares.
 
-A child that does not finish its share has that share re-run in this
-process, so an exception reaches the caller as it would in one process.
-Every child is killed and reaped before ``run_split`` returns or raises.
+The split forks P - 1 children before any work; child i runs share i and
+sends its result back as JSON over a pipe (so its tuples read as lists),
+while this process runs share 0 itself.  A child that does not finish its
+share has that share re-run in this process, so an exception reaches the
+caller as it would in one process.  Every child is killed and reaped before
+``run_split`` returns or raises.
 """
 
 from __future__ import annotations
@@ -42,18 +48,22 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _process_count(units) -> int:
-    """P: one process per CPU this process may use, capped at ``units()``;
+def _process_count(units: int) -> int:
+    """P: one process per CPU this process may use, capped at ``units``;
     1 without ``os.fork`` or while another thread is alive, since a forked
     child holds only the calling thread."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    cpus = _cpu_count()
-    return 1 if cpus < 2 else max(1, min(cpus, units()))
+    return max(1, min(_cpu_count(), units))
 
 
-def _fork(run, index, processes, children):
-    """Start a process that runs share ``index`` of ``processes`` and sends
+def _share(index, processes):
+    """``mine`` of share ``index`` of ``processes``."""
+    return lambda unit: unit % processes == index
+
+
+def _fork(run, mine, index, children):
+    """Start a process that runs ``run(mine)``, share ``index``, and sends
     its result back as JSON, and set ``children[index]`` to (pid, the read
     end of its pipe), or to None when no process could be started.
 
@@ -82,7 +92,7 @@ def _fork(run, index, processes, children):
             try:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(read)
-                result = run(index, processes)
+                result = run(mine)
                 with open(write, "w") as pipe:
                     json.dump(result, pipe)
                 code = 0
@@ -124,20 +134,19 @@ def _stop(children):
     children.clear()
 
 
-def run_split(run, units):
-    """([run(0, P), ..., run(P - 1, P)], P), each share run in its own
-    process; a child's result comes back through JSON, so its tuples read
-    as lists.  ``units`` is a function returning the number of independent
-    units the shares divide."""
+def run_split(run, units: int):
+    """([run(mine) for the P shares, by index], P) for ``units`` units,
+    each share run in its own process."""
     processes = _process_count(units)
+    shares = [_share(index, processes) for index in range(processes)]
     children = {}
     try:
         for index in range(1, processes):
-            _fork(run, index, processes, children)
-        results = [run(0, processes)]
+            _fork(run, shares[index], index, children)
+        results = [run(shares[0])]
         for index in range(1, processes):
             data = _collect(children, index)
-            results.append(run(index, processes) if data is None else json.loads(data))
+            results.append(run(shares[index]) if data is None else json.loads(data))
     finally:
         _stop(children)
     return results, processes

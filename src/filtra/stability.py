@@ -37,12 +37,10 @@ and so one table of short words with their measured levels, per (side,
 level), so every check of a run reuses the products and levels of the
 words it has drawn before.
 
-``run_suite`` samples a suite on the P processes of ``split.run_split``,
-where a unit is one cell of one check call: every process runs the whole
-suite, sampling only the units whose number is its own modulo P
-(``Share``).  Each cell seeds its own RNG, so the processes' (samples,
-failures), merged in unit order, give reports, failures and failure order
-that do not depend on P: they are those of one process.  Each process
+``run_suite`` splits a suite over processes as ``split`` describes, where
+a unit is one cell of one check call (``Share``), and builds its reports in
+one last pass over the suite from the (samples, failures) of every unit, so
+reports, failures and failure order do not depend on P.  Each process
 keeps its own samplers, so ``short_word_hits`` varies with P while
 ``samples_drawn`` does not.
 
@@ -139,35 +137,17 @@ class CheckReport:
 Side = namedtuple("Side", "level gens cap text parse")
 
 
+@dataclass
 class Share:
     """The units of a suite run that one process samples.  A unit is one
-    cell of one check call, numbered in the order the suite visits them,
-    and unit n belongs to process n mod ``processes``; ``index`` is this
-    process's number (None samples no unit, which counts them)."""
+    cell of one check call, numbered in the order the suite visits them;
+    ``mine(unit)`` is true for the units this process samples, ``known``
+    maps each unit sampled or received so far to its (samples, failures),
+    and ``units`` counts the units numbered so far."""
 
-    def __init__(self, index=0, processes=1):
-        self.index, self.processes = index, processes
-        self.units = 0       # the units numbered so far
-        self.done = {}       # unit -> (samples, failures) of the units sampled here
-        self.pending = []    # (report, failure position, unit) of the units left to other processes
-
-    def claim(self, report):
-        """The next unit's number when this process samples it; otherwise
-        None, noting where in ``report`` the unit's failures go."""
-        unit = self.units
-        self.units += 1
-        if unit % self.processes == self.index:
-            return unit
-        self.pending.append((report, len(report.failures), unit))
-        return None
-
-    def fill(self, results):
-        """Add each pending unit's (samples, failures), from ``results`` by
-        unit, to its report, so each report reads as one process's."""
-        for report, position, unit in reversed(self.pending):
-            samples, failures = results[unit]
-            report.samples += samples
-            report.failures[position:position] = failures
+    mine: object
+    known: dict = field(default_factory=dict)
+    units: int = 0
 
 
 @dataclass
@@ -182,8 +162,8 @@ class ExtensionSpec:
     quotients: object = None         # (r, s) -> ((p, i, j, family) of Gamma, of pi) or None
     # (side, level) -> WordSampler, made by the first sample_level call
     samplers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the units this process samples; run_suite sets one per process
-    share: Share = field(default_factory=Share, init=False, repr=False, compare=False)
+    # the units this process samples, all of them unless run_suite sets one
+    share: Share = field(default_factory=lambda: Share(lambda unit: True), init=False, repr=False, compare=False)
 
     def sampler_stats(self) -> dict:
         """Words drawn by ``sample_level`` so far, and how many of them the
@@ -460,34 +440,44 @@ _G_LIE_LIKE = [(
 
 
 def _run_cells(ext, report, label, cells, phases, count, seed):
-    """Run ``phases`` on every cell (r, s) of ``cells`` that ``ext.share``
-    gives this process, with the cell's RNG seeded by ``label``, and add
-    their samples and failures to ``report``."""
+    """Number each cell (r, s) of ``cells`` as the next unit of
+    ``ext.share``, sample those that it gives this process and does not
+    know yet, and add the samples and failures of every known one to
+    ``report``, the one place a report gets them."""
     share = ext.share
     for r, s in cells:
-        unit = share.claim(report)
-        if unit is None:
-            continue
-        rng = random.Random("%s|%s|%s|%d|%d" % (ext.name, label, seed, r, s))
-        samples, failures = 0, []
-        for draws, kinds in phases:
-            names = [name for name, _, _ in draws]
-            columns = [sample_level(ext, _ELEMENT_SIDES[name[0]], a * r + b * s, count, rng) for name, a, b in draws]
-            runs = [(kind, evaluate, roles, itemgetter(*map(names.index, roles)))
-                    for kind in kinds for evaluate, roles in [_KINDS[kind]]]
-            samples += len(columns[0])
-            for sample in zip(*columns):
-                for kind, evaluate, roles, pick in runs:
-                    elems = pick(sample)
-                    detail = evaluate(ext, elems)
-                    if detail is not None:
-                        texts = {name[0]: getattr(ext, _ELEMENT_SIDES[name[0]]).text(value)
-                                 for name, (value, _) in zip(roles, elems)}
-                        failures.append({"kind": kind, "cell": [r, s], "elements": texts, "detail": detail})
-        share.done[unit] = samples, failures
+        unit = share.units
+        share.units += 1
+        if unit not in share.known:
+            if not share.mine(unit):
+                continue
+            share.known[unit] = _sample_cell(ext, label, r, s, phases, count, seed)
+        samples, failures = share.known[unit]
         report.samples += samples
         report.failures += failures
     return report
+
+
+def _sample_cell(ext, label, r, s, phases, count, seed):
+    """(samples, failures) of ``phases`` on cell (r, s), with the cell's RNG
+    seeded by ``label``."""
+    rng = random.Random("%s|%s|%s|%d|%d" % (ext.name, label, seed, r, s))
+    samples, failures = 0, []
+    for draws, kinds in phases:
+        names = [name for name, _, _ in draws]
+        columns = [sample_level(ext, _ELEMENT_SIDES[name[0]], a * r + b * s, count, rng) for name, a, b in draws]
+        runs = [(kind, evaluate, roles, itemgetter(*map(names.index, roles)))
+                for kind in kinds for evaluate, roles in [_KINDS[kind]]]
+        samples += len(columns[0])
+        for sample in zip(*columns):
+            for kind, evaluate, roles, pick in runs:
+                elems = pick(sample)
+                detail = evaluate(ext, elems)
+                if detail is not None:
+                    texts = {name[0]: getattr(ext, _ELEMENT_SIDES[name[0]]).text(value)
+                             for name, (value, _) in zip(roles, elems)}
+                    failures.append({"kind": kind, "cell": [r, s], "elements": texts, "detail": detail})
+    return samples, failures
 
 
 def _sample_cap(ext):
@@ -633,29 +623,25 @@ def run_suite(name: str, count: int, seed, **flags):
     extension's ``sampler_stats`` summed over its processes, with their
     number, ``processes``.
 
-    The suite's units (one cell of one check call each) are split by
-    ``split.run_split``: every process runs the whole suite, calling each
-    check by its name, and samples only the units ``Share`` gives it.  Each
-    cell has its own seeded RNG, so a unit's samples and failures do not
-    depend on the process that drew them, and merging them in unit order
-    gives the reports of one process."""
+    The suite's units (one cell of one check call each) are split as
+    ``split`` describes.  Every pass runs the whole suite, calling each
+    check by its name: one that samples nothing counts the units, each
+    process samples its own, and one last pass, with every unit known and
+    none sampled, builds the reports."""
     example = EXAMPLES[name]
     ext, r_max, s_max = example.build(**flags)
-    runs = {}   # index -> (reports, share) of each share run in this process
 
-    def run(index, processes):
-        before = ext.sampler_stats()
-        ext.share = Share(index, processes)
-        runs[index] = example.suite(ext, r_max, s_max, count, seed), ext.share
-        after = ext.sampler_stats()
-        return list(ext.share.done.items()), {key: after[key] - before[key] for key in after}
+    def suite(share):
+        ext.share = share
+        return example.suite(ext, r_max, s_max, count, seed)
 
-    def units():
-        run(None, 1)
-        return runs[None][1].units
+    def run(mine):
+        ext.samplers = {}
+        suite(Share(mine))
+        return list(ext.share.known.items()), ext.sampler_stats()
 
-    results, processes = run_split(run, units)
-    reports, share = runs[0]
-    share.fill({unit: done for items, _ in results for unit, done in items})
+    suite(Share(lambda unit: False))
+    results, processes = run_split(run, ext.share.units)
+    reports = suite(Share(lambda unit: False, {unit: done for known, _ in results for unit, done in known}))
     totals = {key: sum(stats[key] for _, stats in results) for key in results[0][1]}
     return reports, all(rep.ok for rep in reports), {**totals, "processes": processes}

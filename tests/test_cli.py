@@ -17,7 +17,7 @@ from filtra.filtration import MAX_JMAX, MAX_MODULUS_BITS
 from filtra.holomorph import MAX_IDENTITY_COUNT
 from filtra.linrep import MAX_BALL_RADIUS, MAX_FAITHFUL_SAMPLES, MAX_REP_N
 from filtra.stability import (
-    EXAMPLES, MAX_CELL_BITS, MAX_DEPTH_CAP, MAX_SAMPLE_COUNT, poison_extension, replay_failure,
+    EXAMPLES, MAX_CELL_BITS, MAX_DEPTH_CAP, MAX_SAMPLE_COUNT, poison_extension, replay_failure, run_suite,
 )
 
 
@@ -273,15 +273,22 @@ def test_huge_prime_refused_at_once(command):
     assert "usage error" in proc.stderr and "below 2^20" in proc.stderr
 
 
-def test_split_stability_run_leaves_nothing_open():
-    # each sampled command runs on one process per CPU; under -X dev and
-    # -W error a pipe or file left open would print a ResourceWarning, and a
-    # child that wrote to stdout would break its one JSON document
+def test_split_stability_run_leaves_nothing_open(monkeypatch):
+    # each sampled command runs on one process per CPU, capped at its units;
+    # under -X dev and -W error a pipe or file left open would print a
+    # ResourceWarning, and a child that wrote to stdout would break its one
+    # JSON document
     from filtra.split import _cpu_count
 
+    cpus = _cpu_count()
+    # with more CPUs than units, the poison suite runs one process per unit:
+    # 3 cells of each of its 2 checks
+    monkeypatch.setattr("filtra.split._cpu_count", lambda: 64)
+    poison_units = run_suite("poison", 40, 1)[2]["processes"]
+    assert poison_units == 6
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(filtra.__file__)))
     for argv, code, units in [
-        (["stability", "--example", "poison", "--count", "40", "--seed", "1"], 1, 8),
+        (["stability", "--example", "poison", "--count", "40", "--seed", "1"], 1, poison_units),
         (["holomorph-identities", "--backend", "free", "--count", "40", "--seed", "1"], 0, 40),
         (["rep", "--n", "2", "--mod", "9", "--gamma", "1,3;0,1", "--y", "1,0;3,1", "--samples", "40",
           "--seed", "1"], 0, 40),
@@ -290,7 +297,7 @@ def test_split_stability_run_leaves_nothing_open():
                               capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == code, argv
         assert "ResourceWarning" not in proc.stderr and "Traceback" not in proc.stderr, argv
-        assert json.loads(proc.stdout)["timings"]["stats"]["processes"] == min(_cpu_count(), units), argv
+        assert json.loads(proc.stdout)["timings"]["stats"]["processes"] == min(cpus, units), argv
 
 
 def test_rep_n4_is_cheap(capsys):

@@ -209,12 +209,12 @@ _DRAWN_FAULT_COUNTS = {
 @pytest.mark.parametrize("ring", list(_DRAWN_FAULT_COUNTS), ids=["n2-mod9", "n3-mod4", "n2-Z"])
 def test_split_samples_keep_the_stream(monkeypatch, on_cpus, ring):
     # every process replays the one seeded stream: a rho and an action that
-    # fail on some draws move all four counters by as much on 1, 2 and 4
+    # fail on some draws move all four counters by as much on 1, 2, 3 and 4
     # processes as before the split, so a reseeded or shifted share would show
     monkeypatch.setattr(filtra.linrep, "rho", lambda u: (
         Mat.identity(u.f.n ** 2, u.f.modulus) if u.x.entries[1] % 3 == 1 else RHO(u)))
     monkeypatch.setattr(filtra.linrep, "act", lambda u, m: m if m.entries[0] % 4 == 2 else ACT(u, m))
-    for cpus in (1, 2, 4):
+    for cpus in (1, 2, 3, 4):
         report, processes = on_cpus(cpus, verify_faithful, *ring, 120, 5)
         assert processes == cpus and not report["ok"]
         assert (report["hom_failures"], report["left_action_failures"], report["kernel_probes"]) == \

@@ -429,13 +429,14 @@ _SPLIT_RUNS = {
 
 @pytest.mark.parametrize("run", sorted(_SPLIT_RUNS))
 def test_reports_do_not_depend_on_the_process_count(monkeypatch, run):
-    # 4 processes are more than the host's cores; each count gives the
-    # one-process reports, failure for failure and in order, and draws as
-    # many words
+    # 4 processes are more than the host's cores, and 3 does not divide a
+    # congruence check's cells, so each check starts its units on another
+    # process; each count gives the one-process reports, failure for failure
+    # and in order, and draws as many words
     args, flags = _SPLIT_RUNS[run]
     if run in _FAULTS:
         monkeypatch.setitem(EXAMPLES, args[0], _fault_entry(_FAULTS[run][0]))
-    runs = {cpus: _split_run(monkeypatch, cpus, *args, **flags) for cpus in (1, 2, 4)}
+    runs = {cpus: _split_run(monkeypatch, cpus, *args, **flags) for cpus in (1, 2, 3, 4)}
     reports, ok, stats = runs[1]
     for cpus, (split_reports, split_ok, split_stats) in runs.items():
         assert split_reports == reports and split_ok == ok
