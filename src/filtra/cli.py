@@ -10,11 +10,11 @@ reports without ``-p``.  Exit codes: 0 all checks passed, 1 at least one
 check failed (the JSON report carries the counterexamples), 2 usage error;
 ``main`` maps ``ok`` to 0 or 1.  Every finite quotient a command reports
 comes from the tower certificate, so no command builds an enumeration
-table or reaches its guard.  Re-running with an identical config
-(including the seed, which is mandatory for every sampling command)
-reproduces the same report except for the wall-clock timings.  An
-``--out`` path that cannot be written is a usage error, refused before the
-command runs.
+table or reaches its guard.  Every sampling command requires ``--seed``
+except ``rep --samples N``, whose seed defaults to 0 (and is reported so).
+Re-running with an identical config, seed included, reproduces the same
+report except for the wall-clock timings.  An ``--out`` path that cannot be
+written is a usage error, refused before the command runs.
 
 Imports follow the paper's split.  The congruence tower (``exactmat``,
 ``graded``, ``filtration``) is imported at the top of this module, and

@@ -230,7 +230,9 @@ class WordSampler:
     letters from the first only because ``mul`` is associative, as a group
     product is.  A sampler therefore belongs to one alphabet, product and
     level function; reusing it shares the table.  ``drawn`` counts the words
-    drawn and ``hits`` those answered whole from the table.
+    drawn and ``hits`` those answered whole from the table.  ``advance``
+    consumes a batch's draws without building its words, so a process can
+    skip the words another one builds.
     """
 
     def __init__(self, alphabet, mul, radius, measure=None):
@@ -284,6 +286,23 @@ class WordSampler:
         self.drawn += count
         self.hits += hits
         return out
+
+    def advance(self, rng, count):
+        """Move ``rng`` past ``count`` words, by exactly ``draw``'s calls,
+        building none: ``drawn``, ``hits`` and the table stay as they are."""
+        getrandbits = rng.getrandbits
+        n = len(self.alphabet)
+        n_bits = n.bit_length()
+        radius = self.radius
+        r_bits = radius.bit_length()
+        for _ in range(count):
+            length = getrandbits(r_bits) + 1
+            while length > radius:
+                length = getrandbits(r_bits) + 1
+            for _ in range(length):
+                i = getrandbits(n_bits)
+                while i >= n:
+                    i = getrandbits(n_bits)
 
     def _fill(self, key):
         """The table entry of the word ``key`` encodes, from its prefix's."""

@@ -28,8 +28,8 @@ the one place the closed forms are checked; the stability suite takes
 
 The identity checks draw their words with ``filtration.WordSampler``, the
 package's one seeded word sampler, and split their samples over processes
-as ``split`` describes: a unit is one sample, and the per-law failure
-counts of the shares are summed.
+as ``split`` describes: a unit is one sample, a process builds only the
+samples it owns, and the per-law failure counts of the shares are summed.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from .split import run_split
 
 #: The largest ``holomorph-identities --count``.  Memory stays flat and time
 #: grows linearly: at this bound, from the CLI in process on 2 processes
-#: (2 shared vCPUs), the congruence backend (p = 3) took 0.44 s and the free
-#: backend 0.92 s, peaking at 17 and 20 MB RSS in the parent (14 and 17 MB
-#: in the child).
+#: (2 shared vCPUs, medians of 3 runs), the congruence backend (p = 3) took
+#: 0.40 s and the free backend 1.23 s, peaking at 17 and 20 MB RSS in the
+#: parent (14 and 17 MB in the child).
 MAX_IDENTITY_COUNT = 10 ** 4
 
 
@@ -251,32 +251,42 @@ _LAWS = {
 
 def verify_holomorph_identities(act, gamma_gens, pi_gens, count, seed, radius, stats=None):
     """Count the failures of each law of ``_LAWS`` on ``count`` seeded
-    samples, split over processes as ``split`` describes (every process
-    draws all the samples, in order, and checks the laws on its own).
-    ``stats``, when given, gets ``processes``, their number."""
+    samples, split over processes as ``split`` describes: every process
+    makes every sample's draws, in order, and builds and checks only its
+    own; for another's it only advances the samplers' stream.  ``stats``,
+    when given, gets ``samples_drawn``, the words the samplers built summed
+    over the processes (six a sample), and ``processes``, their number."""
     gamma, pi = act.gamma, act.pi
-    gamma_words = WordSampler(list(gamma_gens) + [gamma.inv(g) for g in gamma_gens], gamma.mul, radius)
-    pi_words = WordSampler(list(pi_gens) + [pi.inv(x) for x in pi_gens], pi.mul, radius)
+    gamma_alphabet = list(gamma_gens) + [gamma.inv(g) for g in gamma_gens]
+    pi_alphabet = list(pi_gens) + [pi.inv(x) for x in pi_gens]
     laws = list(_LAWS.values())
 
     def run(mine):
         rng = random.Random("holomorph:%s" % seed)
+        gamma_words = WordSampler(gamma_alphabet, gamma.mul, radius)
+        pi_words = WordSampler(pi_alphabet, pi.mul, radius)
         failures = [0] * len(laws)
         for sample in range(count):
+            if not mine(sample):
+                gamma_words.advance(rng, 2)
+                pi_words.advance(rng, 2)
+                gamma_words.advance(rng, 1)
+                pi_words.advance(rng, 1)
+                continue
             (f, _), (g, _) = gamma_words.draw(rng, 2)
             (x, _), (y, _) = pi_words.draw(rng, 2)
             [(h, _)], [(z, _)] = gamma_words.draw(rng, 1), pi_words.draw(rng, 1)
-            if not mine(sample):
-                continue
             a, b, c = SemiElem(f, x), SemiElem(g, y), SemiElem(h, z)
             for k, law in enumerate(laws):
                 failures[k] += not law(act, a, b, c)
-        return failures
+        return failures, gamma_words.drawn + pi_words.drawn
 
     results, processes = run_split(run, count)
+    shares, drawn = zip(*results)
     if stats is not None:
+        stats["samples_drawn"] = sum(drawn)
         stats["processes"] = processes
-    failures = dict(zip(_LAWS, map(sum, zip(*results))))
+    failures = dict(zip(_LAWS, map(sum, zip(*shares))))
     return {
         "samples": count,
         "checks": [{"id": name, "failures": n, "pass": n == 0} for name, n in failures.items()],

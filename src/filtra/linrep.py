@@ -23,8 +23,8 @@ the ring except where the mathematics differs: the scalar center, the
 coefficient bound of ``random_sl`` and the ring label of the report.
 
 ``verify_faithful`` splits its samples over processes as ``split``
-describes: a unit is one sample, and the four counters of the shares are
-summed.
+describes: a unit is one sample, a process builds only the samples it
+owns, and the four counters of the shares are summed.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ MAX_BALL_RADIUS = 6
 #: The largest ``rep --samples`` and ``rep`` matrix size n.  rho has n^4
 #: entries and one faithfulness sample costs about n^6, in flat memory (all
 #: under 17 MB RSS in the parent and 14 MB in the child).  From the CLI in
-#: process on 2 processes (2 shared vCPUs), 5000 samples took 0.39 s at
-#: n = 2 mod 9, 2.1 s at n = 4 mod 4, and 4.0 s at n = 5 mod 4 (4.0 s over
-#: Z); 5 samples took 1.7 s at n = 16 mod 4 (20 MB in the parent).
+#: process on 2 processes (2 shared vCPUs, medians of 3 runs), 5000 samples
+#: took 0.40 s at n = 2 mod 9, 2.0 s at n = 4 mod 4, and 4.4 s at n = 5
+#: mod 4 (4.0 s over Z); through ``verify_faithful``, past the CLI's bound,
+#: 5 samples took 1.7 s at n = 16 mod 4 (20 MB in the parent).
 MAX_FAITHFUL_SAMPLES = 5000
 MAX_REP_N = 5
 
@@ -143,24 +144,19 @@ def scale(mat, lam: int):
     return Mat(tuple(lam * e for e in mat.entries), mat.modulus)
 
 
-def random_sl(n: int, modulus: Modulus | None, rng: random.Random):
-    """A pseudo-random determinant-one matrix: a word of ``_TRANSVECTIONS``
-    transvections.
+def _transvections(n: int, modulus: Modulus | None, rng: random.Random):
+    """The (i, j, c) of the factors I + c E_ij of one ``random_sl`` matrix,
+    i != j, in order: the one place its draws are written.
 
-    Not a ``filtration.WordSampler`` word: each factor draws a position
-    and a coefficient, not a letter, and these draws fix the
-    ``kernel_probes.hits`` that ``verify_faithful`` reports.  Each factor
-    I + c E_ij is applied as the column operation column j += c column i;
-    the draws are the same as for the explicit product of transvections.
-
-    i, j and c are each one ``rng.getrandbits(k)`` draw under the rejection
-    rule of ``random.Random._randbelow``, so a ``random.Random`` gives
-    exactly the stream of ``randrange(n)``, ``randrange(n)`` and
-    ``randint(1, bound)``, at n = 1 and bound = 1 too."""
+    Each of ``_TRANSVECTIONS`` factors draws i, j and then, when i != j, c;
+    each is one ``rng.getrandbits(k)`` draw under the rejection rule of
+    ``random.Random._randbelow``, so a ``random.Random`` gives exactly the
+    stream of ``randrange(n)``, ``randrange(n)`` and ``randint(1, bound)``,
+    at n = 1 and bound = 1 too."""
     getrandbits = rng.getrandbits
-    entries = [1 if i == j else 0 for i in range(n) for j in range(n)]
     bound = 3 if modulus is None else modulus.m - 1
     n_bits, c_bits = n.bit_length(), bound.bit_length()
+    out = []
     for _ in range(_TRANSVECTIONS):
         i = getrandbits(n_bits)
         while i >= n:
@@ -173,7 +169,25 @@ def random_sl(n: int, modulus: Modulus | None, rng: random.Random):
         c = getrandbits(c_bits) + 1
         while c > bound:
             c = getrandbits(c_bits) + 1
-        entries[j::n] = [x + c * y for x, y in zip(entries[j::n], entries[i::n])]
+        out.append((i, j, c))
+    return out
+
+
+def random_sl(n: int, modulus: Modulus | None, rng: random.Random):
+    """A pseudo-random determinant-one matrix: a word of ``_TRANSVECTIONS``
+    transvections, drawn by ``_transvections``.
+
+    Not a ``filtration.WordSampler`` word: each factor draws a position
+    and a coefficient, not a letter, and these draws fix the
+    ``kernel_probes.hits`` that ``verify_faithful`` reports.  Each factor
+    I + c E_ij is applied as the column operation column j += c column i,
+    in place over the rows; the draws are the same as for the explicit
+    product of transvections."""
+    entries = [1 if i == j else 0 for i in range(n) for j in range(n)]
+    rows = range(0, n * n, n)
+    for i, j, c in _transvections(n, modulus, rng):
+        for k in rows:
+            entries[k + j] += c * entries[k + i]
     return _mat(tuple(entries), modulus)
 
 
@@ -187,9 +201,10 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed, st
     is reported.  A determinant-one gamma is scalar exactly when it is a
     central scalar, since lambda I in SL(n, A) forces lambda^n = 1.
 
-    The samples are split over processes as ``split`` describes (every
-    process draws all of them, in order, and checks its own).  ``stats``,
-    when given, gets ``processes``, their number.
+    The samples are split over processes as ``split`` describes: every
+    process makes every sample's draws, in order, and builds and checks
+    only its own; for another's it draws the transvections and applies
+    none.  ``stats``, when given, gets ``processes``, their number.
     """
     conj = RingConjugation(n, modulus)
     e = semi_id(conj)
@@ -199,9 +214,11 @@ def verify_faithful(n: int, modulus: Modulus | None, sample_count: int, seed, st
         rng = random.Random("linrep:%s:%s:%s" % (n, modulus, seed))
         hom_failures = left_action_failures = kernel_violations = kernel_hits = 0
         for sample in range(sample_count):
-            draws = [random_sl(n, modulus, rng) for _ in range(5)]
             if not mine(sample):
+                for _ in range(5):
+                    _transvections(n, modulus, rng)
                 continue
+            draws = [random_sl(n, modulus, rng) for _ in range(5)]
             u, v, m = pair(*draws[:2]), pair(*draws[2:4]), draws[4]
             ru, rv, uv = rho(u), rho(v), pair(*semi_mul(u, v, conj))
             hom_failures += rho(uv) != ru * rv

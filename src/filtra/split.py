@@ -12,17 +12,20 @@ share owns, those with n mod P equal to its index, so every unit belongs to
 exactly one share.  This is the one place that rule is written; a caller's
 ``run`` sees only ``mine``.
 
-Every caller splits its work the same way.  Each process replays the whole
-seeded computation, with every draw in its order, and does only the work
-of the units its ``mine`` owns, so a unit's result does not depend on the
-process that computed it.  The caller then assembles its report from the
-results of every unit, as one process would, so what it reports does not
-depend on P.  ``stability.run_suite`` splits a suite's cells (a unit is one
-cell of one check call, seeded by its own RNG) and builds its reports in a
-last pass over the suite in which every unit is known and none is sampled;
+Every caller splits its work the same way.  Every process advances the
+whole seeded stream and builds only the samples it owns: for a unit of
+another share it makes the same draws, in the same order, and builds and
+checks nothing, so a unit's result does not depend on the process that
+computed it.  The caller then assembles its report from the results of
+every unit, as one process would, so what it reports does not depend on P.
+``stability.run_suite`` splits a suite's cells (a unit is one cell of one
+check call, seeded by its own RNG, so a process that does not own a cell
+draws nothing for it) and builds its reports in a last pass over the suite
+in which every unit is known and none is sampled;
 ``holomorph.verify_holomorph_identities`` and ``linrep.verify_faithful``
-split their samples (a unit is one sample) and sum the counts of the
-shares.
+split their samples (a unit is one sample, advanced past with
+``WordSampler.advance`` or ``linrep._transvections``) and sum the counts
+of the shares.
 
 The split forks P - 1 children before any work; child i runs share i and
 sends its result back as JSON over a pipe (so its tuples read as lists),

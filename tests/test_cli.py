@@ -581,19 +581,37 @@ def test_stability_reports_sampler_stats(capsys, monkeypatch):
 
 def test_sampled_commands_report_their_processes(capsys, monkeypatch):
     # holomorph-identities and rep --samples split their samples over one
-    # process per CPU and report their number as stability does; one sample
-    # runs on one process, and rep without samples runs no suite
+    # process per CPU and report their number as stability does, and
+    # holomorph-identities the words its samplers built; one sample runs on
+    # one process, and rep without samples runs no suite
     monkeypatch.setattr("filtra.split._cpu_count", lambda: 2)
     rep = ["rep", "--gamma", "1,3;0,1", "--y", "1,0;3,1"]
-    for argv, processes in [
-        (["holomorph-identities", "--backend", "free", "--count", "5", "--seed", "1"], 2),
-        (["holomorph-identities", "--backend", "congruence", "--count", "1", "--seed", "1"], 1),
-        (rep + ["--samples", "5", "--seed", "1"], 2),
+    for argv, stats in [
+        (["holomorph-identities", "--backend", "free", "--count", "5", "--seed", "1"],
+         {"samples_drawn": 30, "processes": 2}),
+        (["holomorph-identities", "--backend", "congruence", "--count", "1", "--seed", "1"],
+         {"samples_drawn": 6, "processes": 1}),
+        (rep + ["--samples", "5", "--seed", "1"], {"processes": 2}),
     ]:
         code, report = run_cli(capsys, *argv)
-        assert code == 0 and report["timings"]["stats"] == {"processes": processes}, argv
+        assert code == 0 and report["timings"]["stats"] == stats, argv
     code, report = run_cli(capsys, *rep, "--samples", "0")
     assert code == 0 and "stats" not in report["timings"]
+
+
+@pytest.mark.parametrize("backend", ["congruence", "free"])
+def test_holomorph_identities_build_each_sample_once(capsys, monkeypatch, backend):
+    # a sample is six words, built by the one process that owns it; the
+    # others only advance the stream, so the words built summed over the
+    # processes stay six a sample on any CPU count, as does the payload
+    argv = ["holomorph-identities", "--backend", backend, "--count", "7", "--seed", "1"]
+    payloads = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr("filtra.split._cpu_count", lambda: cpus)
+        code, report = run_cli(capsys, *argv)
+        assert code == 0 and report.pop("timings")["stats"] == {"samples_drawn": 6 * 7, "processes": cpus}
+        payloads.append(report)
+    assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_stability_congruence_command_deterministic(capsys):

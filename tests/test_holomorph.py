@@ -194,9 +194,10 @@ _DRAWN_FAULTS = {
 
 @pytest.mark.parametrize("backend", sorted(_DRAWN_FAULTS))
 def test_split_samples_keep_the_stream(monkeypatch, on_cpus, backend):
-    # every process replays the one seeded stream: a law that fails on some
-    # draws fails as often on 1, 2, 3 and 4 processes, as often as before the
-    # split, so a reseeded or shifted share would show
+    # every process makes every draw of the one seeded stream and builds only
+    # its own samples: a law that fails on some draws fails as often on 1, 2,
+    # 3 and 4 processes, as often as before the split, so a reseeded, shifted
+    # or misadvanced share would show
     make, law, failures = _DRAWN_FAULTS[backend]
     monkeypatch.setitem(_LAWS, "associativity", law)
     for cpus in (1, 2, 3, 4):

@@ -203,14 +203,16 @@ _DRAWN_FAULT_COUNTS = {
     (2, M9): (74, 23, {"center_order": 2, "hits": 33, "violations": 31}),
     (3, Modulus(2, 2)): (62, 21, {"center_order": 1, "hits": 27, "violations": 26}),
     (2, None): (72, 19, {"center_order": 2, "hits": 44, "violations": 42}),
+    (3, None): (63, 28, {"center_order": 1, "hits": 28, "violations": 27}),
 }
 
 
-@pytest.mark.parametrize("ring", list(_DRAWN_FAULT_COUNTS), ids=["n2-mod9", "n3-mod4", "n2-Z"])
+@pytest.mark.parametrize("ring", list(_DRAWN_FAULT_COUNTS), ids=["n2-mod9", "n3-mod4", "n2-Z", "n3-Z"])
 def test_split_samples_keep_the_stream(monkeypatch, on_cpus, ring):
-    # every process replays the one seeded stream: a rho and an action that
-    # fail on some draws move all four counters by as much on 1, 2, 3 and 4
-    # processes as before the split, so a reseeded or shifted share would show
+    # every process makes every draw of the one seeded stream and builds only
+    # its own samples: a rho and an action that fail on some draws move all
+    # four counters by as much on 1, 2, 3 and 4 processes as before the
+    # split, so a reseeded, shifted or misadvanced share would show
     monkeypatch.setattr(filtra.linrep, "rho", lambda u: (
         Mat.identity(u.f.n ** 2, u.f.modulus) if u.x.entries[1] % 3 == 1 else RHO(u)))
     monkeypatch.setattr(filtra.linrep, "act", lambda u, m: m if m.entries[0] % 4 == 2 else ACT(u, m))

@@ -570,16 +570,18 @@ def test_kronecker_rho_matches_matrix_units():
 
 
 def test_column_op_random_sl_matches_transvection_product(monkeypatch):
-    # n = 1 and Z/2 draw from ranges of one value, which still consume bits
+    # n = 1 and Z/2 draw from ranges of one value, which still consume bits;
+    # a sample another process owns only draws its transvections, and must
+    # leave the stream where building the matrix does
     edge = ((1, None), (1, Modulus(2, 1)), (2, Modulus(2, 1)), (3, Modulus(2, 1)))
     for n, modulus in REP_RINGS + ((2, None), (4, None)) + edge:
         for length in (1, 8, 20):
             monkeypatch.setattr(linrep, "_TRANSVECTIONS", length)
-            fast = random.Random("sl:%s:%s" % (n, length))
-            slow = random.Random("sl:%s:%s" % (n, length))
+            fast, slow, skipped = (random.Random("sl:%s:%s" % (n, length)) for _ in range(3))
             for _ in range(100):
                 assert random_sl(n, modulus, fast) == random_sl_by_transvections(n, modulus, slow, length)
-                assert fast.getstate() == slow.getstate()
+                linrep._transvections(n, modulus, skipped)
+                assert fast.getstate() == slow.getstate() == skipped.getstate()
 
 
 def center_scalars_by_loop(n, m):
@@ -1036,9 +1038,14 @@ def test_random_element_matches_identity_first_product():
         assert len(alphabet) in (4, 6, 8, 24)
         for radius in range(1, 7):
             sampler = WordSampler(alphabet, mul, radius, measure)
-            new, old = random.Random("sampler:%d" % radius), random.Random("sampler:%d" % radius)
+            new, old, skipped = (random.Random("sampler:%d" % radius) for _ in range(3))
             for batch in (0, 1, 2, 40, 1, 150):
+                # advancing past a batch consumes its draws and builds nothing
+                before = sampler.drawn, sampler.hits, dict(sampler._table)
+                sampler.advance(skipped, batch)
+                assert (sampler.drawn, sampler.hits, sampler._table) == before
                 pairs = sampler.draw(new, batch)
+                assert skipped.getstate() == new.getstate()
                 assert len(pairs) == batch
                 for w, level in pairs:
                     want = random_element(alphabet, mul, old, radius)
