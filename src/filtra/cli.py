@@ -124,10 +124,11 @@ def _cmd_graded_bracket(args):
 def _cmd_graded_verify(args):
     if not 2 <= args.qmax <= MAX_JMAX:
         raise CliUsageError("--qmax must be between 2 and %d" % MAX_JMAX)
-    result = verify_relation_table(args.p, args.qmax)
+    stats = {}
+    result = verify_relation_table(args.p, args.qmax, stats=stats)
     # the table is exhaustive and takes no seed; "seed": 0 keeps the payload
     args.seed = 0
-    return result, result["ok"]
+    return result, result["ok"], stats
 
 
 def _cmd_rep(args):

@@ -18,7 +18,11 @@ q = 1 the extra 4N^2 is scalar mod 8, which the rank-2 read does not see).
 ``bracket`` and ``power_map`` compute the group side on flat (a, b, c, d)
 tuples mod p^T with the kernel of ``exactmat``: ``lift`` a class by the
 unipotent basis matrices and diag(u, u^{-1}), u = 1 + p^q, of determinant
-exactly 1, commutate or power, and ``class_of``.
+exactly 1, commutate or power, and ``class_of``.  With a, b the coordinates
+times p^q and e = u^d, f = u^{-d} mod p^T, the lift is the closed form
+(1, a; 0, 1)(1, 0; b, 1) diag(e, f) = ((1 + ab)e, af; be, f).  The
+commutator x1 x2 x1^{-1} x2^{-1} is (x1 x2) adj(x2 x1), as the inverse of a
+determinant-one matrix is its adjugate and adj(x2 x1) = adj(x1) adj(x2).
 """
 
 from __future__ import annotations
@@ -153,17 +157,20 @@ def lift(c: GradedClass, t_exp: int) -> tuple:
     m = p ** t_exp
     pq = p ** q
     a, b, d = c.coords + (0,) * (3 - rank(p))
-    out = _flat_mul((1, a * pq, 0, 1), (1, 0, b * pq, 1), m)
+    a, b = a * pq, b * pq
+    e = f = 1
     if d:
         u = 1 + pq
-        out = _flat_mul(out, (pow(u, d, m), 0, 0, pow(u, -d, m)), m)
-    return out
+        e, f = pow(u, d, m), pow(u, -d, m)
+    return ((1 + a * b) * e % m, a * f % m, b * e % m, f)
 
 
 def bracket_from_lifts(x1: tuple, x2: tuple, p: int, q: int, s: int) -> GradedClass:
-    """Class at level q + s of the group commutator of two flat lifts mod p^{q+s+1}."""
+    """Class at level q + s of the group commutator of two flat lifts mod p^{q+s+1}:
+    x1 x2 x1^{-1} x2^{-1} is (x1 x2)(x2 x1)^{-1}, the inverse the adjugate
+    ``_flat_inv``, since adj(x2 x1) = adj(x1) adj(x2) for any 2x2 matrices."""
     m = p ** (q + s + 1)
-    comm = _flat_mul(_flat_mul(x1, x2, m), _flat_mul(_flat_inv(x1, m), _flat_inv(x2, m), m), m)
+    comm = _flat_mul(_flat_mul(x1, x2, m), _flat_inv(_flat_mul(x2, x1, m), m), m)
     return class_of(comm, p, q + s)
 
 
@@ -181,7 +188,7 @@ def power_map(c: GradedClass) -> GradedClass:
     return class_of(_flat_pow(lift(c, t), c.p, c.p ** t), c.p, c.q + 1)
 
 
-def verify_relation_table(p: int, q_max: int) -> dict:
+def verify_relation_table(p: int, q_max: int, stats: dict | None = None) -> dict:
     """Exhaustively check the bracket/power relation table of the tower.
 
     Each basis bracket [X_q, Y_s] is predicted as the ``read`` at level
@@ -189,44 +196,52 @@ def verify_relation_table(p: int, q_max: int) -> dict:
     pair: for odd p [A, B] = D, [A, D] = A^{-2} and [B, D] = B^2, and at
     p = 2 every basis bracket reads as zero.  The p-th power map shifts each
     basis class one level.  Bilinearity and antisymmetry are checked on the
-    coordinate bases at every cell.  Each distinct pair is bracketed once,
-    by the ``bracket`` the module holds when the call starts.
+    coordinate bases at every cell.  Each level's basis classes and their
+    sums of two are built once per call, and each distinct pair is
+    bracketed once, by the ``bracket`` the module holds when the call
+    starts.  ``stats``, when given, gets ``brackets``, the number of
+    distinct pairs bracketed.  q_max must be an int >= 2.
     """
+    if not isinstance(q_max, int) or q_max < 2:
+        raise GradedError("q_max must be an integer >= 2, got %r" % (q_max,))
     names = tuple(SL2_BASIS)[:rank(p)]
     pairs = [pair for x, y in combinations(names, 2) for pair in ((x, y), (y, x))] + [(x, x) for x in names]
     predicted = {(n1, n2): matrix_bracket(SL2_BASIS[n1], SL2_BASIS[n2]) for n1, n2 in pairs}
     cells = [(q, s) for q in range(1, q_max) for s in range(1, q_max) if q + s <= q_max]
+    basis = {q: {n: basis_class(p, q, n) for n in names} for q in range(1, q_max + 1)}
+    sums = {q: {pair: class_add(*pair) for pair in product(basis[q].values(), repeat=2)} for q in range(1, q_max)}
     bracket_once = cache(bracket)
     bracket_failures = []
     for q, s in cells:
         for (n1, n2), n in predicted.items():
-            got = bracket_once(basis_class(p, q, n1), basis_class(p, s, n2))
+            got = bracket_once(basis[q][n1], basis[s][n2])
             want = read(n, p, q + s)
             if got != want:
                 bracket_failures.append({"cell": [q, s], "pair": [n1, n2], "got": str(got), "want": str(want)})
 
     power_failures = []
     for q, name in product(range(1, q_max), names):
-        got = power_map(basis_class(p, q, name))
-        want = basis_class(p, q + 1, name)
+        got = power_map(basis[q][name])
+        want = basis[q + 1][name]
         if got != want:
             power_failures.append({"q": q, "name": name, "got": str(got), "want": str(want)})
 
     bilin_failures = []
     anti_failures = []
     for q, s in cells:
-        at_q = [basis_class(p, q, n) for n in names]
-        at_s = [basis_class(p, s, n) for n in names]
+        at_q, at_s = basis[q].values(), basis[s].values()
         for c1, c1b, c2 in product(at_q, at_q, at_s):
-            if bracket_once(class_add(c1, c1b), c2) != class_add(bracket_once(c1, c2), bracket_once(c1b, c2)):
+            if bracket_once(sums[q][c1, c1b], c2) != class_add(bracket_once(c1, c2), bracket_once(c1b, c2)):
                 bilin_failures.append({"cell": [q, s], "slot": "left", "args": [str(c1), str(c1b), str(c2)]})
         for c1, c2, c2b in product(at_q, at_s, at_s):
-            if bracket_once(c1, class_add(c2, c2b)) != class_add(bracket_once(c1, c2), bracket_once(c1, c2b)):
+            if bracket_once(c1, sums[s][c2, c2b]) != class_add(bracket_once(c1, c2), bracket_once(c1, c2b)):
                 bilin_failures.append({"cell": [q, s], "slot": "right", "args": [str(c1), str(c2), str(c2b)]})
         for c1, c2 in product(at_q, at_s):
             if bracket_once(c1, c2) != class_neg(bracket_once(c2, c1)):
                 anti_failures.append({"cell": [q, s], "args": [str(c1), str(c2)]})
 
+    if stats is not None:
+        stats["brackets"] = bracket_once.cache_info().currsize
     relations = [
         {"id": "basis_brackets", "cells": len(cells), "failures": bracket_failures},
         {"id": "power_map_shifts_basis", "cells": q_max - 1, "failures": power_failures},

@@ -68,6 +68,11 @@ def test_graded_bracket_output(capsys):
 def test_graded_verify(capsys):
     code, report = run_cli(capsys, "graded", "verify", "-p", "3", "--qmax", "3")
     assert code == 0 and report["ok"]
+    # distinct pairs bracketed: 12 (p = 2) or 45 in each of the ten cells
+    # of --qmax 5
+    for p, brackets in (("2", 120), ("3", 450), ("5", 450)):
+        code, report = run_cli(capsys, "graded", "verify", "-p", p, "--qmax", "5")
+        assert code == 0 and report["timings"]["stats"] == {"brackets": brackets}, p
 
 
 def test_rep_command(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -146,6 +147,15 @@ def test_lift_examples():
             a, b, cc, d = x = lift(c, q + 1)
             assert (a * d - b * cc) % m == 1 and all(0 <= e < m for e in x)
             assert class_of(x, p, q) == c
+    # the closed form is the product (1, a p^q; 0, 1)(1, 0; b p^q, 1) diag(u^d, u^-d)
+    for p, q in itertools.product((2, 3, 5), (1, 2, 3)):
+        pq, u = p ** q, 1 + p ** q
+        for t, coords in itertools.product((q + 1, q + 3), itertools.product(range(p), repeat=2 if p == 2 else 3)):
+            m = p ** t
+            a, b, d = coords + (0,) * (3 - len(coords))
+            unipotent = _flat_mul((1, a * pq, 0, 1), (1, 0, b * pq, 1), m)
+            want = _flat_mul(unipotent, (pow(u, d, m), 0, 0, pow(u, -d, m)), m)
+            assert lift(GradedClass(p, q, coords), t) == want, (p, q, t, coords)
 
 
 def test_bracket_relation_examples():
@@ -180,6 +190,10 @@ def test_bracket_lift_independent():
             l1 = _flat_mul(lift(c1, t), random_kernel_element(p, q + 1, t, rng), p ** t)
             l2 = _flat_mul(lift(c2, t), random_kernel_element(p, s + 1, t, rng), p ** t)
             assert bracket_from_lifts(l1, l2, p, q, s) == expected
+            # (x1 x2)(x2 x1)^-1 is the four-factor commutator x1 x2 x1^-1 x2^-1
+            m = p ** t
+            four = _flat_mul(_flat_mul(l1, l2, m), _flat_mul(_flat_inv(l1, m), _flat_inv(l2, m), m), m)
+            assert bracket_from_lifts(l1, l2, p, q, s) == class_of(four, p, q + s)
 
 
 def test_antisymmetry():
@@ -197,6 +211,12 @@ def test_verify_relation_table():
         assert report["ok"], report
     report2 = verify_relation_table(2, 4)
     assert report2["ok"], report2
+    # a table with no cell checks nothing, and a float level reaches no layer
+    for q_max in (-1, 0, 1, 2.5, 3.0, "3", None):
+        with pytest.raises(GradedError, match="q_max must be an integer >= 2"):
+            verify_relation_table(3, q_max)
+    stats = {}
+    assert verify_relation_table(3, 2, stats=stats)["ok"] and stats == {"brackets": 45}
 
 
 def test_kernel_order_matches_coordinates():
